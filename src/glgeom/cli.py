@@ -242,7 +242,8 @@ def cmd_scan(args):
 
 def cmd_orbits(args):
     field = _field(args.q)
-    report = ob.stabiliser_orbits_on_bisections(args.k, field)
+    report = ob.stabiliser_orbits_on_bisections(args.k, field,
+                                                budget=args.budget)
     payload = {
         "q": args.q, "k": args.k,
         "num_orbits": report.num_orbits,

@@ -2,21 +2,24 @@
 
 Orbit partitions run breadth-first with canonical-form hashing: acting on
 a subspace re-reduces its basis, so equal orbits collide in a dict.  The
-two big bisection computations go through an index fast path: the k-sub-
-spaces are indexed once, each generator becomes a permutation of indices,
-and a bisection is just an ordered index pair.
+bisection-stabiliser orbits go through an index fast path for every q:
+the k-subspaces are indexed once, each generator becomes a permutation of
+indices, and a bisection is an index pair i < j coded as one int.  The
+pairs themselves come from a vector-set index (subspace.disjoint_pairs):
+per vector, a bitset of the subspaces containing it, so disjointness is a
+bitset OR and complement instead of a rank test per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from collections import Counter
+from math import prod
 
-from .gfq import Mat, mat_identity, mat_mul, mat_rank
+from .gfq import Mat, mat_identity, mat_inverse, mat_mul, mat_rank
 from .subspace import (Bisection, Subspace, apply_mat, coordinate_bisection,
-                       grassmannian, subspace_from_packed, transport_pair,
-                       pk_entry_key)
-from .counts import TooLargeError
+                       disjoint_pairs, grassmannian, transport_pair)
+from .counts import TooLargeError, gaussian
 
 
 @dataclass
@@ -128,14 +131,9 @@ def bisection_stabiliser_generators(b):
     gens.append(_block_swap(field, k))
     if b != coord:
         t = transport_pair(coord.half1, coord.half2, b.half1, b.half2)
-        ti = _mat_inv(t)
+        ti = mat_inverse(t)
         gens = [mat_mul(mat_mul(ti, g), t) for g in gens]
     return GeneratorSet(gens, f"stabiliser of bisection (k={k}, q={field.q})")
-
-
-def _mat_inv(m):
-    from .gfq import mat_inverse
-    return mat_inverse(m)
 
 
 def subspace_stabiliser_generators(m_dim, n, field):
@@ -170,14 +168,13 @@ def _sort_key(element):
     return element.sort_key()
 
 
-def orbit_partition(gens, seeds, action="subspaces", budget=10**7):
+def orbit_partition(gens, seeds, budget=10**7):
     """Partition the seed set into orbits under the generated group.
 
-    action is one of "subspaces", "bisections", "flags"; it only documents
-    the element type (the action itself is canonical-form BFS).  For big
-    q=2 bisection sets prefer stabiliser_orbits_on_bisections.
+    Seeds may be subspaces, bisections or flags (tuples of subspaces); the
+    action is canonical-form BFS.  For big bisection sets prefer
+    stabiliser_orbits_on_bisections.
     """
-    del action
     seeds = list(seeds)
     if len(seeds) > budget:
         raise TooLargeError("seed set exceeds budget")
@@ -213,34 +210,35 @@ def orbit_partition(gens, seeds, action="subspaces", budget=10**7):
                        [reps[i] for i in order])
 
 
-def stabiliser_orbits_on_bisections(k, field):
+def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     """Orbits of the coordinate-bisection stabiliser on all other bisections.
 
     Index fast path: the k-subspaces of V(2k,q) are listed once in
-    canonical order, each generator becomes an index permutation, and the
-    breadth-first search runs over index pairs.
+    canonical order and each generator becomes an index permutation.  The
+    bisections are the disjoint index pairs (i, j), i < j, found by the
+    vector-set index of disjoint_pairs (bitset ORs, no rank tests) and
+    coded as the ints i * nsub + j, so the breadth-first search runs over
+    ints and min(orbit) is the lexicographically least pair.  Refuses with
+    TooLargeError before any enumeration when the bisection count
+    gaussian(2k,k,q) q^(k^2) / 2 exceeds the budget.  Raises RuntimeError
+    if the pair count or an orbit length contradicts the counting formulas.
     """
-    n = 2 * k
-    if field.q == 2:
-        subs = [subspace_from_packed(field, n, rows)
-                for rows in _sorted_packed_grassmannian(n, k)]
-    else:
-        subs = sorted(grassmannian(n, field, k), key=lambda s: s.sort_key())
+    q, n = field.q, 2 * k
+    count = gaussian(n, k, q) * q**(k * k) // 2
+    if count > budget:
+        raise TooLargeError(f"{count} bisections of V({n},{q}) exceed the "
+                            f"budget of {budget}")
+    subs = sorted(grassmannian(n, field, k), key=lambda s: s.sort_key())
+    nsub = len(subs)
     index = {s: i for i, s in enumerate(subs)}
     b0 = coordinate_bisection(field, k)
     gens = bisection_stabiliser_generators(b0)
-    perms = []
-    for g in gens.generators:
-        perms.append([index[apply_mat(s, g)] for s in subs])
-    from .subspace import intersection_dim
-    pairs = []
-    nsub = len(subs)
-    for i in range(nsub):
-        si = subs[i]
-        for j in range(i + 1, nsub):
-            if intersection_dim(si, subs[j]) == 0:
-                pairs.append((i, j))
-    seed0 = (index[b0.half1], index[b0.half2])
+    perms = [[index[apply_mat(s, g)] for s in subs] for g in gens.generators]
+    pairs = [i * nsub + j for i, j in disjoint_pairs(subs)]
+    if len(pairs) != count:
+        raise RuntimeError(f"{len(pairs)} disjoint pairs of k-subspaces, "
+                           f"expected {count} bisections")
+    seed0 = index[b0.half1] * nsub + index[b0.half2]
     visited = {seed0}
     lengths = []
     reps = []
@@ -251,34 +249,34 @@ def stabiliser_orbits_on_bisections(k, field):
         frontier = [pair]
         while frontier:
             nxt = []
-            for (i, j) in frontier:
+            for code in frontier:
+                i, j = divmod(code, nsub)
                 for perm in perms:
                     a, b = perm[i], perm[j]
-                    if a > b:
-                        a, b = b, a
-                    if (a, b) not in orbit:
-                        orbit.add((a, b))
-                        nxt.append((a, b))
+                    image = a * nsub + b if a < b else b * nsub + a
+                    if image not in orbit:
+                        orbit.add(image)
+                        nxt.append(image)
             frontier = nxt
         visited |= orbit
         lengths.append(len(orbit))
         reps.append(min(orbit))
+    stabiliser_order = 2 * prod(q**k - q**i for i in range(k))**2
+    if sum(lengths) != count - 1 or any(stabiliser_order % x for x in lengths):
+        raise RuntimeError("orbit lengths contradict the orbit-stabiliser "
+                           f"theorem for a group of order {stabiliser_order}")
     order = sorted(range(len(lengths)), key=lambda i: (lengths[i], reps[i]))
-    rep_bisections = [Bisection(subs[reps[i][0]], subs[reps[i][1]]) for i in order]
-    return OrbitReport(tuple(lengths[i] for i in order), len(pairs) - 1,
+    rep_bisections = [Bisection(subs[reps[i] // nsub], subs[reps[i] % nsub])
+                      for i in order]
+    return OrbitReport(tuple(lengths[i] for i in order), count - 1,
                        rep_bisections)
-
-
-def _sorted_packed_grassmannian(n, k):
-    from .subspace import packed_grassmannian
-    return sorted(packed_grassmannian(n, k), key=lambda rows: pk_entry_key(rows, n))
 
 
 def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
     """Orbits of the stabiliser of <e_1..e_m> on all k-subspaces."""
     gens = subspace_stabiliser_generators(m, n, field)
     seeds = list(grassmannian(n, field, k))
-    return orbit_partition(gens, seeds, action="subspaces", budget=budget)
+    return orbit_partition(gens, seeds, budget=budget)
 
 
 def group_order_by_basis_orbit(gens, n, field, budget=10**7):

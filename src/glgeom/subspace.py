@@ -396,6 +396,39 @@ def grassmannian(n, field, m):
             yield Subspace(field, n, Mat(field, rows), _canonical=True)
 
 
+def disjoint_pairs(subs):
+    """All index pairs (i, j), i < j, with subs[i] meet subs[j] = 0, in order.
+
+    Vector-set index, no ranks: each nonzero vector is coded as its base-q
+    digit integer and mapped to a bitset over the indices of the subspaces
+    that contain it.  The OR of those bitsets over the vectors of subs[i]
+    marks every subspace meeting subs[i] nontrivially, so the clear bits
+    above bit i are exactly its disjoint partners j > i.
+    """
+    containing = {}
+    codes_of = []
+    for i, s in enumerate(subs):
+        q, bit, codes = s.field.q, 1 << i, []
+        for v in s.vectors():
+            code = 0
+            for x in v:
+                code = code * q + x
+            if code:
+                codes.append(code)
+                containing[code] = containing.get(code, 0) | bit
+        codes_of.append(codes)
+    everything = (1 << len(subs)) - 1
+    for i, codes in enumerate(codes_of):
+        meets = (1 << (i + 1)) - 1  # j <= i is never paired with i
+        for code in codes:
+            meets |= containing[code]
+        free = everything & ~meets
+        while free:
+            low = free & -free
+            yield i, low.bit_length() - 1
+            free ^= low
+
+
 def complements_of(w):
     """All complements of a k-subspace of V(2k,q): q^(k^2) of them.
 

@@ -104,6 +104,15 @@ def test_orbits_small(capsys):
     assert "num_orbits: 1" in out  # single swap orbit on the other two
 
 
+def test_orbits_budget_exit_code(capsys):
+    """Refused up front: (3,3) has 333,430,020 bisections, over the default."""
+    code, out, err = run(capsys, "orbits", "--q", "3", "--k", "3")
+    assert code == 3 and out == "" and "333430020" in err
+    code, _, _ = run(capsys, "orbits", "--q", "2", "--k", "3",
+                     "--budget", "1000")
+    assert code == 3
+
+
 def test_counts_and_weyl(capsys):
     code, out, _ = run(capsys, "counts", "--q", "3", "--k", "2", "--m", "2")
     assert code == 0 and "24/65" in out

@@ -169,7 +169,7 @@ def test_flag_transitivity_by_orbit_bfs(n, m, k, j):
     flags = [(u, w) for u in grassmannian(n, F2, m)
              for w in grassmannian(n, F2, k) if incident_proj(p, u, w)]
     gens = gl_generators(n, F2)
-    report = orbit_partition(gens, flags, action="flags")
+    report = orbit_partition(gens, flags)
     assert report.num_orbits == 1
     cf = canonical_flag(p)
     assert (cf.point, cf.line) in set(flags)

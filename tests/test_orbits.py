@@ -2,6 +2,7 @@
 
 import pytest
 
+from glgeom.counts import TooLargeError
 from glgeom.gfq import field_make, mat_identity
 from glgeom.orbits import (GOLDEN_ORBITS, GeneratorSet,
                            bisection_stabiliser_generators, gl_generators,
@@ -122,7 +123,7 @@ def test_order2_stabiliser_on_projective_line():
     assert group_order_by_basis_orbit(gens, 2, F2) == 2
     others = [b for b in bisections(1, F2) if b != b0]
     assert len(others) == 2
-    report = orbit_partition(gens, others, action="bisections")
+    report = orbit_partition(gens, others)
     assert report.orbit_lengths == (2,)
 
 
@@ -180,3 +181,49 @@ def test_golden_orbits_q2_k3():
     order = 2 * gl_order(3, 2)**2
     for length in report.orbit_lengths:
         assert order % length == 0
+
+
+def test_index_bfs_matches_generic_partition_q3_k2():
+    """The index BFS against the independent canonical-form orbit BFS over
+    every bisection object except the coordinate one."""
+    b0 = coordinate_bisection(F3, 2)
+    others = [b for b in bisections(2, F3) if b != b0]
+    generic = orbit_partition(bisection_stabiliser_generators(b0), others)
+    report = stabiliser_orbits_on_bisections(2, F3)
+    assert report.orbit_lengths == generic.orbit_lengths
+    assert report.representatives == generic.representatives
+    assert report.total == generic.total == 5264
+
+
+def test_orbits_q4_k2():
+    """(q, k) = (4, 2): observed data, not reference values."""
+    report = stabiliser_orbits_on_bisections(2, field_make(2, 2))
+    assert report.total == 45695
+    assert sum(report.orbit_lengths) == 45695
+    order = 2 * gl_order(2, 4)**2
+    assert all(order % length == 0 for length in report.orbit_lengths)
+
+
+def test_bisection_budget_refused_before_enumeration(monkeypatch):
+    import glgeom.orbits as ob
+
+    def forbidden(*args):
+        raise AssertionError("enumerated despite the budget")
+    monkeypatch.setattr(ob, "grassmannian", forbidden)
+    with pytest.raises(TooLargeError, match="333430020 .* 10000000"):
+        stabiliser_orbits_on_bisections(3, F3)
+    with pytest.raises(TooLargeError, match="357120 .* 1000$"):
+        stabiliser_orbits_on_bisections(3, F2, budget=1000)
+
+
+def test_dropped_pair_is_an_internal_error(monkeypatch):
+    """A pair count off the Gaussian formula raises RuntimeError, which the
+    CLI does not report as bad parameters."""
+    import glgeom.orbits as ob
+    real = ob.disjoint_pairs
+
+    def drop_one(subs):
+        return list(real(subs))[1:]
+    monkeypatch.setattr(ob, "disjoint_pairs", drop_one)
+    with pytest.raises(RuntimeError):
+        stabiliser_orbits_on_bisections(2, F2)

@@ -6,8 +6,8 @@ from glgeom.gfq import field_make, Mat
 from glgeom.counts import gaussian
 from glgeom.subspace import (Bisection, bisections, bisection_from_text,
                              complement, coordinate_subspace, direct_sum,
-                             full_space, grassmannian, intersect,
-                             intersection_dim, is_diagonal, perp,
+                             disjoint_pairs, full_space, grassmannian,
+                             intersect, intersection_dim, is_diagonal, perp,
                              packed_bisection_pairs, span, span_rows,
                              subspace_from_text, sum_subspace, transport_pair,
                              apply_mat, zero_subspace, NotContainedError)
@@ -186,6 +186,18 @@ def test_bisections_match_naive_double_loop(k, q):
 def test_packed_pairs_mirror_object_enumeration():
     obj = [(b.half1.packed, b.half2.packed) for b in bisections(2, F2)]
     assert obj == list(packed_bisection_pairs(2))
+
+
+@pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (4, 1), (5, 1)])
+def test_disjoint_pairs_match_rank_tests(q, k):
+    """The vector-set index against the rank-based disjointness test."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    subs = sorted(grassmannian(2 * k, field, k), key=lambda s: s.sort_key())
+    by_rank = [(i, j) for i, a in enumerate(subs)
+               for j, b in enumerate(subs[i + 1:], i + 1)
+               if intersection_dim(a, b) == 0]
+    assert list(disjoint_pairs(subs)) == by_rank
+    assert len(by_rank) == gaussian(2 * k, k, q) * q**(k * k) // 2
 
 
 # ---------------------------------------------------------------------
