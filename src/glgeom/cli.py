@@ -1,8 +1,9 @@
 """Command-line driver: reproducible experiments with machine-readable output.
 
 Exit codes: 0 success, 1 bad parameters, 2 internal disagreement or golden
-mismatch, 3 enumeration budget exceeded.  JSON output is byte-identical
-across runs for identical inputs.
+mismatch, 3 enumeration budget exceeded, 4 internal error (a RuntimeError
+from the engine, such as a broken runtime invariant or an unimplemented
+case).  JSON output is byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ EXIT_OK = 0
 EXIT_BAD_PARAMS = 1
 EXIT_DISAGREE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -139,7 +141,8 @@ def cmd_bis_concurrent(args):
         reps = None
         work = params if params.m <= params.k else params.dual()
         if work.k >= 2 and ct.gaussian(2 * work.k, work.k, args.q) <= 2000:
-            reps = ob.stabiliser_orbits_on_bisections(work.k, field).representatives
+            reps = ob.stabiliser_orbits_on_bisections(
+                work.k, field, budget=args.budget).representatives
         v = oc.concurrent_oracle(params, orbit_reps=reps, budget=args.budget)
         results["oracle"] = _verdict_word(v.complete)
     payload["results"] = results
@@ -215,7 +218,8 @@ def cmd_scan(args):
                             if ((q, k) not in reps_cache and k >= 2
                                     and ct.gaussian(2 * k, k, q) <= 2000):
                                 reps_cache[(q, k)] = \
-                                    ob.stabiliser_orbits_on_bisections(k, field).representatives
+                                    ob.stabiliser_orbits_on_bisections(
+                                        k, field, budget=args.budget).representatives
                             v = oc.concurrent_oracle(
                                 params, orbit_reps=reps_cache.get((q, k)),
                                 budget=args.budget)
@@ -383,6 +387,9 @@ def main(argv=None):
             wt.PreconditionViolatedError, ValueError) as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -440,20 +440,6 @@ def mat_mul(a, b):
     return Mat(f, out)
 
 
-def mat_add(a, b):
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatchError("shapes differ")
-    add = a.field.add
-    return Mat(a.field, [[add(x, y) for x, y in zip(ra, rb)]
-                         for ra, rb in zip(a.entries, b.entries)])
-
-
-def mat_stack(a, b):
-    if a.cols != b.cols:
-        raise DimensionMismatchError("column counts differ")
-    return Mat(a.field, a.entries + b.entries)
-
-
 def vec_mat(v, m):
     """Row vector times matrix."""
     f = m.field
@@ -568,11 +554,6 @@ def mat_inverse(m):
     if len(red) < n or pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return Mat(f, [r[n:] for r in red[:n]])
-
-
-def solve_right(m, v):
-    """One solution x of x . M = v for invertible M (row-vector convention)."""
-    return vec_mat(v, mat_inverse(m))
 
 
 # ----------------------------------------------------------------------

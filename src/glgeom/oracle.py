@@ -1,25 +1,46 @@
 """Closed-form completeness predicates and independent brute-force oracles.
 
 The predicates are pure integer arithmetic.  The oracles reduce to one
-canonical point pair per overlap dimension t (point pairs with equal
-overlap form a single orbit), try the constructive witness first, and
-fall back to exhaustive search over the line set; incompleteness is only
-ever reported after a full scan, so a witness bug cannot fake a positive.
+point pair per overlap dimension t (point pairs with equal overlap form a
+single orbit, so any pair with overlap t decides that t), try the
+constructive witness first, and fall back to exhaustive search over the
+line set; incompleteness is only ever reported after a full scan, so a
+witness bug cannot fake a positive.
+
+The two collinear scans avoid a rank test per line:
+
+- proj: the pair is U1 = <e_{n-m}..e_{n-1}>, U2 = <e_{n-2m+t}..e_{n-m+t-1}>,
+  the canonical pair of witness.canonical_pair moved by the
+  coordinate-reversal permutation (an element of GL(n,q)), hence with the
+  same overlap t and in the same orbit.  For W in canonical rref with
+  pivots p_1 < ... < p_k, W meet <e_a..e_{n-1}> is spanned by the rows
+  with p_i >= a (a combination of rows is zero in column p_i exactly when
+  its coefficient on row i is), so dim(W meet U1) = #{i : p_i >= n-m}.
+  Only the Schubert cells with exactly j such pivots are scanned, with one
+  intersection_dim(W, U2) per line.
+- bis: the k-subspaces S_i are listed once (subspace.sorted_grassmannian)
+  with the tables d1[i] = dim(S_i meet U1) and, per t, d2[i] =
+  dim(S_i meet U2); a bisection {S_i, S_j} is incident with both points
+  iff {d1[i], d1[j]} = {d2[i], d2[j]} = {k1, k2} as multisets, and the
+  disjoint partners j of each i come streamed from the vector-set index
+  (subspace.disjoint_masks).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
-from .gfq import pk_rank
+# unused here; the benchmark's self-test checks that tracing rebinds it
+from .gfq import pk_rank  # noqa: F401
 from .subspace import (Bisection, bisections, coordinate_bisection,
-                       coordinate_subspace, complement, full_space,
-                       grassmannian, intersect, intersection_dim,
-                       packed_bisection_pairs, span_rows, sum_subspace)
+                       coordinate_subspace, complement, disjoint_masks,
+                       full_space, grassmannian, intersect, intersection_dim,
+                       schubert_cell, sorted_grassmannian, span_rows,
+                       sum_subspace)
 from .geometry import incident_bis
 from .counts import TooLargeError
-from .weyl import subset_geometry_oracle, subset_geometry_closed_form
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       canonical_pair, desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
@@ -106,17 +127,13 @@ def bis_concurrent_predicate(q, m, k, k1, k2):
 # collinear oracles
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _grassmannian_list(n, p, e, m):
-    from .gfq import field_make
-    return list(grassmannian(n, field_make(p, e), m))
-
-
 def proj_collinear_oracle(params, budget=10**7, use_witness=True):
     """Search-based collinear completeness of the m-vs-k geometry.
 
-    One canonical pair per overlap t; a t fails only after the whole
-    k-Grassmannian has been scanned without a j-incident line.
+    One pair per overlap t, moved to suffix position (module docstring); a
+    t fails only after every line W with dim(W meet U1) = j, i.e. every
+    Schubert cell of Gr(n,k) with exactly j pivots >= n-m, has been
+    scanned without dim(W meet U2) = j.
     """
     n, m, k, j = params.n, params.m, params.k, params.j
     field = params.field
@@ -125,9 +142,10 @@ def proj_collinear_oracle(params, budget=10**7, use_witness=True):
     t_lo = max(0, 2 * m - n)
     if lines * (m - t_lo) > budget:
         raise TooLargeError("line scan exceeds budget")
+    cells = [p for p in combinations(range(n), k)
+             if sum(c >= n - m for c in p) == j]
     all_witnessed = True
     for t in range(t_lo, m):
-        u1, u2 = canonical_pair(field, n, m, t)
         if use_witness:
             try:
                 proj_collinear_witness(n, m, k, j, t, field)
@@ -135,32 +153,30 @@ def proj_collinear_oracle(params, budget=10**7, use_witness=True):
             except PredicateFailsError:
                 pass
         all_witnessed = False
-        found = False
-        for w in _grassmannian_list(n, field.p, field.e, k):
-            if intersection_dim(w, u1) == j and intersection_dim(w, u2) == j:
-                found = True
-                break
-        if not found:
+        u2 = coordinate_subspace(field, n, range(n - 2 * m + t, n - m + t))
+        if not any(intersection_dim(w, u2) == j
+                   for p in cells for w in schubert_cell(n, field, p)):
             return CompletenessVerdict(False, "oracle", failing_t=t)
     method = "witness" if (use_witness and all_witnessed) else "oracle"
     return CompletenessVerdict(True, method)
 
 
-def _packed_bis_scan(k, m, t, k1, k2):
-    """q=2 full scan: is some bisection (k1,k2)-incident with both canonical
-    m-subspaces at overlap t?  Works on packed rows only."""
-    n = 2 * k
-    u1 = tuple(1 << i for i in range(m))
-    u2 = tuple(1 << i for i in range(m - t, 2 * m - t))
+def _incident_disjoint_pair(subs, d1, d2, k1, k2):
+    """Is some bisection {subs[i], subs[j]} (k1,k2)-incident with both
+    points, given the tables d1, d2 of intersection dimensions with them?
+
+    subs[i] must have (d1[i], d2[i]) in {k1,k2}^2 and its partner the
+    complementary class (k1+k2-d1[i], k1+k2-d2[i]); the classes are
+    bitsets over indices, ANDed with the disjoint partners of i.
+    """
+    classes = {}
+    for i, key in enumerate(zip(d1, d2)):
+        classes[key] = classes.get(key, 0) | 1 << i
     want = (k1, k2)
-    for h1, h2 in packed_bisection_pairs(k):
-        d11 = m + k - pk_rank(u1 + h1, n)
-        d12 = m + k - pk_rank(u1 + h2, n)
-        if (d11, d12) != want and (d12, d11) != want:
-            continue
-        d21 = m + k - pk_rank(u2 + h1, n)
-        d22 = m + k - pk_rank(u2 + h2, n)
-        if (d21, d22) == want or (d22, d21) == want:
+    for i, partners in disjoint_masks(subs):
+        a, b = d1[i], d2[i]
+        if (a in want and b in want
+                and partners & classes.get((k1 + k2 - a, k1 + k2 - b), 0)):
             return True
     return False
 
@@ -170,7 +186,8 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
 
     Applies the perp reduction when m > k (unless reduce=False, which scans
     the stated parameters directly), then checks one canonical pair per
-    overlap t, witness first, full bisection scan second.
+    overlap t, witness first, then a full scan of the bisections through
+    the dimension tables of the module docstring.
     """
     field = params.field
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
@@ -183,6 +200,7 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
     if nlines * m > budget:
         raise TooLargeError("bisection scan exceeds budget")
     all_witnessed = True
+    subs = d1 = None
     for t in range(max(0, 2 * m - 2 * k), m):
         if use_witness:
             try:
@@ -191,13 +209,12 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
             except PredicateFailsError:
                 pass
         all_witnessed = False
-        if q == 2:
-            found = _packed_bis_scan(k, m, t, k1, k2)
-        else:
-            u1, u2 = canonical_pair(field, 2 * k, m, t)
-            found = any(incident_bis(params, u1, b) and incident_bis(params, u2, b)
-                        for b in bisections(k, field))
-        if not found:
+        u1, u2 = canonical_pair(field, 2 * k, m, t)
+        if subs is None:  # U1 does not depend on t
+            subs = sorted_grassmannian(2 * k, field, k)
+            d1 = [intersection_dim(s, u1) for s in subs]
+        d2 = [intersection_dim(s, u2) for s in subs]
+        if not _incident_disjoint_pair(subs, d1, d2, k1, k2):
             return CompletenessVerdict(False, "oracle", failing_t=t)
     method = "witness" if (use_witness and all_witnessed) else "oracle"
     return CompletenessVerdict(True, method)
@@ -206,6 +223,12 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
 # ----------------------------------------------------------------------
 # concurrent oracle
 # ----------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _grassmannian_list(n, p, e, m):
+    from .gfq import field_make
+    return list(grassmannian(n, field_make(p, e), m))
+
 
 def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     """Does every pair of distinct bisections share an incident m-subspace?
@@ -390,9 +413,3 @@ def induction_step_check(k, field, quadruples=None, budget=10**7):
         if not ok:
             return False
     return True
-
-
-# S_n-side oracle lives with the subset machinery; exposed here as well
-# because the scan driver treats it as one more oracle/closed-form pair.
-sn_oracle = subset_geometry_oracle
-sn_closed_form = subset_geometry_closed_form

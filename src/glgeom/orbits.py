@@ -18,7 +18,8 @@ from math import prod
 
 from .gfq import Mat, mat_identity, mat_inverse, mat_mul, mat_rank
 from .subspace import (Bisection, Subspace, apply_mat, coordinate_bisection,
-                       disjoint_pairs, grassmannian, transport_pair)
+                       disjoint_pairs, grassmannian, sorted_grassmannian,
+                       transport_pair)
 from .counts import TooLargeError, gaussian
 
 
@@ -228,7 +229,7 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     if count > budget:
         raise TooLargeError(f"{count} bisections of V({n},{q}) exceed the "
                             f"budget of {budget}")
-    subs = sorted(grassmannian(n, field, k), key=lambda s: s.sort_key())
+    subs = sorted_grassmannian(n, field, k)
     nsub = len(subs)
     index = {s: i for i, s in enumerate(subs)}
     b0 = coordinate_bisection(field, k)

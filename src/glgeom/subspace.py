@@ -367,43 +367,51 @@ def bisection_from_text(text, field=None):
 # enumeration
 # ----------------------------------------------------------------------
 
+def schubert_cell(n, field, pivots):
+    """The subspaces of V(n,q) whose canonical basis has the given pivot
+    columns (increasing), free entries in row-major lexicographic order."""
+    m = len(pivots)
+    pivot_set = set(pivots)
+    free = [(r, c) for r in range(m) for c in range(n)
+            if c > pivots[r] and c not in pivot_set]
+    base = [[0] * n for _ in range(m)]
+    for r, p in enumerate(pivots):
+        base[r][p] = 1
+    for values in product(range(field.q), repeat=len(free)):
+        rows = [row[:] for row in base]
+        for (r, c), v in zip(free, values):
+            rows[r][c] = v
+        yield Subspace(field, n, Mat(field, rows, cols=n), _canonical=True)
+
+
 def grassmannian(n, field, m):
     """All m-subspaces of V(n,q), each exactly once, in canonical order.
 
-    Pivot-column sets run lexicographically; for a fixed pivot set the free
-    entries run in row-major lexicographic order.
+    Pivot-column sets run lexicographically, one Schubert cell each; for a
+    fixed pivot set the free entries run in row-major lexicographic order.
     """
     if not (0 <= m <= n):
         raise ValueError("need 0 <= m <= n")
-    if m == 0:
-        yield zero_subspace(field, n)
-        return
-    q = field.q
     for pivots in combinations(range(n), m):
-        pivot_set = set(pivots)
-        free = [(r, c) for r in range(m) for c in range(n)
-                if c > pivots[r] and c not in pivot_set]
-        base = [[0] * n for _ in range(m)]
-        for r, p in enumerate(pivots):
-            base[r][p] = 1
-        if not free:
-            yield Subspace(field, n, Mat(field, base), _canonical=True)
-            continue
-        for values in product(range(q), repeat=len(free)):
-            rows = [row[:] for row in base]
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield Subspace(field, n, Mat(field, rows), _canonical=True)
+        yield from schubert_cell(n, field, pivots)
 
 
-def disjoint_pairs(subs):
-    """All index pairs (i, j), i < j, with subs[i] meet subs[j] = 0, in order.
+def sorted_grassmannian(n, field, m):
+    """The m-subspaces of V(n,q) as a list in sort_key order: the index
+    that bisections are coded against (a bisection is a disjoint pair)."""
+    return sorted(grassmannian(n, field, m), key=Subspace.sort_key)
+
+
+def disjoint_masks(subs):
+    """Yield (i, mask) per index i, where the set bits of mask are the
+    j > i with subs[i] meet subs[j] = 0.
 
     Vector-set index, no ranks: each nonzero vector is coded as its base-q
     digit integer and mapped to a bitset over the indices of the subspaces
     that contain it.  The OR of those bitsets over the vectors of subs[i]
     marks every subspace meeting subs[i] nontrivially, so the clear bits
-    above bit i are exactly its disjoint partners j > i.
+    above bit i are exactly its disjoint partners j > i.  Only the bitsets
+    and each subspace's vector codes are held, never the list of pairs.
     """
     containing = {}
     codes_of = []
@@ -422,7 +430,13 @@ def disjoint_pairs(subs):
         meets = (1 << (i + 1)) - 1  # j <= i is never paired with i
         for code in codes:
             meets |= containing[code]
-        free = everything & ~meets
+        yield i, everything & ~meets
+
+
+def disjoint_pairs(subs):
+    """All index pairs (i, j), i < j, with subs[i] meet subs[j] = 0, in
+    order, read off the bitsets of disjoint_masks."""
+    for i, free in disjoint_masks(subs):
         while free:
             low = free & -free
             yield i, low.bit_length() - 1
@@ -488,46 +502,6 @@ def subspace_from_packed(field, n, packed_rows):
     from .gfq import unpack_rows
     return Subspace(field, n, Mat(field, unpack_rows(packed_rows, n)),
                     _canonical=True)
-
-
-def pk_entry_key(rows, n):
-    """Key ordering packed rows the same way entry tuples compare."""
-    return tuple(sum(((x >> j) & 1) << (n - 1 - j) for j in range(n))
-                 for x in rows)
-
-
-def packed_grassmannian(n, k):
-    """Packed q=2 mirror of grassmannian(n, GF(2), k): same canonical order."""
-    if k == 0:
-        yield ()
-        return
-    for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(r, c) for r in range(k) for c in range(n)
-                if c > pivots[r] and c not in pivot_set]
-        base = [1 << p for p in pivots]
-        if not free:
-            yield tuple(base)
-            continue
-        for values in product(range(2), repeat=len(free)):
-            rows = base[:]
-            for (r, c), v in zip(free, values):
-                if v:
-                    rows[r] |= 1 << c
-            yield tuple(rows)
-
-
-def packed_bisection_pairs(k):
-    """Packed q=2 bisections as (half1, half2) row tuples, canonical order.
-
-    Mirrors bisections(k, GF(2)) pair for pair without building objects.
-    """
-    n = 2 * k
-    for w in packed_grassmannian(n, k):
-        wkey = pk_entry_key(w, n)
-        for red in packed_complements_of(w, n):
-            if wkey < pk_entry_key(red, n):
-                yield w, red
 
 
 def bisections(k, field):

@@ -130,3 +130,36 @@ def test_golden_mismatch_exit_code(capsys, monkeypatch):
     code, out, _ = run(capsys, "orbits", "--q", "3", "--k", "2", "--golden")
     assert code == 2
     assert "MISMATCH" in out
+
+
+def test_bis_concurrent_budget_refused_before_orbits(capsys, monkeypatch):
+    """--budget reaches the orbit partition at (q,k) = (2,3), which refuses
+    before it lists the 1395 3-subspaces of V(6,2)."""
+    import glgeom.orbits as ob
+    real = ob.disjoint_pairs
+
+    def not_at_k3(subs):
+        assert len(subs) != 1395, "orbit partition at (2,3) enumerated"
+        return real(subs)
+    monkeypatch.setattr(ob, "disjoint_pairs", not_at_k3)
+    code, out, err = run(capsys, "bis-concurrent", "--k", "3", "--m", "3",
+                         "--k1", "0", "--k2", "0", "--q", "2",
+                         "--budget", "10")
+    assert code == 3 and out == "" and "357120" in err
+    # (2,1) and (2,2) fit the budget; (2,3) has 357,120 bisections
+    code, out, err = run(capsys, "scan", "--family", "bis-con", "--max-k",
+                         "3", "--qs", "2", "--budget", "100000")
+    assert code == 3 and out == "" and "357120" in err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    """A broken runtime invariant exits 4, not 1 ("bad parameters")."""
+    import glgeom.orbits as ob
+    real = ob.disjoint_pairs
+
+    def drop_one(subs):
+        return list(real(subs))[1:]
+    monkeypatch.setattr(ob, "disjoint_pairs", drop_one)
+    code, out, err = run(capsys, "orbits", "--q", "2", "--k", "2")
+    assert code == 4 and out == ""
+    assert err.startswith("internal error:")

@@ -10,9 +10,12 @@ from glgeom.oracle import (AdmissibilityError, BaseCaseMissingError,
                            concurrent_oracle, induction_step_check,
                            pair_has_common_point, proj_collinear_oracle,
                            proj_collinear_predicate)
+from glgeom.geometry import incident_bis
 from glgeom.orbits import stabiliser_orbits_on_bisections
-from glgeom.subspace import (Bisection, coordinate_subspace, span_rows)
-from glgeom.witness import bis_collinear_predicate, desarguesian_spread
+from glgeom.subspace import (Bisection, bisections, coordinate_subspace,
+                             grassmannian, intersection_dim, span_rows)
+from glgeom.witness import (bis_collinear_predicate, canonical_pair,
+                            desarguesian_spread)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -98,6 +101,61 @@ def test_bis_oracle_duality_coherence():
                     a = bis_collinear_oracle(p).complete
                     b = bis_collinear_oracle(p.dual()).complete
                     assert a == b
+
+
+def _first_failing_t(t_range, field, n, m, has_line):
+    """Plain per-line reference scan: the first t whose canonical pair
+    (witness.canonical_pair) lies on no common line, or None."""
+    for t in t_range:
+        if not has_line(*canonical_pair(field, n, m, t)):
+            return t
+    return None
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_proj_oracle_matches_per_line_scan(field):
+    """Cell scan on the moved pair against one rank test per line of the
+    whole Grassmannian on the canonical pair, at every admissible point."""
+    for n in range(2, 6):
+        for m in range(1, n):
+            for k in range(1, n):
+                for j in range(max(0, m + k - n), min(m, k) + 1):
+                    if m == k == j:
+                        continue
+                    lines = list(grassmannian(n, field, k))
+                    want = _first_failing_t(
+                        range(max(0, 2 * m - n), m), field, n, m,
+                        lambda u1, u2: any(
+                            intersection_dim(w, u1) == j
+                            and intersection_dim(w, u2) == j for w in lines))
+                    got = proj_collinear_oracle(ProjParams(n, m, k, j, field),
+                                                use_witness=False)
+                    assert (got.complete, got.failing_t) == \
+                        (want is None, want), (n, m, k, j)
+
+
+@pytest.mark.parametrize("field", [F2, F3])
+def test_bis_oracle_matches_per_line_scan(field):
+    """Dimension tables and streamed disjoint partners against incident_bis
+    on every bisection, at every admissible point with k <= 2, m < 2k."""
+    for k in (1, 2):
+        lines = list(bisections(k, field))
+        for m in range(1, 2 * k):
+            for k1 in range(k + 1):
+                for k2 in range(k1, k + 1):
+                    try:
+                        params = BisParams(k, m, k1, k2, field)
+                    except BadParamsError:
+                        continue
+                    want = _first_failing_t(
+                        range(max(0, 2 * m - 2 * k), m), field, 2 * k, m,
+                        lambda u1, u2: any(
+                            incident_bis(params, u1, b)
+                            and incident_bis(params, u2, b) for b in lines))
+                    got = bis_collinear_oracle(params, use_witness=False,
+                                               reduce=False)
+                    assert (got.complete, got.failing_t) == \
+                        (want is None, want), (k, m, k1, k2)
 
 
 def test_bis_oracle_budget():

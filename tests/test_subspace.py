@@ -8,7 +8,7 @@ from glgeom.subspace import (Bisection, bisections, bisection_from_text,
                              complement, coordinate_subspace, direct_sum,
                              disjoint_pairs, full_space, grassmannian,
                              intersect, intersection_dim, is_diagonal, perp,
-                             packed_bisection_pairs, span, span_rows,
+                             sorted_grassmannian, span, span_rows,
                              subspace_from_text, sum_subspace, transport_pair,
                              apply_mat, zero_subspace, NotContainedError)
 
@@ -153,6 +153,41 @@ def test_grassmannian_no_repeats(n, q):
         assert len(seen) == gaussian(n, m, q)
 
 
+def _pivots(w):
+    return tuple(next(c for c, x in enumerate(row) if x) for row in w.rows())
+
+
+@pytest.mark.parametrize("q,max_n", [(2, 6), (3, 6), (4, 5)])
+def test_suffix_meet_is_pivot_count(q, max_n):
+    """The lemma behind the proj oracle's cell scan, against the rank
+    kernel: dim(W meet <e_a..e_{n-1}>) = #{pivots of W >= a}."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    for n in range(1, max_n + 1):
+        suffixes = [coordinate_subspace(field, n, range(a, n))
+                    for a in range(n + 1)]
+        for k in range(n + 1):
+            for w in grassmannian(n, field, k):
+                piv = _pivots(w)
+                for a, suffix in enumerate(suffixes):
+                    assert intersection_dim(w, suffix) == \
+                        sum(p >= a for p in piv)
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])
+def test_grassmannian_order_is_pivots_then_free_entries(n, q):
+    """The documented order: Schubert cells by pivot set, lexicographically,
+    each in row-major lexicographic order of its free entries."""
+    field = field_make(q)
+    for m in range(n + 1):
+        keys = []
+        for w in grassmannian(n, field, m):
+            piv = _pivots(w)
+            keys.append((piv, tuple(x for r, row in enumerate(w.rows())
+                                    for c, x in enumerate(row)
+                                    if c > piv[r] and c not in piv)))
+        assert keys == sorted(set(keys))
+
+
 @pytest.mark.parametrize("k,q,count", [(1, 2, 3), (2, 3, 5265), (1, 3, 6)])
 def test_bisection_counts(k, q, count):
     field = field_make(q)
@@ -160,8 +195,9 @@ def test_bisection_counts(k, q, count):
     assert sum(1 for _ in bisections(k, field)) == count
 
 
-def test_bisection_count_6_2_packed():
-    assert sum(1 for _ in packed_bisection_pairs(3)) == 357120
+def test_bisection_count_6_2_disjoint_pairs():
+    subs = sorted_grassmannian(6, F2, 3)
+    assert sum(1 for _ in disjoint_pairs(subs)) == 357120
     assert gaussian(6, 3, 2) * 2**9 // 2 == 357120
 
 
@@ -181,11 +217,6 @@ def test_bisections_match_naive_double_loop(k, q):
         assert b.half1.sort_key() <= b.half2.sort_key()
         assert intersection_dim(b.half1, b.half2) == 0
         assert b.half1.dim == b.half2.dim == k
-
-
-def test_packed_pairs_mirror_object_enumeration():
-    obj = [(b.half1.packed, b.half2.packed) for b in bisections(2, F2)]
-    assert obj == list(packed_bisection_pairs(2))
 
 
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (4, 1), (5, 1)])
