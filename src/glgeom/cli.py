@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import counts as ct
@@ -154,34 +153,26 @@ def cmd_bis_concurrent(args):
     return EXIT_OK
 
 
-def _scan_proj_point(work):
-    n, m, k, j, q, budget = work
-    field = _field(q)
-    pred = oc.proj_collinear_predicate(n, m, k, j)
-    v = oc.proj_collinear_oracle(ProjParams(n, m, k, j, field), budget=budget)
-    return {"n": n, "m": m, "k": k, "j": j, "q": q,
-            "predicate": pred, "oracle": v.complete}
-
-
 def cmd_scan(args):
     qs = [int(x) for x in args.qs.split(",")] if args.qs else [2]
     rows = []
     mism = 0
     if args.family == "proj":
-        work = []
         for q in qs:
+            field = _field(q)
             for n in range(2, args.max_n + 1):
                 for m in range(1, n):
                     for k in range(1, n):
                         for j in range(max(0, m + k - n), min(m, k) + 1):
                             if m == k == j:
                                 continue  # degenerate geometry, skipped
-                            work.append((n, m, k, j, q, args.budget))
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                rows = list(pool.map(_scan_proj_point, work))
-        else:
-            rows = [_scan_proj_point(w) for w in work]
+                            pred = oc.proj_collinear_predicate(n, m, k, j)
+                            v = oc.proj_collinear_oracle(
+                                ProjParams(n, m, k, j, field),
+                                budget=args.budget)
+                            rows.append({"n": n, "m": m, "k": k, "j": j,
+                                         "q": q, "predicate": pred,
+                                         "oracle": v.complete})
         mism = sum(1 for r in rows if r["predicate"] != r["oracle"])
     elif args.family == "bis-col":
         for q in qs:
@@ -309,7 +300,6 @@ def _add_common(p):
                    help="attach witness certificates to the output")
     p.add_argument("--budget", type=int, default=10**7,
                    help="max enumeration elements before refusing")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled checks (deterministic checks ignore it)")
 

@@ -367,21 +367,27 @@ def extension_modulus(field, degree):
 # ----------------------------------------------------------------------
 
 class Mat:
-    """Immutable row-major matrix over a FieldSpec."""
+    """Immutable row-major matrix over a FieldSpec.
+
+    Entries are checked to be field codes in equal-length rows, except
+    with _trusted=True, which is passed only for rows that are such by
+    construction: elimination output, unit rows, rows of another Mat.
+    """
 
     __slots__ = ("field", "rows", "cols", "entries", "_hash")
 
-    def __init__(self, field, entries, cols=None):
+    def __init__(self, field, entries, cols=None, _trusted=False):
         entries = tuple(tuple(r) for r in entries)
         self.field = field
         self.rows = len(entries)
         self.cols = len(entries[0]) if entries else (cols or 0)
-        for r in entries:
-            if len(r) != self.cols:
-                raise DimensionMismatchError("ragged rows")
-            for x in r:
-                if not (0 <= x < field.q):
-                    raise ValueError(f"entry {x} out of range for {field}")
+        if not _trusted:
+            for r in entries:
+                if len(r) != self.cols:
+                    raise DimensionMismatchError("ragged rows")
+                for x in r:
+                    if not (0 <= x < field.q):
+                        raise ValueError(f"entry {x} out of range for {field}")
         self.entries = entries
         self._hash = hash((field.q, self.rows, self.cols, entries))
 
@@ -498,6 +504,36 @@ def _rref_rows(field, rows, ncols):
     return rows[:r], pivots
 
 
+def echelon_insert(field, echelon, row):
+    """Reduce row against an echelon and keep the remainder if nonzero.
+
+    echelon is a list of (pivot, row) pairs in insertion order: each row
+    has its first nonzero entry, a 1, at its pivot and is zero at the
+    pivots of the rows before it (a canonical basis in order qualifies).
+    Subtracting the rows in that order clears every pivot column, and a
+    nonzero combination of the rows is nonzero at some pivot, so the
+    remainder is zero exactly when row lies in their span.  Otherwise the
+    normalised remainder is appended and True returned.
+    """
+    mul, sub = field.mul, field.sub
+    v = list(row)
+    for p, prow in echelon:
+        c = v[p]
+        if c:
+            for j in range(p, len(v)):
+                x = prow[j]
+                if x:
+                    v[j] = sub(v[j], mul(c, x))
+    for p, x in enumerate(v):
+        if x:
+            if x != 1:
+                ix = field.inv(x)
+                v = [mul(ix, y) for y in v]
+            echelon.append((p, v))
+            return True
+    return False
+
+
 def rref(m):
     """Reduced row echelon form: returns (R, rank, pivots).
 
@@ -507,13 +543,13 @@ def rref(m):
     red, pivots = _rref_rows(m.field, m.entries, m.cols)
     rank = len(red)
     full = red + [[0] * m.cols for _ in range(m.rows - rank)]
-    return Mat(m.field, full, cols=m.cols), rank, pivots
+    return Mat(m.field, full, cols=m.cols, _trusted=True), rank, pivots
 
 
 def rref_trim(m):
     """rref with zero rows dropped."""
     red, pivots = _rref_rows(m.field, m.entries, m.cols)
-    return Mat(m.field, red, cols=m.cols), pivots
+    return Mat(m.field, red, cols=m.cols, _trusted=True), pivots
 
 
 def mat_rank(m):
@@ -539,7 +575,7 @@ def kernel(m):
             v[pc] = f.neg(red[r][fc])
         basis.append(v)
     canon, _ = _rref_rows(f, basis, m.cols)
-    return Mat(f, canon, cols=m.cols)
+    return Mat(f, canon, cols=m.cols, _trusted=True)
 
 
 def mat_inverse(m):

@@ -40,7 +40,7 @@ from .subspace import (Bisection, bisections, coordinate_bisection,
                        schubert_cell, sorted_grassmannian, span_rows,
                        sum_subspace)
 from .geometry import incident_bis
-from .counts import TooLargeError
+from .counts import TooLargeError, gaussian
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       canonical_pair, desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
@@ -133,31 +133,39 @@ def proj_collinear_oracle(params, budget=10**7, use_witness=True):
     One pair per overlap t, moved to suffix position (module docstring); a
     t fails only after every line W with dim(W meet U1) = j, i.e. every
     Schubert cell of Gr(n,k) with exactly j pivots >= n-m, has been
-    scanned without dim(W meet U2) = j.
+    scanned without dim(W meet U2) = j.  The budget bounds the subspaces
+    the scans may list: those lines, once for the first t that falls
+    through to the scan and once for each t after it.  It is checked at
+    that first t, before anything is listed, so a point the witness decides
+    at every t is never refused.
     """
     n, m, k, j = params.n, params.m, params.k, params.j
     field = params.field
-    from .counts import gaussian
-    lines = gaussian(n, k, field.q)
-    t_lo = max(0, 2 * m - n)
-    if lines * (m - t_lo) > budget:
-        raise TooLargeError("line scan exceeds budget")
-    cells = [p for p in combinations(range(n), k)
-             if sum(c >= n - m for c in p) == j]
-    all_witnessed = True
-    for t in range(t_lo, m):
+    q = field.q
+    # the k-subspaces W with dim(W meet U1) = j
+    lines = (q ** ((m - j) * (k - j)) * gaussian(m, j, q)
+             * gaussian(n - m, k - j, q))
+    cells = None
+    for t in range(max(0, 2 * m - n), m):
         if use_witness:
             try:
                 proj_collinear_witness(n, m, k, j, t, field)
                 continue
             except PredicateFailsError:
                 pass
-        all_witnessed = False
+        if cells is None:  # the first scan: refuse before listing anything
+            if lines * (m - t) > budget:
+                raise TooLargeError(f"{m - t} Schubert-cell scans of {lines} "
+                                    f"{k}-subspaces exceed the budget of "
+                                    f"{budget}")
+            # k-j pivots left of column n-m and j from it on, in lex order
+            cells = [lo + hi for lo in combinations(range(n - m), k - j)
+                     for hi in combinations(range(n - m, n), j)]
         u2 = coordinate_subspace(field, n, range(n - 2 * m + t, n - m + t))
         if not any(intersection_dim(w, u2) == j
                    for p in cells for w in schubert_cell(n, field, p)):
             return CompletenessVerdict(False, "oracle", failing_t=t)
-    method = "witness" if (use_witness and all_witnessed) else "oracle"
+    method = "witness" if (use_witness and cells is None) else "oracle"
     return CompletenessVerdict(True, method)
 
 
@@ -187,7 +195,11 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
     Applies the perp reduction when m > k (unless reduce=False, which scans
     the stated parameters directly), then checks one canonical pair per
     overlap t, witness first, then a full scan of the bisections through
-    the dimension tables of the module docstring.
+    the dimension tables of the module docstring.  Each scan codes the q^k
+    vectors of each of the gaussian(2k,k,q) k-subspaces (disjoint_masks);
+    the budget bounds those vectors over the first t that falls through to
+    the scan and every t after it, and is checked at that first t, before
+    anything is listed.
     """
     field = params.field
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
@@ -195,11 +207,6 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
         if reduce:
             return bis_collinear_oracle(params.dual(), budget, use_witness)
         use_witness = False  # the constructive route needs m <= k
-    from .counts import gaussian
-    nlines = gaussian(2 * k, k, q) * q ** (k * k) // 2
-    if nlines * m > budget:
-        raise TooLargeError("bisection scan exceeds budget")
-    all_witnessed = True
     subs = d1 = None
     for t in range(max(0, 2 * m - 2 * k), m):
         if use_witness:
@@ -208,15 +215,19 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
                 continue
             except PredicateFailsError:
                 pass
-        all_witnessed = False
         u1, u2 = canonical_pair(field, 2 * k, m, t)
         if subs is None:  # U1 does not depend on t
+            nsub = gaussian(2 * k, k, q)
+            if nsub * q ** k * (m - t) > budget:  # before listing anything
+                raise TooLargeError(f"{m - t} table scans of the {q ** k} "
+                                    f"vectors of {nsub} {k}-subspaces exceed "
+                                    f"the budget of {budget}")
             subs = sorted_grassmannian(2 * k, field, k)
             d1 = [intersection_dim(s, u1) for s in subs]
         d2 = [intersection_dim(s, u2) for s in subs]
         if not _incident_disjoint_pair(subs, d1, d2, k1, k2):
             return CompletenessVerdict(False, "oracle", failing_t=t)
-    method = "witness" if (use_witness and all_witnessed) else "oracle"
+    method = "witness" if (use_witness and subs is None) else "oracle"
     return CompletenessVerdict(True, method)
 
 
@@ -250,7 +261,6 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
         pair_iter = ((b0, rep) for rep in orbit_reps)
         npairs = len(orbit_reps)
     else:
-        from .counts import gaussian
         nlines = gaussian(2 * k, k, q) * q ** (k * k) // 2
         npairs = nlines * (nlines - 1) // 2
         if npairs * 4 > budget:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .gfq import (Mat, mat_inverse, mat_mul, pack_rows, pk_rank,
-                  pk_rref, rank_of_rows, rref_trim, kernel, vec_mat,
-                  DimensionMismatchError)
+from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
+                  pk_rank, pk_rref, rank_of_rows, rref_trim, kernel, vec_mat,
+                  _rref_rows, DimensionMismatchError)
 
 
 class AmbientMismatchError(ValueError):
@@ -124,18 +124,22 @@ def zero_subspace(field, n):
 
 
 def full_space(field, n):
-    from .gfq import mat_identity
-    return Subspace(field, n, mat_identity(field, n), _canonical=True)
+    return coordinate_subspace(field, n, range(n))
 
 
 def coordinate_subspace(field, n, cols):
-    """Span of the unit vectors e_c for c in cols (0-based)."""
+    """Span of the unit vectors e_c for c in cols (0-based, repeats count
+    once).  The unit rows in increasing column order are already the
+    canonical basis, so no elimination is run."""
     rows = []
-    for c in sorted(cols):
+    for c in sorted(set(cols)):
+        if not 0 <= c < n:
+            raise DimensionMismatchError(f"column {c} outside V({n},q)")
         v = [0] * n
         v[c] = 1
         rows.append(v)
-    return span_rows(field, n, rows)
+    return Subspace(field, n, Mat(field, rows, cols=n, _trusted=True),
+                    _canonical=True)
 
 
 def intersection_dim(u, w):
@@ -162,11 +166,25 @@ def perp(u):
 
 
 def intersect(u, w):
-    """U meet W, computed as the perp of the sum of the perps."""
+    """U meet W by one elimination (Zassenhaus): the rref of the rows
+    [u | u] for u in U and [w | 0] for w in W, over 2n columns.
+
+    The row space is {(u + w, u)}, whose vectors with zero left half have
+    right half u = -w in U meet W, and every vector of U meet W occurs.  In
+    the rref those vectors are spanned by the rows with a pivot in the
+    right half, whose right halves are therefore the rref of the meet.
+    """
     _check_ambient(u, w)
     if u is w or u == w:
         return u
-    return perp(sum_subspace(perp(u), perp(w)))
+    field, n = u.field, u.n
+    zero = (0,) * n
+    rows = ([r + r for r in u.basis.entries]
+            + [r + zero for r in w.basis.entries])
+    red, pivots = _rref_rows(field, rows, 2 * n)
+    meet = [r[n:] for r, p in zip(red, pivots) if p >= n]
+    return Subspace(field, n, Mat(field, meet, cols=n, _trusted=True),
+                    _canonical=True)
 
 
 def is_diagonal(u, y1, y2):
@@ -177,25 +195,30 @@ def is_diagonal(u, y1, y2):
     return intersection_dim(u, y1) == 0 and intersection_dim(u, y2) == 0
 
 
+def _echelon(u):
+    """U's canonical rows as an echelon for gfq.echelon_insert."""
+    return [(next(j for j, x in enumerate(r) if x), r)
+            for r in u.basis.entries]
+
+
 def complement(u, inside):
-    """Deterministic W with U (+) W = inside, by greedy pivot extension."""
+    """Deterministic W with U (+) W = inside: the rows of inside's canonical
+    basis, in order, that are independent of U and of the rows taken before
+    them, each tested by reduction against an echelon of those rows."""
     _check_ambient(u, inside)
     if not inside.contains(u):
         raise NotContainedError("first argument not contained in second")
     field, n = u.field, u.n
-    rows = list(u.basis.entries)
-    rank = len(rows)
+    echelon = _echelon(u)
     picked = []
     for cand in inside.basis.entries:
-        trial = rows + [cand]
-        r = rank_of_rows(field, trial, n)
-        if r > rank:
-            rows.append(cand)
-            picked.append(cand)
-            rank = r
-        if rank == inside.dim:
+        if len(echelon) == inside.dim:
             break
-    return span_rows(field, n, picked)
+        if echelon_insert(field, echelon, cand):
+            picked.append(cand)
+    # rows taken from a canonical basis are the canonical basis of their span
+    return Subspace(field, n, Mat(field, picked, cols=n, _trusted=True),
+                    _canonical=True)
 
 
 def direct_sum(parts):
@@ -255,16 +278,15 @@ def adapted_pair_basis(u1, u2):
     field, n = u1.field, u1.n
     t = intersect(u1, u2)
     rows = basis_of(complement(t, u1)) + basis_of(t) + basis_of(complement(t, u2))
-    rank = rank_of_rows(field, rows, n)
-    full = full_space(field, n)
-    for cand in full.basis.entries:
-        if rank == n:
+    echelon = []
+    for r in rows:
+        echelon_insert(field, echelon, r)
+    for c in range(n):
+        if len(echelon) == n:
             break
-        trial = rows + [cand]
-        r = rank_of_rows(field, trial, n)
-        if r > rank:
+        cand = tuple(1 if j == c else 0 for j in range(n))
+        if echelon_insert(field, echelon, cand):
             rows.append(cand)
-            rank = r
     return Mat(field, rows)
 
 

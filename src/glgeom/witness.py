@@ -41,6 +41,13 @@ class NotPairwiseDisjointError(ValueError):
     pass
 
 
+def _check(ok, what):
+    """An internal consistency check that, unlike assert, survives
+    python -O; a failure means a construction does not cover this case."""
+    if not ok:
+        raise UnimplementedCaseError(what)
+
+
 def canonical_pair(field, n, m, t):
     """U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}>; requires 2m-t <= n."""
     if not (0 <= t <= m and 2 * m - t <= n):
@@ -217,33 +224,39 @@ def subset_witness(n, m, k, j, t):
     else:
         p1 = set(range(m + 1 - j, m + j - t + 1))
         p = p1 | set(range(2 * m - t + 1, n + 1))
-    assert len(p) == n - 2 * m + 2 * j
-    assert len(p & m1) == j and len(p & m2) == j
+    _check(len(p) == n - 2 * m + 2 * j, "subset witness: |P| off")
+    _check(len(p & m1) == j and len(p & m2) == j,
+           "subset witness: P meets M1, M2 wrongly")
     k_set = None
     partition = None
     if 0 <= k - 2 * j <= n - 2 * m:
         core = (p & m1) | (p & m2)
         pad = sorted(p - m1 - m2)
         k_set = frozenset(sorted(core) + pad[:k - len(core)])
-        assert len(k_set) == k
-        assert len(k_set & m1) == j and len(k_set & m2) == j
+        _check(len(k_set) == k, "subset witness: |K| off")
+        _check(len(k_set & m1) == j and len(k_set & m2) == j,
+               "subset witness: K meets M1, M2 wrongly")
     else:
         rest = set(range(1, n + 1)) - p
-        assert len(rest) == 2 * m - 2 * j
+        _check(len(rest) == 2 * m - 2 * j,
+               "subset witness: complement of P has the wrong size")
         # pair across the two subsets so no part lies inside M1 or M2
         only1 = sorted(rest & (m1 - m2))
         only2 = sorted(rest & (m2 - m1))
         both = sorted(rest & m1 & m2)
         outside = sorted(rest - m1 - m2)
-        assert len(only1) == len(only2) and len(both) == len(outside)
+        _check(len(only1) == len(only2) and len(both) == len(outside),
+               "subset witness: cross pairing impossible")
         pairs = list(zip(only1, only2)) + list(zip(both, outside))
         num_parts = (k - 2 * j) - (n - 2 * m)
-        assert 1 <= num_parts <= len(pairs)
+        _check(1 <= num_parts <= len(pairs),
+               "subset witness: part count out of range")
         parts = [frozenset(pr) for pr in pairs[:num_parts - 1]]
         tail = [x for pr in pairs[num_parts - 1:] for x in pr]
         parts.append(frozenset(tail))
         for part in parts:
-            assert not part <= m1 and not part <= m2
+            _check(not part <= m1 and not part <= m2,
+                   "subset witness: a part lies inside M1 or M2")
         partition = tuple(parts)
     return SetWitness(frozenset(p), k_set, partition)
 
@@ -304,7 +317,7 @@ def _span_slice(space, a, b=None):
 
 def _graph_rows(field, dom_rows, target_rows):
     """Rows w_i + z_i pairing a domain basis with distinct target rows."""
-    assert len(dom_rows) <= len(target_rows)
+    _check(len(dom_rows) <= len(target_rows), "graph: too few target rows")
     return [add_vecs(field, w, z) for w, z in zip(dom_rows, target_rows)]
 
 
@@ -531,7 +544,7 @@ def _small_case_witness(params, t):
     d3 = [add_vecs(field, cv, tv) for cv, tv in zip(c.rows(), tt.rows())]
     v1 = span_rows(field, n, list(ub1.rows()) + [d1] + d3)
     v2 = span_rows(field, n, list(ub2.rows()) + [d2] + list(c.rows()))
-    assert v1.dim == k and v2.dim == k, "small-case dimensions off"
+    _check(v1.dim == k and v2.dim == k, "small-case dimensions off")
     return u1, u2, Bisection(v1, v2)
 
 
@@ -552,9 +565,9 @@ def _small_overlap_witness(params, t):
     u21 = span_rows(field, n, list(r2[k2 - t:k2 - t + k1]))
     b1 = direct_sum([u11, u21]) if u21.dim else u11
     b2 = sum_subspace(u12, u22)
-    assert b2.dim == k1 + k2 - t
+    _check(b2.dim == k1 + k2 - t, "small overlap: dim B2 off")
     ball = sum_subspace(b1, b2)
-    assert ball.dim == 2 * (k1 + k2) - t
+    _check(ball.dim == 2 * (k1 + k2) - t, "small overlap: dim B off")
     dim_vbar = n - ball.dim
     mbar = m - k1 - k2
     if q == 2 and dim_vbar == 2 and mbar == 1:
@@ -577,8 +590,10 @@ def _small_overlap_witness(params, t):
         from .subspace import project_onto
         ub1 = project_onto(u1, ball, vbar)
         ub2 = project_onto(u2, ball, vbar)
-        assert ub1.dim == mbar and ub2.dim == mbar
-        assert intersection_dim(ub1, ub2) == 0
+        _check(ub1.dim == mbar and ub2.dim == mbar,
+               "small overlap: projected dimensions off")
+        _check(intersection_dim(ub1, ub2) == 0,
+               "small overlap: projections meet")
         a1, a2 = complementary_pair_avoiding(vbar, ub1, ub2, d1, d2)
     v1 = direct_sum([b1, a1]) if a1.dim else b1
     v2 = direct_sum([b2, a2]) if a2.dim else b2
@@ -605,10 +620,10 @@ def _mid_overlap_witness(params, t):
     u21 = span_rows(field, n,
                     list(s.rows()) + list(r2[k2 - k1:k2 - k1 + (2 * k1 - t)]))
     b1 = sum_subspace(u11, u21)
-    assert b1.dim == 2 * k1 + k2 - t
+    _check(b1.dim == 2 * k1 + k2 - t, "mid overlap: dim B1 off")
     b2 = u22
     ball = sum_subspace(b1, b2)
-    assert ball.dim == 2 * (k1 + k2) - t
+    _check(ball.dim == 2 * (k1 + k2) - t, "mid overlap: dim B off")
     mbar = m - k1 - k2
     if q == 2 and n - ball.dim == 2 and mbar == 1:
         raise UnimplementedCaseError("impossible tight configuration reached")
@@ -650,7 +665,8 @@ def _balanced_overlap_witness(params, t):
     if mbar > 0:
         ub1 = project_onto(u1, core, vbar)
         ub2 = project_onto(u2, core, vbar)
-        assert ub1.dim == mbar and intersection_dim(ub1, ub2) == 0
+        _check(ub1.dim == mbar and intersection_dim(ub1, ub2) == 0,
+               "balanced overlap: projections off")
         ubar = direct_sum([ub1, ub2])
         rest = complement(ubar, vbar)
     else:
@@ -662,7 +678,7 @@ def _balanced_overlap_witness(params, t):
     half = k - m + k1
     s1 = _span_slice(after, 0, half)
     s2 = _span_slice(after, half, 2 * half)
-    assert after.dim == 2 * half
+    _check(after.dim == 2 * half, "balanced overlap: remainder dimension off")
     if mbar == 0:
         v1 = direct_sum([p for p in (u21, t1, s1) if p.dim])
         v2 = direct_sum([p for p in (u12, t2, s2) if p.dim])
@@ -710,7 +726,7 @@ def _deep_overlap_graph_witness(params, t):
             + _graph_rows(field, w1_rows, targets1)
             + _graph_rows(field, w2_rows, targets2))
     v1 = span_rows(field, n, rows)
-    assert v1.dim == k, "graph completion dimension off"
+    _check(v1.dim == k, "graph completion dimension off")
     return u1, u2, Bisection(v1, v2)
 
 
@@ -759,7 +775,7 @@ def _deep_overlap_wide_witness(params, t):
     dt3 = _graph_rows(field, t3_rows, list(cc2.rows()))
     dt2 = _t2_against_c3_rows(field, params, t, t2, cc3)
     v1 = span_rows(field, n, t1_rows + du1 + du2 + dt2 + dt3)
-    assert v1.dim == params.k, "wide deep-overlap dimension off"
+    _check(v1.dim == params.k, "wide deep-overlap dimension off")
     return u1, u2, Bisection(v1, v2)
 
 
@@ -780,7 +796,7 @@ def _deep_overlap_narrow_witness(params, t):
     dt2 = _t2_against_c3_rows(field, params, t, t2, cc3)
     v1 = span_rows(field, n,
                    v11_rows + v12_rows + list(t13.rows()) + dt2 + p3 + p4)
-    assert v1.dim == k, "narrow deep-overlap dimension off"
+    _check(v1.dim == k, "narrow deep-overlap dimension off")
     return u1, u2, Bisection(v1, v2)
 
 

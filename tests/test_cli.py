@@ -32,11 +32,33 @@ def test_bad_params_exit_code(capsys):
     assert "bad parameters" in err
 
 
-def test_budget_exit_code(capsys):
-    code, _, err = run(capsys, "bis-collinear", "--k", "3", "--m", "3",
+def test_budget_exit_code(capsys, monkeypatch):
+    """Points the witness cannot decide must scan; past --budget they exit
+    3 before the scan lists a single subspace."""
+    import glgeom.oracle as oc
+
+    def listed(*args):
+        raise AssertionError("scan listed subspaces despite the budget")
+    monkeypatch.setattr(oc, "sorted_grassmannian", listed)
+    monkeypatch.setattr(oc, "schubert_cell", listed)
+    code, out, err = run(capsys, "bis-collinear", "--k", "3", "--m", "3",
+                         "--k1", "0", "--k2", "3", "--q", "3",
+                         "--mode", "oracle", "--budget", "10")
+    assert code == 3 and out == "" and "33880" in err
+    code, out, err = run(capsys, "proj-collinear", "--n", "6", "--m", "3",
+                         "--k", "3", "--j", "2", "--q", "2",
+                         "--mode", "oracle", "--budget", "10")
+    assert code == 3 and out == ""
+
+
+def test_witnessed_point_is_not_refused(capsys):
+    """The witness decides every overlap here, so nothing is scanned and
+    the 333,430,020 bisections of V(6,3) are no reason to refuse."""
+    code, out, _ = run(capsys, "bis-collinear", "--k", "3", "--m", "3",
                        "--k1", "0", "--k2", "0", "--q", "3",
-                       "--mode", "oracle", "--budget", "10")
-    assert code == 3
+                       "--mode", "oracle", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == {"oracle": "complete"}
 
 
 def test_bis_examples(capsys):
@@ -82,14 +104,6 @@ def test_scan_families(capsys):
     code, out, _ = run(capsys, "scan", "--family", "bis-con", "--max-k", "2",
                        "--qs", "2,3")
     assert code == 0
-
-
-def test_scan_threads_deterministic(capsys):
-    args = ("scan", "--family", "proj", "--max-n", "4", "--qs", "2,3",
-            "--format", "json")
-    _, out1, _ = run(capsys, *args)
-    _, out2, _ = run(capsys, *args, "--threads", "4")
-    assert json.loads(out1) == json.loads(out2)
 
 
 def test_orbits_golden(capsys):

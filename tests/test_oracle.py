@@ -158,9 +158,71 @@ def test_bis_oracle_matches_per_line_scan(field):
                         (want is None, want), (k, m, k1, k2)
 
 
-def test_bis_oracle_budget():
+def test_bis_oracle_budget(monkeypatch):
+    """Three table scans of the 27 vectors of the 33,880 3-subspaces of
+    V(6,3) exceed the budget, and so, at the default budget, do four scans
+    coding 81 vectors of each of the 75,913,222 4-subspaces of V(8,3),
+    though the subspaces alone would fit; both are refused before any
+    subspace is listed.  (3,3,0,0) is decided by the witness and never
+    scanned."""
+    import glgeom.oracle as oc
+
+    def refuse(*args):
+        raise AssertionError("listed")
+    monkeypatch.setattr(oc, "sorted_grassmannian", refuse)
     with pytest.raises(TooLargeError):
-        bis_collinear_oracle(BisParams(3, 3, 0, 0, F3), budget=10)
+        bis_collinear_oracle(BisParams(3, 3, 0, 3, F3), budget=10)
+    with pytest.raises(TooLargeError):
+        bis_collinear_oracle(BisParams(4, 4, 0, 4, F3))
+    assert bis_collinear_oracle(BisParams(3, 3, 0, 0, F3), budget=10).complete
+
+
+def test_collinear_budgets_count_what_the_scan_lists(monkeypatch):
+    """The budget counts what one scan lists times the overlaps from the
+    first that falls through to the scan (t = 0 at both points) to the
+    last: exactly that passes, one less is refused.  One proj scan lists
+    the subspaces of the cells (the point fails at t = 0, after one scan);
+    one bis scan codes the vectors of every listed k-subspace."""
+    import glgeom.oracle as oc
+    listed = []
+    real_cell, real_sorted = oc.schubert_cell, oc.sorted_grassmannian
+
+    def cell(*args):
+        for w in real_cell(*args):
+            listed.append(w)
+            yield w
+
+    def whole(*args):
+        out = real_sorted(*args)
+        listed.extend(out)
+        return out
+    monkeypatch.setattr(oc, "schubert_cell", cell)
+    monkeypatch.setattr(oc, "sorted_grassmannian", whole)
+    cases = ((ProjParams(6, 3, 3, 2, F3), proj_collinear_oracle, 0, len),
+             (BisParams(2, 2, 0, 2, F3), bis_collinear_oracle, 1,
+              lambda subs: sum(len(list(s.vectors())) for s in subs)))
+    for params, oracle, failing_t, per_scan in cases:
+        listed.clear()
+        assert oracle(params, budget=10**7).failing_t == failing_t
+        need = per_scan(listed) * params.m
+        assert not oracle(params, budget=need).complete
+        with pytest.raises(TooLargeError):
+            oracle(params, budget=need - 1)
+
+
+def test_witnessed_points_list_nothing(monkeypatch):
+    """A point the witness decides at every t is answered without listing a
+    pivot set, a cell or a k-subspace, however large its line set."""
+    import glgeom.oracle as oc
+
+    def refuse(*args):
+        raise AssertionError("listed")
+    for name in ("combinations", "schubert_cell", "sorted_grassmannian"):
+        monkeypatch.setattr(oc, name, refuse)
+    v = proj_collinear_oracle(ProjParams(60, 30, 30, 15, F2), budget=10)
+    assert (v.complete, v.method) == (True, "witness")
+    v = bis_collinear_oracle(BisParams(4, 4, 0, 0, F3), budget=10)
+    assert (v.complete, v.method) == (True, "witness")
 
 
 # ---------------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 import pytest
 
-from glgeom.gfq import field_make, Mat
+from glgeom.gfq import field_make, Mat, mat_identity, rank_of_rows
 from glgeom.counts import gaussian
-from glgeom.subspace import (Bisection, bisections, bisection_from_text,
+from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
+                             bisection_from_text,
                              complement, coordinate_subspace, direct_sum,
                              disjoint_pairs, full_space, grassmannian,
                              intersect, intersection_dim, is_diagonal, perp,
@@ -257,3 +258,105 @@ def test_subspace_text_round_trip():
     b = Bisection(coordinate_subspace(F2, 4, [0, 1]),
                   coordinate_subspace(F2, 4, [2, 3]))
     assert bisection_from_text(b.to_text()) == b
+
+
+# ---------------------------------------------------------------------
+# the one-elimination kernels against the reference constructions
+# ---------------------------------------------------------------------
+
+def _ref_intersect(u, w):
+    """The meet as the perp of the sum of the perps."""
+    if u is w or u == w:
+        return u
+    return perp(sum_subspace(perp(u), perp(w)))
+
+
+def _ref_complement(u, inside):
+    """Greedy complement with one rank test of the growing stack per row."""
+    assert inside.contains(u)
+    field, n = u.field, u.n
+    rows, picked = list(u.basis.entries), []
+    for cand in inside.basis.entries:
+        if rank_of_rows(field, rows + [cand], n) > len(rows):
+            rows.append(cand)
+            picked.append(cand)
+        if len(rows) == inside.dim:
+            break
+    return span_rows(field, n, picked)
+
+
+def _ref_adapted_pair_basis(u1, u2):
+    field, n = u1.field, u1.n
+    t = _ref_intersect(u1, u2)
+    rows = (list(_ref_complement(t, u1).rows()) + list(t.rows())
+            + list(_ref_complement(t, u2).rows()))
+    rank = rank_of_rows(field, rows, n)
+    for cand in mat_identity(field, n).entries:
+        if rank == n:
+            break
+        if rank_of_rows(field, rows + [cand], n) > rank:
+            rows.append(cand)
+            rank += 1
+    return Mat(field, rows)
+
+
+def _random_subspace(rng, field, n, dim, inside=None):
+    """span of dim random vectors of inside (default: the whole space)."""
+    basis = (inside or full_space(field, n)).rows()
+    rows = []
+    for _ in range(dim):
+        v = [0] * n
+        for b in basis:
+            c = rng.randrange(field.q)
+            for j, x in enumerate(b):
+                v[j] = field.add(v[j], field.mul(c, x))
+        rows.append(tuple(v))
+    return span_rows(field, n, rows)
+
+
+def _random_pairs(rng, field):
+    """Seeded pairs (U, W) in V(n,q), n <= 8: generic, equal, nested,
+    disjoint and zero cases."""
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        u = _random_subspace(rng, field, n, rng.randint(0, n))
+        yield u, _random_subspace(rng, field, n, rng.randint(0, n))
+        yield u, span_rows(field, n, list(u.rows()))          # equal
+        yield u, _random_subspace(rng, field, n, rng.randint(0, u.dim), u)
+        c = complement(u, full_space(field, n))
+        yield u, _random_subspace(rng, field, n, rng.randint(0, c.dim), c)
+        yield u, zero_subspace(field, n)
+        yield zero_subspace(field, n), u
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_one_elimination_kernels_match_reference(q):
+    import random
+    p, ex = {4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q, 1))
+    field = field_make(p, ex)
+    rng = random.Random(1000 + q)
+    for u, w in _random_pairs(rng, field):
+        meet = intersect(u, w)
+        assert meet == _ref_intersect(u, w)
+        assert meet.dim == intersection_dim(u, w)
+        for a, b in ((u, w), (w, u)):
+            s = sum_subspace(a, b)
+            assert complement(a, s) == _ref_complement(a, s)
+            assert complement(meet, a) == _ref_complement(meet, a)
+        assert adapted_pair_basis(u, w) == _ref_adapted_pair_basis(u, w)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_coordinate_subspace_is_span_of_unit_rows(q):
+    import random
+    p, ex = {4: (2, 2)}.get(q, (q, 1))
+    field = field_make(p, ex)
+    rng = random.Random(q)
+    for n in range(1, 8):
+        for _ in range(5):
+            cols = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
+            units = [tuple(1 if j == c else 0 for j in range(n)) for c in cols]
+            assert coordinate_subspace(field, n, cols) == \
+                span_rows(field, n, units), (n, cols)
+    with pytest.raises(ValueError):
+        coordinate_subspace(F2, 3, [3])

@@ -13,7 +13,8 @@ from glgeom.witness import (NoSuchPairError, PreconditionViolatedError,
                             diagonal_pair, diagonal_pair_exists_bruteforce,
                             fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, subset_witness,
-                            verify_partial_spread, NotPairwiseDisjointError)
+                            verify_partial_spread, NotPairwiseDisjointError,
+                            UnimplementedCaseError)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -320,3 +321,18 @@ def test_fifth_disjoint_preconditions():
     spread = desarguesian_spread(2, F2)
     with pytest.raises(NotPairwiseDisjointError):
         fifth_disjoint([spread[0], spread[1], spread[2], spread[0]])
+
+
+def test_construction_check_raises_unimplemented(monkeypatch):
+    """A failed dimension check inside a construction raises
+    UnimplementedCaseError (an explicit check, kept under python -O), and
+    the CLI reports it as an internal error."""
+    import glgeom.witness as wt
+    from glgeom.cli import main
+    params = BisParams(4, 4, 0, 3, F3)   # t = 2 takes the graph completion
+    assert bis_collinear_witness(params, 2)
+    monkeypatch.setattr(wt, "_graph_rows", lambda field, dom, tgt: [])
+    with pytest.raises(UnimplementedCaseError, match="graph completion"):
+        bis_collinear_witness(params, 2)
+    assert main(["bis-collinear", "--k", "4", "--m", "4", "--k1", "0",
+                 "--k2", "3", "--q", "3", "--mode", "witness"]) == 4
