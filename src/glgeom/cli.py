@@ -300,8 +300,6 @@ def _add_common(p):
                    help="attach witness certificates to the output")
     p.add_argument("--budget", type=int, default=10**7,
                    help="max enumeration elements before refusing")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled checks (deterministic checks ignore it)")
 
 
 def build_parser():

@@ -30,7 +30,8 @@ def gaussian(n, m, q):
     for i in range(m):
         num *= q ** (n - i) - 1
         den *= q ** (m - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError("Gaussian binomial quotient is not an integer")
     return num // den
 
 

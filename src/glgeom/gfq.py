@@ -184,7 +184,8 @@ class FieldSpec:
             if order == order_target:
                 gen = a
                 break
-        assert gen is not None
+        if gen is None:
+            raise RuntimeError(f"no multiplicative generator of GF({q}) found")
         log = [0] * q
         exp = [0] * (2 * order_target)
         x = 1

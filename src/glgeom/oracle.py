@@ -10,7 +10,7 @@ witness bug cannot fake a positive.
 The two collinear scans avoid a rank test per line:
 
 - proj: the pair is U1 = <e_{n-m}..e_{n-1}>, U2 = <e_{n-2m+t}..e_{n-m+t-1}>,
-  the canonical pair of witness.canonical_pair moved by the
+  the canonical pair of subspace.canonical_pair moved by the
   coordinate-reversal permutation (an element of GL(n,q)), hence with the
   same overlap t and in the same orbit.  For W in canonical rref with
   pivots p_1 < ... < p_k, W meet <e_a..e_{n-1}> is spanned by the rows
@@ -34,15 +34,15 @@ from itertools import combinations
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
-from .subspace import (Bisection, bisections, coordinate_bisection,
-                       coordinate_subspace, complement, disjoint_masks,
-                       full_space, grassmannian, intersect, intersection_dim,
-                       schubert_cell, sorted_grassmannian, span_rows,
-                       sum_subspace)
+from .subspace import (Bisection, bisections, canonical_pair,
+                       coordinate_bisection, coordinate_subspace, complement,
+                       disjoint_masks, full_space, grassmannian, intersect,
+                       intersection_dim, schubert_cell, sorted_grassmannian,
+                       span_rows, sum_subspace)
 from .geometry import incident_bis
 from .counts import TooLargeError, gaussian
 from .witness import (PredicateFailsError, bis_collinear_witness,
-                      canonical_pair, desarguesian_spread, fifth_disjoint,
+                      desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
 # the closed form for the collinear bisection side lives beside its witness
 from .witness import bis_collinear_predicate  # noqa: F401  (re-export)
@@ -356,7 +356,8 @@ def _quotient_avoider(k, field, pi1, pi2, pi1p, pi2p, budget):
                 out = []
                 for v in space.rows():
                     coords = vec_mat(v, chart_inv)
-                    assert coords[-1] == 0, "element not inside the hyperplane"
+                    if coords[-1] != 0:
+                        raise RuntimeError("element not inside the hyperplane")
                     out.append(coords[1:-1])
                 return span_rows(field, n - 2, out)
 

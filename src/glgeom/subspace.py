@@ -142,6 +142,27 @@ def coordinate_subspace(field, n, cols):
                     _canonical=True)
 
 
+def canonical_pair(field, n, m, t):
+    """U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}>; requires 2m-t <= n."""
+    if not (0 <= t <= m and 2 * m - t <= n):
+        raise ValueError("no pair with this overlap exists")
+    return (coordinate_subspace(field, n, range(m)),
+            coordinate_subspace(field, n, range(m - t, 2 * m - t)))
+
+
+def canonical_pieces(field, n, m, t):
+    """T = U1 meet U2, C1, C2 (the complements of T in U1, U2 that
+    complement picks) and C (that of U1 + U2 in V) for the canonical pair,
+    read off column ranges: <e_{m-t+1}..e_m>, <e_1..e_{m-t}>,
+    <e_{m+1}..e_{2m-t}> and <e_{2m-t+1}..e_n>, with no elimination."""
+    if not (0 <= t <= m and 2 * m - t <= n):
+        raise ValueError("no pair with this overlap exists")
+    return (coordinate_subspace(field, n, range(m - t, m)),
+            coordinate_subspace(field, n, range(m - t)),
+            coordinate_subspace(field, n, range(m, 2 * m - t)),
+            coordinate_subspace(field, n, range(2 * m - t, n)))
+
+
 def intersection_dim(u, w):
     """dim(U meet W) via the rank of the stacked bases."""
     _check_ambient(u, w)
@@ -230,10 +251,10 @@ def direct_sum(parts):
     rows = []
     for p in parts:
         rows.extend(p.basis.entries)
-    total = sum(p.dim for p in parts)
-    if rank_of_rows(field, rows, n) != total:
+    s = span_rows(field, n, rows)
+    if s.dim != sum(p.dim for p in parts):
         raise ValueError("summands are not independent")
-    return span_rows(field, n, rows)
+    return s
 
 
 def basis_of(u):

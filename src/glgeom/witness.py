@@ -4,9 +4,11 @@ incidences, so completeness claims come with checkable certificates.
 Every public operation re-verifies its own output with the independent
 subspace primitives before returning; a construction that cannot be
 completed raises rather than guessing.  Pair-specific constructions work
-on the canonical pair U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}>; the
-few branches that build their own pair are transported back by an
-explicit change of basis.
+on the canonical pair U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}> and its
+pieces (subspace.canonical_pieces), all coordinate subspaces; the few
+branches that build their own pair are transported back by an explicit
+change of basis.  The projective witness for m > n/2 needs none: perp U1,
+perp U2 are the canonical (n-m)-pair moved by a cyclic coordinate shift.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gfq import Mat, mat_inverse, rref, vec_mat, extension_modulus
-from .subspace import (Bisection, Subspace, add_vecs, apply_mat, complement,
-                       coordinate_subspace, direct_sum, full_space,
-                       grassmannian, intersect, intersection_dim, perp,
-                       span_rows, sum_subspace, transport_pair)
+from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
+                       canonical_pieces, complement, coordinate_subspace,
+                       direct_sum, full_space, grassmannian, intersection_dim,
+                       perp, span_rows, sum_subspace, transport_pair)
 from .geometry import incident_bis
 
 
@@ -46,15 +48,6 @@ def _check(ok, what):
     python -O; a failure means a construction does not cover this case."""
     if not ok:
         raise UnimplementedCaseError(what)
-
-
-def canonical_pair(field, n, m, t):
-    """U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}>; requires 2m-t <= n."""
-    if not (0 <= t <= m and 2 * m - t <= n):
-        raise PreconditionViolatedError("no pair with this overlap exists")
-    u1 = coordinate_subspace(field, n, range(m))
-    u2 = coordinate_subspace(field, n, range(m - t, 2 * m - t))
-    return u1, u2
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +258,11 @@ def proj_collinear_witness(n, m, k, j, t, field):
     """A k-subspace meeting both canonical m-subspaces in dimension j.
 
     Exists precisely when 2j <= k + max(0, 2m-n); built from the subset
-    witness for m <= n/2 and carried through the perp map otherwise.
+    witness for m <= n/2, else as perp of the witness Wb at (n-m, n-k,
+    n-m-k+j, n-2m+t) under the shift e_i -> e_{i+m mod n}.  The shift
+    takes the canonical (n-m)-pair with overlap n-2m+t to perp U1 =
+    <e_{m+1}..e_n> and perp U2 (the coordinates outside U2), so
+    dim(W meet Ui) = n - dim(shifted Wb + perp Ui) = j.
     """
     if not (max(0, m + k - n) <= j <= min(m, k)):
         raise PreconditionViolatedError("inadmissible j")
@@ -289,12 +286,9 @@ def proj_collinear_witness(n, m, k, j, t, field):
             s2 = span_rows(field, n, rows)
             w = direct_sum([s1, s2])
     else:
-        mb, kb, jb = n - m, n - k, n - m - k + j
-        tb = n - 2 * m + t
-        wb = proj_collinear_witness(n, mb, kb, jb, tb, field)
-        d1, d2 = canonical_pair(field, n, mb, tb)
-        g = transport_pair(d1, d2, perp(u1), perp(u2))
-        w = perp(apply_mat(wb, g))
+        wb = proj_collinear_witness(n, n - m, n - k, n - m - k + j,
+                                    n - 2 * m + t, field)
+        w = perp(span_rows(field, n, [r[-m:] + r[:-m] for r in wb.rows()]))
     if not (w.dim == k and intersection_dim(w, u1) == j
             and intersection_dim(w, u2) == j):
         raise UnimplementedCaseError("witness failed verification")
@@ -416,14 +410,11 @@ def _disjoint_pattern_witness(params, t):
     q, m, k = field.q, params.m, params.k
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
-    p1 = complement(tt, u1)
-    p2 = complement(tt, u2)
+    tt, p1, p2, c = canonical_pieces(field, n, m, t)
     a_fail = (q == 2 and m - t == 1)
     b_fail = (q == 2 and k - m + t == 1)
+    cr = c.rows()
     if not a_fail and not b_fail:
-        c = complement(sum_subspace(u1, u2), full_space(field, n))
-        cr = c.rows()
         c1 = span_rows(field, n, list(tt.rows()) + list(cr[:k - m]))
         c2 = span_rows(field, n, list(cr[k - m:]))
         dp = diagonal_pair(p1, p2, m - t)
@@ -435,8 +426,6 @@ def _disjoint_pattern_witness(params, t):
             v1, v2 = dp.z1, dp.z2
         return u1, u2, Bisection(v1, v2)
     if a_fail:
-        c = complement(sum_subspace(u1, u2), full_space(field, n))
-        cr = c.rows()
         c3 = span_rows(field, n, list(cr[:k - m + t]))
         c4 = span_rows(field, n, list(cr[k - m + t:]))
         if m <= k - 1:
@@ -448,8 +437,6 @@ def _disjoint_pattern_witness(params, t):
         return _own_pair_high_overlap(field, k)
     # b_fail only
     if m == k - 1 and t == 0:
-        c = complement(sum_subspace(u1, u2), full_space(field, n))
-        cr = c.rows()
         c3 = span_rows(field, n, list(cr[:1]))
         c4 = span_rows(field, n, list(cr[1:]))
         dp = diagonal_pair(p1, p2, m)
@@ -533,12 +520,9 @@ def _small_case_witness(params, t):
     field, m, k, k2 = params.field, params.m, params.k, params.k2
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
-    c1 = complement(tt, u1)
-    c2 = complement(tt, u2)
+    tt, c1, c2, c = canonical_pieces(field, n, m, t)
     x1, ub1 = c1.rows()[0], _span_slice(c1, 1)
     x2, ub2 = c2.rows()[0], _span_slice(c2, 1)
-    c = complement(sum_subspace(u1, u2), full_space(field, n))
     d1 = add_vecs(field, x1, ub2.rows()[0])
     d2 = add_vecs(field, x1, x2)
     d3 = [add_vecs(field, cv, tv) for cv, tv in zip(c.rows(), tt.rows())]
@@ -555,9 +539,7 @@ def _small_overlap_witness(params, t):
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
-    c1 = complement(tt, u1)
-    c2 = complement(tt, u2)
+    tt, c1, c2, _ = canonical_pieces(field, n, m, t)
     r1, r2 = c1.rows(), c2.rows()
     u12 = span_rows(field, n, list(tt.rows()) + list(r1[:k1 - t]))
     u22 = span_rows(field, n, list(tt.rows()) + list(r2[:k2 - t]))
@@ -607,14 +589,12 @@ def _mid_overlap_witness(params, t):
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
+    tt, c1, c2, _ = canonical_pieces(field, n, m, t)
     tr = tt.rows()
     u12 = span_rows(field, n, list(tr[:k1]))
-    c2 = complement(tt, u2)
     r2 = c2.rows()
     u22 = span_rows(field, n, list(u12.rows()) + list(r2[:k2 - k1]))
     s = complement(u12, tt)  # (t - k1)-dimensional
-    c1 = complement(tt, u1)
     r1 = c1.rows()
     u11 = span_rows(field, n, list(s.rows()) + list(r1[:k2 - (t - k1)]))
     u21 = span_rows(field, n,
@@ -648,12 +628,10 @@ def _balanced_overlap_witness(params, t):
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
+    tt, c1, c2, _ = canonical_pieces(field, n, m, t)
     tr = tt.rows()
     u11 = span_rows(field, n, list(tr[:k1]))
     u22 = span_rows(field, n, list(tr[k1:2 * k1]))
-    c1 = complement(tt, u1)
-    c2 = complement(tt, u2)
     u12 = span_rows(field, n, list(u22.rows()) + list(c1.rows()[:k2 - k1]))
     u21 = span_rows(field, n, list(u11.rows()) + list(c2.rows()[:k2 - k1]))
     t3 = span_rows(field, n, list(tr[2 * k1:]))  # dim t - 2 k1
@@ -702,15 +680,12 @@ def _deep_overlap_graph_witness(params, t):
     m, k, k1, k2 = params.m, params.k, params.k1, params.k2
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
-    c1 = complement(tt, u1)
-    c2 = complement(tt, u2)
+    tt, c1, c2, cc = canonical_pieces(field, n, m, t)
     v21 = span_rows(field, n, list(c1.rows()[:k2 - t]))
     ub1 = span_rows(field, n, list(c1.rows()[k2 - t:]))
     v22 = span_rows(field, n, list(c2.rows()[:k2 - t]))
     ub2 = span_rows(field, n, list(c2.rows()[k2 - t:]))
     t2 = direct_sum([p for p in (v21, v22, tt) if p.dim])
-    cc = complement(sum_subspace(u1, u2), full_space(field, n))
     ccr = cc.rows()
     split = k + 2 * k2 - 2 * m
     cc1 = span_rows(field, n, list(ccr[:split]))
@@ -737,13 +712,10 @@ def _deep_split(params, t):
     m, k, k2 = params.m, params.k, params.k2
     n = 2 * k
     u1, u2 = canonical_pair(field, n, m, t)
-    tt = intersect(u1, u2)
+    tt, ub1, ub2, cc = canonical_pieces(field, n, m, t)
     tr = tt.rows()
     t13 = span_rows(field, n, list(tr[:t - k2]))
     t2 = span_rows(field, n, list(tr[t - k2:]))
-    ub1 = complement(tt, u1)
-    ub2 = complement(tt, u2)
-    cc = complement(sum_subspace(u1, u2), full_space(field, n))
     ccr = cc.rows()
     a, b = m - t, k - k2 - m + t
     cc1 = span_rows(field, n, list(ccr[:a]))

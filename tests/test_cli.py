@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from glgeom.cli import main
 
 
@@ -30,6 +32,14 @@ def test_bad_params_exit_code(capsys):
                        "--k", "2", "--j", "3", "--q", "2")
     assert code == 1
     assert "bad parameters" in err
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["proj-collinear", "--n", "4", "--m", "2", "--k", "2",
+              "--j", "1", "--q", "2", "--seed", "1"])
+    assert exc.value.code == 1
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_budget_exit_code(capsys, monkeypatch):

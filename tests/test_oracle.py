@@ -323,5 +323,23 @@ def test_induction_intersecting_quadruple():
     assert induction_step_check(3, F2, quadruples=[quad])
 
 
+def test_quotient_chart_check_raises(monkeypatch):
+    """An element outside the hyperplane chart is an internal error that,
+    unlike an assert, survives python -O."""
+    import glgeom.gfq as gfq
+    real = gfq.vec_mat
+    monkeypatch.setattr(gfq, "vec_mat",
+                        lambda v, m: real(v, m)[:-1] + (1,))
+    pi1 = coordinate_subspace(F2, 6, range(3))
+    pi2 = coordinate_subspace(F2, 6, range(3, 6))
+    pi1p = span_rows(F2, 6, [(0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 1, 0),
+                             (0, 1, 0, 0, 0, 1)])
+    pi2p = span_rows(F2, 6, [(0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
+                             (0, 0, 0, 0, 1, 0)])
+    quad = (Bisection(pi1, pi2), Bisection(pi1p, pi2p))
+    with pytest.raises(RuntimeError, match="not inside the hyperplane"):
+        induction_step_check(3, F2, quadruples=[quad])
+
+
 def test_induction_default_sample_q3():
     assert induction_step_check(3, F3)

@@ -5,9 +5,9 @@ import pytest
 from glgeom.gfq import field_make, Mat, mat_identity, rank_of_rows
 from glgeom.counts import gaussian
 from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
-                             bisection_from_text,
-                             complement, coordinate_subspace, direct_sum,
-                             disjoint_pairs, full_space, grassmannian,
+                             bisection_from_text, canonical_pair,
+                             canonical_pieces, complement,
+                             coordinate_subspace, direct_sum, disjoint_pairs, full_space, grassmannian,
                              intersect, intersection_dim, is_diagonal, perp,
                              sorted_grassmannian, span, span_rows,
                              subspace_from_text, sum_subspace, transport_pair,
@@ -250,6 +250,11 @@ def test_direct_sum_rejects_overlap():
     u = coordinate_subspace(F2, 3, [0, 1])
     with pytest.raises(ValueError):
         direct_sum([u, coordinate_subspace(F2, 3, [1])])
+    # pairwise disjoint lines, dependent as a triple
+    lines = [span_rows(F3, 3, [v]) for v in ((1, 0, 0), (0, 1, 0), (1, 1, 0))]
+    with pytest.raises(ValueError):
+        direct_sum(lines)
+    assert direct_sum(lines[:2]) == coordinate_subspace(F3, 3, [0, 1])
 
 
 def test_subspace_text_round_trip():
@@ -360,3 +365,20 @@ def test_coordinate_subspace_is_span_of_unit_rows(q):
                 span_rows(field, n, units), (n, cols)
     with pytest.raises(ValueError):
         coordinate_subspace(F2, 3, [3])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_canonical_pieces_match_lattice_operations(q):
+    """The column-range pieces are what the eliminating operations return,
+    as canonical bases, for every pair with 0 <= t < m and 2m - t <= n."""
+    field = field_make(q)
+    for n in range(1, 9):
+        for m in range(1, n + 1):
+            for t in range(max(0, 2 * m - n), m):
+                u1, u2 = canonical_pair(field, n, m, t)
+                tt = intersect(u1, u2)
+                want = (tt, complement(tt, u1), complement(tt, u2),
+                        complement(sum_subspace(u1, u2), full_space(field, n)))
+                got = canonical_pieces(field, n, m, t)
+                assert [p.rows() for p in got] == [p.rows() for p in want], \
+                    (n, m, t)

@@ -5,7 +5,8 @@ import pytest
 from glgeom.gfq import Mat, field_make, mat_mul, mat_identity
 from glgeom.geometry import BadParamsError, BisParams, incident_bis
 from glgeom.subspace import (apply_mat, coordinate_subspace,
-                             intersection_dim, span_rows)
+                             intersection_dim, perp, span_rows,
+                             transport_pair)
 from glgeom.witness import (NoSuchPairError, PreconditionViolatedError,
                             PredicateFailsError, bis_collinear_predicate,
                             bis_collinear_witness, canonical_pair,
@@ -19,10 +20,11 @@ from glgeom.witness import (NoSuchPairError, PreconditionViolatedError,
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
+F5 = field_make(5)
 
 
 def field_of(q):
-    return {2: F2, 3: F3, 4: F4}[q]
+    return {2: F2, 3: F3, 4: F4, 5: F5}[q]
 
 
 # ---------------------------------------------------------------------
@@ -144,6 +146,37 @@ def test_proj_witness_examples():
     w0 = proj_collinear_witness(6, 2, 2, 0, 0, F3)
     u1, u2 = canonical_pair(F3, 6, 2, 0)
     assert intersection_dim(w0, u1) == 0 and intersection_dim(w0, u2) == 0
+
+
+def _ref_perp_branch(n, m, k, j, t, field):
+    """The m > n/2 witness by an explicit change of basis: the dual witness
+    moved by transport_pair from the canonical (n-m)-pair onto
+    (perp U1, perp U2), then perp."""
+    u1, u2 = canonical_pair(field, n, m, t)
+    wb = proj_collinear_witness(n, n - m, n - k, n - m - k + j,
+                                n - 2 * m + t, field)
+    d1, d2 = canonical_pair(field, n, n - m, n - 2 * m + t)
+    g = transport_pair(d1, d2, perp(u1), perp(u2))
+    return perp(apply_mat(wb, g))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_proj_perp_branch_is_the_transported_witness(q):
+    """The cyclic shift builds the same subspace, not just a valid one."""
+    field = field_of(q)
+    checked = 0
+    for n in range(3, 9):
+        for m in range(n // 2 + 1, n):
+            for k in range(1, n):
+                for j in range(max(0, m + k - n), min(m, k) + 1):
+                    if 2 * j > k + 2 * m - n:
+                        continue
+                    for t in range(2 * m - n, m):
+                        got = proj_collinear_witness(n, m, k, j, t, field)
+                        assert got == _ref_perp_branch(n, m, k, j, t, field), \
+                            (n, m, k, j, t)
+                        checked += 1
+    assert checked == 224  # every admissible point with 2m > n, n <= 8
 
 
 @pytest.mark.parametrize("q", [2, 3])
