@@ -139,7 +139,7 @@ def cmd_bis_concurrent(args):
         params = BisParams(args.k, args.m, args.k1, args.k2, field)
         reps = None
         work = params if params.m <= params.k else params.dual()
-        if work.k >= 2 and ct.gaussian(2 * work.k, work.k, args.q) <= 2000:
+        if work.k >= 2:
             reps = ob.stabiliser_orbits_on_bisections(
                 work.k, field, budget=args.budget).representatives
         v = oc.concurrent_oracle(params, orbit_reps=reps, budget=args.budget)
@@ -206,8 +206,7 @@ def cmd_scan(args):
                             pred = oc.bis_concurrent_predicate(q, m, k, k1, k2)
                             if pred == "unresolved":
                                 continue
-                            if ((q, k) not in reps_cache and k >= 2
-                                    and ct.gaussian(2 * k, k, q) <= 2000):
+                            if (q, k) not in reps_cache and k >= 2:
                                 reps_cache[(q, k)] = \
                                     ob.stabiliser_orbits_on_bisections(
                                         k, field, budget=args.budget).representatives

@@ -608,35 +608,6 @@ def pack_rows(entries):
     return tuple(out)
 
 
-def unpack_rows(packed, ncols):
-    return tuple(tuple((x >> j) & 1 for j in range(ncols)) for x in packed)
-
-
-def pk_rref(rows, ncols):
-    """Packed GF(2) rref: returns (tuple of nonzero rref rows, pivot list)."""
-    rows = list(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i] & bit:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i] & bit:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return tuple(rows[:r]), pivots
-
-
 def pk_rank(rows, ncols):
     rows = list(rows)
     r = 0

@@ -19,27 +19,30 @@ The two collinear scans avoid a rank test per line:
   Only the Schubert cells with exactly j such pivots are scanned, with one
   intersection_dim(W, U2) per line.
 - bis: the k-subspaces S_i are listed once (subspace.sorted_grassmannian)
-  with the tables d1[i] = dim(S_i meet U1) and, per t, d2[i] =
-  dim(S_i meet U2); a bisection {S_i, S_j} is incident with both points
-  iff {d1[i], d1[j]} = {d2[i], d2[j]} = {k1, k2} as multisets, and the
-  disjoint partners j of each i come streamed from the vector-set index
-  (subspace.disjoint_masks).
+  and indexed by projective points (subspace.point_masks), with the tables
+  d1[i] = dim(S_i meet U1) and, per t, d2[i] = dim(S_i meet U2) read off
+  popcounts; a bisection {S_i, S_j} is incident with both points iff
+  {d1[i], d1[j]} = {d2[i], d2[j]} = {k1, k2} as multisets, and the
+  subspaces meeting S_i are a bitset OR over its points.
+
+The concurrent oracle reads incidence off the same point masks: the
+m-subspaces are listed once per call, and a pair of bisections is covered
+iff some point mask meets the four halves in the pattern.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
 from .subspace import (Bisection, bisections, canonical_pair,
-                       coordinate_bisection, coordinate_subspace, complement,
-                       disjoint_masks, full_space, grassmannian, intersect,
-                       intersection_dim, schubert_cell, sorted_grassmannian,
-                       span_rows, sum_subspace)
-from .geometry import incident_bis
+                       containing_masks, coordinate_bisection,
+                       coordinate_subspace, complement, full_space,
+                       grassmannian, intersect, intersection_dim, meet_dims,
+                       meeting_mask, point_masks, schubert_cell,
+                       sorted_grassmannian, span_rows, sum_subspace)
 from .counts import TooLargeError, gaussian
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       desarguesian_spread, fifth_disjoint,
@@ -169,23 +172,24 @@ def proj_collinear_oracle(params, budget=10**7, use_witness=True):
     return CompletenessVerdict(True, method)
 
 
-def _incident_disjoint_pair(subs, d1, d2, k1, k2):
-    """Is some bisection {subs[i], subs[j]} (k1,k2)-incident with both
-    points, given the tables d1, d2 of intersection dimensions with them?
+def _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
+    """Is some bisection {S_i, S_j} (k1,k2)-incident with both points,
+    given the point masks of the S_i, containing_masks of them and the
+    tables d1, d2 of intersection dimensions with the points?
 
-    subs[i] must have (d1[i], d2[i]) in {k1,k2}^2 and its partner the
-    complementary class (k1+k2-d1[i], k1+k2-d2[i]); the classes are
-    bitsets over indices, ANDed with the disjoint partners of i.
+    S_i must have (d1[i], d2[i]) in {k1,k2}^2 and a partner j > i in the
+    complementary class (k1+k2-d1[i], k1+k2-d2[i]), a bitset over indices;
+    only then are the subspaces meeting S_i ORed from the point index.
     """
     classes = {}
     for i, key in enumerate(zip(d1, d2)):
         classes[key] = classes.get(key, 0) | 1 << i
     want = (k1, k2)
-    for i, partners in disjoint_masks(subs):
-        a, b = d1[i], d2[i]
-        if (a in want and b in want
-                and partners & classes.get((k1 + k2 - a, k1 + k2 - b), 0)):
-            return True
+    for i, (a, b) in enumerate(zip(d1, d2)):
+        if a in want and b in want:
+            above = classes.get((k1 + k2 - a, k1 + k2 - b), 0) >> (i + 1)
+            if above and above & ~(meeting_mask(masks[i], through) >> (i + 1)):
+                return True
     return False
 
 
@@ -195,10 +199,10 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
     Applies the perp reduction when m > k (unless reduce=False, which scans
     the stated parameters directly), then checks one canonical pair per
     overlap t, witness first, then a full scan of the bisections through
-    the dimension tables of the module docstring.  Each scan codes the q^k
-    vectors of each of the gaussian(2k,k,q) k-subspaces (disjoint_masks);
-    the budget bounds those vectors over the first t that falls through to
-    the scan and every t after it, and is checked at that first t, before
+    the dimension tables of the module docstring.  The budget bounds q^k
+    vectors for each of the gaussian(2k,k,q) k-subspaces (more than the
+    points the index codes) over the first t that falls through to the
+    scan and every t after it, and is checked at that first t, before
     anything is listed.
     """
     field = params.field
@@ -207,7 +211,7 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
         if reduce:
             return bis_collinear_oracle(params.dual(), budget, use_witness)
         use_witness = False  # the constructive route needs m <= k
-    subs = d1 = None
+    masks = None
     for t in range(max(0, 2 * m - 2 * k), m):
         if use_witness:
             try:
@@ -215,19 +219,21 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
                 continue
             except PredicateFailsError:
                 pass
-        u1, u2 = canonical_pair(field, 2 * k, m, t)
-        if subs is None:  # U1 does not depend on t
+        u1, u2 = point_masks(list(canonical_pair(field, 2 * k, m, t)))
+        if masks is None:  # the index and U1 do not depend on t
             nsub = gaussian(2 * k, k, q)
             if nsub * q ** k * (m - t) > budget:  # before listing anything
                 raise TooLargeError(f"{m - t} table scans of the {q ** k} "
                                     f"vectors of {nsub} {k}-subspaces exceed "
                                     f"the budget of {budget}")
-            subs = sorted_grassmannian(2 * k, field, k)
-            d1 = [intersection_dim(s, u1) for s in subs]
-        d2 = [intersection_dim(s, u2) for s in subs]
-        if not _incident_disjoint_pair(subs, d1, d2, k1, k2):
+            masks = point_masks(sorted_grassmannian(2 * k, field, k))
+            through = containing_masks(masks)
+            dims = meet_dims(q, 2 * k)
+            d1 = [dims[(x & u1).bit_count()] for x in masks]
+        d2 = [dims[(x & u2).bit_count()] for x in masks]
+        if not _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
             return CompletenessVerdict(False, "oracle", failing_t=t)
-    method = "witness" if (use_witness and subs is None) else "oracle"
+    method = "witness" if (use_witness and masks is None) else "oracle"
     return CompletenessVerdict(True, method)
 
 
@@ -235,10 +241,27 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
 # concurrent oracle
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _grassmannian_list(n, p, e, m):
-    from .gfq import field_make
-    return list(grassmannian(n, field_make(p, e), m))
+def _uncovered_pair(params, lines, firsts):
+    """The first pair (lines[a], lines[b]), a in firsts and b > a, of
+    bisections with no m-subspace incident with both, or None: the points
+    incident with lines[a] are kept, and each lines[b] scans them up to
+    its first incident one."""
+    dims = meet_dims(params.field.q, params.n)
+    pattern = {(params.k1, params.k2), (params.k2, params.k1)}
+
+    def incident(u, h1, h2):
+        return (dims[(u & h1).bit_count()], dims[(u & h2).bit_count()]) \
+            in pattern
+    points = point_masks(list(grassmannian(params.n, params.field, params.m)))
+    halves = point_masks([h for b in lines for h in b.halves()])
+    for a in firsts:
+        h1, h2 = halves[2 * a], halves[2 * a + 1]
+        kept = [u for u in points if incident(u, h1, h2)]
+        for b in range(a + 1, len(lines)):
+            h1, h2 = halves[2 * b], halves[2 * b + 1]
+            if not any(incident(u, h1, h2) for u in kept):
+                return lines[a], lines[b]
+    return None
 
 
 def concurrent_oracle(params, orbit_reps=None, budget=10**8):
@@ -247,18 +270,17 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     With orbit_reps (one bisection per orbit of the coordinate-bisection
     stabiliser), only the pairs (coordinate bisection, representative) are
     checked, which is sufficient by transitivity; otherwise all unordered
-    pairs of bisections are enumerated.
+    pairs of bisections are.  Refuses with TooLargeError before listing
+    anything when the pairs times the gaussian(2k,m,q) points exceed the
+    budget.
     """
     field = params.field
-    q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
+    q, m, k = field.q, params.m, params.k
     if m > k:
         dual = params.dual()
         reps = [b.dual() for b in orbit_reps] if orbit_reps else None
         return concurrent_oracle(dual, reps, budget)
-    points = _grassmannian_list(2 * k, field.p, field.e, m)
     if orbit_reps is not None:
-        b0 = coordinate_bisection(field, k)
-        pair_iter = ((b0, rep) for rep in orbit_reps)
         npairs = len(orbit_reps)
     else:
         nlines = gaussian(2 * k, k, q) * q ** (k * k) // 2
@@ -266,33 +288,20 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
         if npairs * 4 > budget:
             raise TooLargeError("line-pair enumeration exceeds budget; "
                                 "supply orbit representatives")
-
-        def all_pairs():
-            blist = list(bisections(k, field))
-            for i, b1 in enumerate(blist):
-                for b2 in blist[i + 1:]:
-                    yield b1, b2
-
-        pair_iter = all_pairs()
-    if npairs * len(points) > budget:
+    if npairs * gaussian(2 * k, m, q) > budget:
         raise TooLargeError("point scan over line pairs exceeds budget")
-    for b1, b2 in pair_iter:
-        found = False
-        for u in points:
-            if incident_bis(params, u, b1) and incident_bis(params, u, b2):
-                found = True
-                break
-        if not found:
-            return CompletenessVerdict(False, "oracle", failing_pair=(b1, b2))
-    return CompletenessVerdict(True, "oracle")
+    if orbit_reps is None:
+        lines = list(bisections(k, field))
+        pair = _uncovered_pair(params, lines, range(len(lines)))
+    else:
+        lines = [coordinate_bisection(field, k), *orbit_reps]
+        pair = _uncovered_pair(params, lines, [0])
+    return CompletenessVerdict(pair is None, "oracle", failing_pair=pair)
 
 
 def pair_has_common_point(params, b1, b2):
     """Re-check helper: does some m-subspace hit both bisections correctly?"""
-    field = params.field
-    points = _grassmannian_list(params.n, field.p, field.e, params.m)
-    return any(incident_bis(params, u, b1) and incident_bis(params, u, b2)
-               for u in points)
+    return _uncovered_pair(params, [b1, b2], [0]) is None
 
 
 # ----------------------------------------------------------------------

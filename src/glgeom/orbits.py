@@ -3,11 +3,12 @@
 Orbit partitions run breadth-first with canonical-form hashing: acting on
 a subspace re-reduces its basis, so equal orbits collide in a dict.  The
 bisection-stabiliser orbits go through an index fast path for every q:
-the k-subspaces are indexed once, each generator becomes a permutation of
-indices, and a bisection is an index pair i < j coded as one int.  The
-pairs themselves come from a vector-set index (subspace.disjoint_pairs):
-per vector, a bitset of the subspaces containing it, so disjointness is a
-bitset OR and complement instead of a rank test per pair.
+the k-subspaces are indexed once by their projective-point masks
+(subspace.point_masks), each generator permutes the points and so, by
+mask lookup, the indices, and a bisection is an index pair i < j coded as
+one int.  The pairs come from the same point index
+(subspace.disjoint_pairs), a bitset OR per point instead of a rank test
+per pair.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from math import prod
 
 from .gfq import Mat, mat_identity, mat_inverse, mat_mul, mat_rank
 from .subspace import (Bisection, Subspace, apply_mat, coordinate_bisection,
-                       disjoint_pairs, grassmannian, sorted_grassmannian,
-                       transport_pair)
+                       disjoint_pairs, grassmannian, image_mask, point_masks,
+                       point_permutation, sorted_grassmannian, transport_pair)
 from .counts import TooLargeError, gaussian
 
 
@@ -215,11 +216,11 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     """Orbits of the coordinate-bisection stabiliser on all other bisections.
 
     Index fast path: the k-subspaces of V(2k,q) are listed once in
-    canonical order and each generator becomes an index permutation.  The
-    bisections are the disjoint index pairs (i, j), i < j, found by the
-    vector-set index of disjoint_pairs (bitset ORs, no rank tests) and
-    coded as the ints i * nsub + j, so the breadth-first search runs over
-    ints and min(orbit) is the lexicographically least pair.  Refuses with
+    canonical order, and each generator becomes an index permutation via
+    its point permutation and the subspaces' point masks (no re-reduction).
+    The bisections are the disjoint index pairs (i, j), i < j, of
+    disjoint_pairs, coded as the ints i * nsub + j, so the breadth-first
+    search runs over ints and min(orbit) is the least pair.  Refuses with
     TooLargeError before any enumeration when the bisection count
     gaussian(2k,k,q) q^(k^2) / 2 exceeds the budget.  Raises RuntimeError
     if the pair count or an orbit length contradicts the counting formulas.
@@ -231,15 +232,19 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                             f"budget of {budget}")
     subs = sorted_grassmannian(n, field, k)
     nsub = len(subs)
-    index = {s: i for i, s in enumerate(subs)}
+    masks = point_masks(subs)
+    index = {mask: i for i, mask in enumerate(masks)}
     b0 = coordinate_bisection(field, k)
     gens = bisection_stabiliser_generators(b0)
-    perms = [[index[apply_mat(s, g)] for s in subs] for g in gens.generators]
+    perms = []
+    for g in gens.generators:
+        moved = point_permutation(field, n, g)
+        perms.append([index[image_mask(mask, moved)] for mask in masks])
     pairs = [i * nsub + j for i, j in disjoint_pairs(subs)]
     if len(pairs) != count:
         raise RuntimeError(f"{len(pairs)} disjoint pairs of k-subspaces, "
                            f"expected {count} bisections")
-    seed0 = index[b0.half1] * nsub + index[b0.half2]
+    seed0 = subs.index(b0.half1) * nsub + subs.index(b0.half2)
     visited = {seed0}
     lengths = []
     reps = []
@@ -274,7 +279,12 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
 
 
 def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
-    """Orbits of the stabiliser of <e_1..e_m> on all k-subspaces."""
+    """Orbits of the stabiliser of <e_1..e_m> on all k-subspaces; refused
+    before any is listed when gaussian(n,k,q) exceeds the budget."""
+    count = gaussian(n, k, field.q)
+    if count > budget:
+        raise TooLargeError(f"{count} {k}-subspaces of V({n},{field.q}) "
+                            f"exceed the budget of {budget}")
     gens = subspace_stabiliser_generators(m, n, field)
     seeds = list(grassmannian(n, field, k))
     return orbit_partition(gens, seeds, budget=budget)

@@ -4,6 +4,10 @@ A Subspace is identified with the reduced row echelon form of any spanning
 set, so equality is matrix equality and subspaces hash and sort.  The
 enumeration order of the Grassmannian is fixed: pivot-column sets in
 lexicographic order, then free entries in row-major lexicographic order.
+A listed set of subspaces is indexed by projective points (point_masks):
+one int per subspace with a bit per point it holds, so dim(A meet B) is
+read off the popcount of mask_A & mask_B (meet_dims), and disjointness
+and the action of GL(n,q) become bitset operations.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
-                  pk_rank, pk_rref, rank_of_rows, rref_trim, kernel, vec_mat,
+                  pk_rank, rank_of_rows, rref_trim, kernel, vec_mat,
                   _rref_rows, DimensionMismatchError)
 
 
@@ -445,124 +449,129 @@ def sorted_grassmannian(n, field, m):
     return sorted(grassmannian(n, field, m), key=Subspace.sort_key)
 
 
-def disjoint_masks(subs):
-    """Yield (i, mask) per index i, where the set bits of mask are the
-    j > i with subs[i] meet subs[j] = 0.
+# ----------------------------------------------------------------------
+# the projective-point index
+# ----------------------------------------------------------------------
 
-    Vector-set index, no ranks: each nonzero vector is coded as its base-q
-    digit integer and mapped to a bitset over the indices of the subspaces
-    that contain it.  The OR of those bitsets over the vectors of subs[i]
-    marks every subspace meeting subs[i] nontrivially, so the clear bits
-    above bit i are exactly its disjoint partners j > i.  Only the bitsets
-    and each subspace's vector codes are held, never the list of pairs.
+def _digit_tables(field, width):
+    """Add and scale tables on base-q codes of `width` coordinates:
+    add[a][b] is the code of a + b, scale[c][a] that of c.a."""
+    digits = list(product(range(field.q), repeat=width))  # in code order
+    code = {x: a for a, x in enumerate(digits)}
+    add = [[code[tuple(map(field.add, x, y))] for y in digits] for x in digits]
+    scale = [[code[tuple(field.mul(c, v) for v in x)] for x in digits]
+             for c in range(field.q)]
+    return add, scale
+
+
+def point_masks(subs):
+    """One int per subspace (all of one V(n,q)): bit p is set iff
+    projective point p lies in the subspace.
+
+    Point p is the vector with first nonzero entry 1, in column n-1-e, and
+    base-q code c (first coordinate most significant): p = (q^e - 1)/(q - 1)
+    + c - q^e.  For canonical rows r_1..r_d these vectors are r_i +
+    sum_{j>i} c_j r_j, coded per half of the coordinates through add and
+    scale tables, with no field call per entry.
     """
-    containing = {}
-    codes_of = []
-    for i, s in enumerate(subs):
-        q, bit, codes = s.field.q, 1 << i, []
-        for v in s.vectors():
+    if not subs:
+        return []
+    field, n = subs[0].field, subs[0].n
+    q = field.q
+    w = (n + 1) // 2  # the low half; the high half is never wider
+    low = q ** w
+    add, scale = _digit_tables(field, w)
+    # per column of the leading 1, point index minus code
+    offsets = [(q ** e - 1) // (q - 1) - q ** e for e in range(n - 1, -1, -1)]
+    out = []
+    for s in subs:
+        mask, span = 0, [(0, 0)]  # span: codes of the span of later rows
+        rows = s.basis.entries
+        for i in range(len(rows) - 1, -1, -1):
             code = 0
-            for x in v:
+            for x in rows[i]:
                 code = code * q + x
-            if code:
-                codes.append(code)
-                containing[code] = containing.get(code, 0) | bit
-        codes_of.append(codes)
-    everything = (1 << len(subs)) - 1
-    for i, codes in enumerate(codes_of):
-        meets = (1 << (i + 1)) - 1  # j <= i is never paired with i
-        for code in codes:
-            meets |= containing[code]
-        yield i, everything & ~meets
+            hi, lo = divmod(code, low)
+            add_hi, add_lo, off = add[hi], add[lo], offsets[rows[i].index(1)]
+            for x, y in span:
+                mask |= 1 << (add_hi[x] * low + add_lo[y] + off)
+            if i:
+                span = [(add[scale[c][hi]][x], add[scale[c][lo]][y])
+                        for c in range(q) for x, y in span]
+        out.append(mask)
+    return out
+
+
+def meet_dims(q, n):
+    """dim(A meet B) from the popcount of mask_A & mask_B: a d-subspace
+    holds (q^d - 1)/(q - 1) projective points."""
+    return {(q ** d - 1) // (q - 1): d for d in range(n + 1)}
+
+
+def mask_points(mask):
+    """The projective points of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def point_permutation(field, n, g):
+    """perm[p] = the point p.g under the row action of an invertible g on
+    V(n,q), in the numbering of point_masks."""
+    points = list(grassmannian(n, field, 1))
+    images = [span_rows(field, n, [vec_mat(x.rows()[0], g)]) for x in points]
+    perm = [0] * len(points)
+    for x, y in zip(point_masks(points), point_masks(images)):
+        perm[x.bit_length() - 1] = y.bit_length() - 1
+    return perm
+
+
+def image_mask(mask, perm):
+    """The mask of the image subspace under a point permutation."""
+    return sum(1 << perm[p] for p in mask_points(mask))
+
+
+def containing_masks(masks):
+    """Per projective point, the bitset of the indices i whose masks[i]
+    holds it."""
+    through = {}
+    for i, mask in enumerate(masks):
+        for p in mask_points(mask):
+            through[p] = through.get(p, 0) | 1 << i
+    return through
+
+
+def meeting_mask(mask, through):
+    """The bitset of the indices whose subspaces share a projective point
+    with the mask, from containing_masks."""
+    meets = 0
+    for p in mask_points(mask):
+        meets |= through[p]
+    return meets
 
 
 def disjoint_pairs(subs):
     """All index pairs (i, j), i < j, with subs[i] meet subs[j] = 0, in
-    order, read off the bitsets of disjoint_masks."""
-    for i, free in disjoint_masks(subs):
-        while free:
-            low = free & -free
-            yield i, low.bit_length() - 1
-            free ^= low
-
-
-def complements_of(w):
-    """All complements of a k-subspace of V(2k,q): q^(k^2) of them.
-
-    Each complement is the graph of a linear map from the anti-pivot
-    coordinate subspace into W, which makes the enumeration direct.
-    """
-    field, n, k = w.field, w.n, w.dim
-    q = field.q
-    pivots = set()
-    for row in w.basis.entries:
-        for j, x in enumerate(row):
-            if x:
-                pivots.add(j)
-                break
-    free_cols = [c for c in range(n) if c not in pivots]
-    wrows = w.basis.entries
-    for values in product(range(q), repeat=k * len(free_cols)):
-        rows = []
-        for i, c in enumerate(free_cols):
-            v = [0] * n
-            v[c] = 1
-            coeffs = values[i * k:(i + 1) * k]
-            for cf, wr in zip(coeffs, wrows):
-                if cf:
-                    for j, x in enumerate(wr):
-                        if x:
-                            v[j] = field.add(v[j], field.mul(cf, x))
-            rows.append(v)
-        yield span_rows(field, n, rows)
-
-
-def packed_complements_of(w_packed, n):
-    """Packed q=2 version of complements_of: yields canonical packed rows."""
-    k = len(w_packed)
-    pivots = set()
-    for x in w_packed:
-        pivots.add((x & -x).bit_length() - 1)
-    free_cols = [c for c in range(n) if c not in pivots]
-    for choice in product(range(2**k), repeat=len(free_cols)):
-        rows = []
-        for c, sel in zip(free_cols, choice):
-            v = 1 << c
-            s = sel
-            i = 0
-            while s:
-                if s & 1:
-                    v ^= w_packed[i]
-                s >>= 1
-                i += 1
-            rows.append(v)
-        red, _ = pk_rref(rows, n)
-        yield red
-
-
-def subspace_from_packed(field, n, packed_rows):
-    """Subspace from canonical (rref) packed GF(2) rows, no re-elimination."""
-    from .gfq import unpack_rows
-    return Subspace(field, n, Mat(field, unpack_rows(packed_rows, n)),
-                    _canonical=True)
+    order.  Two subspaces meet iff they share a projective point, so the
+    clear bits above bit i of meeting_mask are the partners j of i; only
+    bitsets are held, never the list of pairs."""
+    masks = point_masks(subs)
+    through = containing_masks(masks)
+    everything = (1 << len(subs)) - 1
+    for i, mask in enumerate(masks):
+        below = (1 << (i + 1)) - 1  # j <= i is never paired with i
+        free = everything & ~(meeting_mask(mask, through) | below)
+        for j in mask_points(free):
+            yield i, j
 
 
 def bisections(k, field):
-    """All bisections of V(2k,q), each unordered pair exactly once.
+    """All bisections of V(2k,q), each unordered pair exactly once: the
+    disjoint pairs of the sorted k-subspaces.
 
     Count: gaussian(2k,k,q) * q^(k^2) / 2.
     """
-    n = 2 * k
-    if field.q == 2:
-        for w in grassmannian(n, field, k):
-            wk = w.sort_key()
-            for red in packed_complements_of(w.packed, n):
-                c = subspace_from_packed(field, n, red)
-                if wk < c.sort_key():
-                    yield Bisection(w, c)
-        return
-    for w in grassmannian(n, field, k):
-        wk = w.sort_key()
-        for c in complements_of(w):
-            if wk < c.sort_key():
-                yield Bisection(w, c)
+    subs = sorted_grassmannian(2 * k, field, k)
+    for i, j in disjoint_pairs(subs):
+        yield Bisection(subs[i], subs[j])

@@ -176,6 +176,16 @@ def test_bis_concurrent_budget_refused_before_orbits(capsys, monkeypatch):
     assert code == 3 and out == "" and "357120" in err
 
 
+def test_bis_concurrent_refusal_is_the_orbit_routes(capsys):
+    """No gate on gaussian(2k,k,q) picks the route: at (q,k) = (7,2) the
+    orbit partition's own budget refuses the 3,421,425 bisections."""
+    code, out, err = run(capsys, "bis-concurrent", "--k", "2", "--m", "2",
+                         "--k1", "1", "--k2", "1", "--q", "7",
+                         "--budget", "1000")
+    assert code == 3 and out == ""
+    assert "bisections of V(4,7) exceed the budget" in err
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     """A broken runtime invariant exits 4, not 1 ("bad parameters")."""
     import glgeom.orbits as ob

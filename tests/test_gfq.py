@@ -6,7 +6,7 @@ import pytest
 
 from glgeom.gfq import (Mat, field_make, kernel, mat_identity, mat_inverse,
                         mat_mul, mat_rank, mat_from_text, mat_to_text,
-                        pack_rows, pk_rref, rref, unpack_rows,
+                        pack_rows, pk_rank, rref,
                         NotPrimeError, DegreeZeroError, SingularMatrixError)
 
 PRIME_POWERS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
@@ -170,11 +170,9 @@ def test_packed_round_trip_bit_for_bit():
     f = field_make(2)
     for m in _all_matrices(f, 3, 4):
         packed = pack_rows(m.entries)
-        assert unpack_rows(packed, 4) == m.entries
-        red, piv = pk_rref(packed, 4)
-        r, rank, piv2 = rref(m)
-        assert unpack_rows(red, 4) == r.entries[:rank]
-        assert piv == piv2
+        assert [[(x >> j) & 1 for j in range(4)] for x in packed] == \
+            [list(row) for row in m.entries]
+        assert pk_rank(packed, 4) == rref(m)[1]
 
 
 def test_text_format_round_trip():

@@ -12,8 +12,9 @@ from glgeom.oracle import (AdmissibilityError, BaseCaseMissingError,
                            proj_collinear_predicate)
 from glgeom.geometry import incident_bis
 from glgeom.orbits import stabiliser_orbits_on_bisections
-from glgeom.subspace import (Bisection, bisections, coordinate_subspace,
-                             grassmannian, intersection_dim, span_rows)
+from glgeom.subspace import (Bisection, bisections, coordinate_bisection,
+                             coordinate_subspace, grassmannian,
+                             intersection_dim, span_rows)
 from glgeom.witness import (bis_collinear_predicate, canonical_pair,
                             desarguesian_spread)
 
@@ -272,6 +273,63 @@ def test_concurrent_with_orbit_reps_matches_full_enumeration():
         full = concurrent_oracle(p)
         reduced = concurrent_oracle(p, orbit_reps=reps)
         assert full.complete == reduced.complete
+
+
+def _concurrent_reference(params, orbit_reps=None):
+    """The per-point incident_bis scan the point-mask oracle replaced, on
+    the stated parameters (no perp reduction): complete iff each checked
+    pair of bisections has an incident m-subspace in common."""
+    field, k = params.field, params.k
+    points = list(grassmannian(2 * k, field, params.m))
+
+    def on(b):
+        return {u for u in points if incident_bis(params, u, b)}
+    if orbit_reps is not None:
+        first = on(coordinate_bisection(field, k))
+        return all(first & on(rep) for rep in orbit_reps)
+    lines = [on(b) for b in bisections(k, field)]
+    return all(a & b for i, a in enumerate(lines) for b in lines[i + 1:])
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
+def test_concurrent_oracle_matches_incident_bis_scan(q, k):
+    """The mask oracle against the rank scan at every admissible point
+    with m < 2k, with orbit representatives and, where the default budget
+    admits all pairs, without."""
+    field = F4 if q == 4 else field_make(q)
+    reps = stabiliser_orbits_on_bisections(k, field).representatives
+    for m in range(1, 2 * k):
+        for k1 in range(k + 1):
+            for k2 in range(k1, k + 1):
+                try:
+                    p = BisParams(k, m, k1, k2, field)
+                except BadParamsError:
+                    continue
+                assert concurrent_oracle(p, orbit_reps=reps).complete == \
+                    _concurrent_reference(p, reps)
+                if (q, k) != (3, 2):
+                    assert concurrent_oracle(p).complete == \
+                        _concurrent_reference(p)
+
+
+def test_concurrent_refused_before_listing(monkeypatch):
+    """Over budget, both paths refuse before the point enumerator or the
+    index builder runs."""
+    import glgeom.oracle as oc
+
+    def forbidden(*args):
+        raise AssertionError("listed despite the budget")
+    for name in ("grassmannian", "sorted_grassmannian", "point_masks"):
+        monkeypatch.setattr(oc, name, forbidden)
+    reps = [coordinate_bisection(F2, 2)]
+    with pytest.raises(TooLargeError):
+        concurrent_oracle(BisParams(2, 2, 0, 0, F2), orbit_reps=reps, budget=1)
+    with pytest.raises(TooLargeError):
+        concurrent_oracle(BisParams(2, 2, 0, 0, F2), budget=1)
+    # 45 line pairs of V(2,4) pass the pair bound (180) but not the point
+    # scan over them (225)
+    with pytest.raises(TooLargeError, match="point scan"):
+        concurrent_oracle(BisParams(1, 1, 0, 0, F4), budget=200)
 
 
 def test_sufficiency_chain():

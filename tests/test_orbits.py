@@ -227,3 +227,34 @@ def test_dropped_pair_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(ob, "disjoint_pairs", drop_one)
     with pytest.raises(RuntimeError):
         stabiliser_orbits_on_bisections(2, F2)
+
+
+@pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (2, 3), (4, 2)])
+def test_point_permutations_match_apply_mat(q, k):
+    """Each stabiliser generator permutes the k-subspace index the same
+    way through its point permutation as through apply_mat."""
+    from glgeom.subspace import (apply_mat, image_mask, point_masks,
+                                 point_permutation, sorted_grassmannian)
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    subs = sorted_grassmannian(2 * k, field, k)
+    masks = point_masks(subs)
+    by_mask = {x: i for i, x in enumerate(masks)}
+    by_sub = {s: i for i, s in enumerate(subs)}
+    gens = bisection_stabiliser_generators(coordinate_bisection(field, k))
+    for g in gens.generators:
+        moved = point_permutation(field, 2 * k, g)
+        assert sorted(moved) == list(range((q ** (2 * k) - 1) // (q - 1)))
+        assert [by_mask[image_mask(x, moved)] for x in masks] == \
+            [by_sub[apply_mat(s, g)] for s in subs]
+
+
+def test_pm_orbits_refused_before_listing(monkeypatch):
+    """gaussian(6,3,3) = 33,880 3-subspaces are refused at budget 33,879
+    before grassmannian lists one."""
+    import glgeom.orbits as ob
+
+    def forbidden(*args):
+        raise AssertionError("listed despite the budget")
+    monkeypatch.setattr(ob, "grassmannian", forbidden)
+    with pytest.raises(TooLargeError, match="33880 .* 33879$"):
+        pm_orbits_on_k_spaces(6, 1, 3, F3, budget=33879)

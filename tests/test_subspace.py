@@ -8,8 +8,9 @@ from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
                              bisection_from_text, canonical_pair,
                              canonical_pieces, complement,
                              coordinate_subspace, direct_sum, disjoint_pairs, full_space, grassmannian,
-                             intersect, intersection_dim, is_diagonal, perp,
-                             sorted_grassmannian, span, span_rows,
+                             intersect, intersection_dim, is_diagonal,
+                             meet_dims, perp, point_masks, sorted_grassmannian,
+                             span, span_rows,
                              subspace_from_text, sum_subspace, transport_pair,
                              apply_mat, zero_subspace, NotContainedError)
 
@@ -202,7 +203,7 @@ def test_bisection_count_6_2_disjoint_pairs():
     assert gaussian(6, 3, 2) * 2**9 // 2 == 357120
 
 
-@pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (2, 2)])
+@pytest.mark.parametrize("k,q", [(1, 2), (1, 3), (2, 2), (2, 3)])
 def test_bisections_match_naive_double_loop(k, q):
     field = field_make(q)
     subs = list(grassmannian(2 * k, field, k))
@@ -230,6 +231,41 @@ def test_disjoint_pairs_match_rank_tests(q, k):
                if intersection_dim(a, b) == 0]
     assert list(disjoint_pairs(subs)) == by_rank
     assert len(by_rank) == gaussian(2 * k, k, q) * q**(k * k) // 2
+
+
+def _random_subspaces(field, n, rng):
+    """Random subspaces of every dimension, plus the zero space, V, and a
+    random subspace with a random subspace of it (nested pairs)."""
+    def rand(d):
+        return span_rows(field, n, [tuple(rng.randrange(field.q)
+                                          for _ in range(n))
+                                    for _ in range(d)])
+    subs = [rand(rng.randrange(n + 1)) for _ in range(12)]
+    outer = rand(n - 1)
+    inner = span_rows(field, n, list(outer.rows())[:rng.randrange(n)])
+    return subs + [zero_subspace(field, n), full_space(field, n), outer, inner]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_point_mask_meet_matches_intersection_dim(q):
+    """The popcount meet against the rank-based one on seeded random pairs
+    (zero, equal and nested ones included), n <= 6 with q^n <= 10^5; each
+    d-subspace holds (q^d - 1)/(q - 1) points, V all of them once."""
+    import random
+    field = {4: field_make(2, 2), 8: field_make(2, 3),
+             9: field_make(3, 2)}.get(q) or field_make(q)
+    rng = random.Random(q)
+    for n in range(1, 7):
+        if q ** n > 10 ** 5:
+            break
+        subs = _random_subspaces(field, n, rng)
+        masks = point_masks(subs)
+        dims = meet_dims(q, n)
+        assert masks[-3] == (1 << (q ** n - 1) // (q - 1)) - 1
+        for a, x in zip(subs, masks):
+            assert x.bit_count() == (q ** a.dim - 1) // (q - 1)
+            for b, y in zip(subs, masks):
+                assert dims[(x & y).bit_count()] == intersection_dim(a, b)
 
 
 # ---------------------------------------------------------------------
