@@ -223,7 +223,7 @@ def test_bisections_match_naive_double_loop(k, q):
 
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (4, 1), (5, 1)])
 def test_disjoint_pairs_match_rank_tests(q, k):
-    """The vector-set index against the rank-based disjointness test."""
+    """The point index against the rank-based disjointness test."""
     field = field_make(2, 2) if q == 4 else field_make(q)
     subs = sorted(grassmannian(2 * k, field, k), key=lambda s: s.sort_key())
     by_rank = [(i, j) for i, a in enumerate(subs)
