@@ -44,6 +44,7 @@ from .subspace import (Bisection, bisections, canonical_pair,
                        meeting_mask, point_masks, schubert_cell,
                        sorted_grassmannian, span_rows, sum_subspace)
 from .counts import TooLargeError, gaussian
+from .geometry import BadDimensionsError
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
@@ -219,18 +220,23 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
                 continue
             except PredicateFailsError:
                 pass
-        u1, u2 = point_masks(list(canonical_pair(field, 2 * k, m, t)))
-        if masks is None:  # the index and U1 do not depend on t
+        if masks is None:  # the first scan: refuse before listing anything
             nsub = gaussian(2 * k, k, q)
-            if nsub * q ** k * (m - t) > budget:  # before listing anything
+            if nsub * q ** k * (m - t) > budget:
                 raise TooLargeError(f"{m - t} table scans of the {q ** k} "
                                     f"vectors of {nsub} {k}-subspaces exceed "
                                     f"the budget of {budget}")
-            masks = point_masks(sorted_grassmannian(2 * k, field, k))
+            # one index for the S_i, U1 and the U2 of this t and every later
+            # one (U1 does not depend on t)
+            pairs = [canonical_pair(field, 2 * k, m, s) for s in range(t, m)]
+            masks = point_masks(sorted_grassmannian(2 * k, field, k)
+                                + [pairs[0][0]] + [u2 for _, u2 in pairs])
+            u1, u2s = masks[nsub], dict(zip(range(t, m), masks[nsub + 1:]))
+            del masks[nsub:]
             through = containing_masks(masks)
             dims = meet_dims(q, 2 * k)
             d1 = [dims[(x & u1).bit_count()] for x in masks]
-        d2 = [dims[(x & u2).bit_count()] for x in masks]
+        d2 = [dims[(x & u2s[t]).bit_count()] for x in masks]
         if not _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
             return CompletenessVerdict(False, "oracle", failing_t=t)
     method = "witness" if (use_witness and masks is None) else "oracle"
@@ -246,6 +252,8 @@ def _uncovered_pair(params, lines, firsts):
     bisections with no m-subspace incident with both, or None: the points
     incident with lines[a] are kept, and each lines[b] scans them up to
     its first incident one."""
+    if any(b.n != params.n for b in lines):
+        raise BadDimensionsError("bisection in the wrong ambient space")
     dims = meet_dims(params.field.q, params.n)
     pattern = {(params.k1, params.k2), (params.k2, params.k1)}
 

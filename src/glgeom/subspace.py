@@ -516,15 +516,25 @@ def mask_points(mask):
         mask ^= low
 
 
+def point_index(field, v):
+    """The number of the projective point <v> (v nonzero) in the numbering
+    of point_masks: v is scaled so that its first nonzero entry is 1."""
+    q, n = field.q, len(v)
+    lead = next(c for c, x in enumerate(v) if x)
+    inv = field.inv(v[lead])
+    code = 0
+    for x in v:
+        code = code * q + field.mul(inv, x)
+    e = n - 1 - lead
+    return (q ** e - 1) // (q - 1) + code - q ** e
+
+
 def point_permutation(field, n, g):
     """perm[p] = the point p.g under the row action of an invertible g on
-    V(n,q), in the numbering of point_masks."""
-    points = list(grassmannian(n, field, 1))
-    images = [span_rows(field, n, [vec_mat(x.rows()[0], g)]) for x in points]
-    perm = [0] * len(points)
-    for x, y in zip(point_masks(points), point_masks(images)):
-        perm[x.bit_length() - 1] = y.bit_length() - 1
-    return perm
+    V(n,q), in the numbering of point_masks: point p runs over the vectors
+    0..0 1 x with e free entries x, e ascending, then x in code order."""
+    return [point_index(field, vec_mat((0,) * (n - 1 - e) + (1,) + x, g))
+            for e in range(n) for x in product(range(field.q), repeat=e)]
 
 
 def image_mask(mask, perm):

@@ -237,6 +237,33 @@ def test_concurrent_small_examples():
     assert concurrent_oracle(BisParams(2, 1, 0, 0, F2)).complete
 
 
+def test_bis_collinear_refused_before_masking(monkeypatch):
+    """Over budget, the collinear scan refuses before it masks anything,
+    the canonical pair included: at (k,k,0,k) the witness fails from
+    t = 0, and the point index of V(10,5) alone would need 5^10-entry
+    digit tables."""
+    import glgeom.oracle as oc
+
+    def forbidden(*args):
+        raise AssertionError("listed despite the budget")
+    for name in ("grassmannian", "sorted_grassmannian", "point_masks"):
+        monkeypatch.setattr(oc, name, forbidden)
+    with pytest.raises(TooLargeError):
+        bis_collinear_oracle(BisParams(2, 2, 0, 2, F2), budget=1)
+    with pytest.raises(TooLargeError):
+        bis_collinear_oracle(BisParams(5, 5, 0, 5, field_make(5)))
+
+
+def test_common_point_rejects_foreign_bisection():
+    """A bisection of another V(n,q) is refused, not masked in the
+    numbering of the wrong space."""
+    from glgeom.geometry import BadDimensionsError
+    p = BisParams(2, 2, 0, 0, F2)
+    with pytest.raises(BadDimensionsError):
+        pair_has_common_point(p, coordinate_bisection(F2, 2),
+                              coordinate_bisection(F2, 3))
+
+
 def test_concurrent_failing_pair_is_recheckable():
     p = BisParams(2, 2, 0, 0, F2)
     v = concurrent_oracle(p)
