@@ -220,23 +220,18 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
                 continue
             except PredicateFailsError:
                 pass
-        if masks is None:  # the first scan: refuse before listing anything
+        if masks is None:  # the first scan: refuse before masking anything
             nsub = gaussian(2 * k, k, q)
             if nsub * q ** k * (m - t) > budget:
                 raise TooLargeError(f"{m - t} table scans of the {q ** k} "
                                     f"vectors of {nsub} {k}-subspaces exceed "
                                     f"the budget of {budget}")
-            # one index for the S_i, U1 and the U2 of this t and every later
-            # one (U1 does not depend on t)
-            pairs = [canonical_pair(field, 2 * k, m, s) for s in range(t, m)]
-            masks = point_masks(sorted_grassmannian(2 * k, field, k)
-                                + [pairs[0][0]] + [u2 for _, u2 in pairs])
-            u1, u2s = masks[nsub], dict(zip(range(t, m), masks[nsub + 1:]))
-            del masks[nsub:]
+            masks = point_masks(sorted_grassmannian(2 * k, field, k))
             through = containing_masks(masks)
             dims = meet_dims(q, 2 * k)
-            d1 = [dims[(x & u1).bit_count()] for x in masks]
-        d2 = [dims[(x & u2s[t]).bit_count()] for x in masks]
+        u1, u2 = point_masks(list(canonical_pair(field, 2 * k, m, t)))
+        d1 = [dims[(x & u1).bit_count()] for x in masks]
+        d2 = [dims[(x & u2).bit_count()] for x in masks]
         if not _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
             return CompletenessVerdict(False, "oracle", failing_t=t)
     method = "witness" if (use_witness and masks is None) else "oracle"

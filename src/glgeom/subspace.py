@@ -516,25 +516,15 @@ def mask_points(mask):
         mask ^= low
 
 
-def point_index(field, v):
-    """The number of the projective point <v> (v nonzero) in the numbering
-    of point_masks: v is scaled so that its first nonzero entry is 1."""
-    q, n = field.q, len(v)
-    lead = next(c for c, x in enumerate(v) if x)
-    inv = field.inv(v[lead])
-    code = 0
-    for x in v:
-        code = code * q + field.mul(inv, x)
-    e = n - 1 - lead
-    return (q ** e - 1) // (q - 1) + code - q ** e
-
-
 def point_permutation(field, n, g):
     """perm[p] = the point p.g under the row action of an invertible g on
-    V(n,q), in the numbering of point_masks: point p runs over the vectors
+    V(n,q), in the numbering of point_masks: point p is the vector
     0..0 1 x with e free entries x, e ascending, then x in code order."""
-    return [point_index(field, vec_mat((0,) * (n - 1 - e) + (1,) + x, g))
-            for e in range(n) for x in product(range(field.q), repeat=e)]
+    points = [(0,) * (n - 1 - e) + (1,) + x
+              for e in range(n) for x in product(range(field.q), repeat=e)]
+    number = {scale_vec(field, c, v): p
+              for p, v in enumerate(points) for c in range(1, field.q)}
+    return [number[tuple(vec_mat(v, g))] for v in points]
 
 
 def image_mask(mask, perm):

@@ -268,24 +268,6 @@ def test_point_mask_meet_matches_intersection_dim(q):
                 assert dims[(x & y).bit_count()] == intersection_dim(a, b)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
-def test_point_index_matches_point_masks(q):
-    """Every nonzero multiple of a vector gets the number of the one bit
-    in the mask of the point it spans, and the numbers run over
-    0..(q^n - 1)/(q - 1) - 1."""
-    from glgeom.subspace import point_index
-    field = field_make(2, 2) if q == 4 else field_make(q)
-    for n in range(1, 5):
-        points = list(grassmannian(n, field, 1))
-        numbers = []
-        for s, x in zip(points, point_masks(points)):
-            v = s.rows()[0]
-            assert {point_index(field, [field.mul(c, a) for a in v])
-                    for c in range(1, q)} == {x.bit_length() - 1}
-            numbers.append(x.bit_length() - 1)
-        assert sorted(numbers) == list(range((q ** n - 1) // (q - 1)))
-
-
 # ---------------------------------------------------------------------
 # transport, serialization
 # ---------------------------------------------------------------------
