@@ -352,6 +352,13 @@ class Bisection:
         self.half2 = b
         self._hash = hash((a, b))
 
+    @classmethod
+    def _disjoint_sorted(cls, a, b):
+        """Unchecked {A, B} for disjoint halves, A first: bisections() only."""
+        self = cls.__new__(cls)
+        self.half1, self.half2, self._hash = a, b, hash((a, b))
+        return self
+
     @property
     def field(self):
         return self.half1.field
@@ -570,8 +577,15 @@ def bisections(k, field):
     """All bisections of V(2k,q), each unordered pair exactly once: the
     disjoint pairs of the sorted k-subspaces.
 
-    Count: gaussian(2k,k,q) * q^(k^2) / 2.
+    Count: gaussian(2k,k,q) * q^(k^2) / 2, checked once the listing ends.
+    disjoint_pairs has proved each pair disjoint, so no rank test repeats.
     """
+    from .counts import gaussian
     subs = sorted_grassmannian(2 * k, field, k)
+    listed = 0
     for i, j in disjoint_pairs(subs):
-        yield Bisection(subs[i], subs[j])
+        listed += 1
+        yield Bisection._disjoint_sorted(subs[i], subs[j])
+    want = gaussian(2 * k, k, field.q) * field.q ** (k * k) // 2
+    if listed != want:
+        raise RuntimeError(f"bisections: listed {listed}, expected {want}")

@@ -1,26 +1,30 @@
 """Constructive witnesses: explicit subspaces and bisections realizing
 incidences, so completeness claims come with checkable certificates.
 
-Every public operation re-verifies its own output with the independent
-subspace primitives before returning; a construction that cannot be
-completed raises rather than guessing.  Pair-specific constructions work
-on the canonical pair U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}> and its
-pieces (subspace.canonical_pieces), all coordinate subspaces; the few
-branches that build their own pair are transported back by an explicit
-change of basis.  The projective witness for m > n/2 needs none: perp U1,
-perp U2 are the canonical (n-m)-pair moved by a cyclic coordinate shift.
+Every public operation verifies its own output once, with the independent
+subspace primitives; a construction that cannot be completed raises rather
+than guessing.  A collinear witness's certificate records the verification
+just made (a one-entry memo); one for any other W computes its own.
+Pair-specific constructions work on the canonical pair U1 = <e_1..e_m>,
+U2 = <e_{m-t+1}..e_{2m-t}> and its pieces (subspace.canonical_pieces),
+all coordinate subspaces; the two branches that build their own pair are
+transported back by an explicit change of basis.  The projective witness
+for m > n/2 needs none: perp U1, perp U2 are the canonical (n-m)-pair
+moved by a cyclic coordinate shift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .gfq import Mat, mat_inverse, rref, vec_mat, extension_modulus
+from .gfq import (Mat, extension_modulus, mat_inverse, rank_of_rows, rref,
+                  vec_mat)
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
-                       canonical_pieces, complement, coordinate_subspace,
-                       direct_sum, full_space, grassmannian, intersection_dim,
-                       perp, span_rows, sum_subspace, transport_pair)
-from .geometry import incident_bis
+                       canonical_pieces, complement, coordinate_bisection,
+                       coordinate_subspace, direct_sum, full_space,
+                       grassmannian, intersection_dim, perp, project_onto,
+                       span_rows, sum_subspace, transport_pair)
 
 
 class NoSuchPairError(ValueError):
@@ -146,7 +150,6 @@ def diagonal_pair_exists_bruteforce(y1, y2, r):
 
 def grassmannian_sub(space, r):
     """All r-subspaces of a given subspace (via coordinates on its basis)."""
-    from .subspace import grassmannian
     field, n = space.field, space.n
     rows = space.rows()
     for small in grassmannian(space.dim, field, r):
@@ -171,7 +174,6 @@ def _injective_tuples(space, r):
             return
         for v in vectors:
             trial = chosen + [v]
-            from .gfq import rank_of_rows
             if rank_of_rows(field, trial, n) == len(trial):
                 yield from rec(trial)
 
@@ -270,29 +272,41 @@ def proj_collinear_witness(n, m, k, j, t, field):
         raise PreconditionViolatedError("overlap t out of range")
     if 2 * j > k + max(0, 2 * m - n):
         raise PredicateFailsError("no such subspace exists at these parameters")
-    u1, u2 = canonical_pair(field, n, m, t)
-    if 2 * m <= n:
-        sw = subset_witness(n, m, k, j, t)
-        if sw.k_set is not None:
-            w = coordinate_subspace(field, n, [i - 1 for i in sw.k_set])
-        else:
-            s1 = coordinate_subspace(field, n, [i - 1 for i in sw.p_set])
-            rows = []
-            for part in sw.partition:
-                v = [0] * n
-                for i in part:
-                    v[i - 1] = 1
-                rows.append(tuple(v))
-            s2 = span_rows(field, n, rows)
-            w = direct_sum([s1, s2])
-    else:
-        wb = proj_collinear_witness(n, n - m, n - k, n - m - k + j,
-                                    n - 2 * m + t, field)
-        w = perp(span_rows(field, n, [r[-m:] + r[:-m] for r in wb.rows()]))
-    if not (w.dim == k and intersection_dim(w, u1) == j
-            and intersection_dim(w, u2) == j):
+    try:
+        w = _proj_witness(n, m, k, j, t, field)
+        _, dims = _proj_pair_dims(field, n, m, t, w)
+    except ValueError as exc:
+        raise UnimplementedCaseError(f"witness construction failed: {exc}") from exc
+    if not (w.dim == k and dims == (j, j)):
         raise UnimplementedCaseError("witness failed verification")
     return w
+
+
+def _proj_witness(n, m, k, j, t, field):
+    """proj_collinear_witness unverified; for m > n/2 the dual witness it
+    recurses to is checked only through the outer result."""
+    if 2 * m > n:
+        wb = _proj_witness(n, n - m, n - k, n - m - k + j, n - 2 * m + t, field)
+        return perp(span_rows(field, n, [r[-m:] + r[:-m] for r in wb.rows()]))
+    sw = subset_witness(n, m, k, j, t)
+    if sw.k_set is not None:
+        return coordinate_subspace(field, n, [i - 1 for i in sw.k_set])
+    s1 = coordinate_subspace(field, n, [i - 1 for i in sw.p_set])
+    rows = []
+    for part in sw.partition:
+        v = [0] * n
+        for i in part:
+            v[i - 1] = 1
+        rows.append(tuple(v))
+    return direct_sum([s1, span_rows(field, n, rows)])
+
+
+@lru_cache(maxsize=1)
+def _proj_pair_dims(field, n, m, t, w):
+    """The canonical pair at overlap t and (dim W meet U1, dim W meet U2):
+    a witness's verification, which its certificate reads again."""
+    u1, u2 = canonical_pair(field, n, m, t)
+    return (u1, u2), (intersection_dim(w, u1), intersection_dim(w, u2))
 
 
 # ----------------------------------------------------------------------
@@ -376,31 +390,41 @@ def bis_collinear_witness(params, t):
         raise PreconditionViolatedError("need 0 <= t <= m-1")
     if not bis_collinear_predicate(q, m, k, k1, k2):
         raise PredicateFailsError("parameters admit no covering bisection")
-    u1, u2 = canonical_pair(field, 2 * k, m, t)
-    if (k1, k2) == (0, 0):
-        got = _disjoint_pattern_witness(params, t)
-    elif q == 2 and k1 == 0 and m == k and k2 == k - 1 and t >= 1:
-        got = _near_half_table_witness(params, t)
-    elif t <= k1:
-        got = _small_overlap_witness(params, t)
-    elif t <= 2 * k1:
-        got = _mid_overlap_witness(params, t)
-    elif t <= m + k1 - k2:
-        got = _balanced_overlap_witness(params, t)
-    elif t <= k2:
-        got = _deep_overlap_graph_witness(params, t)
-    elif t >= k1 + k2:
-        got = _deep_overlap_wide_witness(params, t)
-    else:
-        got = _deep_overlap_narrow_witness(params, t)
-    w1, w2, b = got
-    if (w1, w2) != (u1, u2):
-        g = transport_pair(w1, w2, u1, u2)
-        b = b.apply(g)
-    if not (incident_bis(params, u1, b) and incident_bis(params, u2, b)):
+    try:
+        if (k1, k2) == (0, 0):
+            b = _disjoint_pattern_witness(params, t)
+        elif q == 2 and k1 == 0 and m == k and k2 == k - 1 and t >= 1:
+            b = near_half_table_bisection(field, k, t)
+        elif t <= k1:
+            b = _small_overlap_witness(params, t)
+        elif t <= 2 * k1:
+            b = _mid_overlap_witness(params, t)
+        elif t <= m + k1 - k2:
+            b = _balanced_overlap_witness(params, t)
+        elif t <= k2:
+            b = _deep_overlap_graph_witness(params, t)
+        elif t >= k1 + k2:
+            b = _deep_overlap_wide_witness(params, t)
+        else:
+            b = _deep_overlap_narrow_witness(params, t)
+        _check(b.n == 2 * k, "witness bisection in the wrong ambient space")
+        _, patterns = _bis_pair_dims(field, k, m, t, b)
+    except ValueError as exc:
+        raise UnimplementedCaseError(f"witness construction failed: {exc}") from exc
+    if patterns != ((k1, k2), (k1, k2)):
         raise UnimplementedCaseError(
             f"witness failed verification at {params} t={t}")
     return b
+
+
+@lru_cache(maxsize=1)
+def _bis_pair_dims(field, k, m, t, b):
+    """The canonical pair in V(2k,q) at overlap t and each Ui's sorted
+    pattern (dim Ui meet V1, dim Ui meet V2), as for _proj_pair_dims."""
+    pair = canonical_pair(field, 2 * k, m, t)
+    return pair, tuple(tuple(sorted((intersection_dim(u, b.half1),
+                                     intersection_dim(u, b.half2))))
+                       for u in pair)
 
 
 # -- pattern (0,0): both halves disjoint from both subspaces -------------
@@ -424,7 +448,7 @@ def _disjoint_pattern_witness(params, t):
             v2 = direct_sum([dp.z2, ep.z2])
         else:
             v1, v2 = dp.z1, dp.z2
-        return u1, u2, Bisection(v1, v2)
+        return Bisection(v1, v2)
     if a_fail:
         c3 = span_rows(field, n, list(cr[:k - m + t]))
         c4 = span_rows(field, n, list(cr[k - m + t:]))
@@ -433,25 +457,24 @@ def _disjoint_pattern_witness(params, t):
             v1 = direct_sum([d1, c3]) if c3.dim else d1
             d2 = maximal_diagonal(u2, c3)
             v2 = direct_sum([d2, c4]) if c4.dim else d2
-            return u1, u2, Bisection(v1, v2)
-        return _own_pair_high_overlap(field, k)
-    # b_fail only
-    if m == k - 1 and t == 0:
+            return Bisection(v1, v2)
+        w1, w2, b = _own_pair_high_overlap(field, k)
+    elif m == k - 1 and t == 0:  # b_fail only
         c3 = span_rows(field, n, list(cr[:1]))
         c4 = span_rows(field, n, list(cr[1:]))
         dp = diagonal_pair(p1, p2, m)
         v1 = direct_sum([dp.z1, c3])
         v2 = direct_sum([dp.z2, c4])
-        return u1, u2, Bisection(v1, v2)
-    # m == k, t == 1, k >= 3
-    return _own_pair_low_overlap(field, k)
+        return Bisection(v1, v2)
+    else:  # b_fail only, m == k, t == 1, k >= 3
+        w1, w2, b = _own_pair_low_overlap(field, k)
+    return b.apply(transport_pair(w1, w2, u1, u2))
 
 
 def _own_pair_high_overlap(field, k):
     """q=2, m=k, overlap k-1: a diagonal pair against the coordinate bisection."""
     n = 2 * k
-    b = Bisection(coordinate_subspace(field, n, range(k)),
-                  coordinate_subspace(field, n, range(k, n)))
+    b = coordinate_bisection(field, k)
     diag = [tuple(1 if j in (i, k + i) else 0 for j in range(n)) for i in range(k)]
     u1 = span_rows(field, n, diag)
     last = list(diag[k - 1])
@@ -463,8 +486,7 @@ def _own_pair_high_overlap(field, k):
 def _own_pair_low_overlap(field, k):
     """q=2, m=k >= 3, overlap 1: two maximal diagonals sharing one line."""
     n = 2 * k
-    b = Bisection(coordinate_subspace(field, n, range(k)),
-                  coordinate_subspace(field, n, range(k, n)))
+    b = coordinate_bisection(field, k)
     diag = [tuple(1 if j in (i, k + i) else 0 for j in range(n)) for i in range(k)]
     u1 = span_rows(field, n, diag)
     v1p = coordinate_subspace(field, n, range(1, k))
@@ -507,19 +529,10 @@ def near_half_table_bisection(field, k, t):
                      span_rows(field, n, rows_from(v2_ix)))
 
 
-def _near_half_table_witness(params, t):
-    field, k = params.field, params.k
-    u1, u2 = canonical_pair(field, 2 * k, k, t)
-    if (k, t) not in _NEAR_HALF_TABLE:
-        raise UnimplementedCaseError(f"no table row for (k, t) = ({k}, {t})")
-    return u1, u2, near_half_table_bisection(field, k, t)
-
-
 def _small_case_witness(params, t):
     """q=2, k1=0, k2=k-1-t, m=k: one half absorbs most of each subspace."""
     field, m, k, k2 = params.field, params.m, params.k, params.k2
     n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
     tt, c1, c2, c = canonical_pieces(field, n, m, t)
     x1, ub1 = c1.rows()[0], _span_slice(c1, 1)
     x2, ub2 = c2.rows()[0], _span_slice(c2, 1)
@@ -529,7 +542,7 @@ def _small_case_witness(params, t):
     v1 = span_rows(field, n, list(ub1.rows()) + [d1] + d3)
     v2 = span_rows(field, n, list(ub2.rows()) + [d2] + list(c.rows()))
     _check(v1.dim == k and v2.dim == k, "small-case dimensions off")
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # -- overlap t <= k1 ------------------------------------------------------
@@ -562,14 +575,13 @@ def _small_overlap_witness(params, t):
             v1 = direct_sum([b1, span_rows(field, n, [add_vecs(field, e1, e2)])])
             mix = add_vecs(field, add_vecs(field, e1, f1), f2)
             v2 = direct_sum([b2, span_rows(field, n, [mix])])
-            return u1, u2, Bisection(v1, v2)
+            return Bisection(v1, v2)
         return _small_case_witness(params, t)
     vbar = complement(ball, full_space(field, n))
     d1, d2 = k - k1 - k2, k - k1 - k2 + t
     if mbar == 0:
         a1, a2 = _span_slice(vbar, 0, d1), _span_slice(vbar, d1)
     else:
-        from .subspace import project_onto
         ub1 = project_onto(u1, ball, vbar)
         ub2 = project_onto(u2, ball, vbar)
         _check(ub1.dim == mbar and ub2.dim == mbar,
@@ -579,7 +591,7 @@ def _small_overlap_witness(params, t):
         a1, a2 = complementary_pair_avoiding(vbar, ub1, ub2, d1, d2)
     v1 = direct_sum([b1, a1]) if a1.dim else b1
     v2 = direct_sum([b2, a2]) if a2.dim else b2
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # -- overlap k1 < t <= 2 k1 ----------------------------------------------
@@ -612,13 +624,12 @@ def _mid_overlap_witness(params, t):
     if mbar == 0:
         a1, a2 = _span_slice(vbar, 0, d1), _span_slice(vbar, d1)
     else:
-        from .subspace import project_onto
         ub1 = project_onto(u1, ball, vbar)
         ub2 = project_onto(u2, ball, vbar)
         a1, a2 = complementary_pair_avoiding(vbar, ub1, ub2, d1, d2)
     v1 = direct_sum([b1, a1]) if a1.dim else b1
     v2 = direct_sum([b2, a2]) if a2.dim else b2
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # -- overlap 2 k1 < t <= m + k1 - k2 --------------------------------------
@@ -639,7 +650,6 @@ def _balanced_overlap_witness(params, t):
     core = direct_sum(core_parts)
     vbar = complement(core, full_space(field, n))
     mbar = m + k1 - k2 - t
-    from .subspace import project_onto
     if mbar > 0:
         ub1 = project_onto(u1, core, vbar)
         ub2 = project_onto(u2, core, vbar)
@@ -660,7 +670,7 @@ def _balanced_overlap_witness(params, t):
     if mbar == 0:
         v1 = direct_sum([p for p in (u21, t1, s1) if p.dim])
         v2 = direct_sum([p for p in (u12, t2, s2) if p.dim])
-        return u1, u2, Bisection(v1, v2)
+        return Bisection(v1, v2)
     r = mbar + half
     if q == 2 and r == 1:
         # forced: m = k, k1 = 0, k2 = k - 1 - t with t >= 1
@@ -670,7 +680,7 @@ def _balanced_overlap_witness(params, t):
     dp = diagonal_pair(y1, y2, r)
     v1 = direct_sum([p for p in (u21, t1, dp.z1) if p.dim])
     v2 = direct_sum([p for p in (u12, t2, dp.z2) if p.dim])
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # -- overlap t > m + k1 - k2, t <= k2 (graph completion) ------------------
@@ -679,7 +689,6 @@ def _deep_overlap_graph_witness(params, t):
     field = params.field
     m, k, k1, k2 = params.m, params.k, params.k1, params.k2
     n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
     tt, c1, c2, cc = canonical_pieces(field, n, m, t)
     v21 = span_rows(field, n, list(c1.rows()[:k2 - t]))
     ub1 = span_rows(field, n, list(c1.rows()[k2 - t:]))
@@ -702,7 +711,7 @@ def _deep_overlap_graph_witness(params, t):
             + _graph_rows(field, w2_rows, targets2))
     v1 = span_rows(field, n, rows)
     _check(v1.dim == k, "graph completion dimension off")
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # -- overlap t > k2, t >= k1 + k2 -----------------------------------------
@@ -711,7 +720,6 @@ def _deep_split(params, t):
     field = params.field
     m, k, k2 = params.m, params.k, params.k2
     n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
     tt, ub1, ub2, cc = canonical_pieces(field, n, m, t)
     tr = tt.rows()
     t13 = span_rows(field, n, list(tr[:t - k2]))
@@ -722,7 +730,7 @@ def _deep_split(params, t):
     cc2 = span_rows(field, n, list(ccr[a:a + b]))
     cc3 = span_rows(field, n, list(ccr[a + b:]))
     v2 = direct_sum([p for p in (cc1, cc2, t2) if p.dim])
-    return u1, u2, t13, t2, ub1, ub2, cc1, cc2, cc3, v2
+    return t13, t2, ub1, ub2, cc1, cc2, cc3, v2
 
 
 def _t2_against_c3_rows(field, params, t, t2, cc3):
@@ -739,7 +747,7 @@ def _deep_overlap_wide_witness(params, t):
     field = params.field
     k1 = params.k1
     n = 2 * params.k
-    u1, u2, t13, t2, ub1, ub2, cc1, cc2, cc3, v2 = _deep_split(params, t)
+    t13, t2, ub1, ub2, cc1, cc2, cc3, v2 = _deep_split(params, t)
     t1_rows = list(t13.rows()[:k1])
     t3_rows = list(t13.rows()[k1:])
     du1 = _graph_rows(field, list(ub1.rows()), list(cc1.rows()))
@@ -748,7 +756,7 @@ def _deep_overlap_wide_witness(params, t):
     dt2 = _t2_against_c3_rows(field, params, t, t2, cc3)
     v1 = span_rows(field, n, t1_rows + du1 + du2 + dt2 + dt3)
     _check(v1.dim == params.k, "wide deep-overlap dimension off")
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # -- overlap k2 < t < k1 + k2 ---------------------------------------------
@@ -757,7 +765,7 @@ def _deep_overlap_narrow_witness(params, t):
     field = params.field
     m, k, k1, k2 = params.m, params.k, params.k1, params.k2
     n = 2 * k
-    u1, u2, t13, t2, ub1, ub2, cc1, cc2, cc3, v2 = _deep_split(params, t)
+    t13, t2, ub1, ub2, cc1, cc2, cc3, v2 = _deep_split(params, t)
     v11_rows = list(ub1.rows()[:k1 + k2 - t])
     p1_rows = list(ub1.rows()[k1 + k2 - t:])
     v12_rows = list(ub2.rows()[:k1 + k2 - t])
@@ -769,7 +777,7 @@ def _deep_overlap_narrow_witness(params, t):
     v1 = span_rows(field, n,
                    v11_rows + v12_rows + list(t13.rows()) + dt2 + p3 + p4)
     _check(v1.dim == k, "narrow deep-overlap dimension off")
-    return u1, u2, Bisection(v1, v2)
+    return Bisection(v1, v2)
 
 
 # ----------------------------------------------------------------------
@@ -864,21 +872,15 @@ def fifth_disjoint(pis, budget=10**7):
         raise PreconditionViolatedError("need q^k >= 4")
     if q == 2:
         sigma = _fifth_disjoint_gf2(pis)
-    else:
-        sigma = None
-        steps = 0
-        for cand in grassmannian(n, field, k):
-            steps += 1
-            if steps > budget:
-                raise PreconditionViolatedError("scan budget exceeded")
-            if all(intersection_dim(cand, p) == 0 for p in pis):
-                sigma = cand
-                break
-        if sigma is None:
-            raise UnimplementedCaseError("no disjoint subspace found (impossible)")
-    if not all(intersection_dim(sigma, p) == 0 for p in pis):
-        raise UnimplementedCaseError("fifth subspace failed verification")
-    return sigma
+        if not all(intersection_dim(sigma, p) == 0 for p in pis):
+            raise UnimplementedCaseError("fifth subspace failed verification")
+        return sigma
+    for steps, cand in enumerate(grassmannian(n, field, k), 1):
+        if steps > budget:
+            raise PreconditionViolatedError("scan budget exceeded")
+        if all(intersection_dim(cand, p) == 0 for p in pis):
+            return cand  # the scan's own test is its verification
+    raise UnimplementedCaseError("no disjoint subspace found (impossible)")
 
 
 def _fifth_disjoint_gf2(pis):
@@ -924,29 +926,23 @@ def _fifth_disjoint_gf2(pis):
 
 def bis_witness_certificate(params, t, b):
     """Machine-checkable record of a collinear bisection witness."""
-    field = params.field
-    u1, u2 = canonical_pair(field, 2 * params.k, params.m, t)
+    (u1, u2), (p1, p2) = _bis_pair_dims(params.field, params.k, params.m, t, b)
     return {
         "params": params.to_json_dict(),
         "t": t,
         "pair": [list(map(list, u1.rows())), list(map(list, u2.rows()))],
         "bisection": [list(map(list, b.half1.rows())),
                       list(map(list, b.half2.rows()))],
-        "intersection_dims": {
-            "U1": sorted((intersection_dim(u1, b.half1),
-                          intersection_dim(u1, b.half2))),
-            "U2": sorted((intersection_dim(u2, b.half1),
-                          intersection_dim(u2, b.half2))),
-        },
+        "intersection_dims": {"U1": list(p1), "U2": list(p2)},
     }
 
 
 def proj_witness_certificate(n, m, k, j, t, field, w):
-    u1, u2 = canonical_pair(field, n, m, t)
+    (u1, u2), dims = _proj_pair_dims(field, n, m, t, w)
     return {
         "params": {"family": "proj", "q": field.q, "n": n, "m": m, "k": k, "j": j},
         "t": t,
         "pair": [list(map(list, u1.rows())), list(map(list, u2.rows()))],
         "witness": list(map(list, w.rows())),
-        "intersection_dims": [intersection_dim(w, u1), intersection_dim(w, u2)],
+        "intersection_dims": list(dims),
     }

@@ -197,6 +197,30 @@ def test_bisection_counts(k, q, count):
     assert sum(1 for _ in bisections(k, field)) == count
 
 
+class _RankTested(Exception):
+    pass
+
+
+def test_bisections_trust_disjoint_pairs(monkeypatch):
+    """bisections() makes no rank test per pair (disjoint_pairs has proved
+    each pair disjoint), the public constructor still makes its own, and a
+    listing that loses a pair raises when it ends."""
+    import glgeom.subspace as sp
+
+    def rank_test(u, w):
+        raise _RankTested
+    monkeypatch.setattr(sp, "intersection_dim", rank_test)
+    listed = list(bisections(2, F3))
+    assert len(listed) == len(set(listed)) == 5265
+    with pytest.raises(_RankTested):
+        Bisection(*listed[0].halves())
+    monkeypatch.undo()
+    real = sp.disjoint_pairs
+    monkeypatch.setattr(sp, "disjoint_pairs", lambda subs: list(real(subs))[1:])
+    with pytest.raises(RuntimeError, match="listed 5264, expected 5265"):
+        list(bisections(2, F3))
+
+
 def test_bisection_count_6_2_disjoint_pairs():
     subs = sorted_grassmannian(6, F2, 3)
     assert sum(1 for _ in disjoint_pairs(subs)) == 357120

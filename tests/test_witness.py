@@ -369,3 +369,175 @@ def test_construction_check_raises_unimplemented(monkeypatch):
         bis_collinear_witness(params, 2)
     assert main(["bis-collinear", "--k", "4", "--m", "4", "--k1", "0",
                  "--k2", "3", "--q", "3", "--mode", "witness"]) == 4
+
+
+# ---------------------------------------------------------------------
+# each witness verified once; its certificate reads that verification
+# ---------------------------------------------------------------------
+
+def _counting(monkeypatch, name):
+    """Wrap witness.<name> so that every call is recorded."""
+    import glgeom.witness as wt
+    calls = []
+    real = getattr(wt, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(wt, name, counted)
+    return calls
+
+
+# (n, m, k, j, q): subset witness with K, subset witness with a partition,
+# and the perp of the dual witness (m > n/2)
+PROJ_POINTS = [(6, 2, 3, 1, 3), (6, 3, 4, 1, 2), (7, 5, 4, 2, 3)]
+# (q, k, m, k1, k2): pattern (0,0) with both own-pair builds, the wide deep
+# overlap, and m > k through the duality reduction
+BIS_POINTS = [(2, 3, 3, 0, 0), (3, 4, 4, 0, 2), (2, 3, 4, 1, 2)]
+
+
+@pytest.mark.parametrize("n,m,k,j,q", PROJ_POINTS)
+def test_proj_certificate_reads_the_witness_verification(monkeypatch,
+                                                         n, m, k, j, q):
+    from glgeom.witness import proj_witness_certificate
+    field = field_of(q)
+    rank_tests = _counting(monkeypatch, "intersection_dim")
+    pairs = _counting(monkeypatch, "canonical_pair")
+    for t in range(max(0, 2 * m - n), m):
+        rank_tests.clear()
+        w = proj_collinear_witness(n, m, k, j, t, field)
+        assert len(rank_tests) == 2  # the returned W only, also for m > n/2
+        rank_tests.clear()
+        pairs.clear()
+        cert = proj_witness_certificate(n, m, k, j, t, field, w)
+        assert rank_tests == [] and pairs == []
+        assert cert["intersection_dims"] == [j, j]
+
+
+@pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS)
+def test_bis_certificate_reads_the_witness_verification(monkeypatch,
+                                                        q, k, m, k1, k2):
+    from glgeom.witness import bis_witness_certificate
+    params = BisParams(k, m, k1, k2, field_of(q))
+    work = params if m <= k else params.dual()
+    rank_tests = _counting(monkeypatch, "intersection_dim")
+    pairs = _counting(monkeypatch, "canonical_pair")
+    want = [work.k1, work.k2]
+    for t in range(work.m):
+        b = bis_collinear_witness(work, t)
+        rank_tests.clear()
+        pairs.clear()
+        cert = bis_witness_certificate(work, t, b)
+        assert rank_tests == [] and pairs == []
+        assert cert["intersection_dims"] == {"U1": want, "U2": want}
+
+
+def test_proj_certificate_of_another_w_computes_its_own():
+    """After a witness has been verified, a certificate for a different W
+    (one that fails, the same W at another t, the same shape over another
+    field) records that W's own dimensions."""
+    from glgeom.witness import proj_witness_certificate
+    n, m, k, j = 6, 2, 3, 1
+    for t, field in [(0, F3), (1, F3), (0, F2)]:
+        proj_collinear_witness(n, m, k, j, 0, F3)
+        w = coordinate_subspace(field, n, range(k))
+        cert = proj_witness_certificate(n, m, k, j, t, field, w)
+        u1, u2 = canonical_pair(field, n, m, t)
+        dims = [intersection_dim(w, u1), intersection_dim(w, u2)]
+        assert cert["intersection_dims"] == dims != [j, j]
+        assert cert["pair"] == [list(map(list, u.rows())) for u in (u1, u2)]
+        assert cert["params"]["q"] == field.q
+
+
+def test_bis_certificate_of_another_bisection_computes_its_own():
+    from glgeom.subspace import Bisection
+    from glgeom.witness import bis_witness_certificate
+    k, m = 3, 3
+    for t, field in [(0, F3), (2, F3), (0, F2)]:
+        params = BisParams(k, m, 0, 0, field)
+        bis_collinear_witness(BisParams(k, m, 0, 0, F3), 0)
+        b = Bisection(coordinate_subspace(field, 2 * k, range(k)),
+                      coordinate_subspace(field, 2 * k, range(k, 2 * k)))
+        cert = bis_witness_certificate(params, t, b)
+        u1, u2 = canonical_pair(field, 2 * k, m, t)
+        got = {name: sorted(intersection_dim(u, h) for h in b.halves())
+               for name, u in (("U1", u1), ("U2", u2))}
+        assert cert["intersection_dims"] == got
+        assert got["U1"] != [0, 0]
+        assert cert["pair"] == [list(map(list, u.rows())) for u in (u1, u2)]
+
+
+@pytest.mark.parametrize("corrupt", ["perp", "inner"])
+def test_wrong_dual_route_still_fails_the_outer_check(monkeypatch, corrupt):
+    """For m > n/2 only the returned W is verified: a wrong perp, or a wrong
+    dual witness from the inner construction, still raises and exits 4."""
+    import glgeom.witness as wt
+    from glgeom.cli import main
+    n, m, k, j, t = 6, 4, 3, 2, 2
+    assert proj_collinear_witness(n, m, k, j, t, F3).dim == k
+    if corrupt == "perp":
+        monkeypatch.setattr(wt, "perp", lambda s: coordinate_subspace(
+            s.field, s.n, range(s.n - s.dim)))
+    else:
+        real = wt._proj_witness
+
+        def wrong_inner(n_, m_, k_, j_, t_, field):
+            if 2 * m_ <= n_:
+                return coordinate_subspace(field, n_, range(k_))
+            return real(n_, m_, k_, j_, t_, field)
+        monkeypatch.setattr(wt, "_proj_witness", wrong_inner)
+    with pytest.raises(UnimplementedCaseError, match="failed verification"):
+        proj_collinear_witness(n, m, k, j, t, F3)
+    assert main(["proj-collinear", "--n", "6", "--m", "4", "--k", "3",
+                 "--j", "2", "--q", "3", "--mode", "witness"]) == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["bis-collinear", "--k", "2", "--m", "2", "--k1", "0", "--k2", "0",
+     "--q", "3"],
+    ["proj-collinear", "--n", "6", "--m", "3", "--k", "4", "--j", "1",
+     "--q", "2"],
+])
+def test_lattice_error_inside_a_witness_exits_4(monkeypatch, capsys, argv):
+    """A ValueError from a lattice helper after the parameter and predicate
+    checks is a construction failure (exit 4), not bad parameters (exit 1)."""
+    import glgeom.witness as wt
+    from glgeom.cli import main
+
+    def not_independent(parts):
+        raise ValueError("summands are not independent")
+    monkeypatch.setattr(wt, "direct_sum", not_independent)
+    assert main(argv + ["--mode", "witness"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "summands are not independent" in err
+
+
+def test_witness_certificate_digests():
+    """sha256 of the --certificate --format json output, pinned from the
+    release before certificates read the witness verification."""
+    import contextlib
+    import hashlib
+    import io
+    from glgeom.cli import main
+    pinned = {
+        "proj-collinear --n 6 --m 2 --k 3 --j 1 --q 3":
+            "4fafa0bd929753af8776f258f53bb6161dd785d0a93a5d7e4b480a5b2ee43688",
+        "proj-collinear --n 6 --m 3 --k 4 --j 1 --q 2":
+            "eecd6b94fcd2aebcefda122d1db1524cf2f455cd2805991cef0d765c382ee219",
+        "proj-collinear --n 7 --m 5 --k 4 --j 2 --q 3":
+            "822fc335e674f16759dc59c98bc0f14d4fa25840c404c03befe6a8f4a5f2b667",
+        "bis-collinear --k 3 --m 3 --k1 0 --k2 0 --q 2":
+            "95f2959d0f2b3a1a49b342e8e5f3fe859e979a62490410f6e62c87d388579c16",
+        "bis-collinear --k 4 --m 4 --k1 0 --k2 2 --q 3":
+            "9f1576df2b075070f4fd2e6dd9ac3bf8d5128e9619b1236a3fdbe02d58cb194d",
+        "bis-collinear --k 3 --m 4 --k1 1 --k2 2 --q 2":
+            "3be7c59b43cd927d1261564747225e2cf522e499fa3cc833d1313ffcc5a407d3",
+    }
+    for cmd, digest in pinned.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(cmd.split() + ["--mode", "witness", "--certificate",
+                                       "--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest, cmd
