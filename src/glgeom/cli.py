@@ -1,9 +1,11 @@
 """Command-line driver: reproducible experiments with machine-readable output.
 
-Exit codes: 0 success, 1 bad parameters, 2 internal disagreement or golden
-mismatch, 3 enumeration budget exceeded, 4 internal error (a RuntimeError
-from the engine, such as a broken runtime invariant or an unimplemented
-case).  JSON output is byte-identical across runs for identical inputs.
+Exit codes: 0 success, 1 bad parameters (a usage error or a ParamError),
+2 internal disagreement or golden mismatch, 3 enumeration budget exceeded
+(TooLargeError), 4 internal error (any other exception from the engine,
+such as a broken runtime invariant or an unimplemented case; its
+traceback follows the one-line message on stderr).  JSON
+output is byte-identical across runs for identical inputs.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import counts as ct
@@ -18,9 +21,9 @@ from . import oracle as oc
 from . import orbits as ob
 from . import weyl as wy
 from . import witness as wt
+from .errors import ParamError, TooLargeError
 from .gfq import field_make, factor_prime_power
-from .geometry import BadParamsError, BisParams, ProjParams, DegenerateGeometryError
-from .counts import TooLargeError
+from .geometry import BisParams, ProjParams
 
 SCHEMA = "glgeom/1"
 
@@ -39,6 +42,11 @@ class _Parser(argparse.ArgumentParser):
 def _field(q):
     p, e = factor_prime_power(q)
     return field_make(p, e)
+
+
+def _field_orders(text):
+    """--qs: comma-separated field orders; empty means the default q = 2."""
+    return [int(x) for x in text.split(",")] if text else [2]
 
 
 def _emit(args, payload):
@@ -154,7 +162,7 @@ def cmd_bis_concurrent(args):
 
 
 def cmd_scan(args):
-    qs = [int(x) for x in args.qs.split(",")] if args.qs else [2]
+    qs = args.qs
     rows = []
     mism = 0
     if args.family == "proj":
@@ -183,7 +191,7 @@ def cmd_scan(args):
                         for k2 in range(k1, k + 1):
                             try:
                                 params = BisParams(k, m, k1, k2, field)
-                            except BadParamsError:
+                            except ParamError:
                                 continue
                             pred = wt.bis_collinear_predicate(q, m, k, k1, k2)
                             v = oc.bis_collinear_oracle(params, budget=args.budget)
@@ -201,7 +209,7 @@ def cmd_scan(args):
                         for k2 in range(k1, k + 1):
                             try:
                                 params = BisParams(k, m, k1, k2, field)
-                            except BadParamsError:
+                            except ParamError:
                                 continue
                             pred = oc.bis_concurrent_predicate(q, m, k, k1, k2)
                             if pred == "unresolved":
@@ -260,7 +268,7 @@ def cmd_orbits(args):
 
 
 def cmd_counts(args):
-    q, k, m = args.q, args.k, args.m
+    q, k, m = _field(args.q).q, args.k, args.m
     a = k - m + 1
     h = ct.h_value(a, k, q)
     f = ct.f_value(a, k, q)
@@ -293,24 +301,26 @@ def cmd_weyl(args):
     return EXIT_DISAGREE if got != want else EXIT_OK
 
 
-def _add_common(p):
+def _add_common(p, budget=False, certificate=False):
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--certificate", action="store_true",
-                   help="attach witness certificates to the output")
-    p.add_argument("--budget", type=int, default=10**7,
-                   help="max enumeration elements before refusing")
+    if certificate:
+        p.add_argument("--certificate", action="store_true",
+                       help="attach witness certificates to the output")
+    if budget:
+        p.add_argument("--budget", type=int, default=10**7,
+                       help="max enumeration elements before refusing")
 
 
 def build_parser():
     top = _Parser(prog="glgeom")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("proj-collinear", parents=[], help="m-vs-k subspace geometry")
+    p = sub.add_parser("proj-collinear", help="m-vs-k subspace geometry")
     for flag in ("--n", "--m", "--k", "--j", "--q"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--mode", choices=["predicate", "oracle", "witness", "all"],
                    default="all")
-    _add_common(p)
+    _add_common(p, budget=True, certificate=True)
     p.set_defaults(func=cmd_proj_collinear)
 
     p = sub.add_parser("bis-collinear", help="subspace/bisection, point pairs")
@@ -318,14 +328,14 @@ def build_parser():
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--mode", choices=["predicate", "oracle", "witness", "all"],
                    default="all")
-    _add_common(p)
+    _add_common(p, budget=True, certificate=True)
     p.set_defaults(func=cmd_bis_collinear)
 
     p = sub.add_parser("bis-concurrent", help="subspace/bisection, line pairs")
     for flag in ("--k", "--m", "--k1", "--k2", "--q"):
         p.add_argument(flag, type=int, required=True)
     p.add_argument("--mode", choices=["predicate", "oracle", "all"], default="all")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_bis_concurrent)
 
     p = sub.add_parser("scan", help="oracle-vs-closed-form regression sweep")
@@ -333,8 +343,8 @@ def build_parser():
                    required=True)
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--max-k", type=int, default=2)
-    p.add_argument("--qs", type=str, default="2")
-    _add_common(p)
+    p.add_argument("--qs", type=_field_orders, default="2")
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("orbits", help="bisection-stabiliser orbit lengths")
@@ -342,7 +352,7 @@ def build_parser():
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--golden", action="store_true",
                    help="compare against the stored reference multisets")
-    _add_common(p)
+    _add_common(p, budget=True)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("counts", help="exact counting functions")
@@ -369,13 +379,12 @@ def main(argv=None):
     except TooLargeError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (BadParamsError, DegenerateGeometryError, wy.BadParamsError,
-            oc.AdmissibilityError, oc.BadParamsError,
-            wt.PreconditionViolatedError, ValueError) as exc:
+    except ParamError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
-    except RuntimeError as exc:
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_INTERNAL
 
 

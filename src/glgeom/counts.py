@@ -10,21 +10,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import ParamError, TooLargeError
 from .subspace import coordinate_subspace, grassmannian, intersection_dim
-
-
-class BadRangeError(ValueError):
-    pass
-
-
-class TooLargeError(ValueError):
-    pass
 
 
 def gaussian(n, m, q):
     """Number of m-subspaces of an n-dimensional space over GF(q)."""
     if not (0 <= m <= n):
-        raise BadRangeError("need 0 <= m <= n")
+        raise ParamError("need 0 <= m <= n")
     num = 1
     den = 1
     for i in range(m):
@@ -38,7 +31,7 @@ def gaussian(n, m, q):
 def f_value(r, s, q):
     """F(r,s,q) = prod_{i=r}^{s} (1 - q^-i), exact."""
     if not (1 <= r <= s):
-        raise BadRangeError("need 1 <= r <= s")
+        raise ParamError("need 1 <= r <= s")
     out = Fraction(1)
     for i in range(r, s + 1):
         out *= 1 - Fraction(1, q**i)
@@ -51,7 +44,7 @@ def h_value(a, k, q):
     Satisfies H(a,k,q) = F(a,k,q)^2 / F(k+a,2k,q).
     """
     if not (1 <= a <= k):
-        raise BadRangeError("need 1 <= a <= k")
+        raise ParamError("need 1 <= a <= k")
     out = Fraction(1)
     for i in range(a, k + 1):
         out *= (1 - Fraction(1, q**i)) ** 2 / (1 - Fraction(1, q ** (k + i)))
@@ -67,14 +60,14 @@ def restricted_movement_sufficient(m, k, q):
     concurrently complete.
     """
     if not (1 <= m <= k):
-        raise BadRangeError("need 1 <= m <= k")
+        raise ParamError("need 1 <= m <= k")
     return h_value(k - m + 1, k, q) > Fraction(1, 2)
 
 
 def h_lower_bound(a, k, q):
     """Closed-form lower bound for H(a,k,q), valid for 2 <= a <= k."""
     if not (2 <= a <= k):
-        raise BadRangeError("need 2 <= a <= k")
+        raise ParamError("need 2 <= a <= k")
     qa = Fraction(1, q**a)
     term1 = 2 * qa / (1 - Fraction(1, q))
     term2 = 2 * qa * qa / ((1 - 2 * qa) * (1 - Fraction(1, q**2)))

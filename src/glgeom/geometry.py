@@ -15,19 +15,8 @@ from typing import NamedTuple
 
 from .subspace import (Bisection, bisections, coordinate_subspace,
                        grassmannian, intersection_dim, perp)
-from .counts import gaussian, TooLargeError
-
-
-class BadDimensionsError(ValueError):
-    pass
-
-
-class BadParamsError(ValueError):
-    pass
-
-
-class DegenerateGeometryError(BadParamsError):
-    """Point and line stabilisers coincide: every point lies on one line only."""
+from .counts import gaussian
+from .errors import ParamError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -42,12 +31,12 @@ class ProjParams:
     def __post_init__(self):
         n, m, k, j = self.n, self.m, self.k, self.j
         if not (1 <= m < n and 1 <= k < n):
-            raise BadParamsError("need 1 <= m,k < n")
+            raise ParamError("need 1 <= m,k < n")
         if not (max(0, m + k - n) <= j <= min(m, k)):
-            raise BadParamsError("j outside the admissible interval")
+            raise ParamError("j outside the admissible interval")
         if m == k == j:
-            raise DegenerateGeometryError(
-                "incidence would be equality: point and line stabilisers coincide")
+            raise ParamError("incidence would be equality: point and line "
+                             "stabilisers coincide")
 
     def dual(self):
         n, m, k, j = self.n, self.m, self.k, self.j
@@ -70,12 +59,12 @@ class BisParams:
     def __post_init__(self):
         k, m, k1, k2 = self.k, self.m, self.k1, self.k2
         if k < 1 or not (1 <= m < 2 * k):
-            raise BadParamsError("need k >= 1 and 1 <= m < 2k")
+            raise ParamError("need k >= 1 and 1 <= m < 2k")
         if not (0 <= k1 <= k2 <= k):
-            raise BadParamsError("need 0 <= k1 <= k2 <= k")
+            raise ParamError("need 0 <= k1 <= k2 <= k")
         # flag existence: an m-space meeting the halves in k1, k2 dimensions
         if k1 + k2 > m or m > k + k1:
-            raise BadParamsError("no flag exists: need k1+k2 <= m <= k+k1")
+            raise ParamError("no flag exists: need k1+k2 <= m <= k+k1")
 
     @property
     def n(self):
@@ -101,14 +90,14 @@ class Flag(NamedTuple):
 def incident_proj(params, u, w):
     """True iff dim(U meet W) = j, for an m-space U and k-space W."""
     if u.dim != params.m or w.dim != params.k or u.n != params.n or w.n != params.n:
-        raise BadDimensionsError("element dimensions do not match the geometry")
+        raise ValueError("element dimensions do not match the geometry")
     return intersection_dim(u, w) == params.j
 
 
 def incident_bis(params, u, b):
     """True iff the intersection pattern of U with the halves is {k1,k2}."""
     if u.dim != params.m or u.n != params.n or b.n != params.n:
-        raise BadDimensionsError("element dimensions do not match the geometry")
+        raise ValueError("element dimensions do not match the geometry")
     d1 = intersection_dim(u, b.half1)
     d2 = intersection_dim(u, b.half2)
     if d1 > d2:
@@ -128,7 +117,7 @@ def canonical_flag(params):
 def dual_proj(params, element):
     """Perp map element of the geometry -> element of the dual geometry."""
     if element.dim not in (params.m, params.k) or element.n != params.n:
-        raise BadDimensionsError("not a point or line of this geometry")
+        raise ValueError("not a point or line of this geometry")
     return perp(element)
 
 
@@ -136,10 +125,10 @@ def dual_bis(params, element):
     """Perp map for the subspace/bisection family (points and lines)."""
     if isinstance(element, Bisection):
         if element.n != params.n:
-            raise BadDimensionsError("bisection in the wrong ambient space")
+            raise ValueError("bisection in the wrong ambient space")
         return element.dual()
     if element.dim != params.m or element.n != params.n:
-        raise BadDimensionsError("not a point of this geometry")
+        raise ValueError("not a point of this geometry")
     return perp(element)
 
 

@@ -16,25 +16,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .errors import ParamError
 
 MAX_FIELD_ORDER = 2**61
 _TABLE_LIMIT = 1024  # full add/mul tables up to this order
-
-
-class NotPrimeError(ValueError):
-    pass
-
-
-class DegreeZeroError(ValueError):
-    pass
-
-
-class SingularMatrixError(ValueError):
-    pass
-
-
-class DimensionMismatchError(ValueError):
-    pass
 
 
 def is_prime(p):
@@ -118,7 +103,7 @@ def _least_irreducible(p, e):
         coeffs = low + [1]
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found (impossible)")
+    raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
 class FieldSpec:
@@ -167,8 +152,6 @@ class FieldSpec:
     def _build_log_tables(self):
         """log/antilog multiplication for table-limit < q <= 2^16."""
         q = self.q
-        if q > 2**16:
-            raise NotImplementedError("extension fields above 2^16")
         # find a multiplicative generator by order check
         order_target = q - 1
         gen = None
@@ -295,11 +278,13 @@ class FieldSpec:
 def field_make(p, e=1):
     """Construct GF(p^e) with the deterministic modulus convention."""
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise ParamError(f"{p} is not prime")
     if e < 1:
-        raise DegreeZeroError("extension degree must be >= 1")
+        raise ParamError("extension degree must be >= 1")
     if p**e > MAX_FIELD_ORDER:
-        raise ValueError("field order above configured bound 2^61")
+        raise ParamError("field order above configured bound 2^61")
+    if e > 1 and p**e > 2**16:
+        raise ParamError("extension fields above 2^16")
     modulus = () if e == 1 else _least_irreducible(p, e)
     return FieldSpec(p, e, modulus)
 
@@ -360,7 +345,7 @@ def extension_modulus(field, degree):
         coeffs = low + [1]
         if irreducible(coeffs):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found (impossible)")
+    raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +370,7 @@ class Mat:
         if not _trusted:
             for r in entries:
                 if len(r) != self.cols:
-                    raise DimensionMismatchError("ragged rows")
+                    raise ValueError("ragged rows")
                 for x in r:
                     if not (0 <= x < field.q):
                         raise ValueError(f"entry {x} out of range for {field}")
@@ -415,17 +400,13 @@ class Mat:
             Mat(self.field, [() for _ in range(self.cols)])
 
 
-def mat_zero(field, rows, cols):
-    return Mat(field, [[0] * cols for _ in range(rows)])
-
-
 def mat_identity(field, n):
     return Mat(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
 
 def mat_mul(a, b):
     if a.cols != b.rows:
-        raise DimensionMismatchError("inner dimensions differ")
+        raise ValueError("inner dimensions differ")
     f = a.field
     mul, add = f.mul, f.add
     bt = b.entries
@@ -580,16 +561,16 @@ def kernel(m):
 
 
 def mat_inverse(m):
-    """Inverse of a square matrix; raises SingularMatrixError."""
+    """Inverse of a square matrix; raises ValueError if it is singular."""
     if m.rows != m.cols:
-        raise DimensionMismatchError("inverse of non-square matrix")
+        raise ValueError("inverse of non-square matrix")
     f = m.field
     n = m.rows
     aug = [list(r) + [1 if i == j else 0 for j in range(n)]
            for i, r in enumerate(m.entries)]
     red, pivots = _rref_rows(f, aug, 2 * n)
     if len(red) < n or pivots[:n] != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
+        raise ValueError("matrix is singular")
     return Mat(f, [r[n:] for r in red[:n]])
 
 
@@ -630,30 +611,6 @@ def pk_rank(rows, ncols):
     return r
 
 
-# ----------------------------------------------------------------------
-# shared text format: "q n_rows n_cols" then rows of integer codes
-# ----------------------------------------------------------------------
-
-def mat_to_text(m):
-    head = f"{m.field.q} {m.rows} {m.cols}"
-    body = "\n".join(" ".join(str(x) for x in r) for r in m.entries)
-    return head + ("\n" + body if body else "")
-
-
-def mat_from_text(text, field=None):
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    q, nr, nc = (int(x) for x in lines[0].split())
-    if field is None:
-        p, e = factor_prime_power(q)
-        field = field_make(p, e)
-    if field.q != q:
-        raise ValueError("field order mismatch in header")
-    rows = [[int(x) for x in ln.split()] for ln in lines[1:1 + nr]]
-    if len(rows) != nr or any(len(r) != nc for r in rows):
-        raise ValueError("matrix body does not match header dimensions")
-    return Mat(field, rows)
-
-
 def factor_prime_power(q):
     for p in range(2, q + 1):
         if q % p == 0:
@@ -662,8 +619,8 @@ def factor_prime_power(q):
                 q //= p
                 e += 1
             if q != 1:
-                raise ValueError("not a prime power")
+                raise ParamError("not a prime power")
             if not is_prime(p):
-                raise ValueError("not a prime power")
+                raise ParamError("not a prime power")
             return p, e
-    raise ValueError("not a prime power")
+    raise ParamError("not a prime power")

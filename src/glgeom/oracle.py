@@ -43,25 +43,13 @@ from .subspace import (Bisection, bisections, canonical_pair,
                        grassmannian, intersect, intersection_dim, meet_dims,
                        meeting_mask, point_masks, schubert_cell,
                        sorted_grassmannian, span_rows, sum_subspace)
-from .counts import TooLargeError, gaussian
-from .geometry import BadDimensionsError
+from .counts import gaussian
+from .errors import ParamError, TooLargeError
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
 # the closed form for the collinear bisection side lives beside its witness
 from .witness import bis_collinear_predicate  # noqa: F401  (re-export)
-
-
-class AdmissibilityError(ValueError):
-    pass
-
-
-class BadParamsError(ValueError):
-    pass
-
-
-class BaseCaseMissingError(ValueError):
-    pass
 
 
 @dataclass
@@ -98,9 +86,9 @@ def proj_collinear_predicate(n, m, k, j):
     Upper bound evaluated as 2j <= k + max(0, 2m-n), all integers.
     """
     if not (1 <= m < n and 1 <= k < n):
-        raise AdmissibilityError("need 1 <= m,k < n")
+        raise ParamError("need 1 <= m,k < n")
     if not (max(0, m + k - n) <= j <= min(m, k)):
-        raise AdmissibilityError("j outside the admissible interval")
+        raise ParamError("j outside the admissible interval")
     return 2 * j <= k + max(0, 2 * m - n)
 
 
@@ -114,11 +102,11 @@ def bis_concurrent_predicate(q, m, k, k1, k2):
     m > k are reduced through the perp map first.
     """
     if k1 > k2:
-        raise BadParamsError("need k1 <= k2")
+        raise ParamError("need k1 <= k2")
     if m > k:
         m, k1, k2 = 2 * k - m, k - m + k1, k - m + k2
         if k1 < 0:
-            raise BadParamsError("invalid pattern for this point dimension")
+            raise ParamError("invalid pattern for this point dimension")
     if 2 * k2 > m:
         return "complete" if (q, k) == (2, 1) else "incomplete"
     if (k1, k2) == (0, 0):
@@ -248,7 +236,7 @@ def _uncovered_pair(params, lines, firsts):
     incident with lines[a] are kept, and each lines[b] scans them up to
     its first incident one."""
     if any(b.n != params.n for b in lines):
-        raise BadDimensionsError("bisection in the wrong ambient space")
+        raise ValueError("bisection in the wrong ambient space")
     dims = meet_dims(params.field.q, params.n)
     pattern = {(params.k1, params.k2), (params.k2, params.k1)}
 
@@ -399,8 +387,7 @@ def _quotient_avoider(k, field, pi1, pi2, pi1p, pi2p, budget):
                             if all(intersection_dim(sigma, x) == 0
                                    for x in (pi1, pi2, pi1p, pi2p)):
                                 return sigma
-    raise BaseCaseMissingError(
-        "quotient construction exhausted for this quadruple")
+    raise RuntimeError("quotient construction exhausted for this quadruple")
 
 
 def induction_step_check(k, field, quadruples=None, budget=10**7):
@@ -416,7 +403,7 @@ def induction_step_check(k, field, quadruples=None, budget=10**7):
         return True  # the small dimensions are settled directly
     if quadruples is None:
         if bis_concurrent_predicate(q, k - 1, k - 1, 0, 0) != "complete":
-            raise BaseCaseMissingError(
+            raise ParamError(
                 f"concurrent completeness not established at k={k - 1}, q={q}")
         quadruples = _default_quadruples(k, field)
     for bis1, bis2 in quadruples:

@@ -21,7 +21,8 @@ from .gfq import Mat, mat_identity, mat_inverse, mat_mul, mat_rank
 from .subspace import (Bisection, Subspace, apply_mat, coordinate_bisection,
                        disjoint_pairs, grassmannian, image_mask, point_masks,
                        point_permutation, sorted_grassmannian, transport_pair)
-from .counts import TooLargeError, gaussian
+from .counts import gaussian
+from .errors import ParamError, TooLargeError
 
 
 @dataclass
@@ -220,11 +221,14 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     its point permutation and the subspaces' point masks (no re-reduction).
     The bisections are the disjoint index pairs (i, j), i < j, of
     disjoint_pairs, coded as the ints i * nsub + j, so the breadth-first
-    search runs over ints and min(orbit) is the least pair.  Refuses with
-    TooLargeError before any enumeration when the bisection count
-    gaussian(2k,k,q) q^(k^2) / 2 exceeds the budget.  Raises RuntimeError
-    if the pair count or an orbit length contradicts the counting formulas.
+    search runs over ints and min(orbit) is the least pair.  Refuses
+    k < 1 with ParamError, and with TooLargeError before any enumeration
+    when the bisection count gaussian(2k,k,q) q^(k^2) / 2 exceeds the
+    budget.  Raises RuntimeError if the pair count or an orbit length
+    contradicts the counting formulas.
     """
+    if k < 1:
+        raise ParamError("need k >= 1")
     q, n = field.q, 2 * k
     count = gaussian(n, k, q) * q**(k * k) // 2
     if count > budget:

@@ -16,19 +16,7 @@ from itertools import combinations, product
 
 from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
                   pk_rank, rank_of_rows, rref_trim, kernel, vec_mat,
-                  _rref_rows, DimensionMismatchError)
-
-
-class AmbientMismatchError(ValueError):
-    pass
-
-
-class NotInAmbientError(ValueError):
-    pass
-
-
-class NotContainedError(ValueError):
-    pass
+                  _rref_rows)
 
 
 class Subspace:
@@ -38,7 +26,7 @@ class Subspace:
 
     def __init__(self, field, n, basis, _canonical=False):
         if basis.rows and basis.cols != n:
-            raise DimensionMismatchError("basis column count != ambient dim")
+            raise ValueError("basis column count != ambient dim")
         if not _canonical:
             basis, _ = rref_trim(basis)
         if basis.rows == 0 and basis.cols != n:
@@ -93,14 +81,10 @@ class Subspace:
                             v[j] = f.add(v[j], f.mul(c, x))
             yield tuple(v)
 
-    def to_text(self):
-        from .gfq import mat_to_text
-        return mat_to_text(self.basis)
-
 
 def _check_ambient(u, w):
     if u.field != w.field or u.n != w.n:
-        raise AmbientMismatchError("subspaces live in different ambient spaces")
+        raise ValueError("subspaces live in different ambient spaces")
 
 
 def span(n, field, generators):
@@ -110,7 +94,7 @@ def span(n, field, generators):
     else:
         m = Mat(field, generators) if generators else Mat(field, [])
     if generators and m.cols != n:
-        raise DimensionMismatchError("generator length != ambient dim")
+        raise ValueError("generator length != ambient dim")
     if not generators:
         m = Mat(field, [[0] * n])
     return Subspace(field, n, m)
@@ -138,7 +122,7 @@ def coordinate_subspace(field, n, cols):
     rows = []
     for c in sorted(set(cols)):
         if not 0 <= c < n:
-            raise DimensionMismatchError(f"column {c} outside V({n},q)")
+            raise ValueError(f"column {c} outside V({n},q)")
         v = [0] * n
         v[c] = 1
         rows.append(v)
@@ -216,7 +200,7 @@ def is_diagonal(u, y1, y2):
     """True iff U <= Y1 + Y2 and U meets both Y1 and Y2 trivially."""
     amb = sum_subspace(y1, y2)
     if not amb.contains(u):
-        raise NotInAmbientError("subspace not inside Y1 + Y2")
+        raise ValueError("subspace not inside Y1 + Y2")
     return intersection_dim(u, y1) == 0 and intersection_dim(u, y2) == 0
 
 
@@ -232,7 +216,7 @@ def complement(u, inside):
     them, each tested by reduction against an echelon of those rows."""
     _check_ambient(u, inside)
     if not inside.contains(u):
-        raise NotContainedError("first argument not contained in second")
+        raise ValueError("first argument not contained in second")
     field, n = u.field, u.n
     echelon = _echelon(u)
     picked = []
@@ -281,7 +265,7 @@ def project_onto(u, b, c):
     field, n = u.field, u.n
     rows = list(b.basis.entries) + list(c.basis.entries)
     if len(rows) != n:
-        raise DimensionMismatchError("B and C do not decompose the ambient space")
+        raise ValueError("B and C do not decompose the ambient space")
     s = mat_inverse(Mat(field, rows))
     nb = b.dim
     out = []
@@ -343,7 +327,7 @@ class Bisection:
         _check_ambient(a, b)
         n = a.n
         if a.dim != b.dim or 2 * a.dim != n:
-            raise DimensionMismatchError("halves must have dimension n/2")
+            raise ValueError("halves must have dimension n/2")
         if intersection_dim(a, b) != 0:
             raise ValueError("halves are not complementary")
         if b.sort_key() < a.sort_key():
@@ -393,28 +377,11 @@ class Bisection:
     def dual(self):
         return Bisection(perp(self.half1), perp(self.half2))
 
-    def to_text(self):
-        return self.half1.to_text() + "\n\n" + self.half2.to_text()
-
 
 def coordinate_bisection(field, k):
     """{<e_1..e_k>, <e_{k+1}..e_{2k}>} in V(2k, q)."""
     return Bisection(coordinate_subspace(field, 2 * k, range(k)),
                      coordinate_subspace(field, 2 * k, range(k, 2 * k)))
-
-
-def subspace_from_text(text, field=None):
-    from .gfq import mat_from_text
-    m = mat_from_text(text, field)
-    return Subspace(m.field, m.cols, m)
-
-
-def bisection_from_text(text, field=None):
-    blocks = [b for b in text.split("\n\n") if b.strip()]
-    if len(blocks) != 2:
-        raise ValueError("expected two subspace blocks separated by a blank line")
-    return Bisection(subspace_from_text(blocks[0], field),
-                     subspace_from_text(blocks[1], field))
 
 
 # ----------------------------------------------------------------------

@@ -11,15 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counts import TooLargeError
-
-
-class BadSubsetsError(ValueError):
-    pass
-
-
-class BadParamsError(ValueError):
-    pass
+from .errors import ParamError, TooLargeError
 
 
 @dataclass(frozen=True)
@@ -32,11 +24,11 @@ class SubsetGeom:
     def __post_init__(self):
         n, m, k, j = self.n, self.m, self.k, self.j
         if not (1 <= m <= n / 2):
-            raise BadParamsError("need 1 <= m <= n/2")
+            raise ParamError("need 1 <= m <= n/2")
         if not (1 <= k < n):
-            raise BadParamsError("need 1 <= k < n")
+            raise ParamError("need 1 <= k < n")
         if not (max(0, m + k - n) <= j <= min(m, k)):
-            raise BadParamsError("j outside the admissible interval")
+            raise ParamError("j outside the admissible interval")
 
 
 @dataclass(frozen=True)
@@ -47,9 +39,9 @@ class YoungSubgroup:
 
     def __post_init__(self):
         if not self.block or len(self.block) >= self.n:
-            raise BadSubsetsError("block must be nonempty and proper")
+            raise ParamError("block must be nonempty and proper")
         if not all(1 <= x <= self.n for x in self.block):
-            raise BadSubsetsError("block not inside {1..n}")
+            raise ParamError("block not inside {1..n}")
 
     def generators(self):
         """Adjacent transpositions inside the block and inside its complement."""

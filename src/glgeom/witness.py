@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import ParamError, TooLargeError
 from .gfq import (Mat, extension_modulus, mat_inverse, rank_of_rows, rref,
                   vec_mat)
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
@@ -27,31 +28,15 @@ from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                        span_rows, sum_subspace, transport_pair)
 
 
-class NoSuchPairError(ValueError):
-    pass
-
-
-class PreconditionViolatedError(ValueError):
-    pass
-
-
 class PredicateFailsError(ValueError):
-    pass
-
-
-class UnimplementedCaseError(RuntimeError):
-    pass
-
-
-class NotPairwiseDisjointError(ValueError):
-    pass
+    """No witness exists: the closed form refuses these parameters."""
 
 
 def _check(ok, what):
     """An internal consistency check that, unlike assert, survives
     python -O; a failure means a construction does not cover this case."""
     if not ok:
-        raise UnimplementedCaseError(what)
+        raise RuntimeError(what)
 
 
 # ----------------------------------------------------------------------
@@ -92,11 +77,11 @@ def diagonal_pair(y1, y2, r):
     field = y1.field
     q = field.q
     if intersection_dim(y1, y2) != 0:
-        raise PreconditionViolatedError("Y1 and Y2 must be disjoint")
+        raise ParamError("Y1 and Y2 must be disjoint")
     if not (1 <= r <= min(y1.dim, y2.dim)):
-        raise PreconditionViolatedError("need 1 <= r <= min(dim Y1, dim Y2)")
+        raise ParamError("need 1 <= r <= min(dim Y1, dim Y2)")
     if (max(y1.dim, y2.dim), q) == (1, 2):
-        raise NoSuchPairError("a unique diagonal line exists; no disjoint pair")
+        raise ParamError("a unique diagonal line exists; no disjoint pair")
     a, b = (y1, y2) if y1.dim <= y2.dim else (y2, y1)
     es, fs = a.rows(), b.rows()
     add = lambda u, v: add_vecs(field, u, v)
@@ -115,7 +100,7 @@ def diagonal_pair(y1, y2, r):
     z2 = span_rows(field, a.n, z2_rows)
     pair = DiagonalPair(z1, z2, y1, y2)
     if not pair.verify():
-        raise UnimplementedCaseError("diagonal pair construction failed to verify")
+        raise RuntimeError("diagonal pair construction failed to verify")
     return pair
 
 
@@ -198,15 +183,15 @@ def subset_witness(n, m, k, j, t):
     Canonical subsets: M1 = {1..m}, M2 = {m-t+1..2m-t}.
     """
     if not (1 <= m <= n / 2):
-        raise PreconditionViolatedError("need 1 <= m <= n/2")
+        raise ParamError("need 1 <= m <= n/2")
     if not (1 <= k < n):
-        raise PreconditionViolatedError("need 1 <= k < n")
+        raise ParamError("need 1 <= k < n")
     if not (max(0, m + k - n) <= j <= min(m, k)):
-        raise PreconditionViolatedError("inadmissible j")
+        raise ParamError("inadmissible j")
     if not 2 * j <= k:
-        raise PreconditionViolatedError("need 2j <= k")
+        raise ParamError("need 2j <= k")
     if not (0 <= t <= m - 1):
-        raise PreconditionViolatedError("need 0 <= t <= m-1")
+        raise ParamError("need 0 <= t <= m-1")
     m1 = frozenset(range(1, m + 1))
     m2 = frozenset(range(m - t + 1, 2 * m - t + 1))
     if j <= m - t:
@@ -267,18 +252,18 @@ def proj_collinear_witness(n, m, k, j, t, field):
     dim(W meet Ui) = n - dim(shifted Wb + perp Ui) = j.
     """
     if not (max(0, m + k - n) <= j <= min(m, k)):
-        raise PreconditionViolatedError("inadmissible j")
+        raise ParamError("inadmissible j")
     if not (max(0, 2 * m - n) <= t <= m - 1):
-        raise PreconditionViolatedError("overlap t out of range")
+        raise ParamError("overlap t out of range")
     if 2 * j > k + max(0, 2 * m - n):
         raise PredicateFailsError("no such subspace exists at these parameters")
     try:
         w = _proj_witness(n, m, k, j, t, field)
         _, dims = _proj_pair_dims(field, n, m, t, w)
     except ValueError as exc:
-        raise UnimplementedCaseError(f"witness construction failed: {exc}") from exc
+        raise RuntimeError(f"witness construction failed: {exc}") from exc
     if not (w.dim == k and dims == (j, j)):
-        raise UnimplementedCaseError("witness failed verification")
+        raise RuntimeError("witness failed verification")
     return w
 
 
@@ -336,7 +321,7 @@ def complementary_pair_avoiding(ambient, x1, x2, d1, d2):
     q = field.q
     d = x1.dim
     if x2.dim != d or d1 + d2 != ambient.dim or d > min(d1, d2):
-        raise PreconditionViolatedError("dimension bookkeeping failed")
+        raise ParamError("dimension bookkeeping failed")
     if d == 0:
         return _span_slice(ambient, 0, d1), _span_slice(ambient, d1)
     x = direct_sum([x1, x2])
@@ -348,8 +333,8 @@ def complementary_pair_avoiding(ambient, x1, x2, d1, d2):
         a2 = direct_sum([dp.z2, span_rows(field, n, list(cr[d1 - d:]))])
     else:
         if ambient.dim == 2:
-            raise UnimplementedCaseError(
-                "no avoiding split of a 2-dimensional space over GF(2)")
+            raise RuntimeError("no avoiding split of a 2-dimensional space "
+                               "over GF(2)")
         v1, v2 = x1.rows()[0], x2.rows()[0]
         cr = c.rows()
         w, rest = cr[0], list(cr[1:])
@@ -370,7 +355,7 @@ def _assert_avoiding(ambient, x1, x2, a1, a2, d1, d2):
           and all(intersection_dim(a, x) == 0
                   for a in (a1, a2) for x in (x1, x2)))
     if not ok:
-        raise UnimplementedCaseError("avoiding split failed verification")
+        raise RuntimeError("avoiding split failed verification")
 
 
 def bis_collinear_witness(params, t):
@@ -385,9 +370,9 @@ def bis_collinear_witness(params, t):
     field = params.field
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
     if m > k:
-        raise PreconditionViolatedError("apply the duality reduction first (m <= k)")
+        raise ParamError("apply the duality reduction first (m <= k)")
     if not (0 <= t <= m - 1):
-        raise PreconditionViolatedError("need 0 <= t <= m-1")
+        raise ParamError("need 0 <= t <= m-1")
     if not bis_collinear_predicate(q, m, k, k1, k2):
         raise PredicateFailsError("parameters admit no covering bisection")
     try:
@@ -410,10 +395,9 @@ def bis_collinear_witness(params, t):
         _check(b.n == 2 * k, "witness bisection in the wrong ambient space")
         _, patterns = _bis_pair_dims(field, k, m, t, b)
     except ValueError as exc:
-        raise UnimplementedCaseError(f"witness construction failed: {exc}") from exc
+        raise RuntimeError(f"witness construction failed: {exc}") from exc
     if patterns != ((k1, k2), (k1, k2)):
-        raise UnimplementedCaseError(
-            f"witness failed verification at {params} t={t}")
+        raise RuntimeError(f"witness failed verification at {params} t={t}")
     return b
 
 
@@ -512,7 +496,7 @@ _NEAR_HALF_TABLE = {
 def near_half_table_bisection(field, k, t):
     """The tabulated bisection for q=2, m=k, pattern (0, k-1), overlap t."""
     if field.q != 2 or (k, t) not in _NEAR_HALF_TABLE:
-        raise PreconditionViolatedError("no tabulated bisection here")
+        raise ParamError("no tabulated bisection here")
     n = 2 * k
     v1_ix, v2_ix = _NEAR_HALF_TABLE[(k, t)]
 
@@ -618,7 +602,7 @@ def _mid_overlap_witness(params, t):
     _check(ball.dim == 2 * (k1 + k2) - t, "mid overlap: dim B off")
     mbar = m - k1 - k2
     if q == 2 and n - ball.dim == 2 and mbar == 1:
-        raise UnimplementedCaseError("impossible tight configuration reached")
+        raise RuntimeError("impossible tight configuration reached")
     vbar = complement(ball, full_space(field, n))
     d1, d2 = k - 2 * k1 - k2 + t, k - k2
     if mbar == 0:
@@ -859,28 +843,28 @@ def fifth_disjoint(pis, budget=10**7):
     the first disjoint subspace.
     """
     if len(pis) != 4:
-        raise PreconditionViolatedError("need exactly four subspaces")
+        raise ParamError("need exactly four subspaces")
     field = pis[0].field
     n = pis[0].n
     k = pis[0].dim
     q = field.q
     if any(p.dim != k or p.n != n for p in pis) or n != 2 * k:
-        raise PreconditionViolatedError("need four k-subspaces of V(2k,q)")
+        raise ParamError("need four k-subspaces of V(2k,q)")
     if not verify_partial_spread(pis):
-        raise NotPairwiseDisjointError("inputs are not pairwise disjoint")
+        raise ParamError("inputs are not pairwise disjoint")
     if q**k < 4:
-        raise PreconditionViolatedError("need q^k >= 4")
+        raise ParamError("need q^k >= 4")
     if q == 2:
         sigma = _fifth_disjoint_gf2(pis)
         if not all(intersection_dim(sigma, p) == 0 for p in pis):
-            raise UnimplementedCaseError("fifth subspace failed verification")
+            raise RuntimeError("fifth subspace failed verification")
         return sigma
     for steps, cand in enumerate(grassmannian(n, field, k), 1):
         if steps > budget:
-            raise PreconditionViolatedError("scan budget exceeded")
+            raise TooLargeError("scan budget exceeded")
         if all(intersection_dim(cand, p) == 0 for p in pis):
             return cand  # the scan's own test is its verification
-    raise UnimplementedCaseError("no disjoint subspace found (impossible)")
+    raise RuntimeError("no disjoint subspace found (impossible)")
 
 
 def _fifth_disjoint_gf2(pis):
@@ -906,8 +890,8 @@ def _fifth_disjoint_gf2(pis):
     m4 = Mat(field, [vec_mat(r, frame_inv) for r in pi4.rows()])
     red, rank, pivots = rref(m4)
     if rank != k or pivots != list(range(k)):
-        raise UnimplementedCaseError("normalisation failed: fourth space "
-                                     "not a graph over the first")
+        raise RuntimeError("normalisation failed: fourth space "
+                           "not a graph over the first")
     a = Mat(field, [row[k:] for row in red.entries[:k]])
     a_inv = mat_inverse(a)
     new_rows = []

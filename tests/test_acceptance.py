@@ -10,8 +10,8 @@ import pytest
 from glgeom.gfq import field_make
 from glgeom.counts import (disjoint_count_identity_check, f_value, gaussian,
                            h_lower_bound, h_value)
-from glgeom.geometry import (BadParamsError, BisParams,
-                             DegenerateGeometryError, ProjParams)
+from glgeom.errors import ParamError
+from glgeom.geometry import BisParams, ProjParams
 from glgeom.oracle import (bis_collinear_oracle, bis_concurrent_predicate,
                            concurrent_oracle, pair_has_common_point,
                            proj_collinear_oracle, proj_collinear_predicate)
@@ -24,7 +24,7 @@ from glgeom.witness import (PredicateFailsError, bis_collinear_predicate,
                             bis_collinear_witness, canonical_pair,
                             desarguesian_spread, diagonal_pair,
                             diagonal_pair_exists_bruteforce, fifth_disjoint,
-                            near_half_table_bisection, NoSuchPairError,
+                            near_half_table_bisection,
                             proj_collinear_witness, verify_partial_spread,
                             _NEAR_HALF_TABLE)
 from glgeom.orbits import pm_orbits_on_k_spaces
@@ -67,7 +67,7 @@ def test_criterion_1_parabolic_equivalence_suite():
                                 assert not pred, (n, m, k, j, t, q)
                         try:
                             params = ProjParams(n, m, k, j, field)
-                        except DegenerateGeometryError:
+                        except ParamError:
                             continue  # incidence would be equality
                         verdict = proj_collinear_oracle(params)
                         assert verdict.complete == pred, (n, m, k, j, q)
@@ -86,7 +86,7 @@ def test_criterion_2_bisection_collinear_equivalence_suite():
                 for k2 in range(k1, k + 1):
                     try:
                         params = BisParams(k, m, k1, k2, field)
-                    except BadParamsError:
+                    except ParamError:
                         continue
                     pred = bis_collinear_predicate(q, m, k, k1, k2)
                     verdict = bis_collinear_oracle(params)
@@ -131,7 +131,7 @@ def test_criterion_3_concurrent_reproduction(orbit_reps):
                 for k2 in range(k1, k + 1):
                     try:
                         params = BisParams(k, m, k1, k2, field)
-                    except BadParamsError:
+                    except ParamError:
                         continue
                     pred = bis_concurrent_predicate(q, m, k, k1, k2)
                     if pred == "unresolved":
@@ -207,7 +207,7 @@ def test_criterion_6_witness_soundness():
                     for k2 in range(k1, m + 1):
                         try:
                             params = BisParams(k, m, k1, k2, field)
-                        except BadParamsError:
+                        except ParamError:
                             continue
                         for t in range(m):
                             try:
@@ -238,7 +238,8 @@ def test_criterion_6_witness_soundness():
                     if expected:
                         assert diagonal_pair(y1, y2, r).verify()
                     else:
-                        with pytest.raises(NoSuchPairError):
+                        with pytest.raises(ParamError,
+                                           match="unique diagonal line"):
                             diagonal_pair(y1, y2, r)
     # the six tabulated near-half bisections
     for (k, t) in _NEAR_HALF_TABLE:
@@ -316,7 +317,7 @@ def test_criterion_8_duality_suite():
                         try:
                             p = ProjParams(n, m, k, j, field)
                             d = p.dual()
-                        except DegenerateGeometryError:
+                        except ParamError:
                             continue
                         assert proj_collinear_predicate(n, m, k, j) == \
                             proj_collinear_predicate(n, d.m, d.k, d.j)
@@ -329,7 +330,7 @@ def test_criterion_8_duality_suite():
                 for k2 in range(k1, k + 1):
                     try:
                         p = BisParams(k, m, k1, k2, field)
-                    except BadParamsError:
+                    except ParamError:
                         continue
                     direct = bis_collinear_oracle(p).complete
                     dual_direct = bis_collinear_oracle(

@@ -197,3 +197,77 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "orbits", "--q", "2", "--k", "2")
     assert code == 4 and out == ""
     assert err.startswith("internal error:")
+
+
+def exit_code_and_err(capsys, argv):
+    """main's exit code, a usage error's included, and its stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code, prefix", [
+    ("counts --q 1 --k 2 --m 1", 1, "bad parameters: not a prime power"),
+    ("counts --q 0 --k 2 --m 1", 1, "bad parameters: not a prime power"),
+    ("counts --q 6 --k 2 --m 1", 1, "bad parameters: not a prime power"),
+    ("orbits --q 2 --k 0", 1, "bad parameters: need k >= 1"),
+    ("proj-collinear --n 4 --m 2 --k 2 --j 1 --q 131072 --mode predicate",
+     1, "bad parameters: extension fields above 2^16"),
+    ("scan --family proj --qs 2,x", 1, "glgeom scan: error: argument --qs"),
+    # each verb takes only the flags it reads
+    ("counts --q 4 --k 2 --m 1 --certificate", 1, "glgeom: error: unrec"),
+    ("counts --q 4 --k 2 --m 1 --budget 3", 1, "glgeom: error: unrec"),
+    ("weyl --n 4 --m 2 --k 2 --j 1 --certificate", 1, "glgeom: error: unrec"),
+    ("weyl --n 4 --m 2 --k 2 --j 1 --budget 3", 1, "glgeom: error: unrec"),
+    ("orbits --q 2 --k 1 --certificate", 1, "glgeom: error: unrec"),
+    ("scan --family sn --max-n 4 --certificate", 1, "glgeom: error: unrec"),
+    ("bis-concurrent --k 1 --m 1 --k1 0 --k2 1 --q 2 --certificate",
+     1, "glgeom: error: unrec"),
+])
+def test_refusals_at_the_cli_edge(capsys, argv, code, prefix):
+    """Input the engine cannot honour is refused with exit 1 and a
+    one-line reason, never a traceback, numbers, or exit 4."""
+    got, err = exit_code_and_err(capsys, argv.split())
+    assert got == code
+    assert err.startswith(prefix)
+
+
+@pytest.mark.parametrize("module, argv", [
+    ("orbits", "orbits --q 2 --k 2"),
+    ("oracle", "bis-collinear --k 2 --m 2 --k1 0 --k2 2 --q 2 --mode oracle"),
+])
+def test_value_error_inside_a_route_exits_4(capsys, monkeypatch, module,
+                                            argv):
+    """A ValueError from a kernel mid-route is the engine's fault: exit 4,
+    not "bad parameters"."""
+    import importlib
+
+    def broken(subs):
+        raise ValueError("kernel fault")
+    monkeypatch.setattr(importlib.import_module(f"glgeom.{module}"),
+                        "point_masks", broken)
+    code, err = exit_code_and_err(capsys, argv.split())
+    assert code == 4
+    assert err.startswith("internal error: kernel fault\nTraceback")
+    assert err.endswith("ValueError: kernel fault\n")
+
+
+def test_three_exception_classes():
+    """One module decides which failures are the caller's: glgeom defines
+    ParamError and TooLargeError there, and the witness verdict."""
+    import importlib
+    import pkgutil
+
+    import glgeom
+    for info in pkgutil.iter_modules(glgeom.__path__):
+        importlib.import_module(f"glgeom.{info.name}")
+    found, todo = set(), [BaseException]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("glgeom"):
+                found.add(f"{sub.__module__}.{sub.__qualname__}")
+    assert found == {"glgeom.errors.ParamError", "glgeom.errors.TooLargeError",
+                     "glgeom.witness.PredicateFailsError"}

@@ -8,7 +8,8 @@ from glgeom.gfq import field_make
 from glgeom.counts import (disjoint_count_identity_check, f_value,
                            factor_bound_holds, gaussian, h_lower_bound,
                            h_value, restricted_movement_sufficient,
-                           count_disjoint_from_halves, BadRangeError)
+                           count_disjoint_from_halves)
+from glgeom.errors import ParamError
 from glgeom.subspace import grassmannian
 
 
@@ -31,7 +32,7 @@ def test_f_value_examples():
     assert f_value(1, 1, 2) == Fraction(1, 2)
     assert f_value(1, 2, 2) == Fraction(3, 8)
     assert f_value(2, 3, 3) == Fraction(208, 243)
-    with pytest.raises(BadRangeError):
+    with pytest.raises(ParamError, match="need 1 <= r <= s"):
         f_value(2, 1, 2)
 
 
@@ -84,7 +85,7 @@ def test_h_lower_bound_examples():
     assert b > 0 and h_value(3, 4, 2) > b
     for i in (2, 3):
         assert factor_bound_holds(i, 3, 3)
-    with pytest.raises(BadRangeError):
+    with pytest.raises(ParamError, match="need 2 <= a <= k"):
         h_lower_bound(1, 2, 2)
 
 

@@ -3,10 +3,10 @@
 import pytest
 
 from glgeom.gfq import field_make
-from glgeom.geometry import (BadDimensionsError, BadParamsError, BisParams,
-                             DegenerateGeometryError, ProjParams,
-                             canonical_flag, dual_bis, dual_proj,
-                             incident_bis, incident_proj, nondegeneracy_check)
+from glgeom.errors import ParamError
+from glgeom.geometry import (BisParams, ProjParams, canonical_flag,
+                             dual_bis, dual_proj, incident_bis, incident_proj,
+                             nondegeneracy_check)
 from glgeom.orbits import gl_generators, orbit_partition
 from glgeom.subspace import (Bisection, coordinate_subspace, grassmannian,
                              span_rows)
@@ -21,25 +21,25 @@ F3 = field_make(3)
 
 def test_proj_params_validation():
     ProjParams(4, 2, 2, 1, F2)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="j outside the admissible interval"):
         ProjParams(4, 2, 2, 3, F2)      # j > min(m,k)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="need 1 <= m,k < n"):
         ProjParams(4, 4, 2, 1, F2)      # m = n
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="j outside the admissible interval"):
         ProjParams(3, 2, 2, 0, F2)      # j < m+k-n
-    with pytest.raises(DegenerateGeometryError):
+    with pytest.raises(ParamError, match="incidence would be equality"):
         ProjParams(4, 2, 2, 2, F2)      # incidence would be equality
 
 
 def test_bis_params_validation():
     BisParams(2, 2, 0, 1, F2)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="need k >= 1 and 1 <= m < 2k"):
         BisParams(2, 4, 0, 0, F2)       # m = 2k
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="need 0 <= k1 <= k2 <= k"):
         BisParams(2, 1, 1, 0, F2)       # k1 > k2
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="no flag exists"):
         BisParams(2, 1, 1, 1, F2)       # k1 + k2 > m
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="no flag exists"):
         BisParams(2, 3, 0, 0, F2)       # no flag: m > k + k1
 
 
@@ -56,7 +56,7 @@ def test_incident_proj_examples():
     p2 = ProjParams(4, 2, 2, 1, F2)
     assert incident_proj(p2, coordinate_subspace(F2, 4, [0, 1]),
                          coordinate_subspace(F2, 4, [1, 2]))
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(ValueError, match="element dimensions do not match"):
         incident_proj(p, w, w)
 
 

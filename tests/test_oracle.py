@@ -3,10 +3,10 @@
 import pytest
 
 from glgeom.gfq import field_make
-from glgeom.geometry import BadParamsError, BisParams, ProjParams
+from glgeom.errors import ParamError
+from glgeom.geometry import BisParams, ProjParams
 from glgeom.counts import restricted_movement_sufficient, TooLargeError
-from glgeom.oracle import (AdmissibilityError, BaseCaseMissingError,
-                           bis_collinear_oracle, bis_concurrent_predicate,
+from glgeom.oracle import (bis_collinear_oracle, bis_concurrent_predicate,
                            concurrent_oracle, induction_step_check,
                            pair_has_common_point, proj_collinear_oracle,
                            proj_collinear_predicate)
@@ -31,7 +31,7 @@ def test_proj_predicate_examples():
     assert proj_collinear_predicate(4, 2, 2, 1)
     assert not proj_collinear_predicate(6, 3, 3, 2)
     assert proj_collinear_predicate(7, 2, 3, 0)
-    with pytest.raises(AdmissibilityError):
+    with pytest.raises(ParamError, match="j outside the admissible interval"):
         proj_collinear_predicate(4, 2, 2, 3)
 
 
@@ -97,7 +97,7 @@ def test_bis_oracle_duality_coherence():
                 for k2 in range(k1, k + 1):
                     try:
                         p = BisParams(k, m, k1, k2, field)
-                    except BadParamsError:
+                    except ParamError:
                         continue
                     a = bis_collinear_oracle(p).complete
                     b = bis_collinear_oracle(p.dual()).complete
@@ -146,7 +146,7 @@ def test_bis_oracle_matches_per_line_scan(field):
                 for k2 in range(k1, k + 1):
                     try:
                         params = BisParams(k, m, k1, k2, field)
-                    except BadParamsError:
+                    except ParamError:
                         continue
                     want = _first_failing_t(
                         range(max(0, 2 * m - 2 * k), m), field, 2 * k, m,
@@ -257,9 +257,8 @@ def test_bis_collinear_refused_before_masking(monkeypatch):
 def test_common_point_rejects_foreign_bisection():
     """A bisection of another V(n,q) is refused, not masked in the
     numbering of the wrong space."""
-    from glgeom.geometry import BadDimensionsError
     p = BisParams(2, 2, 0, 0, F2)
-    with pytest.raises(BadDimensionsError):
+    with pytest.raises(ValueError, match="bisection in the wrong ambient"):
         pair_has_common_point(p, coordinate_bisection(F2, 2),
                               coordinate_bisection(F2, 3))
 
@@ -330,7 +329,7 @@ def test_concurrent_oracle_matches_incident_bis_scan(q, k):
             for k2 in range(k1, k + 1):
                 try:
                     p = BisParams(k, m, k1, k2, field)
-                except BadParamsError:
+                except ParamError:
                     continue
                 assert concurrent_oracle(p, orbit_reps=reps).complete == \
                     _concurrent_reference(p, reps)
@@ -387,7 +386,7 @@ def test_induction_vacuous_below_three():
 
 
 def test_induction_base_case_guard():
-    with pytest.raises(BaseCaseMissingError):
+    with pytest.raises(ParamError, match="not established at k=2, q=2"):
         induction_step_check(3, F2)   # the k=2, q=2 base is incomplete
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from glgeom.gfq import field_make
-from glgeom.weyl import (BadParamsError, BadSubsetsError, SubsetGeom,
-                         YoungSubgroup, double_coset_count,
+from glgeom.errors import ParamError
+from glgeom.weyl import (SubsetGeom, YoungSubgroup, double_coset_count,
                          subset_geometry_closed_form, subset_geometry_oracle,
                          subset_pair_cover, weyl_triple_check,
                          young_orbit_count)
@@ -14,19 +14,19 @@ from glgeom.orbits import pm_orbits_on_k_spaces
 
 def test_subset_geom_validation():
     SubsetGeom(4, 2, 2, 1)
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="need 1 <= m <= n/2"):
         SubsetGeom(4, 3, 2, 1)     # m > n/2
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="need 1 <= k < n"):
         SubsetGeom(4, 2, 4, 1)     # k = n
-    with pytest.raises(BadParamsError):
+    with pytest.raises(ParamError, match="j outside the admissible interval"):
         SubsetGeom(4, 2, 2, 3)
 
 
 def test_young_subgroup_validation():
     YoungSubgroup(4, frozenset({1, 2}))
-    with pytest.raises(BadSubsetsError):
+    with pytest.raises(ParamError, match="nonempty and proper"):
         YoungSubgroup(4, frozenset())
-    with pytest.raises(BadSubsetsError):
+    with pytest.raises(ParamError, match="nonempty and proper"):
         YoungSubgroup(4, frozenset({1, 2, 3, 4}))
 
 

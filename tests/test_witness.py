@@ -3,19 +3,18 @@
 import pytest
 
 from glgeom.gfq import Mat, field_make, mat_mul, mat_identity
-from glgeom.geometry import BadParamsError, BisParams, incident_bis
+from glgeom.errors import ParamError
+from glgeom.geometry import BisParams, incident_bis
 from glgeom.subspace import (apply_mat, coordinate_subspace,
                              intersection_dim, perp, span_rows,
                              transport_pair)
-from glgeom.witness import (NoSuchPairError, PreconditionViolatedError,
-                            PredicateFailsError, bis_collinear_predicate,
+from glgeom.witness import (PredicateFailsError, bis_collinear_predicate,
                             bis_collinear_witness, canonical_pair,
                             desarguesian_spread,
                             diagonal_pair, diagonal_pair_exists_bruteforce,
                             fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, subset_witness,
-                            verify_partial_spread, NotPairwiseDisjointError,
-                            UnimplementedCaseError)
+                            verify_partial_spread)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -36,7 +35,7 @@ def test_diagonal_pair_examples():
     y2 = coordinate_subspace(F3, 2, [1])
     dp = diagonal_pair(y1, y2, 1)
     assert dp.z1.rows() == ((1, 1),) and dp.z2.rows() == ((1, 2),)
-    with pytest.raises(NoSuchPairError):
+    with pytest.raises(ParamError, match="unique diagonal line"):
         diagonal_pair(coordinate_subspace(F2, 2, [0]),
                       coordinate_subspace(F2, 2, [1]), 1)
     dp2 = diagonal_pair(coordinate_subspace(F2, 4, [0, 1]),
@@ -60,7 +59,8 @@ def test_diagonal_pair_boundary_exhaustive():
                     if expected:
                         assert diagonal_pair(y1, y2, r).verify()
                     else:
-                        with pytest.raises(NoSuchPairError):
+                        with pytest.raises(ParamError,
+                                           match="unique diagonal line"):
                             diagonal_pair(y1, y2, r)
 
 
@@ -125,11 +125,11 @@ def test_subset_witness_properties_exhaustive():
 
 
 def test_subset_witness_preconditions():
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(ParamError, match="need 1 <= m <= n/2"):
         subset_witness(4, 3, 2, 1, 0)      # m > n/2
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(ParamError, match="need 2j <= k"):
         subset_witness(6, 2, 3, 2, 0)      # 2j > k
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(ParamError, match="need 0 <= t <= m-1"):
         subset_witness(6, 2, 3, 1, 2)      # t > m-1
 
 
@@ -213,7 +213,7 @@ def _valid_bis_params(q, kmax):
                 for k2 in range(k1, m + 1):
                     try:
                         yield BisParams(k, m, k1, k2, field)
-                    except BadParamsError:
+                    except ParamError:
                         continue
 
 
@@ -244,7 +244,7 @@ def test_bis_witness_full_coverage(q):
 
 
 def test_bis_witness_requires_m_le_k():
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(ParamError, match="apply the duality reduction first"):
         bis_collinear_witness(BisParams(2, 3, 1, 2, F2), 0)
 
 
@@ -349,23 +349,23 @@ def test_fifth_disjoint_nonstandard_frame():
 
 def test_fifth_disjoint_preconditions():
     spread3 = desarguesian_spread(1, F3)   # 4 points, but q^k = 3 < 4
-    with pytest.raises(PreconditionViolatedError):
+    with pytest.raises(ParamError, match="need q\\^k >= 4"):
         fifth_disjoint(spread3[:4])
     spread = desarguesian_spread(2, F2)
-    with pytest.raises(NotPairwiseDisjointError):
+    with pytest.raises(ParamError, match="not pairwise disjoint"):
         fifth_disjoint([spread[0], spread[1], spread[2], spread[0]])
 
 
 def test_construction_check_raises_unimplemented(monkeypatch):
-    """A failed dimension check inside a construction raises
-    UnimplementedCaseError (an explicit check, kept under python -O), and
-    the CLI reports it as an internal error."""
+    """A failed dimension check inside a construction raises RuntimeError
+    (an explicit check, kept under python -O), and the CLI reports it as
+    an internal error."""
     import glgeom.witness as wt
     from glgeom.cli import main
     params = BisParams(4, 4, 0, 3, F3)   # t = 2 takes the graph completion
     assert bis_collinear_witness(params, 2)
     monkeypatch.setattr(wt, "_graph_rows", lambda field, dom, tgt: [])
-    with pytest.raises(UnimplementedCaseError, match="graph completion"):
+    with pytest.raises(RuntimeError, match="graph completion"):
         bis_collinear_witness(params, 2)
     assert main(["bis-collinear", "--k", "4", "--m", "4", "--k1", "0",
                  "--k2", "3", "--q", "3", "--mode", "witness"]) == 4
@@ -486,7 +486,7 @@ def test_wrong_dual_route_still_fails_the_outer_check(monkeypatch, corrupt):
                 return coordinate_subspace(field, n_, range(k_))
             return real(n_, m_, k_, j_, t_, field)
         monkeypatch.setattr(wt, "_proj_witness", wrong_inner)
-    with pytest.raises(UnimplementedCaseError, match="failed verification"):
+    with pytest.raises(RuntimeError, match="failed verification"):
         proj_collinear_witness(n, m, k, j, t, F3)
     assert main(["proj-collinear", "--n", "6", "--m", "4", "--k", "3",
                  "--j", "2", "--q", "3", "--mode", "witness"]) == 4
