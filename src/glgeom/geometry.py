@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .subspace import (Bisection, bisections, coordinate_subspace,
-                       grassmannian, intersection_dim, perp)
+from .subspace import (Bisection, coordinate_subspace, disjoint_pairs,
+                       grassmannian, intersection_dim, meet_dims, perp,
+                       point_masks, sorted_grassmannian)
 from .counts import gaussian
 from .errors import ParamError, TooLargeError
 
@@ -151,30 +152,56 @@ def _bis_line_count(params):
     return gaussian(2 * params.k, params.k, q) * q ** (params.k**2) // 2
 
 
+def _bis_incidence(params):
+    """Points, lines and incidence of a bisection geometry on the point
+    index: a point is an m-subspace with its point mask, a line an index
+    pair (i, j) of disjoint_pairs over the sorted k-subspaces, and an
+    incidence two popcounts through meet_dims, as in the concurrent
+    oracle.  Also returns the names of a point and a line."""
+    field, n = params.field, params.n
+    spaces = list(grassmannian(n, field, params.m))
+    points = list(zip(spaces, point_masks(spaces)))
+    subs = sorted_grassmannian(n, field, params.k)
+    halves = point_masks(subs)
+    dims = meet_dims(field.q, n)
+    pattern = {(params.k1, params.k2), (params.k2, params.k1)}
+
+    def incident(point, line):
+        u = point[1]
+        return (dims[(u & halves[line[0]]).bit_count()],
+                dims[(u & halves[line[1]]).bit_count()]) in pattern
+
+    def line_name(line):
+        return repr(Bisection._disjoint_sorted(subs[line[0]], subs[line[1]]))
+    return (lambda: points, lambda: disjoint_pairs(subs), incident,
+            lambda point: repr(point[0]), line_name)
+
+
 def nondegeneracy_check(params, budget=10**7):
     """Verify the three non-degeneracy conditions by enumeration.
 
     (i) points and lines finite of size >= 2, (ii) every point on at least
     one line, (iii) every line carries at least one point.  Refuses with
-    TooLargeError above the incidence-test budget.
+    TooLargeError above the incidence-test budget, before listing.
     """
     field = params.field
     if isinstance(params, ProjParams):
         npts, nlin = _proj_sizes(params)
-        points = lambda: grassmannian(params.n, field, params.m)
-        lines = lambda: grassmannian(params.n, field, params.k)
-        inc = lambda u, l: incident_proj(params, u, l)
     else:
         npts = gaussian(2 * params.k, params.m, field.q)
         nlin = _bis_line_count(params)
-        points = lambda: grassmannian(2 * params.k, field, params.m)
-        lines = lambda: bisections(params.k, field)
-        inc = lambda u, l: incident_bis(params, u, l)
     if npts * nlin > budget:
         raise TooLargeError("incidence enumeration exceeds budget")
     if npts < 2 or nlin < 2:
         return NondegeneracyReport(False, npts, nlin, 0,
                                    "point or line set smaller than 2")
+    if isinstance(params, ProjParams):
+        points = lambda: grassmannian(params.n, field, params.m)
+        lines = lambda: grassmannian(params.n, field, params.k)
+        inc = lambda u, l: incident_proj(params, u, l)
+        point_name = line_name = repr
+    else:
+        points, lines, inc, point_name, line_name = _bis_incidence(params)
     nflags = 0
     for u in points():
         deg = 0
@@ -184,9 +211,9 @@ def nondegeneracy_check(params, budget=10**7):
         nflags += deg
         if deg == 0:
             return NondegeneracyReport(False, npts, nlin, nflags,
-                                       f"point {u!r} on no line")
+                                       f"point {point_name(u)} on no line")
     for l in lines():
         if not any(inc(u, l) for u in points()):
             return NondegeneracyReport(False, npts, nlin, nflags,
-                                       f"line {l!r} carries no point")
+                                       f"line {line_name(l)} carries no point")
     return NondegeneracyReport(True, npts, nlin, nflags)

@@ -22,14 +22,32 @@ MAX_FIELD_ORDER = 2**61
 _TABLE_LIMIT = 1024  # full add/mul tables up to this order
 
 
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p):
+    """Deterministic Miller-Rabin over the prime bases 2..37: exact for
+    every p below 318665857834031151167461 (the least strong pseudoprime
+    to all twelve bases), so far beyond MAX_FIELD_ORDER."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _WITNESS_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _WITNESS_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -611,16 +629,22 @@ def pk_rank(rows, ncols):
     return r
 
 
+def _integer_root(q, e):
+    """floor(q^(1/e)) for q >= 1 by integer Newton steps from above."""
+    r = 1 << -(-q.bit_length() // e)  # 2^ceil(bits/e) > q^(1/e)
+    while True:
+        s = ((e - 1) * r + q // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def factor_prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise ParamError("not a prime power")
-            if not is_prime(p):
-                raise ParamError("not a prime power")
-            return p, e
+    """(p, e) with q = p^e, p prime; ParamError for anything else.  Per
+    exponent e the exact integer e-th root r is the only candidate, and
+    p^e = q has at most one solution, so no trial division runs."""
+    for e in range(1, q.bit_length() if q > 1 else 0):
+        r = _integer_root(q, e)
+        if r ** e == q and is_prime(r):
+            return r, e
     raise ParamError("not a prime power")

@@ -6,9 +6,11 @@ bisection-stabiliser orbits go through an index fast path for every q:
 the k-subspaces are indexed once by their projective-point masks
 (subspace.point_masks), each generator permutes the points and so, by
 mask lookup, the indices, and a bisection is an index pair i < j coded as
-one int.  The pairs come from the same point index
+one int.  The pairs come lazily from the same point index
 (subspace.disjoint_pairs), a bitset OR per point instead of a rank test
-per pair.
+per pair, and the search marks codes in one bytearray of nsub^2 bytes:
+no set and no list of pairs is held.  The stabiliser is generated by
+GL(k,q) in the first block and the block swap.
 """
 
 from __future__ import annotations
@@ -121,16 +123,15 @@ def _block_swap(field, k):
 def bisection_stabiliser_generators(b):
     """Generators of the setwise stabiliser of a bisection in GL(2k,q).
 
-    For the coordinate bisection: GL(k) x GL(k) block embeddings plus the
-    block swap (order 2 |GL(k,q)|^2).  Other bisections are conjugated
-    into coordinate position first.
+    For the coordinate bisection: GL(k,q) embedded in the first block plus
+    the block swap, which conjugates each first-block generator into its
+    second-block copy, so they generate GL(k) wr C2 (order 2 |GL(k,q)|^2).
+    Other bisections are conjugated into coordinate position first.
     """
     field, k, n = b.field, b.k, b.n
     coord = coordinate_bisection(field, k)
-    gens = []
-    for g in gl_generators(k, field).generators:
-        gens.append(_embed_block(field, g, n, 0))
-        gens.append(_embed_block(field, g, n, k))
+    gens = [_embed_block(field, g, n, 0)
+            for g in gl_generators(k, field).generators]
     gens.append(_block_swap(field, k))
     if b != coord:
         t = transport_pair(coord.half1, coord.half2, b.half1, b.half2)
@@ -220,12 +221,16 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     canonical order, and each generator becomes an index permutation via
     its point permutation and the subspaces' point masks (no re-reduction).
     The bisections are the disjoint index pairs (i, j), i < j, of
-    disjoint_pairs, coded as the ints i * nsub + j, so the breadth-first
-    search runs over ints and min(orbit) is the least pair.  Refuses
-    k < 1 with ParamError, and with TooLargeError before any enumeration
-    when the bisection count gaussian(2k,k,q) q^(k^2) / 2 exceeds the
-    budget.  Raises RuntimeError if the pair count or an orbit length
-    contradicts the counting formulas.
+    disjoint_pairs, coded as the ints i * nsub + j and consumed as they
+    come.  The search marks codes in one bytearray of nsub^2 bytes, at
+    most about 7 bytes per bisection, so the count budget bounds memory
+    too.  The pairs arrive in increasing code order and orbits are
+    closed, so the pair that starts an orbit is its least, the
+    representative.  Refuses k < 1 with ParamError, and with
+    TooLargeError before any enumeration when the bisection count
+    gaussian(2k,k,q) q^(k^2) / 2 exceeds the budget.  Raises RuntimeError
+    if the pair count or an orbit length contradicts the counting
+    formulas.
     """
     if k < 1:
         raise ParamError("need k >= 1")
@@ -244,33 +249,36 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     for g in gens.generators:
         moved = point_permutation(field, n, g)
         perms.append([index[image_mask(mask, moved)] for mask in masks])
-    pairs = [i * nsub + j for i, j in disjoint_pairs(subs)]
-    if len(pairs) != count:
-        raise RuntimeError(f"{len(pairs)} disjoint pairs of k-subspaces, "
-                           f"expected {count} bisections")
-    seed0 = subs.index(b0.half1) * nsub + subs.index(b0.half2)
-    visited = {seed0}
+    visited = bytearray(nsub * nsub)
+    visited[subs.index(b0.half1) * nsub + subs.index(b0.half2)] = 1
+    listed = 0
     lengths = []
     reps = []
-    for pair in pairs:
-        if pair in visited:
+    for i, j in disjoint_pairs(subs):
+        listed += 1
+        pair = i * nsub + j
+        if visited[pair]:
             continue
-        orbit = {pair}
+        visited[pair] = 1
+        length = 1
         frontier = [pair]
         while frontier:
             nxt = []
             for code in frontier:
-                i, j = divmod(code, nsub)
+                lo, hi = divmod(code, nsub)
                 for perm in perms:
-                    a, b = perm[i], perm[j]
+                    a, b = perm[lo], perm[hi]
                     image = a * nsub + b if a < b else b * nsub + a
-                    if image not in orbit:
-                        orbit.add(image)
+                    if not visited[image]:
+                        visited[image] = 1
                         nxt.append(image)
+            length += len(nxt)
             frontier = nxt
-        visited |= orbit
-        lengths.append(len(orbit))
-        reps.append(min(orbit))
+        lengths.append(length)
+        reps.append(pair)
+    if listed != count:
+        raise RuntimeError(f"{listed} disjoint pairs of k-subspaces, "
+                           f"expected {count} bisections")
     stabiliser_order = 2 * prod(q**k - q**i for i in range(k))**2
     if sum(lengths) != count - 1 or any(stabiliser_order % x for x in lengths):
         raise RuntimeError("orbit lengths contradict the orbit-stabiliser "

@@ -338,7 +338,8 @@ class Bisection:
 
     @classmethod
     def _disjoint_sorted(cls, a, b):
-        """Unchecked {A, B} for disjoint halves, A first: bisections() only."""
+        """Unchecked {A, B} for disjoint halves, A first: only for a pair
+        that disjoint_pairs has proved disjoint."""
         self = cls.__new__(cls)
         self.half1, self.half2, self._hash = a, b, hash((a, b))
         return self

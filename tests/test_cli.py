@@ -91,6 +91,20 @@ def test_unresolved_label(capsys):
     assert "unresolved(paper)" in out
 
 
+@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("k1,verdict", [(0, "complete"), (1, "incomplete")])
+def test_concurrent_data_beyond_the_closed_forms(capsys, q, k1, verdict):
+    """Observed data, not reproduced theorems: at k = m = 2 the closed
+    forms leave (k1, k2) = (0, 1) and (1, 1) unresolved, and the orbit
+    oracle reads complete and incomplete at q = 4 and 5."""
+    code, out, _ = run(capsys, "bis-concurrent", "--k", "2", "--m", "2",
+                       "--k1", str(k1), "--k2", "1", "--q", str(q),
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == {"oracle": verdict,
+                                          "predicate": "unresolved(paper)"}
+
+
 def test_json_determinism(capsys):
     args = ("bis-concurrent", "--k", "2", "--m", "2", "--k1", "0",
             "--k2", "0", "--q", "3", "--format", "json")

@@ -8,8 +8,8 @@ from glgeom.geometry import (BisParams, ProjParams, canonical_flag,
                              dual_bis, dual_proj, incident_bis, incident_proj,
                              nondegeneracy_check)
 from glgeom.orbits import gl_generators, orbit_partition
-from glgeom.subspace import (Bisection, coordinate_subspace, grassmannian,
-                             span_rows)
+from glgeom.subspace import (Bisection, bisections, coordinate_subspace,
+                             grassmannian, span_rows)
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -124,7 +124,6 @@ def test_dual_bis_elements_preserve_incidence():
     p = BisParams(2, 2, 0, 1, F2)
     d = p.dual()
     pts = list(grassmannian(4, F2, 2))
-    from glgeom.subspace import bisections
     for b in bisections(2, F2):
         bd = dual_bis(p, b)
         for u in pts:
@@ -151,6 +150,49 @@ def test_nondegeneracy_examples():
     assert nondegeneracy_check(ProjParams(3, 1, 2, 1, F2)).ok
     assert nondegeneracy_check(BisParams(1, 1, 0, 1, F2)).ok
     assert nondegeneracy_check(ProjParams(4, 2, 2, 0, F2)).ok
+
+
+def _nondegeneracy_by_rank(params, inc):
+    """The bisection-side check as a loop over bisections() objects with a
+    rank-based incidence test: the reference for the point-index path."""
+    points = list(grassmannian(params.n, params.field, params.m))
+    lines = list(bisections(params.k, params.field))
+    nflags = 0
+    for u in points:
+        deg = sum(1 for b in lines if inc(params, u, b))
+        nflags += deg
+        if deg == 0:
+            return (False, len(points), len(lines), nflags,
+                    f"point {u!r} on no line")
+    for b in lines:
+        if not any(inc(params, u, b) for u in points):
+            return (False, len(points), len(lines), nflags,
+                    f"line {b!r} carries no point")
+    return True, len(points), len(lines), nflags, None
+
+
+def _as_tuple(report):
+    return (report.ok, report.num_points, report.num_lines, report.num_flags,
+            report.violation)
+
+
+@pytest.mark.parametrize("k,m,k1,k2", [(1, 1, 0, 1), (2, 1, 0, 0), (2, 2, 0, 1)])
+def test_bis_nondegeneracy_matches_rank_loop(k, m, k1, k2):
+    params = BisParams(k, m, k1, k2, F2)
+    assert _as_tuple(nondegeneracy_check(params)) == \
+        _nondegeneracy_by_rank(params, incident_bis)
+
+
+def test_bis_nondegeneracy_violation_text(monkeypatch):
+    """With every meet read as dimension 0, no point of the (1,1,0,1)
+    geometry is on a line; the report names the first point as the rank
+    loop does with an incidence that never holds."""
+    import glgeom.geometry as geo
+    monkeypatch.setattr(geo, "meet_dims", lambda q, n: {c: 0 for c in range(q**n)})
+    params = BisParams(1, 1, 0, 1, F2)
+    got = _as_tuple(nondegeneracy_check(params))
+    assert got == _nondegeneracy_by_rank(params, lambda *args: False)
+    assert got[-1] == "point Subspace(dim 1 of V(2,2)) on no line"
 
 
 def test_nondegeneracy_budget():

@@ -32,6 +32,25 @@ def test_field_make_errors():
             factor_prime_power(q)
 
 
+def test_factor_prime_power_by_integer_roots():
+    """Exact integer roots and Miller-Rabin: no trial division up to q."""
+    assert factor_prime_power(2**61 - 1) == (2**61 - 1, 1)  # Mersenne prime
+    assert factor_prime_power(3**38) == (3, 38)
+    assert factor_prime_power(1000003**2) == (1000003, 2)
+    # 3215031751 = 151 * 751 * 28351, a strong pseudoprime to bases 2..7
+    for q in (1, 6, 3215031751):
+        with pytest.raises(ParamError, match="not a prime power"):
+            factor_prime_power(q)
+
+
+def test_is_prime_matches_trial_division():
+    from glgeom.gfq import is_prime
+    for n in range(-2, 3000):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, n)))
+    assert not is_prime(3215031751)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+
+
 def test_gf4_modulus_is_unique_irreducible():
     """Enumerate monic degree-2 polynomials over GF(2): x^2+x+1 is the only
     irreducible, so the deterministic modulus choice is forced."""

@@ -183,16 +183,27 @@ def test_golden_orbits_q2_k3():
         assert order % length == 0
 
 
-def test_index_bfs_matches_generic_partition_q3_k2():
+@pytest.mark.parametrize("q,k", [(2, 2), (3, 2)])
+def test_index_bfs_matches_generic_partition(q, k):
     """The index BFS against the independent canonical-form orbit BFS over
     every bisection object except the coordinate one."""
-    b0 = coordinate_bisection(F3, 2)
-    others = [b for b in bisections(2, F3) if b != b0]
+    field = field_make(q)
+    b0 = coordinate_bisection(field, k)
+    others = [b for b in bisections(k, field) if b != b0]
     generic = orbit_partition(bisection_stabiliser_generators(b0), others)
-    report = stabiliser_orbits_on_bisections(2, F3)
+    report = stabiliser_orbits_on_bisections(k, field)
     assert report.orbit_lengths == generic.orbit_lengths
     assert report.representatives == generic.representatives
-    assert report.total == generic.total == 5264
+    assert report.total == generic.total == len(others)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])
+def test_stabiliser_generators_first_block_and_swap(q, k):
+    """GL(k,q) in the first block plus the block swap: the swap conjugates
+    each first-block generator into its second-block copy."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    gens = bisection_stabiliser_generators(coordinate_bisection(field, k))
+    assert len(gens.generators) == len(gl_generators(k, field).generators) + 1
 
 
 def test_orbits_q4_k2():
@@ -202,6 +213,34 @@ def test_orbits_q4_k2():
     assert sum(report.orbit_lengths) == 45695
     order = 2 * gl_order(2, 4)**2
     assert all(order % length == 0 for length in report.orbit_lengths)
+    assert dict(report.multiset()) == {
+        150: 1, 180: 1, 200: 1, 225: 1, 360: 1, 1080: 2, 1200: 2, 1800: 2,
+        2160: 2, 2400: 1, 2700: 1, 3600: 2, 5400: 1, 7200: 2}  # 20 orbits
+
+
+def test_orbits_q5_k2():
+    """(q, k) = (5, 2): observed data, not reference values."""
+    report = stabiliser_orbits_on_bisections(2, field_make(5))
+    assert report.total == sum(report.orbit_lengths) == 251874
+    order = 2 * gl_order(2, 5)**2
+    assert all(order % length == 0 for length in report.orbit_lengths)
+    assert dict(report.multiset()) == {
+        240: 1, 288: 1, 450: 1, 480: 1, 576: 1, 960: 1, 3600: 3, 4800: 2,
+        5760: 2, 7200: 2, 9600: 4, 11520: 1, 14400: 3, 23040: 1,
+        28800: 3}  # 27 orbits
+
+
+def test_bisection_bfs_memory():
+    """The search marks pair codes in one bytearray (nsub^2 = 1600 bytes
+    at (q, k) = (3, 2)) and holds no set or list of the 5265 pairs."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        stabiliser_orbits_on_bisections(2, F3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400_000
 
 
 def test_bisection_budget_refused_before_enumeration(monkeypatch):
