@@ -66,6 +66,7 @@ def _verdict_word(complete):
 
 def cmd_proj_collinear(args):
     field = _field(args.q)
+    params = ProjParams(args.n, args.m, args.k, args.j, field)
     pred = oc.proj_collinear_predicate(args.n, args.m, args.k, args.j)
     payload = {"params": {"family": "proj", "q": args.q, "n": args.n,
                           "m": args.m, "k": args.k, "j": args.j}}
@@ -73,7 +74,6 @@ def cmd_proj_collinear(args):
     if args.mode in ("predicate", "all"):
         results["predicate"] = _verdict_word(pred)
     if args.mode in ("oracle", "all"):
-        params = ProjParams(args.n, args.m, args.k, args.j, field)
         v = oc.proj_collinear_oracle(params, budget=args.budget)
         results["oracle"] = _verdict_word(v.complete)
         if v.failing_t is not None:
@@ -102,6 +102,7 @@ def cmd_proj_collinear(args):
 
 def cmd_bis_collinear(args):
     field = _field(args.q)
+    params = BisParams(args.k, args.m, args.k1, args.k2, field)
     pred = wt.bis_collinear_predicate(args.q, args.m, args.k, args.k1, args.k2)
     payload = {"params": {"family": "bis", "q": args.q, "k": args.k,
                           "m": args.m, "k1": args.k1, "k2": args.k2}}
@@ -109,13 +110,11 @@ def cmd_bis_collinear(args):
     if args.mode in ("predicate", "all"):
         results["predicate"] = _verdict_word(pred)
     if args.mode in ("oracle", "all"):
-        params = BisParams(args.k, args.m, args.k1, args.k2, field)
         v = oc.bis_collinear_oracle(params, budget=args.budget)
         results["oracle"] = _verdict_word(v.complete)
         if v.failing_t is not None:
             payload["failing_t"] = v.failing_t
     if args.mode in ("witness", "all"):
-        params = BisParams(args.k, args.m, args.k1, args.k2, field)
         work = params if params.m <= params.k else params.dual()
         ok = True
         certs = []
@@ -137,6 +136,7 @@ def cmd_bis_collinear(args):
 
 def cmd_bis_concurrent(args):
     field = _field(args.q)
+    params = BisParams(args.k, args.m, args.k1, args.k2, field)
     pred = oc.bis_concurrent_predicate(args.q, args.m, args.k, args.k1, args.k2)
     payload = {"params": {"family": "bis", "q": args.q, "k": args.k,
                           "m": args.m, "k1": args.k1, "k2": args.k2}}
@@ -144,7 +144,6 @@ def cmd_bis_concurrent(args):
     if args.mode in ("predicate", "all"):
         results["predicate"] = pred if pred != "unresolved" else "unresolved(paper)"
     if args.mode in ("oracle", "all"):
-        params = BisParams(args.k, args.m, args.k1, args.k2, field)
         reps = None
         work = params if params.m <= params.k else params.dual()
         if work.k >= 2:

@@ -106,6 +106,19 @@ def incident_bis(params, u, b):
     return (d1, d2) == (params.k1, params.k2)
 
 
+def mask_incident_bis(params):
+    """incident_bis on point masks: incident(u, h1, h2) for the masks of an
+    m-subspace and of a bisection's halves, each meet dimension read off a
+    popcount through meet_dims."""
+    dims = meet_dims(params.field.q, params.n)
+    pattern = {(params.k1, params.k2), (params.k2, params.k1)}
+
+    def incident(u, h1, h2):
+        return (dims[(u & h1).bit_count()], dims[(u & h2).bit_count()]) \
+            in pattern
+    return incident
+
+
 def canonical_flag(params):
     """The flag (<e_1..e_m>, <e_1..e_j, e_{m+1}..e_{k+m-j}>)."""
     n, m, k, j = params.n, params.m, params.k, params.j
@@ -163,17 +176,14 @@ def _bis_incidence(params):
     points = list(zip(spaces, point_masks(spaces)))
     subs = sorted_grassmannian(n, field, params.k)
     halves = point_masks(subs)
-    dims = meet_dims(field.q, n)
-    pattern = {(params.k1, params.k2), (params.k2, params.k1)}
+    on_halves = mask_incident_bis(params)
 
     def incident(point, line):
-        u = point[1]
-        return (dims[(u & halves[line[0]]).bit_count()],
-                dims[(u & halves[line[1]]).bit_count()]) in pattern
+        return on_halves(point[1], halves[line[0]], halves[line[1]])
 
     def line_name(line):
         return repr(Bisection._disjoint_sorted(subs[line[0]], subs[line[1]]))
-    return (lambda: points, lambda: disjoint_pairs(subs), incident,
+    return (lambda: points, lambda: disjoint_pairs(halves), incident,
             lambda point: repr(point[0]), line_name)
 
 

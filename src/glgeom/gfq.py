@@ -7,9 +7,13 @@ is always the lexicographically least monic irreducible of degree e over
 GF(p) (so GF(4) uses x^2+x+1), which makes every canonical form stable
 across runs.
 
-Matrices are immutable row-major tuples.  GF(2) additionally gets a packed
-representation (one int bitmask per row, bit j = column j) used by the
-enumeration-heavy callers; the two representations agree bit for bit.
+Mat is an immutable row-major matrix, for matrices in their own right:
+group elements, charts, changes of basis and their inverses.  A subspace
+is not a Mat: subspace.Subspace keeps its canonical rows as plain tuples,
+which the row kernels here (_rref_rows, rank_of_rows, echelon_insert) take
+directly.  GF(2) additionally gets a packed representation (one int
+bitmask per row, bit j = column j) used by the enumeration-heavy callers;
+the two representations agree bit for bit.
 """
 
 from __future__ import annotations
@@ -375,10 +379,11 @@ class Mat:
 
     Entries are checked to be field codes in equal-length rows, except
     with _trusted=True, which is passed only for rows that are such by
-    construction: elimination output, unit rows, rows of another Mat.
+    construction: elimination output, unit rows, the rows of another Mat
+    or of a Subspace.
     """
 
-    __slots__ = ("field", "rows", "cols", "entries", "_hash")
+    __slots__ = ("field", "rows", "cols", "entries")
 
     def __init__(self, field, entries, cols=None, _trusted=False):
         entries = tuple(tuple(r) for r in entries)
@@ -393,7 +398,6 @@ class Mat:
                     if not (0 <= x < field.q):
                         raise ValueError(f"entry {x} out of range for {field}")
         self.entries = entries
-        self._hash = hash((field.q, self.rows, self.cols, entries))
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
@@ -401,21 +405,10 @@ class Mat:
                 and (self.rows, self.cols) == (other.rows, other.cols))
 
     def __hash__(self):
-        return self._hash
+        return hash((self.field.q, self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"Mat({self.field}, {self.rows}x{self.cols})"
-
-    def sort_key(self):
-        """Deterministic total order: dims, then row-major entries."""
-        return (self.rows, self.cols, self.entries)
-
-    def row(self, i):
-        return self.entries[i]
-
-    def transpose(self):
-        return Mat(self.field, tuple(zip(*self.entries))) if self.rows else \
-            Mat(self.field, [() for _ in range(self.cols)])
 
 
 def mat_identity(field, n):
@@ -544,12 +537,6 @@ def rref(m):
     rank = len(red)
     full = red + [[0] * m.cols for _ in range(m.rows - rank)]
     return Mat(m.field, full, cols=m.cols, _trusted=True), rank, pivots
-
-
-def rref_trim(m):
-    """rref with zero rows dropped."""
-    red, pivots = _rref_rows(m.field, m.entries, m.cols)
-    return Mat(m.field, red, cols=m.cols, _trusted=True), pivots
 
 
 def mat_rank(m):

@@ -45,6 +45,7 @@ from .subspace import (Bisection, bisections, canonical_pair,
                        sorted_grassmannian, span_rows, sum_subspace)
 from .counts import gaussian
 from .errors import ParamError, TooLargeError
+from .geometry import mask_incident_bis
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
@@ -237,12 +238,7 @@ def _uncovered_pair(params, lines, firsts):
     its first incident one."""
     if any(b.n != params.n for b in lines):
         raise ValueError("bisection in the wrong ambient space")
-    dims = meet_dims(params.field.q, params.n)
-    pattern = {(params.k1, params.k2), (params.k2, params.k1)}
-
-    def incident(u, h1, h2):
-        return (dims[(u & h1).bit_count()], dims[(u & h2).bit_count()]) \
-            in pattern
+    incident = mask_incident_bis(params)
     points = point_masks(list(grassmannian(params.n, params.field, params.m)))
     halves = point_masks([h for b in lines for h in b.halves()])
     for a in firsts:

@@ -254,7 +254,7 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     listed = 0
     lengths = []
     reps = []
-    for i, j in disjoint_pairs(subs):
+    for i, j in disjoint_pairs(masks):
         listed += 1
         pair = i * nsub + j
         if visited[pair]:

@@ -1,13 +1,15 @@
 """Canonical subspaces of V(n,q) and the lattice operations on them.
 
-A Subspace is identified with the reduced row echelon form of any spanning
-set, so equality is matrix equality and subspaces hash and sort.  The
-enumeration order of the Grassmannian is fixed: pivot-column sets in
-lexicographic order, then free entries in row-major lexicographic order.
-A listed set of subspaces is indexed by projective points (point_masks):
-one int per subspace with a bit per point it holds, so dim(A meet B) is
-read off the popcount of mask_A & mask_B (meet_dims), and disjointness
-and the action of GL(n,q) become bitset operations.
+A Subspace is stored as the reduced row echelon form of any spanning set:
+a tuple of row tuples, with no matrix object around it.  Equality is
+equality of those row tuples, so subspaces hash and sort.  Subspace(...)
+takes rows that are canonical already; span_rows is the one constructor
+for arbitrary rows.  The enumeration order of the Grassmannian is fixed:
+pivot-column sets in lexicographic order, then free entries in row-major
+lexicographic order.  A listed set of subspaces is indexed by projective
+points (point_masks): one int per subspace with a bit per point it holds,
+so dim(A meet B) is read off the popcount of mask_A & mask_B (meet_dims),
+and disjointness and the action of GL(n,q) become bitset operations.
 """
 
 from __future__ import annotations
@@ -15,35 +17,30 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
-                  pk_rank, rank_of_rows, rref_trim, kernel, vec_mat,
-                  _rref_rows)
+                  pk_rank, rank_of_rows, kernel, vec_mat, _rref_rows)
 
 
 class Subspace:
-    """A subspace of V(n, q), stored as its canonical rref basis."""
+    """A subspace of V(n, q), stored as its canonical rref rows (a tuple of
+    row tuples, no zero rows), which the constructor trusts: span_rows
+    builds one from any other rows."""
 
     __slots__ = ("field", "n", "basis", "packed", "_hash")
 
-    def __init__(self, field, n, basis, _canonical=False):
-        if basis.rows and basis.cols != n:
-            raise ValueError("basis column count != ambient dim")
-        if not _canonical:
-            basis, _ = rref_trim(basis)
-        if basis.rows == 0 and basis.cols != n:
-            basis = Mat(field, [], cols=n)
+    def __init__(self, field, n, rows):
         self.field = field
         self.n = n
-        self.basis = basis
-        self.packed = pack_rows(basis.entries) if field.q == 2 else None
-        self._hash = hash((field.q, n, basis.entries))
+        self.basis = rows
+        self.packed = pack_rows(rows) if field.q == 2 else None
+        self._hash = hash((field.q, n, rows))
 
     @property
     def dim(self):
-        return self.basis.rows
+        return len(self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
-                and self.n == other.n and self.basis.entries == other.basis.entries)
+                and self.n == other.n and self.basis == other.basis)
 
     def __hash__(self):
         return self._hash
@@ -52,23 +49,23 @@ class Subspace:
         return f"Subspace(dim {self.dim} of V({self.n},{self.field.q}))"
 
     def sort_key(self):
-        return (self.dim, self.basis.entries)
+        return (self.dim, self.basis)
 
     def rows(self):
-        return self.basis.entries
+        return self.basis
 
     def contains_vector(self, v):
-        rows = list(self.basis.entries) + [tuple(v)]
+        rows = self.basis + (tuple(v),)
         return rank_of_rows(self.field, rows, self.n) == self.dim
 
     def contains(self, other):
         _check_ambient(self, other)
-        rows = list(self.basis.entries) + list(other.basis.entries)
+        rows = self.basis + other.basis
         return rank_of_rows(self.field, rows, self.n) == self.dim
 
     def vectors(self):
         """All vectors of the subspace (q^dim of them)."""
-        f, rows = self.field, self.basis.entries
+        f, rows = self.field, self.basis
         if not rows:
             yield (0,) * self.n
             return
@@ -87,28 +84,19 @@ def _check_ambient(u, w):
         raise ValueError("subspaces live in different ambient spaces")
 
 
-def span(n, field, generators):
-    """Canonical subspace spanned by the given rows (Mat or row list)."""
-    if isinstance(generators, Mat):
-        m = generators
-    else:
-        m = Mat(field, generators) if generators else Mat(field, [])
-    if generators and m.cols != n:
-        raise ValueError("generator length != ambient dim")
-    if not generators:
-        m = Mat(field, [[0] * n])
-    return Subspace(field, n, m)
-
-
 def span_rows(field, n, rows):
-    """span() for a plain list of row tuples, empty allowed."""
-    if not rows:
-        return zero_subspace(field, n)
-    return Subspace(field, n, Mat(field, rows))
+    """The subspace spanned by any rows of length n, empty allowed: the one
+    constructor that eliminates.  Mat checks the rows are field codes in
+    equal-length rows."""
+    rows = Mat(field, rows, cols=n).entries
+    if rows and len(rows[0]) != n:
+        raise ValueError("basis column count != ambient dim")
+    red, _ = _rref_rows(field, rows, n)
+    return Subspace(field, n, tuple(map(tuple, red)))
 
 
 def zero_subspace(field, n):
-    return Subspace(field, n, Mat(field, [], cols=n), _canonical=True)
+    return Subspace(field, n, ())
 
 
 def full_space(field, n):
@@ -123,11 +111,8 @@ def coordinate_subspace(field, n, cols):
     for c in sorted(set(cols)):
         if not 0 <= c < n:
             raise ValueError(f"column {c} outside V({n},q)")
-        v = [0] * n
-        v[c] = 1
-        rows.append(v)
-    return Subspace(field, n, Mat(field, rows, cols=n, _trusted=True),
-                    _canonical=True)
+        rows.append((0,) * c + (1,) + (0,) * (n - 1 - c))
+    return Subspace(field, n, tuple(rows))
 
 
 def canonical_pair(field, n, m, t):
@@ -157,21 +142,21 @@ def intersection_dim(u, w):
     if u.field.q == 2:
         r = pk_rank(u.packed + w.packed, u.n)
     else:
-        r = rank_of_rows(u.field, list(u.basis.entries) + list(w.basis.entries), u.n)
+        r = rank_of_rows(u.field, u.basis + w.basis, u.n)
     return u.dim + w.dim - r
 
 
 def sum_subspace(u, w):
     _check_ambient(u, w)
-    rows = list(u.basis.entries) + list(w.basis.entries)
-    return span_rows(u.field, u.n, rows)
+    return span_rows(u.field, u.n, u.basis + w.basis)
 
 
 def perp(u):
     """Orthogonal complement under the standard dot product."""
     if u.dim == 0:
         return full_space(u.field, u.n)
-    return Subspace(u.field, u.n, kernel(u.basis), _canonical=True)
+    basis = Mat(u.field, u.basis, _trusted=True)
+    return Subspace(u.field, u.n, kernel(basis).entries)
 
 
 def intersect(u, w):
@@ -188,12 +173,10 @@ def intersect(u, w):
         return u
     field, n = u.field, u.n
     zero = (0,) * n
-    rows = ([r + r for r in u.basis.entries]
-            + [r + zero for r in w.basis.entries])
+    rows = [r + r for r in u.basis] + [r + zero for r in w.basis]
     red, pivots = _rref_rows(field, rows, 2 * n)
-    meet = [r[n:] for r, p in zip(red, pivots) if p >= n]
-    return Subspace(field, n, Mat(field, meet, cols=n, _trusted=True),
-                    _canonical=True)
+    return Subspace(field, n, tuple(tuple(r[n:])
+                                    for r, p in zip(red, pivots) if p >= n))
 
 
 def is_diagonal(u, y1, y2):
@@ -207,7 +190,7 @@ def is_diagonal(u, y1, y2):
 def _echelon(u):
     """U's canonical rows as an echelon for gfq.echelon_insert."""
     return [(next(j for j, x in enumerate(r) if x), r)
-            for r in u.basis.entries]
+            for r in u.basis]
 
 
 def complement(u, inside):
@@ -220,14 +203,13 @@ def complement(u, inside):
     field, n = u.field, u.n
     echelon = _echelon(u)
     picked = []
-    for cand in inside.basis.entries:
+    for cand in inside.basis:
         if len(echelon) == inside.dim:
             break
         if echelon_insert(field, echelon, cand):
             picked.append(cand)
     # rows taken from a canonical basis are the canonical basis of their span
-    return Subspace(field, n, Mat(field, picked, cols=n, _trusted=True),
-                    _canonical=True)
+    return Subspace(field, n, tuple(picked))
 
 
 def direct_sum(parts):
@@ -236,17 +218,11 @@ def direct_sum(parts):
     if not parts:
         raise ValueError("direct_sum of no nonzero parts")
     field, n = parts[0].field, parts[0].n
-    rows = []
-    for p in parts:
-        rows.extend(p.basis.entries)
+    rows = [r for p in parts for r in p.basis]
     s = span_rows(field, n, rows)
     if s.dim != sum(p.dim for p in parts):
         raise ValueError("summands are not independent")
     return s
-
-
-def basis_of(u):
-    return list(u.basis.entries)
 
 
 def add_vecs(field, u, v):
@@ -263,13 +239,13 @@ def project_onto(u, b, c):
     B and C must be complementary subspaces of the full ambient space.
     """
     field, n = u.field, u.n
-    rows = list(b.basis.entries) + list(c.basis.entries)
+    rows = b.basis + c.basis
     if len(rows) != n:
         raise ValueError("B and C do not decompose the ambient space")
     s = mat_inverse(Mat(field, rows))
     nb = b.dim
     out = []
-    for v in u.basis.entries:
+    for v in u.basis:
         coords = vec_mat(v, s)
         w = [0] * n
         for i in range(nb, n):
@@ -286,7 +262,7 @@ def adapted_pair_basis(u1, u2):
     """Full-space basis adapted to a pair: [U1-part, T, U2-part, rest]."""
     field, n = u1.field, u1.n
     t = intersect(u1, u2)
-    rows = basis_of(complement(t, u1)) + basis_of(t) + basis_of(complement(t, u2))
+    rows = list(complement(t, u1).basis + t.basis + complement(t, u2).basis)
     echelon = []
     for r in rows:
         echelon_insert(field, echelon, r)
@@ -311,7 +287,9 @@ def transport_pair(u1, u2, t1, t2):
 
 def apply_mat(u, g):
     """Image subspace U.g under the row action."""
-    return Subspace(u.field, u.n, mat_mul(u.basis, g))
+    if g.rows != u.n:
+        raise ValueError("inner dimensions differ")
+    return span_rows(u.field, u.n, [vec_mat(r, g) for r in u.basis])
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +381,7 @@ def schubert_cell(n, field, pivots):
         rows = [row[:] for row in base]
         for (r, c), v in zip(free, values):
             rows[r][c] = v
-        yield Subspace(field, n, Mat(field, rows, cols=n), _canonical=True)
+        yield Subspace(field, n, tuple(map(tuple, rows)))
 
 
 def grassmannian(n, field, m):
@@ -461,7 +439,7 @@ def point_masks(subs):
     out = []
     for s in subs:
         mask, span = 0, [(0, 0)]  # span: codes of the span of later rows
-        rows = s.basis.entries
+        rows = s.basis
         for i in range(len(rows) - 1, -1, -1):
             code = 0
             for x in rows[i]:
@@ -526,14 +504,13 @@ def meeting_mask(mask, through):
     return meets
 
 
-def disjoint_pairs(subs):
-    """All index pairs (i, j), i < j, with subs[i] meet subs[j] = 0, in
-    order.  Two subspaces meet iff they share a projective point, so the
-    clear bits above bit i of meeting_mask are the partners j of i; only
-    bitsets are held, never the list of pairs."""
-    masks = point_masks(subs)
+def disjoint_pairs(masks):
+    """All index pairs (i, j), i < j, of point masks (point_masks) of
+    subspaces with meet 0, in order.  Two subspaces meet iff they share a
+    projective point, so the clear bits above bit i of meeting_mask are
+    the partners j of i; only bitsets are held, never the list of pairs."""
     through = containing_masks(masks)
-    everything = (1 << len(subs)) - 1
+    everything = (1 << len(masks)) - 1
     for i, mask in enumerate(masks):
         below = (1 << (i + 1)) - 1  # j <= i is never paired with i
         free = everything & ~(meeting_mask(mask, through) | below)
@@ -551,7 +528,7 @@ def bisections(k, field):
     from .counts import gaussian
     subs = sorted_grassmannian(2 * k, field, k)
     listed = 0
-    for i, j in disjoint_pairs(subs):
+    for i, j in disjoint_pairs(point_masks(subs)):
         listed += 1
         yield Bisection._disjoint_sorted(subs[i], subs[j])
     want = gaussian(2 * k, k, field.q) * field.q ** (k * k) // 2

@@ -239,6 +239,17 @@ def exit_code_and_err(capsys, argv):
     ("scan --family sn --max-n 4 --certificate", 1, "glgeom: error: unrec"),
     ("bis-concurrent --k 1 --m 1 --k1 0 --k2 1 --q 2 --certificate",
      1, "glgeom: error: unrec"),
+    # every mode checks the parameters, not only the oracle
+    ("bis-collinear --k 0 --m 1 --k1 0 --k2 0 --q 2 --mode predicate",
+     1, "bad parameters: need k >= 1 and 1 <= m < 2k"),
+    ("bis-collinear --k 1 --m 5 --k1 0 --k2 3 --q 2 --mode predicate",
+     1, "bad parameters: need k >= 1 and 1 <= m < 2k"),
+    ("bis-concurrent --k 2 --m 2 --k1 0 --k2 3 --q 2 --mode predicate",
+     1, "bad parameters: need 0 <= k1 <= k2 <= k"),
+    ("proj-collinear --n 4 --m 2 --k 2 --j 2 --q 2 --mode predicate",
+     1, "bad parameters: incidence would be equality"),
+    ("proj-collinear --n 4 --m 2 --k 2 --j 2 --q 2 --mode witness",
+     1, "bad parameters: incidence would be equality"),
 ])
 def test_refusals_at_the_cli_edge(capsys, argv, code, prefix):
     """Input the engine cannot honour is refused with exit 1 and a

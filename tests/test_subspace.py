@@ -9,7 +9,7 @@ from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
                              coordinate_subspace, direct_sum, disjoint_pairs,
                              full_space, grassmannian, intersect,
                              intersection_dim, is_diagonal, meet_dims, perp,
-                             point_masks, sorted_grassmannian, span,
+                             point_masks, schubert_cell, sorted_grassmannian,
                              span_rows, sum_subspace, transport_pair,
                              apply_mat, zero_subspace)
 
@@ -30,12 +30,12 @@ def e(field, n, *ixs):
 # ---------------------------------------------------------------------
 
 def test_span_examples():
-    u = span(4, F2, Mat(F2, [e(F2, 4, 1), e(F2, 4, 2)]))
+    u = span_rows(F2, 4, [e(F2, 4, 1), e(F2, 4, 2)])
     assert u.dim == 2 and u == coordinate_subspace(F2, 4, [0, 1])
-    v = span(4, F2, Mat(F2, [e(F2, 4, 1), e(F2, 4, 1)]))
+    v = span_rows(F2, 4, [e(F2, 4, 1), e(F2, 4, 1)])
     assert v.dim == 1
-    w = span(3, F2, Mat(F2, [e(F2, 3, 1, 2), e(F2, 3, 2, 3)]))
-    assert w.basis.entries == ((1, 0, 1), (0, 1, 1))
+    w = span_rows(F2, 3, [e(F2, 3, 1, 2), e(F2, 3, 2, 3)])
+    assert w.basis == ((1, 0, 1), (0, 1, 1))
 
 
 def test_intersect_examples():
@@ -222,7 +222,7 @@ def test_bisections_trust_disjoint_pairs(monkeypatch):
 
 def test_bisection_count_6_2_disjoint_pairs():
     subs = sorted_grassmannian(6, F2, 3)
-    assert sum(1 for _ in disjoint_pairs(subs)) == 357120
+    assert sum(1 for _ in disjoint_pairs(point_masks(subs))) == 357120
     assert gaussian(6, 3, 2) * 2**9 // 2 == 357120
 
 
@@ -252,7 +252,7 @@ def test_disjoint_pairs_match_rank_tests(q, k):
     by_rank = [(i, j) for i, a in enumerate(subs)
                for j, b in enumerate(subs[i + 1:], i + 1)
                if intersection_dim(a, b) == 0]
-    assert list(disjoint_pairs(subs)) == by_rank
+    assert list(disjoint_pairs(point_masks(subs))) == by_rank
     assert len(by_rank) == gaussian(2 * k, k, q) * q**(k * k) // 2
 
 
@@ -331,8 +331,8 @@ def _ref_complement(u, inside):
     """Greedy complement with one rank test of the growing stack per row."""
     assert inside.contains(u)
     field, n = u.field, u.n
-    rows, picked = list(u.basis.entries), []
-    for cand in inside.basis.entries:
+    rows, picked = list(u.basis), []
+    for cand in inside.basis:
         if rank_of_rows(field, rows + [cand], n) > len(rows):
             rows.append(cand)
             picked.append(cand)
@@ -416,6 +416,50 @@ def test_coordinate_subspace_is_span_of_unit_rows(q):
                 span_rows(field, n, units), (n, cols)
     with pytest.raises(ValueError):
         coordinate_subspace(F2, 3, [3])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_unreduced_constructors_give_canonical_rows(q):
+    """The constructors that hand Subspace their rows without eliminating
+    (coordinate subspaces, Schubert cells and Grassmannians, meets,
+    complements, perps, the zero and full spaces, the canonical pieces)
+    give the rows span_rows makes of them, on seeded inputs in V(n,q),
+    n <= 6."""
+    import random
+    from itertools import islice
+    p, ex = {4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q, 1))
+    field = field_make(p, ex)
+    rng = random.Random(2000 + q)
+    made = []
+    for n in range(1, 7):
+        made += [zero_subspace(field, n), full_space(field, n)]
+        for m in range(n + 1):
+            if gaussian(n, m, q) <= 2000:
+                made += grassmannian(n, field, m)
+            for t in range(max(0, 2 * m - n), m + 1):
+                made += canonical_pieces(field, n, m, t)
+        for _ in range(6):
+            cols = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
+            made.append(coordinate_subspace(field, n, cols))
+            pivots = sorted(rng.sample(range(n), rng.randint(0, n)))
+            start = rng.randrange(50)
+            made += islice(schubert_cell(n, field, pivots), start, start + 10)
+            u = _random_subspace(rng, field, n, rng.randint(0, n))
+            w = _random_subspace(rng, field, n, rng.randint(0, n))
+            meet = intersect(u, w)
+            made += [meet, complement(meet, u), complement(meet, w),
+                     complement(u, sum_subspace(u, w)), perp(u), perp(w)]
+    for s in made:
+        assert span_rows(field, s.n, s.rows()).rows() == s.rows(), s
+
+
+def test_span_rows_checks_its_rows():
+    with pytest.raises(ValueError, match="ragged rows"):
+        span_rows(F2, 3, [(1, 0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="column count != ambient dim"):
+        span_rows(F2, 3, [(1, 0, 0, 0)])
+    with pytest.raises(ValueError, match="entry 3 out of range for GF"):
+        span_rows(F3, 2, [(1, 3)])
 
 
 @pytest.mark.parametrize("q", [2, 3])
