@@ -2,27 +2,31 @@
 
 Orbit partitions run breadth-first with canonical-form hashing: acting on
 a subspace re-reduces its basis, so equal orbits collide in a dict.  The
-bisection-stabiliser orbits go through an index fast path for every q:
-the k-subspaces are indexed once by their projective-point masks
-(subspace.point_masks), each generator permutes the points and so, by
-mask lookup, the indices, and a bisection is an index pair i < j coded as
-one int.  The pairs come lazily from the same point index
-(subspace.disjoint_pairs), a bitset OR per point instead of a rank test
-per pair, and the search marks codes in one bytearray of nsub^2 bytes:
-no set and no list of pairs is held.  The stabiliser is generated by
-GL(k,q) in the first block and the block swap.
+orbits of the bisection stabiliser H = GL(k,q) wr 2 on bisections never
+list a bisection: the k-subspaces are indexed once by their
+projective-point masks (subspace.point_masks), each generator of H permutes
+the points and so, by mask lookup, the indices, and the few H-orbits on
+the index are found with a Schreier tree.  For each orbit root A, a random
+Schreier-Sims on points (schreier_sims, fed by random_elements) yields
+strong generators of Stab_H(A), proved complete by its order, and their
+orbits on the q^(k^2) complements of A (subspace.meeting_mask) give the
+orbits on bisections through A.  The stabiliser is generated by GL(k,q)
+in the first block and the block swap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from collections import Counter
+from itertools import islice
 from math import prod
+from random import Random
 
 from .gfq import Mat, mat_identity, mat_inverse, mat_mul, mat_rank
-from .subspace import (Bisection, Subspace, apply_mat, coordinate_bisection,
-                       disjoint_pairs, grassmannian, image_mask, point_masks,
-                       point_permutation, sorted_grassmannian, transport_pair)
+from .subspace import (Bisection, Subspace, apply_mat, containing_masks,
+                       coordinate_bisection, grassmannian, mask_points,
+                       meeting_mask, point_masks, point_permutation,
+                       sorted_grassmannian, transport_pair)
 from .counts import gaussian
 from .errors import ParamError, TooLargeError
 
@@ -214,23 +218,130 @@ def orbit_partition(gens, seeds, budget=10**7):
                        [reps[i] for i in order])
 
 
-def stabiliser_orbits_on_bisections(k, field, budget=10**7):
-    """Orbits of the coordinate-bisection stabiliser on all other bisections.
+def _then(a, b):
+    """The point permutation a followed by b."""
+    return [b[x] for x in a]
 
-    Index fast path: the k-subspaces of V(2k,q) are listed once in
-    canonical order, and each generator becomes an index permutation via
-    its point permutation and the subspaces' point masks (no re-reduction).
-    The bisections are the disjoint index pairs (i, j), i < j, of
-    disjoint_pairs, coded as the ints i * nsub + j and consumed as they
-    come.  The search marks codes in one bytearray of nsub^2 bytes, at
-    most about 7 bytes per bisection, so the count budget bounds memory
-    too.  The pairs arrive in increasing code order and orbits are
-    closed, so the pair that starts an orbit is its least, the
-    representative.  Refuses k < 1 with ParamError, and with
-    TooLargeError before any enumeration when the bisection count
-    gaussian(2k,k,q) q^(k^2) / 2 exceeds the budget.  Raises RuntimeError
-    if the pair count or an orbit length contradicts the counting
-    formulas.
+
+def _inverse(a):
+    out = [0] * len(a)
+    for x, y in enumerate(a):
+        out[y] = x
+    return out
+
+
+def random_elements(perms, rng):
+    """Endless random elements of the group that the point permutations
+    generate, by product replacement with an accumulator: at least ten
+    slots start as copies of the generators, each step replaces one slot
+    by its product with another and multiplies the accumulator by it (Celler, Leedham-Green,
+    Murray, Niemeyer & O'Brien, 1995; Leedham-Green & Murray, 2002)."""
+    slots = [perms[i % len(perms)] for i in range(max(10, len(perms)))]
+    acc = list(range(len(perms[0])))
+    steps = 0
+    while True:
+        i, j = rng.sample(range(len(slots)), 2)
+        slots[i] = _then(slots[i], slots[j])
+        acc = _then(acc, slots[i])
+        steps += 1
+        if steps > 50:  # the first steps only mix the slots
+            yield acc
+
+
+def _coset_inverses(point, gens):
+    """{y: the inverse of u_y} over the orbit of point under gens, where
+    u_y is a product of gens carrying point to y (a transversal)."""
+    backs = [_inverse(s) for s in gens]
+    out = {point: list(range(len(gens[0])))}
+    orbit = [point]
+    for x in orbit:
+        for s, back in zip(gens, backs):
+            y = s[x]
+            if y not in out:
+                out[y] = _then(back, out[x])
+                orbit.append(y)
+    return out
+
+
+def schreier_sims(draws, order):
+    """A base and strong generating set, on points, of a group G of the
+    given order, from an iterable of random elements of G (random
+    Schreier-Sims: Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, 2005, ch. 4; Seress, Permutation Group Algorithms, 2003).
+
+    Level i is (b_i, the strong generators fixing b_0..b_(i-1), {y:
+    inverse transversal element} over the basic orbit of b_i).  Each draw
+    is sifted through the levels; a non-trivial residue fixes the base
+    points of the levels it passed, so it joins the generators of those
+    levels and of the one where it stopped, or, if it passed them all,
+    starts a new level at the first point it moves.  The
+    product of the basic orbit lengths never exceeds the order of the
+    group the strong generators generate, and that group lies in G, so
+    once the product equals the order they generate G: the loop stops
+    there.  Raises RuntimeError if the draws run out first.
+    """
+    chain = []
+    draws = iter(draws)
+    while prod(len(level[2]) for level in chain) != order:
+        g = next(draws, None)
+        if g is None:
+            raise RuntimeError("random Schreier-Sims ran out of draws "
+                               f"below the group order {order}")
+        depth = 0
+        for point, _, cosets in chain:
+            back = cosets.get(g[point])
+            if back is None:
+                break
+            g = _then(g, back)
+            depth += 1
+        else:
+            moved = next((x for x, y in enumerate(g) if x != y), None)
+            if moved is None:
+                continue
+            chain.append((moved, [], None))
+        for i in range(depth + 1):
+            point, gens, _ = chain[i]
+            chain[i] = (point, gens + [g], _coset_inverses(point, gens + [g]))
+    return chain
+
+
+_DRAWS = 1000  # random elements per stabiliser, far above what it needs
+
+
+def stabiliser_orbits_on_bisections(k, field, budget=10**7):
+    """Orbits of the coordinate-bisection stabiliser H = GL(k,q) wr 2 on
+    all other bisections, from its orbits on k-subspaces and stabiliser
+    orbits on complements.
+
+    The k-subspaces of V(2k,q) are indexed in canonical order by their
+    point masks (subspace.point_masks), and each generator of H acts on
+    projective points and so, by mask lookup, on the index.
+    1. One breadth-first search finds the H-orbits on the index; the least
+       index A of each is its root, and parent pointers (a Schreier tree)
+       carry any index back to its root.
+    2. Random elements h of H give elements h.u(A.h)^-1 of Stab_H(A), u
+       the tree's transversal; schreier_sims sifts them until the product
+       of the basic orbit lengths is |H| / (|H.A| (q-1)), the order of
+       Stab_H(A) on points (the scalars act trivially), which proves the
+       strong generators generate it.
+    3. The complements of A, the clear bits of its meeting_mask, fall
+       into the orbits C of those generators.
+    4. For B in such an orbit C, the H-orbit of the ordered pair (A, B)
+       has |H.A| |C| pairs.  The reversed pair (B, A), carried to B's
+       root through the tree, lies in the same ordered orbit or another,
+       and the unordered orbit of {A, B} has the same length, halved if
+       the same.  Its least pair (i, j), i < j, has i the lesser of the
+       two roots and j the least complement of i in either ordered
+       orbit, so the representatives are the least pairs, as the search
+       over every bisection gave.
+
+    Refuses k < 1 with ParamError, and with TooLargeError before any
+    enumeration when the bisection count gaussian(2k,k,q) q^(k^2) / 2
+    exceeds the budget.  Raises RuntimeError if the index size, a
+    complement count, a strong generator or the stabiliser order
+    contradicts the counting formulas, or an orbit length the
+    orbit-stabiliser theorem.  The random source is seeded; the report
+    does not depend on it.
     """
     if k < 1:
         raise ParamError("need k >= 1")
@@ -241,53 +352,104 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                             f"budget of {budget}")
     subs = sorted_grassmannian(n, field, k)
     nsub = len(subs)
+    if nsub != gaussian(n, k, q):
+        raise RuntimeError(f"{nsub} {k}-subspaces of V({n},{q}), expected "
+                           f"{gaussian(n, k, q)}")
     masks = point_masks(subs)
     index = {mask: i for i, mask in enumerate(masks)}
     b0 = coordinate_bisection(field, k)
-    gens = bisection_stabiliser_generators(b0)
-    perms = []
-    for g in gens.generators:
-        moved = point_permutation(field, n, g)
-        perms.append([index[image_mask(mask, moved)] for mask in masks])
-    visited = bytearray(nsub * nsub)
-    visited[subs.index(b0.half1) * nsub + subs.index(b0.half2)] = 1
-    listed = 0
-    lengths = []
-    reps = []
-    for i, j in disjoint_pairs(masks):
-        listed += 1
-        pair = i * nsub + j
-        if visited[pair]:
+    gens = [point_permutation(field, n, g)
+            for g in bisection_stabiliser_generators(b0).generators]
+    backs = [_inverse(g) for g in gens]
+    points = [list(mask_points(mask)) for mask in masks]
+
+    def mover(g):
+        """x -> x.g on the index, for a point permutation g."""
+        bits = [1 << y for y in g]
+        return lambda x: index[sum(map(bits.__getitem__, points[x]))]
+    moves = [list(map(mover(g), range(nsub))) for g in gens]
+
+    # 1. H-orbits on the index, with a Schreier tree
+    parent = [None] * nsub  # (index, generator) an index was reached by
+    root_of = [None] * nsub
+    sizes = {}
+    for root in range(nsub):
+        if root_of[root] is None:
+            root_of[root] = root
+            orbit = [root]
+            for x in orbit:
+                for g, move in enumerate(moves):
+                    y = move[x]
+                    if root_of[y] is None:
+                        root_of[y], parent[y] = root, (x, g)
+                        orbit.append(y)
+            sizes[root] = len(orbit)
+    if sum(sizes.values()) != nsub:
+        raise RuntimeError("the subspace orbits do not partition the index")
+
+    def to_root(x):
+        """u(x)^-1 on points: carries x to its root."""
+        t = list(range(len(gens[0])))
+        while parent[x] is not None:
+            x, g = parent[x]
+            t = _then(t, backs[g])
+        return t
+
+    # 2. and 3. stabiliser orbits on the complements of each root
+    group_order = 2 * prod(q**k - q**i for i in range(k))**2
+    elements = random_elements(gens, Random(1))
+    through = containing_masks(masks)
+    everything = (1 << nsub) - 1
+    label = {}      # (root, complement) -> ordered orbit
+    ordered = []    # per ordered orbit: root, length of C, least of C
+    for a, size in sizes.items():
+        comps = list(mask_points(everything
+                                 & ~meeting_mask(masks[a], through)))
+        if len(comps) != q**(k * k):
+            raise RuntimeError(f"{len(comps)} complements of subspace {a}, "
+                               f"expected {q**(k * k)}")
+        order, rest = divmod(group_order, size * (q - 1))
+        draws = (_then(h, to_root(mover(h)(a)))
+                 for h in islice(elements, _DRAWS))
+        chain = schreier_sims(draws, order)
+        strong = chain[0][1] if chain else []
+        if rest or prod(len(level[2]) for level in chain) != order:
+            raise RuntimeError(f"the stabiliser of subspace {a} is not of "
+                               f"order {group_order} / ({size} ({q - 1}))")
+        if any(mover(g)(a) != a for g in strong):
+            raise RuntimeError(f"a strong generator moves subspace {a}")
+        movers = [mover(g) for g in strong]
+        for b in comps:
+            if (a, b) not in label:
+                label[a, b] = len(ordered)
+                orbit = [b]
+                for x in orbit:
+                    for move in movers:
+                        y = move(x)
+                        if (a, y) not in label:
+                            label[a, y] = len(ordered)
+                            orbit.append(y)
+                ordered.append((a, len(orbit), b))
+
+    # 4. unordered orbits, each from the lesser of its two ordered ones
+    own = tuple(sorted(subs.index(half) for half in (b0.half1, b0.half2)))
+    lengths, reps = [], []
+    for o, (a, size, b) in enumerate(ordered):
+        p = label[root_of[b], mover(to_root(b))(a)]
+        if p < o:
             continue
-        visited[pair] = 1
-        length = 1
-        frontier = [pair]
-        while frontier:
-            nxt = []
-            for code in frontier:
-                lo, hi = divmod(code, nsub)
-                for perm in perms:
-                    a, b = perm[lo], perm[hi]
-                    image = a * nsub + b if a < b else b * nsub + a
-                    if not visited[image]:
-                        visited[image] = 1
-                        nxt.append(image)
-            length += len(nxt)
-            frontier = nxt
-        lengths.append(length)
-        reps.append(pair)
-    if listed != count:
-        raise RuntimeError(f"{listed} disjoint pairs of k-subspaces, "
-                           f"expected {count} bisections")
-    stabiliser_order = 2 * prod(q**k - q**i for i in range(k))**2
-    if sum(lengths) != count - 1 or any(stabiliser_order % x for x in lengths):
+        a2, _, b2 = ordered[p]
+        rep = (a, b) if a < a2 else (a2, b2) if a2 < a else (a, min(b, b2))
+        if rep != own:
+            lengths.append(sizes[a] * size // (2 if p == o else 1))
+            reps.append(rep)
+    if sum(lengths) != count - 1 or any(group_order % x for x in lengths):
         raise RuntimeError("orbit lengths contradict the orbit-stabiliser "
-                           f"theorem for a group of order {stabiliser_order}")
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], reps[i]))
-    rep_bisections = [Bisection(subs[reps[i] // nsub], subs[reps[i] % nsub])
-                      for i in order]
-    return OrbitReport(tuple(lengths[i] for i in order), count - 1,
-                       rep_bisections)
+                           f"theorem for a group of order {group_order}")
+    ranked = sorted(range(len(lengths)), key=lambda i: (lengths[i], reps[i]))
+    return OrbitReport(tuple(lengths[i] for i in ranked), count - 1,
+                       [Bisection(subs[reps[i][0]], subs[reps[i][1]])
+                        for i in ranked])
 
 
 def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
@@ -300,30 +462,6 @@ def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
     gens = subspace_stabiliser_generators(m, n, field)
     seeds = list(grassmannian(n, field, k))
     return orbit_partition(gens, seeds, budget=budget)
-
-
-def group_order_by_basis_orbit(gens, n, field, budget=10**7):
-    """|<gens>| as the orbit size of the standard ordered basis.
-
-    The action on ordered bases is free, so the orbit of (e_1,...,e_n)
-    under the generated subgroup has exactly the group order.
-    """
-    start = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    from .gfq import vec_mat
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for basis in frontier:
-            for g in gens.generators:
-                img = tuple(vec_mat(v, g) for v in basis)
-                if img not in seen:
-                    if len(seen) > budget:
-                        raise TooLargeError("basis orbit exceeded budget")
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return len(seen)
 
 
 GOLDEN_ORBITS = {

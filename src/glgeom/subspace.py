@@ -480,11 +480,6 @@ def point_permutation(field, n, g):
     return [number[tuple(vec_mat(v, g))] for v in points]
 
 
-def image_mask(mask, perm):
-    """The mask of the image subspace under a point permutation."""
-    return sum(1 << perm[p] for p in mask_points(mask))
-
-
 def containing_masks(masks):
     """Per projective point, the bitset of the indices i whose masks[i]
     holds it."""

@@ -91,12 +91,12 @@ def test_unresolved_label(capsys):
     assert "unresolved(paper)" in out
 
 
-@pytest.mark.parametrize("q", [4, 5])
+@pytest.mark.parametrize("q", [4, 5, 7, 8])
 @pytest.mark.parametrize("k1,verdict", [(0, "complete"), (1, "incomplete")])
 def test_concurrent_data_beyond_the_closed_forms(capsys, q, k1, verdict):
     """Observed data, not reproduced theorems: at k = m = 2 the closed
     forms leave (k1, k2) = (0, 1) and (1, 1) unresolved, and the orbit
-    oracle reads complete and incomplete at q = 4 and 5."""
+    oracle reads complete and incomplete at q = 4, 5, 7 and 8."""
     code, out, _ = run(capsys, "bis-concurrent", "--k", "2", "--m", "2",
                        "--k1", str(k1), "--k2", "1", "--q", str(q),
                        "--format", "json")
@@ -174,12 +174,12 @@ def test_bis_concurrent_budget_refused_before_orbits(capsys, monkeypatch):
     """--budget reaches the orbit partition at (q,k) = (2,3), which refuses
     before it lists the 1395 3-subspaces of V(6,2)."""
     import glgeom.orbits as ob
-    real = ob.disjoint_pairs
+    real = ob.sorted_grassmannian
 
-    def not_at_k3(subs):
-        assert len(subs) != 1395, "orbit partition at (2,3) enumerated"
-        return real(subs)
-    monkeypatch.setattr(ob, "disjoint_pairs", not_at_k3)
+    def not_at_k3(n, field, m):
+        assert (n, field.q, m) != (6, 2, 3), "orbit partition at (2,3) listed"
+        return real(n, field, m)
+    monkeypatch.setattr(ob, "sorted_grassmannian", not_at_k3)
     code, out, err = run(capsys, "bis-concurrent", "--k", "3", "--m", "3",
                          "--k1", "0", "--k2", "0", "--q", "2",
                          "--budget", "10")
@@ -201,13 +201,15 @@ def test_bis_concurrent_refusal_is_the_orbit_routes(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    """A broken runtime invariant exits 4, not 1 ("bad parameters")."""
+    """A broken runtime invariant exits 4, not 1 ("bad parameters"): here a
+    complement of an orbit root goes missing."""
     import glgeom.orbits as ob
-    real = ob.disjoint_pairs
+    real = ob.meeting_mask
 
-    def drop_one(subs):
-        return list(real(subs))[1:]
-    monkeypatch.setattr(ob, "disjoint_pairs", drop_one)
+    def one_more(mask, through):
+        meets = real(mask, through)
+        return meets | (~meets & (meets + 1))  # the least clear bit
+    monkeypatch.setattr(ob, "meeting_mask", one_more)
     code, out, err = run(capsys, "orbits", "--q", "2", "--k", "2")
     assert code == 4 and out == ""
     assert err.startswith("internal error:")

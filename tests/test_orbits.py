@@ -1,17 +1,23 @@
 """Generator sets, orbit partitions, and the two reference computations."""
 
+from itertools import islice
+from random import Random
+
 import pytest
 
 from glgeom.counts import TooLargeError
 from glgeom.gfq import field_make, mat_identity
 from glgeom.orbits import (GOLDEN_ORBITS, GeneratorSet,
                            bisection_stabiliser_generators, gl_generators,
-                           group_order_by_basis_orbit, orbit_partition,
-                           pm_orbits_on_k_spaces,
+                           orbit_partition, pm_orbits_on_k_spaces,
+                           random_elements, schreier_sims,
                            stabiliser_orbits_on_bisections,
                            subspace_stabiliser_generators)
 from glgeom.subspace import (coordinate_bisection, coordinate_subspace,
-                             grassmannian, intersection_dim, bisections)
+                             grassmannian, intersection_dim, bisections,
+                             point_permutation)
+import orbit_reference
+from orbit_reference import group_order_by_basis_orbit
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -21,6 +27,22 @@ def gl_order(n, q):
     out = 1
     for i in range(n):
         out *= q**n - q**i
+    return out
+
+
+def point_action_order(gens, n, field, order, draws=1000):
+    """The product of the basic orbit lengths that schreier_sims reaches
+    on the point permutations of gens, fed random products of them.  It
+    stops only at the given order, and the product never exceeds the
+    order of the group its strong generators generate, so reaching it
+    shows the group on points has at least that order; RuntimeError if
+    the draws run out first."""
+    perms = [point_permutation(field, n, g) for g in gens.generators]
+    chain = schreier_sims(islice(random_elements(perms, Random(7)), draws),
+                          order)
+    out = 1
+    for _, _, cosets in chain:
+        out *= len(cosets)
     return out
 
 
@@ -39,6 +61,9 @@ def test_gl_generators_generate(n, q):
     field = field_make(q)
     gens = gl_generators(n, field)
     assert group_order_by_basis_orbit(gens, n, field) == gl_order(n, q)
+    # the scalars act trivially on points
+    assert point_action_order(gens, n, field, gl_order(n, q) // (q - 1)) \
+        * (q - 1) == gl_order(n, q)
     # transitive on points
     points = list(grassmannian(n, field, 1))
     report = orbit_partition(gens, points)
@@ -62,18 +87,33 @@ def test_gl_generators_generate(n, q):
 
 
 def test_bisection_stabiliser_orders():
-    assert group_order_by_basis_orbit(
-        bisection_stabiliser_generators(coordinate_bisection(F2, 1)), 2, F2) == 2
-    assert group_order_by_basis_orbit(
-        bisection_stabiliser_generators(coordinate_bisection(F3, 2)), 4, F3) \
-        == 2 * gl_order(2, 3)**2  # 4608
+    gens = bisection_stabiliser_generators(coordinate_bisection(F2, 1))
+    assert group_order_by_basis_orbit(gens, 2, F2) == 2
+    assert point_action_order(gens, 2, F2, 2) == 2
+    gens = bisection_stabiliser_generators(coordinate_bisection(F3, 2))
+    want = 2 * gl_order(2, 3)**2  # 4608
+    assert group_order_by_basis_orbit(gens, 4, F3) == want
+    assert point_action_order(gens, 4, F3, want // 2) * 2 == want
 
 
 @pytest.mark.slow
 def test_bisection_stabiliser_order_k3_q2():
-    got = group_order_by_basis_orbit(
-        bisection_stabiliser_generators(coordinate_bisection(F2, 3)), 6, F2)
-    assert got == 2 * gl_order(3, 2)**2  # 56448
+    gens = bisection_stabiliser_generators(coordinate_bisection(F2, 3))
+    want = 2 * gl_order(3, 2)**2  # 56448
+    assert group_order_by_basis_orbit(gens, 6, F2) == want
+    assert point_action_order(gens, 6, F2, want) == want
+
+
+def test_order_kernel_refuses_an_order_it_cannot_reach():
+    """Without the block swap the generators give GL(2,3) in the first
+    block only, which acts faithfully on points: the product of the basic
+    orbit lengths reaches its order 48 and never the wreath product's,
+    and the draws run out."""
+    gens = bisection_stabiliser_generators(coordinate_bisection(F3, 2))
+    block = GeneratorSet(gens.generators[:-1], "GL(2,3) in the first block")
+    assert point_action_order(block, 4, F3, gl_order(2, 3)) == 48
+    with pytest.raises(RuntimeError, match="ran out of draws"):
+        point_action_order(block, 4, F3, gl_order(2, 3)**2, draws=200)
 
 
 def test_stabiliser_fixes_bisection():
@@ -231,8 +271,9 @@ def test_orbits_q5_k2():
 
 
 def test_bisection_bfs_memory():
-    """The search marks pair codes in one bytearray (nsub^2 = 1600 bytes
-    at (q, k) = (3, 2)) and holds no set or list of the 5265 pairs."""
+    """The route holds per-index lists and, per orbit root, a label per
+    complement (81 at (q, k) = (3, 2)): no array of nsub^2 pair codes and
+    no set or list of the 5265 pairs."""
     import tracemalloc
     tracemalloc.start()
     try:
@@ -249,6 +290,7 @@ def test_bisection_budget_refused_before_enumeration(monkeypatch):
     def forbidden(*args):
         raise AssertionError("enumerated despite the budget")
     monkeypatch.setattr(ob, "grassmannian", forbidden)
+    monkeypatch.setattr(ob, "sorted_grassmannian", forbidden)
     with pytest.raises(TooLargeError, match="333430020 .* 10000000"):
         stabiliser_orbits_on_bisections(3, F3)
     with pytest.raises(TooLargeError, match="357120 .* 1000$"):
@@ -256,24 +298,81 @@ def test_bisection_budget_refused_before_enumeration(monkeypatch):
 
 
 def test_dropped_pair_is_an_internal_error(monkeypatch):
-    """A pair count off the Gaussian formula raises RuntimeError, which the
-    CLI does not report as bad parameters."""
+    """An index one subspace short of gaussian(2k,k,q) raises RuntimeError,
+    which the CLI does not report as bad parameters."""
     import glgeom.orbits as ob
-    real = ob.disjoint_pairs
-
-    def drop_one(subs):
-        return list(real(subs))[1:]
-    monkeypatch.setattr(ob, "disjoint_pairs", drop_one)
-    with pytest.raises(RuntimeError):
+    real = ob.sorted_grassmannian
+    monkeypatch.setattr(ob, "sorted_grassmannian",
+                        lambda n, field, m: real(n, field, m)[1:])
+    with pytest.raises(RuntimeError,
+                       match=r"34 2-subspaces of V\(4,2\), expected 35"):
         stabiliser_orbits_on_bisections(2, F2)
+
+
+# Mutants of the route: each breaks one runtime invariant.
+
+def test_dropped_complement_is_an_internal_error(monkeypatch):
+    """meeting_mask marking one complement of a root as meeting it: the
+    complement count is q^(k^2) - 1."""
+    import glgeom.orbits as ob
+    real = ob.meeting_mask
+
+    def one_more(mask, through):
+        meets = real(mask, through)
+        return meets | (~meets & (meets + 1))  # the least clear bit
+    monkeypatch.setattr(ob, "meeting_mask", one_more)
+    with pytest.raises(RuntimeError, match="80 complements .* expected 81"):
+        stabiliser_orbits_on_bisections(2, F3)
+
+
+def test_short_strong_generating_set_is_an_internal_error(monkeypatch):
+    """A base and strong generating set missing its last level falls short
+    of the stabiliser order."""
+    import glgeom.orbits as ob
+    real = ob.schreier_sims
+    monkeypatch.setattr(ob, "schreier_sims",
+                        lambda draws, order: real(draws, order)[:-1])
+    with pytest.raises(RuntimeError, match="is not of order"):
+        stabiliser_orbits_on_bisections(2, F3)
+
+
+def test_strong_generator_moving_the_root_is_an_internal_error(monkeypatch):
+    """A strong generator that moves its root A is outside Stab_H(A), so
+    the orbits on the complements of A would be wrong."""
+    import glgeom.orbits as ob
+    real = ob.schreier_sims
+    swap = point_permutation(F3, 4, bisection_stabiliser_generators(
+        coordinate_bisection(F3, 2)).generators[-1])
+
+    def with_swap(draws, order):
+        chain = real(draws, order)
+        point, gens, cosets = chain[0]
+        return [(point, gens + [swap], cosets)] + chain[1:]
+    monkeypatch.setattr(ob, "schreier_sims", with_swap)
+    with pytest.raises(RuntimeError, match="strong generator moves"):
+        stabiliser_orbits_on_bisections(2, F3)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2),
+                                 pytest.param(2, 3, marks=pytest.mark.slow),
+                                 (4, 2),
+                                 pytest.param(5, 2, marks=pytest.mark.slow)])
+def test_route_matches_the_reference_search(q, k):
+    """The report equals that of the search over every bisection."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    want = orbit_reference.stabiliser_orbits_on_bisections(k, field)
+    got = stabiliser_orbits_on_bisections(k, field)
+    assert got.orbit_lengths == want.orbit_lengths
+    assert got.representatives == want.representatives
+    assert got.total == want.total
 
 
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (2, 3), (4, 2)])
 def test_point_permutations_match_apply_mat(q, k):
     """Each stabiliser generator permutes the k-subspace index the same
     way through its point permutation as through apply_mat."""
-    from glgeom.subspace import (apply_mat, image_mask, point_masks,
-                                 point_permutation, sorted_grassmannian)
+    from glgeom.subspace import apply_mat, point_masks, sorted_grassmannian
+    from orbit_reference import image_mask
     field = field_make(2, 2) if q == 4 else field_make(q)
     subs = sorted_grassmannian(2 * k, field, k)
     masks = point_masks(subs)
