@@ -10,10 +10,14 @@ across runs.
 Mat is an immutable row-major matrix, for matrices in their own right:
 group elements, charts, changes of basis and their inverses.  A subspace
 is not a Mat: subspace.Subspace keeps its canonical rows as plain tuples,
-which the row kernels here (_rref_rows, rank_of_rows, echelon_insert) take
-directly.  GF(2) additionally gets a packed representation (one int
-bitmask per row, bit j = column j) used by the enumeration-heavy callers;
-the two representations agree bit for bit.
+which the row kernels here take directly: _rref_rows, the one elimination
+(span_rows, kernel, mat_inverse); echelon_insert, which reduces one row
+against canonical rows as they stand (meets and containment at q > 2,
+complements); and rank_of_rows, the rank of a stack of rows (the
+oracle's chart test, and the reference the meet is tested against).
+GF(2) additionally gets a packed representation (one int bitmask per row,
+bit j = column j) used by the enumeration-heavy callers; the two
+representations agree bit for bit.
 """
 
 from __future__ import annotations

@@ -3,13 +3,18 @@
 A Subspace is stored as the reduced row echelon form of any spanning set:
 a tuple of row tuples, with no matrix object around it.  Equality is
 equality of those row tuples, so subspaces hash and sort.  Subspace(...)
-takes rows that are canonical already; span_rows is the one constructor
-for arbitrary rows.  The enumeration order of the Grassmannian is fixed:
-pivot-column sets in lexicographic order, then free entries in row-major
-lexicographic order.  A listed set of subspaces is indexed by projective
-points (point_masks): one int per subspace with a bit per point it holds,
-so dim(A meet B) is read off the popcount of mask_A & mask_B (meet_dims),
-and disjointness and the action of GL(n,q) become bitset operations.
+takes rows that are canonical already (any subset of the rows of a
+canonical basis is one); span_rows is the one constructor for arbitrary
+rows.  Canonical rows are an echelon as they stand, each row's pivot at
+its first 1, so meets and containment reduce the rows of one side against
+the other's basis (gfq.echelon_insert) with no elimination of their
+stack; only at q = 2 is the meet a packed rank.  The enumeration order of
+the Grassmannian is fixed: pivot-column sets in lexicographic order, then
+free entries in row-major lexicographic order.  A listed set of subspaces
+is indexed by projective points (point_masks): one int per subspace with
+a bit per point it holds, so dim(A meet B) is read off the popcount of
+mask_A & mask_B (meet_dims), and disjointness and the action of GL(n,q)
+become bitset operations.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
-                  pk_rank, rank_of_rows, kernel, vec_mat, _rref_rows)
+                  pk_rank, kernel, vec_mat, _rref_rows)
 
 
 class Subspace:
@@ -55,13 +60,13 @@ class Subspace:
         return self.basis
 
     def contains_vector(self, v):
-        rows = self.basis + (tuple(v),)
-        return rank_of_rows(self.field, rows, self.n) == self.dim
+        return not echelon_insert(self.field, _echelon(self), v)
 
     def contains(self, other):
+        """W <= U exactly when every row of W reduces to zero against U."""
         _check_ambient(self, other)
-        rows = self.basis + other.basis
-        return rank_of_rows(self.field, rows, self.n) == self.dim
+        echelon, field = _echelon(self), self.field
+        return not any(echelon_insert(field, echelon, r) for r in other.basis)
 
     def vectors(self):
         """All vectors of the subspace (q^dim of them)."""
@@ -85,11 +90,15 @@ def _check_ambient(u, w):
 
 
 def span_rows(field, n, rows):
-    """The subspace spanned by any rows of length n, empty allowed: the one
-    constructor that eliminates.  Mat checks the rows are field codes in
-    equal-length rows."""
-    rows = Mat(field, rows, cols=n).entries
-    if rows and len(rows[0]) != n:
+    """The subspace spanned by a sequence of rows of length n, empty
+    allowed: the one constructor that eliminates.  The rows are checked to
+    be field codes of length n by min and max over them; only when that
+    fails is a Mat built, whose entry-by-entry check names the ragged row
+    or the bad entry."""
+    if rows and not (min(map(len, rows)) == max(map(len, rows)) == n and (
+            n == 0 or 0 <= min(map(min, rows))
+            and max(map(max, rows)) < field.q)):
+        Mat(field, rows)  # raises for a ragged row or a bad entry
         raise ValueError("basis column count != ambient dim")
     red, _ = _rref_rows(field, rows, n)
     return Subspace(field, n, tuple(map(tuple, red)))
@@ -137,13 +146,18 @@ def canonical_pieces(field, n, m, t):
 
 
 def intersection_dim(u, w):
-    """dim(U meet W) via the rank of the stacked bases."""
+    """dim(U meet W).  At q = 2 it is dim U + dim W minus the packed rank
+    of the stacked bases.  Otherwise the rows of the smaller side W are
+    reduced against the canonical rows of the larger, an echelon as they
+    stand: each row that does not reduce to zero adds one to dim(U + W),
+    so the meet is dim W minus the rows kept."""
     _check_ambient(u, w)
     if u.field.q == 2:
-        r = pk_rank(u.packed + w.packed, u.n)
-    else:
-        r = rank_of_rows(u.field, u.basis + w.basis, u.n)
-    return u.dim + w.dim - r
+        return u.dim + w.dim - pk_rank(u.packed + w.packed, u.n)
+    if u.dim < w.dim:
+        u, w = w, u
+    echelon, field = _echelon(u), u.field
+    return w.dim - sum(echelon_insert(field, echelon, r) for r in w.basis)
 
 
 def sum_subspace(u, w):
@@ -188,9 +202,9 @@ def is_diagonal(u, y1, y2):
 
 
 def _echelon(u):
-    """U's canonical rows as an echelon for gfq.echelon_insert."""
-    return [(next(j for j, x in enumerate(r) if x), r)
-            for r in u.basis]
+    """U's canonical rows as an echelon for gfq.echelon_insert: a row's
+    pivot is its first nonzero entry, a 1."""
+    return [(r.index(1), r) for r in u.basis]
 
 
 def complement(u, inside):

@@ -304,8 +304,9 @@ def bis_collinear_predicate(q, m, k, k1, k2):
 
 
 def _span_slice(space, a, b=None):
-    rows = space.rows()
-    return span_rows(space.field, space.n, list(rows[a:b]))
+    """The span of a run of space's canonical rows: rows taken from an
+    rref basis are the rref basis of their span, so none is eliminated."""
+    return Subspace(space.field, space.n, space.rows()[a:b])
 
 
 def _graph_rows(field, dom_rows, target_rows):
@@ -329,22 +330,21 @@ def complementary_pair_avoiding(ambient, x1, x2, d1, d2):
     if (d, q) != (1, 2):
         dp = diagonal_pair(x1, x2, d)
         cr = c.rows()
-        a1 = direct_sum([dp.z1, span_rows(field, n, list(cr[:d1 - d]))])
-        a2 = direct_sum([dp.z2, span_rows(field, n, list(cr[d1 - d:]))])
+        a1 = direct_sum([dp.z1, Subspace(field, n, cr[:d1 - d])])
+        a2 = direct_sum([dp.z2, Subspace(field, n, cr[d1 - d:])])
     else:
         if ambient.dim == 2:
             raise RuntimeError("no avoiding split of a 2-dimensional space "
                                "over GF(2)")
         v1, v2 = x1.rows()[0], x2.rows()[0]
         cr = c.rows()
-        w, rest = cr[0], list(cr[1:])
-        mixed = [add_vecs(field, v1, v2), add_vecs(field, v1, w)]
+        mixed = [add_vecs(field, v1, v2), add_vecs(field, v1, cr[0])]
         if d2 >= 2:
-            a1 = span_rows(field, n, [w] + rest[:d1 - 1])
-            a2 = span_rows(field, n, mixed + rest[d1 - 1:])
+            a1 = Subspace(field, n, cr[:d1])
+            a2 = span_rows(field, n, mixed + list(cr[d1:]))
         else:
-            a2 = span_rows(field, n, [w] + rest[:d2 - 1])
-            a1 = span_rows(field, n, mixed + rest[d2 - 1:])
+            a2 = Subspace(field, n, cr[:d2])
+            a1 = span_rows(field, n, mixed + list(cr[d2:]))
     _assert_avoiding(ambient, x1, x2, a1, a2, d1, d2)
     return a1, a2
 
@@ -424,7 +424,7 @@ def _disjoint_pattern_witness(params, t):
     cr = c.rows()
     if not a_fail and not b_fail:
         c1 = span_rows(field, n, list(tt.rows()) + list(cr[:k - m]))
-        c2 = span_rows(field, n, list(cr[k - m:]))
+        c2 = Subspace(field, n, cr[k - m:])
         dp = diagonal_pair(p1, p2, m - t)
         if k - m + t > 0:
             ep = diagonal_pair(c1, c2, k - m + t)
@@ -434,8 +434,8 @@ def _disjoint_pattern_witness(params, t):
             v1, v2 = dp.z1, dp.z2
         return Bisection(v1, v2)
     if a_fail:
-        c3 = span_rows(field, n, list(cr[:k - m + t]))
-        c4 = span_rows(field, n, list(cr[k - m + t:]))
+        c3 = Subspace(field, n, cr[:k - m + t])
+        c4 = Subspace(field, n, cr[k - m + t:])
         if m <= k - 1:
             d1 = maximal_diagonal(p1, p2)
             v1 = direct_sum([d1, c3]) if c3.dim else d1
@@ -444,8 +444,8 @@ def _disjoint_pattern_witness(params, t):
             return Bisection(v1, v2)
         w1, w2, b = _own_pair_high_overlap(field, k)
     elif m == k - 1 and t == 0:  # b_fail only
-        c3 = span_rows(field, n, list(cr[:1]))
-        c4 = span_rows(field, n, list(cr[1:]))
+        c3 = Subspace(field, n, cr[:1])
+        c4 = Subspace(field, n, cr[1:])
         dp = diagonal_pair(p1, p2, m)
         v1 = direct_sum([dp.z1, c3])
         v2 = direct_sum([dp.z2, c4])
@@ -540,8 +540,8 @@ def _small_overlap_witness(params, t):
     r1, r2 = c1.rows(), c2.rows()
     u12 = span_rows(field, n, list(tt.rows()) + list(r1[:k1 - t]))
     u22 = span_rows(field, n, list(tt.rows()) + list(r2[:k2 - t]))
-    u11 = span_rows(field, n, list(r1[k1 - t:k1 - t + k2]))
-    u21 = span_rows(field, n, list(r2[k2 - t:k2 - t + k1]))
+    u11 = Subspace(field, n, r1[k1 - t:k1 - t + k2])
+    u21 = Subspace(field, n, r2[k2 - t:k2 - t + k1])
     b1 = direct_sum([u11, u21]) if u21.dim else u11
     b2 = sum_subspace(u12, u22)
     _check(b2.dim == k1 + k2 - t, "small overlap: dim B2 off")
@@ -587,7 +587,7 @@ def _mid_overlap_witness(params, t):
     u1, u2 = canonical_pair(field, n, m, t)
     tt, c1, c2, _ = canonical_pieces(field, n, m, t)
     tr = tt.rows()
-    u12 = span_rows(field, n, list(tr[:k1]))
+    u12 = Subspace(field, n, tr[:k1])
     r2 = c2.rows()
     u22 = span_rows(field, n, list(u12.rows()) + list(r2[:k2 - k1]))
     s = complement(u12, tt)  # (t - k1)-dimensional
@@ -625,11 +625,11 @@ def _balanced_overlap_witness(params, t):
     u1, u2 = canonical_pair(field, n, m, t)
     tt, c1, c2, _ = canonical_pieces(field, n, m, t)
     tr = tt.rows()
-    u11 = span_rows(field, n, list(tr[:k1]))
-    u22 = span_rows(field, n, list(tr[k1:2 * k1]))
+    u11 = Subspace(field, n, tr[:k1])
+    u22 = Subspace(field, n, tr[k1:2 * k1])
     u12 = span_rows(field, n, list(u22.rows()) + list(c1.rows()[:k2 - k1]))
     u21 = span_rows(field, n, list(u11.rows()) + list(c2.rows()[:k2 - k1]))
-    t3 = span_rows(field, n, list(tr[2 * k1:]))  # dim t - 2 k1
+    t3 = Subspace(field, n, tr[2 * k1:])  # dim t - 2 k1
     core_parts = [p for p in (u12, u21, t3) if p.dim]
     core = direct_sum(core_parts)
     vbar = complement(core, full_space(field, n))
@@ -644,9 +644,9 @@ def _balanced_overlap_witness(params, t):
     else:
         ub1 = ub2 = None
         rest = vbar
-    t1 = span_rows(field, n, list(rest.rows()[:t - 2 * k1]))
+    t1 = Subspace(field, n, rest.rows()[:t - 2 * k1])
     t2 = maximal_diagonal(t1, t3)
-    after = span_rows(field, n, list(rest.rows()[t - 2 * k1:]))
+    after = Subspace(field, n, rest.rows()[t - 2 * k1:])
     half = k - m + k1
     s1 = _span_slice(after, 0, half)
     s2 = _span_slice(after, half, 2 * half)
@@ -674,15 +674,15 @@ def _deep_overlap_graph_witness(params, t):
     m, k, k1, k2 = params.m, params.k, params.k1, params.k2
     n = 2 * k
     tt, c1, c2, cc = canonical_pieces(field, n, m, t)
-    v21 = span_rows(field, n, list(c1.rows()[:k2 - t]))
-    ub1 = span_rows(field, n, list(c1.rows()[k2 - t:]))
-    v22 = span_rows(field, n, list(c2.rows()[:k2 - t]))
-    ub2 = span_rows(field, n, list(c2.rows()[k2 - t:]))
+    v21 = Subspace(field, n, c1.rows()[:k2 - t])
+    ub1 = Subspace(field, n, c1.rows()[k2 - t:])
+    v22 = Subspace(field, n, c2.rows()[:k2 - t])
+    ub2 = Subspace(field, n, c2.rows()[k2 - t:])
     t2 = direct_sum([p for p in (v21, v22, tt) if p.dim])
     ccr = cc.rows()
     split = k + 2 * k2 - 2 * m
-    cc1 = span_rows(field, n, list(ccr[:split]))
-    cc2 = span_rows(field, n, list(ccr[split:]))
+    cc1 = Subspace(field, n, ccr[:split])
+    cc2 = Subspace(field, n, ccr[split:])
     v2 = direct_sum([p for p in (cc2, t2) if p.dim])
     v11_rows = list(ub1.rows()[:k1])
     v12_rows = list(ub2.rows()[:k1])
@@ -706,13 +706,13 @@ def _deep_split(params, t):
     n = 2 * k
     tt, ub1, ub2, cc = canonical_pieces(field, n, m, t)
     tr = tt.rows()
-    t13 = span_rows(field, n, list(tr[:t - k2]))
-    t2 = span_rows(field, n, list(tr[t - k2:]))
+    t13 = Subspace(field, n, tr[:t - k2])
+    t2 = Subspace(field, n, tr[t - k2:])
     ccr = cc.rows()
     a, b = m - t, k - k2 - m + t
-    cc1 = span_rows(field, n, list(ccr[:a]))
-    cc2 = span_rows(field, n, list(ccr[a:a + b]))
-    cc3 = span_rows(field, n, list(ccr[a + b:]))
+    cc1 = Subspace(field, n, ccr[:a])
+    cc2 = Subspace(field, n, ccr[a:a + b])
+    cc3 = Subspace(field, n, ccr[a + b:])
     v2 = direct_sum([p for p in (cc1, cc2, t2) if p.dim])
     return t13, t2, ub1, ub2, cc1, cc2, cc3, v2
 

@@ -460,6 +460,76 @@ def test_span_rows_checks_its_rows():
         span_rows(F2, 3, [(1, 0, 0, 0)])
     with pytest.raises(ValueError, match="entry 3 out of range for GF"):
         span_rows(F3, 2, [(1, 3)])
+    with pytest.raises(ValueError, match="entry -1 out of range for GF"):
+        span_rows(F3, 2, [(1, 0), (0, -1)])
+    with pytest.raises(ValueError, match="ragged rows"):
+        span_rows(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1, 0)])
+    assert span_rows(F3, 2, []) == span_rows(F3, 2, ()) == zero_subspace(F3, 2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_canonical_row_slices_span_themselves(q):
+    """A run of rows of an rref basis is the rref basis of its span, so
+    the constructions that take s.rows()[a:b] as they are need no
+    elimination: every contiguous slice of seeded random canonical bases
+    in V(n,q), n <= 9, is what span_rows makes of it."""
+    import random
+    p, ex = {4: (2, 2), 9: (3, 2)}.get(q, (q, 1))
+    field = field_make(p, ex)
+    rng = random.Random(3000 + q)
+    for n in range(1, 10):
+        for _ in range(4):
+            s = _random_subspace(rng, field, n, rng.randint(0, n))
+            rows = s.rows()
+            for a in range(len(rows) + 1):
+                for b in range(a, len(rows) + 1):
+                    assert span_rows(field, n, rows[a:b]).rows() == \
+                        rows[a:b], (s, a, b)
+
+
+def _meet_pairs(rng, field):
+    """Seeded pairs in V(n,q), n <= 12: the zero space and V against a
+    random subspace, equal subspaces, coordinate pairs, nested pairs and
+    random pairs of random dimensions."""
+    for n in range(1, 13):
+        u = _random_subspace(rng, field, n, rng.randint(0, n))
+        yield zero_subspace(field, n), u
+        yield full_space(field, n), u
+        yield u, span_rows(field, n, u.rows())
+        for _ in range(3):
+            a, b = (rng.sample(range(n), rng.randint(0, n)) for _ in range(2))
+            yield (coordinate_subspace(field, n, a),
+                   coordinate_subspace(field, n, b))
+            yield u, _random_subspace(rng, field, n, rng.randint(0, u.dim), u)
+            yield (_random_subspace(rng, field, n, rng.randint(0, n)),
+                   _random_subspace(rng, field, n, rng.randint(0, n)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_meet_and_containment_match_rank_reference(q):
+    """intersection_dim, contains and contains_vector against the rank of
+    the stacked bases (rank_of_rows, the elimination the meet no longer
+    runs), both ways round; where q^n <= 4096 the meet also equals the
+    popcount of the point masks."""
+    import random
+    p, ex = {4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q, 1))
+    field = field_make(p, ex)
+    rng = random.Random(4000 + q)
+    for u, w in _meet_pairs(rng, field):
+        n = u.n
+        rank = rank_of_rows(field, u.basis + w.basis, n)
+        for a, b in ((u, w), (w, u)):
+            assert intersection_dim(a, b) == u.dim + w.dim - rank, (a, b)
+            assert a.contains(b) == (rank == a.dim), (a, b)
+        if q ** n <= 4096:
+            x, y = point_masks([u, w])
+            assert meet_dims(q, n)[(x & y).bit_count()] == \
+                u.dim + w.dim - rank, (u, w)
+        vecs = [tuple(rng.randrange(q) for _ in range(n)), (0,) * n]
+        vecs += w.rows()[:1]
+        for v in vecs:
+            assert u.contains_vector(v) == \
+                (rank_of_rows(field, u.basis + (v,), n) == u.dim), (u, v)
 
 
 @pytest.mark.parametrize("q", [2, 3])
