@@ -68,8 +68,7 @@ def cmd_proj_collinear(args):
     field = _field(args.q)
     params = ProjParams(args.n, args.m, args.k, args.j, field)
     pred = oc.proj_collinear_predicate(args.n, args.m, args.k, args.j)
-    payload = {"params": {"family": "proj", "q": args.q, "n": args.n,
-                          "m": args.m, "k": args.k, "j": args.j}}
+    payload = {"params": params.to_json_dict()}
     results = {}
     if args.mode in ("predicate", "all"):
         results["predicate"] = _verdict_word(pred)
@@ -104,8 +103,7 @@ def cmd_bis_collinear(args):
     field = _field(args.q)
     params = BisParams(args.k, args.m, args.k1, args.k2, field)
     pred = wt.bis_collinear_predicate(args.q, args.m, args.k, args.k1, args.k2)
-    payload = {"params": {"family": "bis", "q": args.q, "k": args.k,
-                          "m": args.m, "k1": args.k1, "k2": args.k2}}
+    payload = {"params": params.to_json_dict()}
     results = {}
     if args.mode in ("predicate", "all"):
         results["predicate"] = _verdict_word(pred)
@@ -138,8 +136,7 @@ def cmd_bis_concurrent(args):
     field = _field(args.q)
     params = BisParams(args.k, args.m, args.k1, args.k2, field)
     pred = oc.bis_concurrent_predicate(args.q, args.m, args.k, args.k1, args.k2)
-    payload = {"params": {"family": "bis", "q": args.q, "k": args.k,
-                          "m": args.m, "k1": args.k1, "k2": args.k2}}
+    payload = {"params": params.to_json_dict()}
     results = {}
     if args.mode in ("predicate", "all"):
         results["predicate"] = pred if pred != "unresolved" else "unresolved(paper)"
@@ -273,7 +270,7 @@ def cmd_counts(args):
     f = ct.f_value(a, k, q)
     payload = {
         "gaussian(2k,m,q)": str(ct.gaussian(2 * k, m, q)),
-        "bisections(2k,k,q)": str(ct.gaussian(2 * k, k, q) * q**(k * k) // 2),
+        "bisections(2k,k,q)": str(ct.bisection_count(k, q)),
         "F(a,k,q)": f"{f} ~ {float(f):.6f}",
         "H(a,k,q)": f"{h} ~ {float(h):.6f}",
         "a": a,

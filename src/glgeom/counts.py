@@ -28,6 +28,12 @@ def gaussian(n, m, q):
     return num // den
 
 
+def bisection_count(k, q):
+    """Number of bisections of V(2k,q): unordered pairs of disjoint
+    k-subspaces, each k-subspace having q^(k^2) complements."""
+    return gaussian(2 * k, k, q) * q ** (k * k) // 2
+
+
 def f_value(r, s, q):
     """F(r,s,q) = prod_{i=r}^{s} (1 - q^-i), exact."""
     if not (1 <= r <= s):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from .subspace import (Bisection, coordinate_subspace, disjoint_pairs,
                        grassmannian, intersection_dim, meet_dims, perp,
                        point_masks, sorted_grassmannian)
-from .counts import gaussian
+from .counts import bisection_count, gaussian
 from .errors import ParamError, TooLargeError
 
 
@@ -160,11 +160,6 @@ def _proj_sizes(params):
     return gaussian(params.n, params.m, q), gaussian(params.n, params.k, q)
 
 
-def _bis_line_count(params):
-    q = params.field.q
-    return gaussian(2 * params.k, params.k, q) * q ** (params.k**2) // 2
-
-
 def _bis_incidence(params):
     """Points, lines and incidence of a bisection geometry on the point
     index: a point is an m-subspace with its point mask, a line an index
@@ -199,7 +194,7 @@ def nondegeneracy_check(params, budget=10**7):
         npts, nlin = _proj_sizes(params)
     else:
         npts = gaussian(2 * params.k, params.m, field.q)
-        nlin = _bis_line_count(params)
+        nlin = bisection_count(params.k, field.q)
     if npts * nlin > budget:
         raise TooLargeError("incidence enumeration exceeds budget")
     if npts < 2 or nlin < 2:

@@ -7,6 +7,15 @@ is always the lexicographically least monic irreducible of degree e over
 GF(p) (so GF(4) uses x^2+x+1), which makes every canonical form stable
 across runs.
 
+Polynomials over any field have one routine each: poly_mulmod (product,
+or with b = [1] remainder, modulo a monic modulus), least_irreducible
+(trial division) and primitive_element (the least generator of GF(q)*).
+field_make takes its modulus from them, FieldSpec its exp/log tables
+from q - 1 products by the primitive element, and the spreads of
+witness.py their GF(q^k) over GF(q).  Scalar arithmetic has three
+regimes, picked from q: residues for prime fields, dense add/mul/neg/inv
+tables read off exp/log up to _TABLE_LIMIT, and exp/log above it.
+
 Mat is an immutable row-major matrix, for matrices in their own right:
 group elements, charts, changes of basis and their inverses.  A subspace
 is not a Mat: subspace.Subspace keeps its canonical rows as plain tuples,
@@ -60,76 +69,89 @@ def is_prime(p):
 
 
 # ----------------------------------------------------------------------
-# polynomial helpers over GF(p), coefficient lists with c[i] = coeff of x^i
+# polynomials over a field: coefficient lists, c[i] = coefficient of x^i
 # ----------------------------------------------------------------------
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
+def poly_mulmod(field, a, b, modulus):
+    """a * b mod a monic modulus of degree d, as d coefficients over field.
 
-
-def _poly_mulmod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod_p(a, b, p):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        da = len(a) - 1
-        if a[da] == 0:
-            a.pop()
-            continue
-        coef = (a[da] * inv_lb) % p
-        q[da - db] = coef
-        for i, bi in enumerate(b):
-            a[da - db + i] = (a[da - db + i] - coef * bi) % p
-        a = _poly_trim(a)
-    return q, a
-
-
-def _is_irreducible(coeffs, p):
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p**d):
-            low, c = [], code
-            for _ in range(d):
-                low.append(c % p)
-                c //= p
-            div = low + [1]
-            _, rem = _poly_divmod_p(list(coeffs), div, p)
-            if not rem:
-                return False
-    return True
-
-
-def _least_irreducible(p, e):
-    """Lexicographically least monic irreducible of degree e over GF(p).
-
-    Ordering is by the integer code of the low-degree coefficient vector,
-    which reproduces the usual conventions (x^2+x+1 for GF(4), x^3+x+1
-    for GF(8), x^2+1 for GF(9)).
+    a and b may have any length; with b = [1] this is a's remainder.  The
+    product's terms of degree >= d are cleared from the top down through
+    x^d = -(modulus below x^d).
     """
-    for code in range(p**e):
-        low, c = [], code
-        for _ in range(e):
-            low.append(c % p)
-            c //= p
-        coeffs = low + [1]
-        if _is_irreducible(coeffs, p):
-            return tuple(coeffs)
+    add, sub, mul = field.add, field.sub, field.mul
+    d = len(modulus) - 1
+    out = [0] * max(d, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = add(out[i + j], mul(x, y))
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out[top]
+        if c:
+            for i in range(d):
+                if modulus[i]:
+                    out[top - d + i] = sub(out[top - d + i],
+                                           mul(c, modulus[i]))
+    return out[:d]
+
+
+def least_irreducible(field, degree):
+    """The lexicographically least monic irreducible of the given degree
+    over field, as a coefficient tuple with the leading 1 included.
+
+    Candidates run in the order of the integer code of their coefficients
+    below the leading term, constant term least significant, which gives
+    the usual conventions (x^2+x+1 for GF(4), x^3+x+1 for GF(8), x^2+1
+    for GF(9)).  A candidate is irreducible when no monic polynomial of
+    degree 1 to degree/2 leaves remainder zero.
+    """
+    q = field.q
+
+    def monic(code, d):
+        low = []
+        for _ in range(d):
+            low.append(code % q)
+            code //= q
+        return low + [1]
+
+    divisors = [monic(code, d) for d in range(1, degree // 2 + 1)
+                for code in range(q**d)]
+    for code in range(q**degree):
+        f = monic(code, degree)
+        if all(any(poly_mulmod(field, f, [1], g)) for g in divisors):
+            return tuple(f)
     raise RuntimeError("no irreducible polynomial found (impossible)")
+
+
+def _power(mul, a, n):
+    x = 1
+    while n:
+        if n & 1:
+            x = mul(x, a)
+        a = mul(a, a)
+        n >>= 1
+    return x
+
+
+def primitive_element(q, mul):
+    """The least code a with a^((q-1)/r) != 1 for every prime r dividing
+    q - 1: the least generator of GF(q)*, and 1 for GF(2).  The prime
+    divisors come from trial division."""
+    n, r, exponents = q - 1, 2, []
+    while r * r <= n:
+        if n % r == 0:
+            exponents.append((q - 1) // r)
+            while n % r == 0:
+                n //= r
+        r += 1
+    if n > 1:
+        exponents.append((q - 1) // n)
+    for a in range(1, q):
+        if all(_power(mul, a, d) != 1 for d in exponents):
+            return a
+    raise RuntimeError(f"no generator of GF({q})* found (impossible)")
 
 
 class FieldSpec:
@@ -164,80 +186,41 @@ class FieldSpec:
             c = c * self.p + d
         return c
 
-    def _mul_vecs(self, va, vb):
-        """Residue multiplication on digit vectors (table-free)."""
-        p, e = self.p, self.e
-        prod = _poly_mulmod_p(_poly_trim(list(va)), _poly_trim(list(vb)), p)
-        if prod:
-            _, rem = _poly_divmod_p(prod, list(self.modulus), p)
-        else:
-            rem = []
-        rem = rem + [0] * (e - len(rem))
-        return self._code(rem[:e])
-
-    def _build_log_tables(self):
-        """log/antilog multiplication for table-limit < q <= 2^16."""
-        q = self.q
-        # find a multiplicative generator by order check
-        order_target = q - 1
-        gen = None
-        for a in range(2, q):
-            x, order = a, 1
-            va = self._vec(a)
-            vx = list(va)
-            while self._code(vx) != 1:
-                vx = self._vec(self._mul_vecs(vx, va))
-                order += 1
-                if order > order_target:
-                    break
-            if order == order_target:
-                gen = a
-                break
-        if gen is None:
-            raise RuntimeError(f"no multiplicative generator of GF({q}) found")
-        log = [0] * q
-        exp = [0] * (2 * order_target)
-        x = 1
-        vg = self._vec(gen)
-        for i in range(order_target):
-            exp[i] = x
-            exp[i + order_target] = x
-            log[x] = i
-            x = self._mul_vecs(self._vec(x), vg)
-        self._log, self._exp = log, exp
-
     def _build_tables(self):
-        p, e, q = self.p, self.e, self.q
+        """exp/log from q - 1 products by the primitive element; up to the
+        table limit, dense add, mul, neg and inv tables read off them."""
+        p, q = self.p, self.q
+        base, modulus = field_make(p), self.modulus
+
+        def mul(a, b):
+            return self._code(poly_mulmod(base, self._vec(a), self._vec(b),
+                                          modulus))
+
+        g = self._vec(primitive_element(q, mul))
+        log = [0] * q
+        exp = [0] * (2 * (q - 1))
+        x = [1]
+        for i in range(q - 1):
+            c = self._code(x)
+            exp[i] = exp[i + q - 1] = c
+            log[c] = i
+            x = poly_mulmod(base, x, g, modulus)
+        self._log, self._exp = log, exp
         if q > _TABLE_LIMIT:
-            self._build_log_tables()
             return
-        mod = list(self.modulus)
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        vecs = [self._vec(c) for c in range(q)]
-        for a in range(q):
-            va = vecs[a]
-            for b in range(a, q):
-                vb = vecs[b]
-                s = self._code([(x + y) % p for x, y in zip(va, vb)])
-                add[a][b] = s
-                add[b][a] = s
-                prod = _poly_mulmod_p(_poly_trim(va), _poly_trim(vb), p)
-                _, rem = _poly_divmod_p(prod, mod, p) if prod else ([], [])
-                rem = rem + [0] * (e - len(rem))
-                m = self._code(rem[:e])
-                mul[a][b] = m
-                mul[b][a] = m
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        neg = [0] * q
-        for a in range(q):
-            neg[a] = self._code([(-x) % p for x in vecs[a]])
-        self._add, self._mul, self._inv, self._neg = add, mul, inv, neg
+        # digit by digit: codes below p^(d+1) are lo + p^d * top
+        add, size = [[0]], 1
+        for _ in range(self.e):
+            add = [[s + size * ((ta + tb) % p)
+                    for tb in range(p) for s in add[lo]]
+                   for ta in range(p) for lo in range(size)]
+            size *= p
+        logs = log[1:]
+        self._add = add
+        self._mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs]
+                                 for la in logs]
+        self._inv = [0] + [exp[q - 1 - la] for la in logs]
+        self._neg = [row.index(0) for row in add]
 
     # -- scalar operations ----------------------------------------------
 
@@ -311,67 +294,8 @@ def field_make(p, e=1):
         raise ParamError("field order above configured bound 2^61")
     if e > 1 and p**e > 2**16:
         raise ParamError("extension fields above 2^16")
-    modulus = () if e == 1 else _least_irreducible(p, e)
+    modulus = () if e == 1 else least_irreducible(field_make(p), e)
     return FieldSpec(p, e, modulus)
-
-
-def extension_modulus(field, degree):
-    """Lex-least monic irreducible of the given degree over an arbitrary GF(q).
-
-    Returned as a coefficient tuple over `field` (constant term first, the
-    leading 1 included).  Used to build GF(q^k) for spread constructions.
-    """
-    q = field.q
-    mul, add = field.mul, field.add
-
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1) if a and b else []
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def poly_mod(a, b):
-        a = list(a)
-        db = len(b) - 1
-        inv_lb = field.inv(b[-1])
-        while len(a) - 1 >= db and any(a):
-            da = len(a) - 1
-            if a[da] == 0:
-                a.pop()
-                continue
-            coef = mul(a[da], inv_lb)
-            for i, bi in enumerate(b):
-                a[da - db + i] = field.sub(a[da - db + i], mul(coef, bi))
-            while a and a[-1] == 0:
-                a.pop()
-        return a
-
-    def irreducible(coeffs):
-        deg = len(coeffs) - 1
-        for d in range(1, deg // 2 + 1):
-            for code in range(q**d):
-                low, c = [], code
-                for _ in range(d):
-                    low.append(c % q)
-                    c //= q
-                div = low + [1]
-                if not poly_mod(list(coeffs), div):
-                    return False
-        return True
-
-    for code in range(q**degree):
-        low, c = [], code
-        for _ in range(degree):
-            low.append(c % q)
-            c //= q
-        coeffs = low + [1]
-        if irreducible(coeffs):
-            return tuple(coeffs)
-    raise RuntimeError("no irreducible polynomial found (impossible)")
 
 
 # ----------------------------------------------------------------------

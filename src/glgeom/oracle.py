@@ -43,7 +43,7 @@ from .subspace import (Bisection, bisections, canonical_pair,
                        grassmannian, intersect, intersection_dim, meet_dims,
                        meeting_mask, point_masks, schubert_cell,
                        sorted_grassmannian, span_rows, sum_subspace)
-from .counts import gaussian
+from .counts import bisection_count, gaussian
 from .errors import ParamError, TooLargeError
 from .geometry import mask_incident_bis
 from .witness import (PredicateFailsError, bis_collinear_witness,
@@ -270,7 +270,7 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     if orbit_reps is not None:
         npairs = len(orbit_reps)
     else:
-        nlines = gaussian(2 * k, k, q) * q ** (k * k) // 2
+        nlines = bisection_count(k, q)
         npairs = nlines * (nlines - 1) // 2
         if npairs * 4 > budget:
             raise TooLargeError("line-pair enumeration exceeds budget; "

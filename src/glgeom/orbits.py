@@ -22,12 +22,13 @@ from itertools import islice
 from math import prod
 from random import Random
 
-from .gfq import Mat, mat_identity, mat_inverse, mat_mul, mat_rank
+from .gfq import (Mat, mat_identity, mat_inverse, mat_mul, mat_rank,
+                  primitive_element)
 from .subspace import (Bisection, Subspace, apply_mat, containing_masks,
                        coordinate_bisection, grassmannian, mask_points,
                        meeting_mask, point_masks, point_permutation,
                        sorted_grassmannian, transport_pair)
-from .counts import gaussian
+from .counts import bisection_count, gaussian
 from .errors import ParamError, TooLargeError
 
 
@@ -74,34 +75,20 @@ def _cycle(field, n):
     return Mat(field, m)
 
 
-def _primitive_element(field):
-    """A multiplicative generator of GF(q)*, found by order check."""
-    q = field.q
-    for a in range(2, q):
-        x = a
-        order = 1
-        while x != 1:
-            x = field.mul(x, a)
-            order += 1
-        if order == q - 1:
-            return a
-    return 1  # q = 2
-
-
 def gl_generators(n, field):
     """A standard generating set of GL(n,q)."""
     q = field.q
     gens = []
     if n == 1:
         if q > 2:
-            gens.append(Mat(field, [[_primitive_element(field)]]))
+            gens.append(Mat(field, [[primitive_element(q, field.mul)]]))
         else:
             gens.append(mat_identity(field, 1))
     else:
         gens.append(_transvection(field, n, 0, 1))
         gens.append(_cycle(field, n))
         if q > 2:
-            a = _primitive_element(field)
+            a = primitive_element(q, field.mul)
             d = [[a if i == j == 0 else (1 if i == j else 0) for j in range(n)]
                  for i in range(n)]
             gens.append(Mat(field, d))
@@ -346,7 +333,7 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     if k < 1:
         raise ParamError("need k >= 1")
     q, n = field.q, 2 * k
-    count = gaussian(n, k, q) * q**(k * k) // 2
+    count = bisection_count(k, q)
     if count > budget:
         raise TooLargeError(f"{count} bisections of V({n},{q}) exceed the "
                             f"budget of {budget}")

@@ -531,15 +531,15 @@ def bisections(k, field):
     """All bisections of V(2k,q), each unordered pair exactly once: the
     disjoint pairs of the sorted k-subspaces.
 
-    Count: gaussian(2k,k,q) * q^(k^2) / 2, checked once the listing ends.
+    Count: counts.bisection_count(k, q), checked once the listing ends.
     disjoint_pairs has proved each pair disjoint, so no rank test repeats.
     """
-    from .counts import gaussian
+    from .counts import bisection_count
     subs = sorted_grassmannian(2 * k, field, k)
     listed = 0
     for i, j in disjoint_pairs(point_masks(subs)):
         listed += 1
         yield Bisection._disjoint_sorted(subs[i], subs[j])
-    want = gaussian(2 * k, k, field.q) * field.q ** (k * k) // 2
+    want = bisection_count(k, field.q)
     if listed != want:
         raise RuntimeError(f"bisections: listed {listed}, expected {want}")

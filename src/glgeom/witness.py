@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParamError, TooLargeError
-from .gfq import (Mat, extension_modulus, mat_inverse, rank_of_rows, rref,
-                  vec_mat)
+from .gfq import (Mat, least_irreducible, mat_inverse, poly_mulmod,
+                  rank_of_rows, rref, vec_mat)
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                        canonical_pieces, complement, coordinate_bisection,
                        coordinate_subspace, direct_sum, full_space,
@@ -781,25 +781,7 @@ def desarguesian_spread(k, field):
         for a in range(q):
             out.append(span_rows(field, n, [(1, a)]))
         return out
-    modulus = extension_modulus(field, k)
-
-    def poly_mul_mod(a, b):
-        out = [0] * (2 * k)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = field.add(out[i + j], field.mul(ai, bj))
-        # reduce degree >= k terms using x^k = -(low part of modulus)
-        for d in range(2 * k - 1, k - 1, -1):
-            c = out[d]
-            if c:
-                out[d] = 0
-                for i in range(k):
-                    out[d - k + i] = field.sub(out[d - k + i],
-                                               field.mul(c, modulus[i]))
-        return out[:k]
-
+    modulus = least_irreducible(field, k)
     spread = [coordinate_subspace(field, n, range(k, n))]
     for code in range(q**k):
         a, c = [], code
@@ -807,15 +789,11 @@ def desarguesian_spread(k, field):
             a.append(c % q)
             c //= q
         rows = []
-        power = [1] + [0] * (k - 1)  # x^i as we go
-        for i in range(k):
-            prod = poly_mul_mod(power, a)
+        for i in range(k):  # row i: e_i beside x^i * a mod the modulus
             row = [0] * n
             row[i] = 1
-            for j, x in enumerate(prod):
-                row[k + j] = x
+            row[k:] = poly_mulmod(field, a, [0] * i + [1], modulus)
             rows.append(tuple(row))
-            power = poly_mul_mod(power, [0, 1] + [0] * (k - 2))
         spread.append(span_rows(field, n, rows))
     return spread
 

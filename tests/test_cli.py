@@ -71,6 +71,16 @@ def test_witnessed_point_is_not_refused(capsys):
     assert json.loads(out)["results"] == {"oracle": "complete"}
 
 
+def test_witness_at_the_largest_dense_table_field(capsys):
+    """GF(1024), the last field with dense tables, builds in well under a
+    second, so the witness route runs at the CLI edge."""
+    code, out, _ = run(capsys, "proj-collinear", "--q", "1024", "--n", "4",
+                       "--m", "2", "--k", "2", "--j", "1",
+                       "--mode", "witness", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"] == {"witness": "complete"}
+
+
 def test_bis_examples(capsys):
     code, out, _ = run(capsys, "bis-collinear", "--k", "1", "--m", "1",
                        "--k1", "0", "--k2", "0", "--q", "2")

@@ -1,13 +1,16 @@
 """Field arithmetic and matrix kernel tests."""
 
 import itertools
+import math
 
 import pytest
 
+import field_reference
 from glgeom.errors import ParamError
-from glgeom.gfq import (Mat, factor_prime_power, field_make, kernel,
-                        mat_identity, mat_inverse, mat_mul, mat_rank,
-                        pack_rows, pk_rank, rref)
+from glgeom.gfq import (Mat, factor_prime_power, field_make, is_prime, kernel,
+                        least_irreducible, mat_identity, mat_inverse, mat_mul,
+                        mat_rank, pack_rows, pk_rank, poly_mulmod,
+                        primitive_element, rref)
 
 PRIME_POWERS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                    (11, 1), (13, 1), (2, 4)]
@@ -201,14 +204,102 @@ def test_packed_round_trip_bit_for_bit():
 
 
 def test_large_extension_field_log_tables():
-    """Above the dense-table limit, multiplication runs on log/antilog."""
+    """Above the dense-table limit, multiplication runs on log/antilog;
+    its products and inverses match the multiply-then-divide reference."""
     import random
     f = field_make(2, 11)   # GF(2048)
     assert f._mul is None and f._log is not None
+    mul = field_reference.field_mul(2, 11, f.modulus)
     rng = random.Random(11)
-    for _ in range(200):
+    for _ in range(2000):
         a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert f.mul(a, b) == mul(a, b)
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        if a:
+            assert mul(a, f.inv(a)) == 1
+
+
+# ---------------------------------------------------------------------
+# the polynomial kernel against the GF(p) multiply-then-divide reference
+# ---------------------------------------------------------------------
+
+def _extension_degrees(limit):
+    """(p, e) for every prime power p^e <= limit with e >= 2."""
+    return [(p, e) for p in range(2, math.isqrt(limit) + 1) if is_prime(p)
+            for e in range(2, limit.bit_length()) if p**e <= limit]
+
+
+def test_least_irreducible_matches_reference():
+    cases = _extension_degrees(2**16)
+    assert len(cases) == 93
+    for p, e in cases:
+        want = field_reference.least_irreducible(p, e)
+        assert least_irreducible(field_make(p), e) == want, (p, e)
+
+
+@pytest.mark.parametrize("p,e", _extension_degrees(256))
+def test_dense_tables_match_reference(p, e):
+    f = field_make(p, e)
+    q = f.q
+    assert f._mul is not None
+    assert f.modulus == field_reference.least_irreducible(p, e)
+    mul = field_reference.field_mul(p, e, f.modulus)
+    digits = [field_reference.digits(a, p, e) for a in range(q)]
+
+    def code(vec):
+        return sum(d * p**i for i, d in enumerate(vec))
+    for a in range(q):
+        assert f._neg[a] == code([-d % p for d in digits[a]])
+        if a:
+            assert mul(a, f._inv[a]) == 1
+        for b in range(q):
+            assert f._add[a][b] == code([(x + y) % p for x, y in
+                                         zip(digits[a], digits[b])])
+            if b >= a:
+                assert f._mul[a][b] == f._mul[b][a] == mul(a, b)
+
+
+def test_primitive_element_matches_order_search():
+    checked = 0
+    for q in range(2, 1025):
+        try:
+            p, e = factor_prime_power(q)
+        except ParamError:
+            continue
+        f = field_make(p, e)
+        want = field_reference.least_generator(
+            q, field_reference.field_mul(p, e, f.modulus))
+        assert primitive_element(q, f.mul) == want, q
+        checked += 1
+    assert checked == 198
+
+
+def test_poly_mulmod_remainder_and_product():
+    """x^3 + 1 = (x + 1)(x^2 + x + 1) over GF(2), and x^2 = -1 modulo
+    x^2 + 1 over GF(3)."""
+    f2, f3 = field_make(2), field_make(3)
+    assert poly_mulmod(f2, [1, 0, 0, 1], [1], (1, 1)) == [0]
+    assert poly_mulmod(f2, [1, 1], [1, 1, 1], (1, 1, 0, 1)) == [0, 1, 0]
+    assert poly_mulmod(f3, [0, 1], [0, 1], (1, 0, 1)) == [2, 0]
+    assert poly_mulmod(f3, [2], [1], (1, 0, 1)) == [2, 0]
+
+
+@pytest.mark.parametrize("p,e", [(17, 2), (7, 3), (2, 9), (5, 4), (3, 6),
+                                 (2, 10)])
+def test_field_axioms_sampled_at_the_table_limit(p, e):
+    """The largest dense-table fields: 289, 343, 512, 625, 729, 1024."""
+    import random
+    f = field_make(p, e)
+    assert f._mul is not None
+    rng = random.Random(f.q)
+    for _ in range(3000):
+        a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert f.add(a, b) == f.add(b, a)
+        assert f.mul(a, b) == f.mul(b, a)
+        assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
+        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+        assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
         if a:
             assert f.mul(a, f.inv(a)) == 1

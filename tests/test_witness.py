@@ -298,6 +298,37 @@ def test_desarguesian_spread(q, k):
     assert (q**k + 1) * (q**k - 1) == q ** (2 * k) - 1
 
 
+def test_desarguesian_spread_rows_pinned():
+    """sha256 of the repr of each spread's list of canonical rows, pinned
+    from the release whose spread multiplied through its own product-mod
+    over GF(q) and its own irreducible search."""
+    import hashlib
+    pinned = {
+        (2, 1):
+            "1ca2f26f3823786ff8131c3a29aedaf4fd815f106fbf91ccf6d7603dea979167",
+        (2, 2):
+            "202f6f03e3a87144c1bfd9acd31380e62a95bd0a3f8acc80c9452ccc04fce47d",
+        (2, 3):
+            "d4532143c5af28bdd88c1703cc4bfcd69773df852175d50c94d22fe04c10fb1f",
+        (3, 1):
+            "bfecb61803fb27021e8d9542922d6f478562d50cd62b876d0529503d987a1062",
+        (3, 2):
+            "2204715ad5cc6585178b164edb1da692f71127fc52024691d9925e609cdc35e3",
+        (3, 3):
+            "fe6cfe2856e25992c17236bbc3155b9c31a8e6c71d03b68579e0f6ca8f4ee6e3",
+        (4, 1):
+            "bfba5f082265813520128623c8e18d73ea537d6dafb32301c3951430d2f1e502",
+        (4, 2):
+            "fe806ea94d9b5d1d24cb1ddc57be06201b690f31753f527efe02aedf15a365fa",
+        (4, 3):
+            "2b164ea499f1ad08856481fc978f5674bb8e5c9346ea802716b0104588843607",
+    }
+    for (q, k), digest in pinned.items():
+        rows = [s.rows() for s in desarguesian_spread(k, field_of(q))]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest, \
+            (q, k)
+
+
 def test_spread_covers_all_vectors():
     spread = desarguesian_spread(2, F2)
     covered = set()
