@@ -14,7 +14,8 @@ field_make takes its modulus from them, FieldSpec its exp/log tables
 from q - 1 products by the primitive element, and the spreads of
 witness.py their GF(q^k) over GF(q).  Scalar arithmetic has three
 regimes, picked from q: residues for prime fields, dense add/mul/neg/inv
-tables read off exp/log up to _TABLE_LIMIT, and exp/log above it.
+tables read off exp/log up to _TABLE_LIMIT, and exp/log above it, where
+addition at p = 2 is the XOR of the codes and at odd p goes digit by digit.
 
 Mat is an immutable row-major matrix, for matrices in their own right:
 group elements, charts, changes of basis and their inverses.  A subspace
@@ -230,6 +231,8 @@ class FieldSpec:
         if self._add is not None:
             return self._add[a][b]
         p = self.p
+        if p == 2:  # digit-wise sum mod 2 of the codes' bits
+            return a ^ b
         return self._code([(x + y) % p
                            for x, y in zip(self._vec(a), self._vec(b))])
 
@@ -239,6 +242,8 @@ class FieldSpec:
         if self._add is not None:
             return self._add[a][self._neg[b]]
         p = self.p
+        if p == 2:
+            return a ^ b
         return self._code([(x - y) % p
                            for x, y in zip(self._vec(a), self._vec(b))])
 
@@ -247,6 +252,8 @@ class FieldSpec:
             return (-a) % self.p
         if self._neg is not None:
             return self._neg[a]
+        if self.p == 2:
+            return a
         return self._code([(-x) % self.p for x in self._vec(a)])
 
     def mul(self, a, b):

@@ -27,7 +27,12 @@ The two collinear scans avoid a rank test per line:
 
 The concurrent oracle reads incidence off the same point masks: the
 m-subspaces are listed once per call, and a pair of bisections is covered
-iff some point mask meets the four halves in the pattern.
+iff some point mask meets the four halves in the pattern.  With orbit
+representatives every pair holds the coordinate bisection, one half of
+which is the suffix <e_k..e_{2k-1}>; by the pivot lemma above, W meets it
+in dimension #{i : p_i >= k}, so only the Schubert cells of Gr(2k,m) with
+k1 or k2 pivots from column k are listed.  The all-pairs scan lists every
+cell.
 """
 
 from __future__ import annotations
@@ -231,15 +236,20 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
 # concurrent oracle
 # ----------------------------------------------------------------------
 
-def _uncovered_pair(params, lines, firsts):
+def _uncovered_pair(params, lines, firsts, cells=None):
     """The first pair (lines[a], lines[b]), a in firsts and b > a, of
     bisections with no m-subspace incident with both, or None: the points
     incident with lines[a] are kept, and each lines[b] scans them up to
-    its first incident one."""
+    its first incident one.  The points are the m-subspaces of the
+    Schubert cells with the given pivot sets (default: all of them), which
+    must hold every point incident with some lines[a]."""
     if any(b.n != params.n for b in lines):
         raise ValueError("bisection in the wrong ambient space")
+    n, field, m = params.n, params.field, params.m
+    if cells is None:
+        cells = combinations(range(n), m)
     incident = mask_incident_bis(params)
-    points = point_masks(list(grassmannian(params.n, params.field, params.m)))
+    points = point_masks([w for p in cells for w in schubert_cell(n, field, p)])
     halves = point_masks([h for b in lines for h in b.halves()])
     for a in firsts:
         h1, h2 = halves[2 * a], halves[2 * a + 1]
@@ -282,7 +292,10 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
         pair = _uncovered_pair(params, lines, range(len(lines)))
     else:
         lines = [coordinate_bisection(field, k), *orbit_reps]
-        pair = _uncovered_pair(params, lines, [0])
+        # dim(W meet <e_k..e_{2k-1}>) is W's pivot count from column k
+        cells = [p for p in combinations(range(2 * k), m)
+                 if sum(c >= k for c in p) in (params.k1, params.k2)]
+        pair = _uncovered_pair(params, lines, [0], cells)
     return CompletenessVerdict(pair is None, "oracle", failing_pair=pair)
 
 

@@ -28,27 +28,41 @@ from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
 class Subspace:
     """A subspace of V(n, q), stored as its canonical rref rows (a tuple of
     row tuples, no zero rows), which the constructor trusts: span_rows
-    builds one from any other rows."""
+    builds one from any other rows.  The constructor computes nothing
+    from the rows: the hash and, at q = 2, the packed rows are computed
+    the first time they are read and kept in their slots, None until then
+    (an unset slot would make each first read raise and catch an
+    AttributeError, which costs more than the hash itself)."""
 
-    __slots__ = ("field", "n", "basis", "packed", "_hash")
+    __slots__ = ("field", "n", "basis", "_packed", "_hash")
 
     def __init__(self, field, n, rows):
         self.field = field
         self.n = n
         self.basis = rows
-        self.packed = pack_rows(rows) if field.q == 2 else None
-        self._hash = hash((field.q, n, rows))
+        self._packed = self._hash = None
 
     @property
     def dim(self):
         return len(self.basis)
+
+    @property
+    def packed(self):
+        """The rows as gfq.pack_rows ints at q = 2, else None."""
+        packed = self._packed
+        if packed is None and self.field.q == 2:
+            self._packed = packed = pack_rows(self.basis)
+        return packed
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.n == other.n and self.basis == other.basis)
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            self._hash = h = hash((self.field.q, self.n, self.basis))
+        return h
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of V({self.n},{self.field.q}))"

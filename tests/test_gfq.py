@@ -220,6 +220,25 @@ def test_large_extension_field_log_tables():
             assert mul(a, f.inv(a)) == 1
 
 
+@pytest.mark.parametrize("p,e", [(2, 11), (2, 16), (3, 7)])
+def test_addition_above_the_table_limit(p, e):
+    """Above the dense-table limit add, sub and neg (the XOR of the codes
+    at p = 2) match coefficient-wise arithmetic on the digit vectors."""
+    import random
+    f = field_make(p, e)
+    assert f._add is None
+
+    def digitwise(op, *codes):
+        return f._code([op(*xs) % p for xs in zip(*map(f._vec, codes))])
+    rng = random.Random(p ** e)
+    for _ in range(2000):
+        a, b = rng.randrange(f.q), rng.randrange(f.q)
+        assert f.add(a, b) == digitwise(lambda x, y: x + y, a, b)
+        assert f.sub(a, b) == digitwise(lambda x, y: x - y, a, b)
+        assert f.neg(a) == digitwise(lambda x: -x, a)
+        assert f.add(a, f.neg(a)) == 0
+
+
 # ---------------------------------------------------------------------
 # the polynomial kernel against the GF(p) multiply-then-divide reference
 # ---------------------------------------------------------------------

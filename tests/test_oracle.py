@@ -1,5 +1,7 @@
 """Predicates, brute-force oracles, and their agreement on small ranges."""
 
+from itertools import combinations
+
 import pytest
 
 from glgeom.gfq import field_make
@@ -14,7 +16,7 @@ from glgeom.geometry import incident_bis
 from glgeom.orbits import stabiliser_orbits_on_bisections
 from glgeom.subspace import (Bisection, bisections, coordinate_bisection,
                              coordinate_subspace, grassmannian,
-                             intersection_dim, span_rows)
+                             intersection_dim, schubert_cell, span_rows)
 from glgeom.witness import (bis_collinear_predicate, canonical_pair,
                             desarguesian_spread)
 
@@ -338,6 +340,56 @@ def test_concurrent_oracle_matches_incident_bis_scan(q, k):
                         _concurrent_reference(p)
 
 
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2),
+                                 (2, 3)])
+def test_concurrent_cell_pruning_matches_full_scan(q, k, monkeypatch):
+    """With orbit representatives the oracle lists only the Schubert cells
+    with k1 or k2 pivots from column k.  At every admissible (m, k1, k2),
+    m > k through the perp reduction, its verdict and failing pair equal
+    those of the scan over every m-subspace, and it builds exactly the
+    subspaces of those cells: q^(free entries) each, which are the
+    m-subspaces meeting <e_k..e_{2k-1}> in dimension k1 or k2."""
+    import glgeom.oracle as oc
+    field = F4 if q == 4 else field_make(q)
+    n = 2 * k
+    reps = stabiliser_orbits_on_bisections(k, field).representatives
+    listed = []
+
+    def counting_cell(*args):
+        for w in schubert_cell(*args):
+            listed.append(w)
+            yield w
+    monkeypatch.setattr(oc, "schubert_cell", counting_cell)
+    suffix = coordinate_subspace(field, n, range(k, n))
+    for m in range(1, n):
+        for k1 in range(k + 1):
+            for k2 in range(k1, k + 1):
+                try:
+                    p = BisParams(k, m, k1, k2, field)
+                except ParamError:
+                    continue
+                listed.clear()
+                v = concurrent_oracle(p, orbit_reps=reps)
+                pruned = len(listed)
+                # the oracle's own perp reduction, then the unpruned scan
+                d, lines = (p.dual(), [b.dual() for b in reps]) if m > k \
+                    else (p, reps)
+                lines = [coordinate_bisection(field, k), *lines]
+                pair = oc._uncovered_pair(d, lines, [0])
+                assert v.complete == (pair is None)
+                assert v.failing_pair == pair
+                assert v.complete == (oc._uncovered_pair(
+                    p, [coordinate_bisection(field, k), *reps], [0]) is None)
+                cells = [c for c in combinations(range(n), d.m)
+                         if sum(x >= k for x in c) in (d.k1, d.k2)]
+                free = [sum(n - 1 - x for x in c) - d.m * (d.m - 1) // 2
+                        for c in cells]
+                assert pruned == sum(q ** f for f in free)
+                assert pruned == sum(
+                    1 for w in grassmannian(n, field, d.m)
+                    if intersection_dim(w, suffix) in (d.k1, d.k2))
+
+
 def test_concurrent_refused_before_listing(monkeypatch):
     """Over budget, both paths refuse before the point enumerator or the
     index builder runs."""
@@ -345,7 +397,8 @@ def test_concurrent_refused_before_listing(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    for name in ("grassmannian", "sorted_grassmannian", "point_masks"):
+    for name in ("grassmannian", "sorted_grassmannian", "point_masks",
+                 "schubert_cell"):
         monkeypatch.setattr(oc, name, forbidden)
     reps = [coordinate_bisection(F2, 2)]
     with pytest.raises(TooLargeError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from glgeom.gfq import field_make, Mat, mat_identity, rank_of_rows
+from glgeom.gfq import field_make, Mat, mat_identity, pack_rows, rank_of_rows
 from glgeom.counts import bisection_count, gaussian
 from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
                              canonical_pair, canonical_pieces, complement,
@@ -465,6 +465,38 @@ def test_span_rows_checks_its_rows():
     with pytest.raises(ValueError, match="ragged rows"):
         span_rows(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1, 0)])
     assert span_rows(F3, 2, []) == span_rows(F3, 2, ()) == zero_subspace(F3, 2)
+
+
+def test_hash_and_packed_rows_on_first_read(monkeypatch):
+    """A Subspace packs its rows only when they are first read, once, and
+    hashes as (q, n, rows) however it was built."""
+    import glgeom.subspace as sub
+    calls = []
+
+    def counting_pack(rows):
+        calls.append(rows)
+        return pack_rows(rows)
+    monkeypatch.setattr(sub, "pack_rows", counting_pack)
+    subs = list(grassmannian(4, F2, 2))
+    assert len(subs) == 35 and calls == []
+    u, w = subs[0], subs[-1]
+    assert intersection_dim(u, w) == 0
+    assert sorted(calls) == sorted([u.basis, w.basis])
+    assert intersection_dim(u, w) == 0 and len(calls) == 2
+    for s in subs:
+        assert s.packed == pack_rows(s.basis)
+    assert zero_subspace(F3, 2).packed is None
+    for field in (F2, F3):
+        built = [coordinate_subspace(field, 4, [1, 3]),
+                 span_rows(field, 4, [e(field, 4, 2, 4), e(field, 4, 4)]),
+                 intersect(coordinate_subspace(field, 4, [0, 1, 3]),
+                           coordinate_subspace(field, 4, [1, 2, 3])),
+                 perp(coordinate_subspace(field, 4, [0, 2])),
+                 next(s for s in grassmannian(4, field, 2)
+                      if s.basis == ((0, 1, 0, 0), (0, 0, 0, 1)))]
+        assert len(set(built)) == 1
+        for s in built:
+            assert hash(s) == hash((field.q, 4, s.basis))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
