@@ -19,6 +19,7 @@ become bitset operations.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
@@ -126,15 +127,23 @@ def full_space(field, n):
     return coordinate_subspace(field, n, range(n))
 
 
+@lru_cache(maxsize=None)
+def _unit_rows(n):
+    """The unit rows e_0..e_{n-1} of V(n,q), built once per n and shared by
+    every coordinate subspace: any subset of them, in increasing column
+    order, is a canonical basis, and a column range is a slice."""
+    return tuple((0,) * c + (1,) + (0,) * (n - 1 - c) for c in range(n))
+
+
 def coordinate_subspace(field, n, cols):
     """Span of the unit vectors e_c for c in cols (0-based, repeats count
     once).  The unit rows in increasing column order are already the
     canonical basis, so no elimination is run."""
-    rows = []
+    units, rows = _unit_rows(n), []
     for c in sorted(set(cols)):
         if not 0 <= c < n:
             raise ValueError(f"column {c} outside V({n},q)")
-        rows.append((0,) * c + (1,) + (0,) * (n - 1 - c))
+        rows.append(units[c])
     return Subspace(field, n, tuple(rows))
 
 
@@ -142,8 +151,9 @@ def canonical_pair(field, n, m, t):
     """U1 = <e_1..e_m>, U2 = <e_{m-t+1}..e_{2m-t}>; requires 2m-t <= n."""
     if not (0 <= t <= m and 2 * m - t <= n):
         raise ValueError("no pair with this overlap exists")
-    return (coordinate_subspace(field, n, range(m)),
-            coordinate_subspace(field, n, range(m - t, 2 * m - t)))
+    units = _unit_rows(n)
+    return (Subspace(field, n, units[:m]),
+            Subspace(field, n, units[m - t:2 * m - t]))
 
 
 def canonical_pieces(field, n, m, t):
@@ -153,10 +163,11 @@ def canonical_pieces(field, n, m, t):
     <e_{m+1}..e_{2m-t}> and <e_{2m-t+1}..e_n>, with no elimination."""
     if not (0 <= t <= m and 2 * m - t <= n):
         raise ValueError("no pair with this overlap exists")
-    return (coordinate_subspace(field, n, range(m - t, m)),
-            coordinate_subspace(field, n, range(m - t)),
-            coordinate_subspace(field, n, range(m, 2 * m - t)),
-            coordinate_subspace(field, n, range(2 * m - t, n)))
+    units = _unit_rows(n)
+    return (Subspace(field, n, units[m - t:m]),
+            Subspace(field, n, units[:m - t]),
+            Subspace(field, n, units[m:2 * m - t]),
+            Subspace(field, n, units[2 * m - t:]))
 
 
 def intersection_dim(u, w):

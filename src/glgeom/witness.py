@@ -9,8 +9,15 @@ Pair-specific constructions work on the canonical pair U1 = <e_1..e_m>,
 U2 = <e_{m-t+1}..e_{2m-t}> and its pieces (subspace.canonical_pieces),
 all coordinate subspaces; the two branches that build their own pair are
 transported back by an explicit change of basis.  The projective witness
-for m > n/2 needs none: perp U1, perp U2 are the canonical (n-m)-pair
-moved by a cyclic coordinate shift.
+is written down with no elimination.  For m <= n/2 the subset witness
+gives disjoint column sets, and W's canonical rows are their 0/1
+indicator rows ordered by least column: each row's first 1 is at its
+least column, where every other row is 0.  For m > n/2 it needs no
+change of basis: perp U1, perp U2 are the canonical (n-m)-pair moved by a
+cyclic coordinate shift, so W is the perp of the dual witness's sets
+shifted by +m mod n.  Its canonical rows are e_c for each column c in no
+set and e_s - e_max(S) for each s != max(S) in each set S, ordered by
+pivot: each is 0 off its pivot but at a set's maximum, which is no pivot.
 """
 
 from __future__ import annotations
@@ -24,8 +31,8 @@ from .gfq import (Mat, least_irreducible, mat_inverse, poly_mulmod,
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                        canonical_pieces, complement, coordinate_bisection,
                        coordinate_subspace, direct_sum, full_space,
-                       grassmannian, intersection_dim, perp, project_onto,
-                       span_rows, sum_subspace, transport_pair)
+                       grassmannian, intersection_dim, project_onto,
+                       span_rows, sum_subspace, transport_pair, _unit_rows)
 
 
 class PredicateFailsError(ValueError):
@@ -268,22 +275,69 @@ def proj_collinear_witness(n, m, k, j, t, field):
 
 
 def _proj_witness(n, m, k, j, t, field):
-    """proj_collinear_witness unverified; for m > n/2 the dual witness it
-    recurses to is checked only through the outer result."""
+    """proj_collinear_witness unverified, written down from disjoint column
+    sets with no elimination; only the outer result is checked, by
+    _proj_pair_dims, whose meet kernel trusts the rows to be canonical.
+
+    For m <= n/2 the rows are the 0/1 indicator rows of the sets of
+    _proj_column_sets, ordered by least column: each row's first 1 is at
+    its least column, where every other row is 0.  For m > n/2, W is the
+    perp of the span of the dual witness's sets shifted by +m mod n; its
+    rows are e_c for each column c in no set and e_s - e_max(S) for each
+    s != max(S) in each set S, ordered by pivot: each is 0 off its pivot
+    but at a set's maximum, which is no pivot.
+    """
     if 2 * m > n:
-        wb = _proj_witness(n, n - m, n - k, n - m - k + j, n - 2 * m + t, field)
-        return perp(span_rows(field, n, [r[-m:] + r[:-m] for r in wb.rows()]))
+        sets = _proj_column_sets(n, n - m, n - k, n - m - k + j,
+                                 n - 2 * m + t)
+        return Subspace(field, n, _perp_rows(
+            field, n, [[(c + m) % n for c in s] for s in sets]))
+    return Subspace(field, n, _indicator_rows(
+        n, _proj_column_sets(n, m, k, j, t)))
+
+
+def _proj_column_sets(n, m, k, j, t):
+    """The disjoint 0-based column sets whose indicator rows span the
+    witness for m <= n/2: the singletons of K, or those of P and the
+    parts of the partition of the rest (subset_witness)."""
     sw = subset_witness(n, m, k, j, t)
     if sw.k_set is not None:
-        return coordinate_subspace(field, n, [i - 1 for i in sw.k_set])
-    s1 = coordinate_subspace(field, n, [i - 1 for i in sw.p_set])
+        return [[i - 1] for i in sw.k_set]
+    return ([[i - 1] for i in sw.p_set]
+            + [[i - 1 for i in part] for part in sw.partition])
+
+
+def _indicator_rows(n, sets):
+    """The indicator rows of disjoint column sets ordered by least column,
+    the canonical basis of their span (see _proj_witness)."""
+    units = _unit_rows(n)
     rows = []
-    for part in sw.partition:
-        v = [0] * n
-        for i in part:
-            v[i - 1] = 1
-        rows.append(tuple(v))
-    return direct_sum([s1, span_rows(field, n, rows)])
+    for s in sorted(sets, key=min):
+        if len(s) == 1:
+            rows.append(units[s[0]])
+        else:
+            row = [0] * n
+            for c in s:
+                row[c] = 1
+            rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _perp_rows(field, n, sets):
+    """The canonical basis of the perp of the span of the indicator rows of
+    disjoint column sets (see _proj_witness): n - len(sets) independent
+    rows, each summing to 0 over every set."""
+    minus_one = field.neg(1)
+    rows = list(_unit_rows(n))
+    for s in sets:
+        top = max(s)
+        rows[top] = None
+        for c in s:
+            if c != top:
+                row = [0] * n
+                row[c], row[top] = 1, minus_one
+                rows[c] = tuple(row)
+    return tuple(r for r in rows if r is not None)
 
 
 @lru_cache(maxsize=1)

@@ -1,0 +1,32 @@
+"""Reference kernel that the package's projective witness is checked
+against.
+
+`proj_witness` is the construction glgeom.witness used before it wrote W
+down from disjoint column sets: the subset witness's coordinate subspace
+plus the span of its partition rows, joined by direct_sum, and for
+m > n/2 the perp of the span of the cyclically shifted dual witness.
+Every step eliminates.  It is kept verbatim, only renamed from
+`_proj_witness`, as an independent oracle; nothing in the package calls it.
+"""
+
+from glgeom.subspace import coordinate_subspace, direct_sum, perp, span_rows
+from glgeom.witness import subset_witness
+
+
+def proj_witness(n, m, k, j, t, field):
+    """proj_collinear_witness unverified; for m > n/2 the dual witness it
+    recurses to is checked only through the outer result."""
+    if 2 * m > n:
+        wb = proj_witness(n, n - m, n - k, n - m - k + j, n - 2 * m + t, field)
+        return perp(span_rows(field, n, [r[-m:] + r[:-m] for r in wb.rows()]))
+    sw = subset_witness(n, m, k, j, t)
+    if sw.k_set is not None:
+        return coordinate_subspace(field, n, [i - 1 for i in sw.k_set])
+    s1 = coordinate_subspace(field, n, [i - 1 for i in sw.p_set])
+    rows = []
+    for part in sw.partition:
+        v = [0] * n
+        for i in part:
+            v[i - 1] = 1
+        rows.append(tuple(v))
+    return direct_sum([s1, span_rows(field, n, rows)])

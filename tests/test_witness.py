@@ -20,10 +20,13 @@ F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
 F5 = field_make(5)
+F7 = field_make(7)
+F8 = field_make(2, 3)
+F9 = field_make(3, 2)
 
 
 def field_of(q):
-    return {2: F2, 3: F3, 4: F4, 5: F5}[q]
+    return {2: F2, 3: F3, 4: F4, 5: F5, 7: F7, 8: F8, 9: F9}[q]
 
 
 # ---------------------------------------------------------------------
@@ -199,6 +202,89 @@ def test_proj_witness_iff_predicate(q):
                             assert intersection_dim(w, u2) == j
                         except PredicateFailsError:
                             assert not pred
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_proj_witness_is_the_reference_construction(q):
+    """The closed-form rows are those of the eliminating construction, row
+    for row, and canonical: span_rows leaves them as they are (the meet
+    kernel's echelon trusts canonical rows, so a non-canonical W could
+    pass verification wrongly)."""
+    from proj_witness_reference import proj_witness
+    field = field_of(q)
+    checked = 0
+    for n in range(2, 11):
+        for m in range(1, n):
+            for k in range(1, n):
+                for j in range(max(0, m + k - n), min(m, k) + 1):
+                    if 2 * j > k + max(0, 2 * m - n):
+                        continue
+                    for t in range(max(0, 2 * m - n), m):
+                        w = proj_collinear_witness(n, m, k, j, t, field)
+                        want = proj_witness(n, m, k, j, t, field)
+                        assert w.rows() == want.rows(), (n, m, k, j, t)
+                        assert span_rows(field, n, w.rows()) == w
+                        checked += 1
+    assert checked == 1448  # every admissible point with n <= 10
+
+
+def _random_column_sets(rng, n):
+    """Disjoint nonempty column sets of V(n,q), each shuffled, in random
+    order; some columns are left in no set."""
+    cols = list(range(n))
+    rng.shuffle(cols)
+    cols = cols[:rng.randint(0, n)]
+    sets = []
+    while cols:
+        size = rng.randint(1, len(cols))
+        sets.append(cols[:size])
+        cols = cols[size:]
+    return sets
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_perp_rows_closed_form(q):
+    """The perp of the span of the indicator rows of disjoint column sets,
+    written down, is the one perp computes by elimination, and has
+    dimension n minus the number of sets; the indicator rows are the
+    canonical rows of their span."""
+    import random
+    from glgeom.witness import _indicator_rows, _perp_rows
+    field = field_of(q)
+    rng = random.Random(q)
+    families = [(n, sets) for n in range(1, 13)
+                for sets in ([], [[c] for c in range(n)], [list(range(n))])]
+    families += [(n, _random_column_sets(rng, n))
+                 for n in (rng.randint(1, 12) for _ in range(200))]
+    for n, sets in families:
+        ind = _indicator_rows(n, sets)
+        assert ind == span_rows(field, n, ind).rows()
+        got = _perp_rows(field, n, sets)
+        assert got == perp(span_rows(field, n, ind)).rows(), (n, sets)
+        assert len(got) == n - len(sets)
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (2 ** 61 - 1, 1)])
+def test_proj_witness_at_the_field_edges(p, e):
+    """At n = 12 over the largest extension fields and the largest prime
+    field, a witness is built exactly where the predicate holds."""
+    from glgeom.oracle import proj_collinear_predicate
+    field = field_make(p, e)
+    n, built, refused = 12, 0, 0
+    for m in range(1, n):
+        for k in range(1, n):
+            for j in range(max(0, m + k - n), min(m, k) + 1):
+                pred = proj_collinear_predicate(n, m, k, j)
+                for t in range(max(0, 2 * m - n), m):
+                    try:
+                        w = proj_collinear_witness(n, m, k, j, t, field)
+                    except PredicateFailsError:
+                        assert not pred
+                        refused += 1
+                        continue
+                    assert pred and w.dim == k
+                    built += 1
+    assert (built, refused) == (1076, 406)
 
 
 # ---------------------------------------------------------------------
@@ -445,6 +531,35 @@ def test_proj_certificate_reads_the_witness_verification(monkeypatch,
         assert cert["intersection_dims"] == [j, j]
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n,m,k,j", [p[:4] for p in PROJ_POINTS])
+def test_proj_witness_makes_no_elimination(monkeypatch, n, m, k, j, q):
+    """The projective witness is written down: no rref and no kernel is
+    computed, for m <= n/2 and for m > n/2 (every binding of the two gfq
+    kernels in the package is counted, as the bench tracer wraps them)."""
+    import sys
+    from glgeom import gfq
+    modules = [mod for mod_name, mod in sys.modules.items()
+               if mod_name.startswith("glgeom")]
+    calls = {"_rref_rows": 0, "kernel": 0}
+    for name in calls:
+        real = getattr(gfq, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, counted)
+    field = field_of(q)
+    for t in range(max(0, 2 * m - n), m):
+        assert proj_collinear_witness(n, m, k, j, t, field).dim == k
+    assert calls == {"_rref_rows": 0, "kernel": 0}
+    perp(coordinate_subspace(field, n, [0]))  # the counters do see a kernel
+    assert calls["kernel"] == 1 and calls["_rref_rows"] >= 1
+
+
 @pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS)
 def test_bis_certificate_reads_the_witness_verification(monkeypatch,
                                                         q, k, m, k1, k2):
@@ -500,23 +615,18 @@ def test_bis_certificate_of_another_bisection_computes_its_own():
 
 @pytest.mark.parametrize("corrupt", ["perp", "inner"])
 def test_wrong_dual_route_still_fails_the_outer_check(monkeypatch, corrupt):
-    """For m > n/2 only the returned W is verified: a wrong perp, or a wrong
-    dual witness from the inner construction, still raises and exits 4."""
+    """For m > n/2 only the returned W is verified: wrong perp rows, or
+    wrong column sets for the dual witness, still raise and exit 4."""
     import glgeom.witness as wt
     from glgeom.cli import main
     n, m, k, j, t = 6, 4, 3, 2, 2
     assert proj_collinear_witness(n, m, k, j, t, F3).dim == k
     if corrupt == "perp":
-        monkeypatch.setattr(wt, "perp", lambda s: coordinate_subspace(
-            s.field, s.n, range(s.n - s.dim)))
+        monkeypatch.setattr(wt, "_perp_rows", lambda field, n_, sets: (
+            coordinate_subspace(field, n_, range(n_ - len(sets))).rows()))
     else:
-        real = wt._proj_witness
-
-        def wrong_inner(n_, m_, k_, j_, t_, field):
-            if 2 * m_ <= n_:
-                return coordinate_subspace(field, n_, range(k_))
-            return real(n_, m_, k_, j_, t_, field)
-        monkeypatch.setattr(wt, "_proj_witness", wrong_inner)
+        monkeypatch.setattr(wt, "_proj_column_sets",
+                            lambda n_, m_, k_, j_, t_: [[c] for c in range(k_)])
     with pytest.raises(RuntimeError, match="failed verification"):
         proj_collinear_witness(n, m, k, j, t, F3)
     assert main(["proj-collinear", "--n", "6", "--m", "4", "--k", "3",
@@ -531,13 +641,16 @@ def test_wrong_dual_route_still_fails_the_outer_check(monkeypatch, corrupt):
 ])
 def test_lattice_error_inside_a_witness_exits_4(monkeypatch, capsys, argv):
     """A ValueError from a lattice helper after the parameter and predicate
-    checks is a construction failure (exit 4), not bad parameters (exit 1)."""
+    checks is a construction failure (exit 4), not bad parameters (exit 1):
+    direct_sum on the bisection route, the indicator rows on the
+    projective one."""
     import glgeom.witness as wt
     from glgeom.cli import main
 
-    def not_independent(parts):
+    def not_independent(*args):
         raise ValueError("summands are not independent")
     monkeypatch.setattr(wt, "direct_sum", not_independent)
+    monkeypatch.setattr(wt, "_indicator_rows", not_independent)
     assert main(argv + ["--mode", "witness"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal error:")
