@@ -156,18 +156,15 @@ def canonical_pair(field, n, m, t):
             Subspace(field, n, units[m - t:2 * m - t]))
 
 
-def canonical_pieces(field, n, m, t):
-    """T = U1 meet U2, C1, C2 (the complements of T in U1, U2 that
-    complement picks) and C (that of U1 + U2 in V) for the canonical pair,
-    read off column ranges: <e_{m-t+1}..e_m>, <e_1..e_{m-t}>,
-    <e_{m+1}..e_{2m-t}> and <e_{2m-t+1}..e_n>, with no elimination."""
+def canonical_piece_columns(n, m, t):
+    """The 0-based column ranges of the canonical pair's pieces: T = U1
+    meet U2, C1, C2 (the complements of T in U1, U2 that complement picks)
+    and C (that of U1 + U2 in V), that is <e_{m-t+1}..e_m>, <e_1..e_{m-t}>,
+    <e_{m+1}..e_{2m-t}> and <e_{2m-t+1}..e_n>."""
     if not (0 <= t <= m and 2 * m - t <= n):
         raise ValueError("no pair with this overlap exists")
-    units = _unit_rows(n)
-    return (Subspace(field, n, units[m - t:m]),
-            Subspace(field, n, units[:m - t]),
-            Subspace(field, n, units[m:2 * m - t]),
-            Subspace(field, n, units[2 * m - t:]))
+    return (range(m - t, m), range(m - t), range(m, 2 * m - t),
+            range(2 * m - t, n))
 
 
 def intersection_dim(u, w):
@@ -251,50 +248,12 @@ def complement(u, inside):
     return Subspace(field, n, tuple(picked))
 
 
-def direct_sum(parts):
-    """Sum of the parts, asserting the sum is direct."""
-    parts = [p for p in parts if p.dim > 0]
-    if not parts:
-        raise ValueError("direct_sum of no nonzero parts")
-    field, n = parts[0].field, parts[0].n
-    rows = [r for p in parts for r in p.basis]
-    s = span_rows(field, n, rows)
-    if s.dim != sum(p.dim for p in parts):
-        raise ValueError("summands are not independent")
-    return s
-
-
 def add_vecs(field, u, v):
     return tuple(field.add(x, y) for x, y in zip(u, v))
 
 
 def scale_vec(field, c, v):
     return tuple(field.mul(c, x) for x in v)
-
-
-def project_onto(u, b, c):
-    """Image of U under the projection V = B (+) C -> C.
-
-    B and C must be complementary subspaces of the full ambient space.
-    """
-    field, n = u.field, u.n
-    rows = b.basis + c.basis
-    if len(rows) != n:
-        raise ValueError("B and C do not decompose the ambient space")
-    s = mat_inverse(Mat(field, rows))
-    nb = b.dim
-    out = []
-    for v in u.basis:
-        coords = vec_mat(v, s)
-        w = [0] * n
-        for i in range(nb, n):
-            ci = coords[i]
-            if ci:
-                for j, x in enumerate(rows[i]):
-                    if x:
-                        w[j] = field.add(w[j], field.mul(ci, x))
-        out.append(tuple(w))
-    return span_rows(field, n, out)
 
 
 def adapted_pair_basis(u1, u2):

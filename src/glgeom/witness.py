@@ -6,18 +6,24 @@ subspace primitives; a construction that cannot be completed raises rather
 than guessing.  A collinear witness's certificate records the verification
 just made (a one-entry memo); one for any other W computes its own.
 Pair-specific constructions work on the canonical pair U1 = <e_1..e_m>,
-U2 = <e_{m-t+1}..e_{2m-t}> and its pieces (subspace.canonical_pieces),
-all coordinate subspaces; the two branches that build their own pair are
-transported back by an explicit change of basis.  The projective witness
-is written down with no elimination.  For m <= n/2 the subset witness
-gives disjoint column sets, and W's canonical rows are their 0/1
-indicator rows ordered by least column: each row's first 1 is at its
-least column, where every other row is 0.  For m > n/2 it needs no
-change of basis: perp U1, perp U2 are the canonical (n-m)-pair moved by a
-cyclic coordinate shift, so W is the perp of the dual witness's sets
-shifted by +m mod n.  Its canonical rows are e_c for each column c in no
-set and e_s - e_max(S) for each s != max(S) in each set S, ordered by
-pivot: each is 0 off its pivot but at a set's maximum, which is no pivot.
+U2 = <e_{m-t+1}..e_{2m-t}>.  The projective witness is written down with
+no elimination.  For m <= n/2 the subset witness gives disjoint column
+sets, and W's canonical rows are their 0/1 indicator rows ordered by least
+column: each row's first 1 is at its least column, where every other row
+is 0.  For m > n/2 it needs no change of basis: perp U1, perp U2 are the
+canonical (n-m)-pair moved by a cyclic coordinate shift, so W is the perp
+of the dual witness's sets shifted by +m mod n.  Its canonical rows are
+e_c for each column c in no set and e_s - e_max(S) for each s != max(S)
+in each set S, ordered by pivot: each is 0 off its pivot but at a set's
+maximum, which is no pivot.
+
+The bisection witness is index data.  Each regime names, for each half,
+its unit rows e_c and its rows e_c + lambda e_d (a few q = 2 rows have
+three terms), by set arithmetic on the column ranges of the pair's pieces
+(subspace.canonical_piece_columns); no complement, projection or sum is
+computed, and no change of basis.  Each half is then one span_rows.  The
+checks that remain are those of the result: Bisection (both halves of
+dimension k, disjoint) and _bis_pair_dims (both patterns (k1, k2)).
 """
 
 from __future__ import annotations
@@ -26,13 +32,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParamError, TooLargeError
-from .gfq import (Mat, least_irreducible, mat_inverse, poly_mulmod,
-                  rank_of_rows, rref, vec_mat)
+from .gfq import (Mat, least_irreducible, mat_inverse, poly_mulmod, rref,
+                  vec_mat)
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
-                       canonical_pieces, complement, coordinate_bisection,
-                       coordinate_subspace, direct_sum, full_space,
-                       grassmannian, intersection_dim, project_onto,
-                       span_rows, sum_subspace, transport_pair, _unit_rows)
+                       canonical_piece_columns, coordinate_subspace,
+                       grassmannian, intersection_dim, span_rows, _unit_rows)
 
 
 class PredicateFailsError(ValueError):
@@ -47,14 +51,58 @@ def _check(ok, what):
 
 
 # ----------------------------------------------------------------------
-# diagonal subspaces
+# index rows and diagonal subspaces
 # ----------------------------------------------------------------------
 
-def maximal_diagonal(a, b):
-    """<a_i + b_i> over the shorter of the two stored bases."""
-    field, n = a.field, a.n
-    rows = [add_vecs(field, x, y) for x, y in zip(a.rows(), b.rows())]
-    return span_rows(field, n, rows)
+# A row in index form is a tuple of (column, coefficient) terms; the
+# bisection witness writes each half down as a list of them.
+
+def _units(cols):
+    """The unit rows e_c for c in cols, in index form."""
+    return [((c, 1),) for c in cols]
+
+
+def _sums(cols, others):
+    """The rows e_c + e_d pairing cols with others, as far as both run."""
+    return [((c, 1), (d, 1)) for c, d in zip(cols, others)]
+
+
+def _vectors(field, n, rows):
+    """The vectors of V(n,q) that rows in index form stand for; terms on
+    one column add up."""
+    out = []
+    for terms in rows:
+        v = [0] * n
+        for c, x in terms:
+            v[c] = field.add(v[c], x)
+        out.append(tuple(v))
+    return out
+
+
+def _bisection(field, n, rows1, rows2):
+    """The bisection whose halves the index rows span, by one span_rows
+    per half; Bisection checks their dimensions and disjointness."""
+    return Bisection(span_rows(field, n, _vectors(field, n, rows1)),
+                     span_rows(field, n, _vectors(field, n, rows2)))
+
+
+def _diagonal_rows(field, es, fs, r):
+    """Index rows of two disjoint diagonal r-subspaces Z1, Z2 of
+    <es> (+) <fs>, for independent rows with r <= len(es) <= len(fs).
+
+    Z1 pairs es[i] with fs[i]; Z2 pairs it with 2 fs[i] at q > 2, and at
+    q = 2 with fs[i+1], cyclically.  When r = len(es) = len(fs) the shifted
+    rows would have the same sum as those of Z1, so the last one,
+    es[r-1] + fs[0], takes fs[1] as well.
+    """
+    z1 = [es[i] + fs[i] for i in range(r)]
+    if field.q > 2:  # 2 is a fixed element outside {0, 1}
+        return z1, [es[i] + tuple((c, field.mul(2, x)) for c, x in fs[i])
+                    for i in range(r)]
+    z2 = [es[i] + fs[(i + 1) % len(fs)] for i in range(r)]
+    if 0 < r == len(es) == len(fs):
+        z2[-1] += fs[1]
+    return z1, z2
 
 
 @dataclass(frozen=True)
@@ -75,11 +123,10 @@ class DiagonalPair:
 
 
 def diagonal_pair(y1, y2, r):
-    """Two disjoint diagonal r-subspaces of Y1 (+) Y2.
+    """Two disjoint diagonal r-subspaces of Y1 (+) Y2, from _diagonal_rows
+    on the canonical rows of the smaller and the larger.
 
-    Exists iff (max(dim Y1, dim Y2), q) != (1, 2); for q = 2 the second
-    subspace shifts the second index, with a corrected first vector when
-    r equals both dimensions.
+    Exists iff (max(dim Y1, dim Y2), q) != (1, 2).
     """
     field = y1.field
     q = field.q
@@ -90,86 +137,14 @@ def diagonal_pair(y1, y2, r):
     if (max(y1.dim, y2.dim), q) == (1, 2):
         raise ParamError("a unique diagonal line exists; no disjoint pair")
     a, b = (y1, y2) if y1.dim <= y2.dim else (y2, y1)
-    es, fs = a.rows(), b.rows()
-    add = lambda u, v: add_vecs(field, u, v)
-    z1 = span_rows(field, a.n, [add(es[i], fs[i]) for i in range(r)])
-    if q > 2:
-        scalar = 2  # a fixed element outside {0, 1}
-        z2_rows = [add(es[i], tuple(field.mul(scalar, x) for x in fs[i]))
-                   for i in range(r)]
-    else:
-        y2dim = len(fs)
-        if r == len(es) == y2dim:
-            first = add(es[r - 1], add(fs[0], fs[1]))
-            z2_rows = [first] + [add(es[i], fs[i + 1]) for i in range(r - 1)]
-        else:
-            z2_rows = [add(es[i], fs[(i + 1) % y2dim]) for i in range(r)]
-    z2 = span_rows(field, a.n, z2_rows)
+    es, fs = ([tuple((c, x) for c, x in enumerate(row) if x)
+               for row in s.rows()] for s in (a, b))
+    z1, z2 = (span_rows(field, a.n, _vectors(field, a.n, rows))
+              for rows in _diagonal_rows(field, es, fs, r))
     pair = DiagonalPair(z1, z2, y1, y2)
     if not pair.verify():
         raise RuntimeError("diagonal pair construction failed to verify")
     return pair
-
-
-def diagonal_pair_exists_bruteforce(y1, y2, r):
-    """Exhaustive search for two disjoint diagonal r-subspaces (test oracle).
-
-    Enumerates diagonals as graphs of injective maps from r-subspaces of Y1
-    into Y2, independent of the constructive route.
-    """
-    field, n = y1.field, y1.n
-
-    def diagonals():
-        for dom in grassmannian_sub(y1, r):
-            dom_rows = dom.rows()
-            for images in _injective_tuples(y2, r):
-                rows = [add_vecs(field, d, im) for d, im in zip(dom_rows, images)]
-                yield span_rows(field, n, rows)
-
-    all_diags = list(diagonals())
-    seen = set()
-    uniq = []
-    for d in all_diags:
-        if d not in seen:
-            seen.add(d)
-            uniq.append(d)
-    for i, z1 in enumerate(uniq):
-        for z2 in uniq[i + 1:]:
-            if intersection_dim(z1, z2) == 0:
-                return True
-    return False
-
-
-def grassmannian_sub(space, r):
-    """All r-subspaces of a given subspace (via coordinates on its basis)."""
-    field, n = space.field, space.n
-    rows = space.rows()
-    for small in grassmannian(space.dim, field, r):
-        big_rows = []
-        for coeffs in small.rows():
-            v = (0,) * n
-            for c, row in zip(coeffs, rows):
-                if c:
-                    v = add_vecs(field, v, tuple(field.mul(c, x) for x in row))
-            big_rows.append(v)
-        yield span_rows(field, n, big_rows)
-
-
-def _injective_tuples(space, r):
-    """Ordered r-tuples of linearly independent vectors of a subspace."""
-    field, n = space.field, space.n
-    vectors = [v for v in space.vectors() if any(v)]
-
-    def rec(chosen):
-        if len(chosen) == r:
-            yield tuple(chosen)
-            return
-        for v in vectors:
-            trial = chosen + [v]
-            if rank_of_rows(field, trial, n) == len(trial):
-                yield from rec(trial)
-
-    yield from rec([])
 
 
 # ----------------------------------------------------------------------
@@ -357,69 +332,13 @@ def bis_collinear_predicate(q, m, k, k1, k2):
     return 3 * k2 <= k + 1 + m + k1 and (q, m, k, k1, k2) != (2, 1, 1, 0, 0)
 
 
-def _span_slice(space, a, b=None):
-    """The span of a run of space's canonical rows: rows taken from an
-    rref basis are the rref basis of their span, so none is eliminated."""
-    return Subspace(space.field, space.n, space.rows()[a:b])
-
-
-def _graph_rows(field, dom_rows, target_rows):
-    """Rows w_i + z_i pairing a domain basis with distinct target rows."""
-    _check(len(dom_rows) <= len(target_rows), "graph: too few target rows")
-    return [add_vecs(field, w, z) for w, z in zip(dom_rows, target_rows)]
-
-
-def complementary_pair_avoiding(ambient, x1, x2, d1, d2):
-    """(A1, A2) with ambient = A1 (+) A2, dims (d1, d2), both disjoint
-    from the disjoint equal-dimensional subspaces X1, X2 of ambient."""
-    field, n = ambient.field, ambient.n
-    q = field.q
-    d = x1.dim
-    if x2.dim != d or d1 + d2 != ambient.dim or d > min(d1, d2):
-        raise ParamError("dimension bookkeeping failed")
-    if d == 0:
-        return _span_slice(ambient, 0, d1), _span_slice(ambient, d1)
-    x = direct_sum([x1, x2])
-    c = complement(x, ambient)
-    if (d, q) != (1, 2):
-        dp = diagonal_pair(x1, x2, d)
-        cr = c.rows()
-        a1 = direct_sum([dp.z1, Subspace(field, n, cr[:d1 - d])])
-        a2 = direct_sum([dp.z2, Subspace(field, n, cr[d1 - d:])])
-    else:
-        if ambient.dim == 2:
-            raise RuntimeError("no avoiding split of a 2-dimensional space "
-                               "over GF(2)")
-        v1, v2 = x1.rows()[0], x2.rows()[0]
-        cr = c.rows()
-        mixed = [add_vecs(field, v1, v2), add_vecs(field, v1, cr[0])]
-        if d2 >= 2:
-            a1 = Subspace(field, n, cr[:d1])
-            a2 = span_rows(field, n, mixed + list(cr[d1:]))
-        else:
-            a2 = Subspace(field, n, cr[:d2])
-            a1 = span_rows(field, n, mixed + list(cr[d2:]))
-    _assert_avoiding(ambient, x1, x2, a1, a2, d1, d2)
-    return a1, a2
-
-
-def _assert_avoiding(ambient, x1, x2, a1, a2, d1, d2):
-    ok = (a1.dim == d1 and a2.dim == d2
-          and intersection_dim(a1, a2) == 0
-          and all(intersection_dim(a, x) == 0
-                  for a in (a1, a2) for x in (x1, x2)))
-    if not ok:
-        raise RuntimeError("avoiding split failed verification")
-
-
 def bis_collinear_witness(params, t):
     """A bisection incident with both canonical m-subspaces at overlap t.
 
-    Requires m <= k (dualize first otherwise).  The construction follows
-    the regime of (t, k1, k2, q): small overlap extends disjoint pieces of
-    the two subspaces, large overlap assembles diagonal subspaces against
-    a complement, and the handful of tight q=2 configurations use either
-    the near-half table or the dedicated small-case build.
+    Requires m <= k (dualize first otherwise).  The regime of (t, k1, k2, q)
+    writes both halves down as index rows (_bis_witness_rows); each half is
+    one span_rows, and the bisection is verified once: Bisection checks
+    dimensions and disjointness, _bis_pair_dims the two patterns.
     """
     field = params.field
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
@@ -430,23 +349,8 @@ def bis_collinear_witness(params, t):
     if not bis_collinear_predicate(q, m, k, k1, k2):
         raise PredicateFailsError("parameters admit no covering bisection")
     try:
-        if (k1, k2) == (0, 0):
-            b = _disjoint_pattern_witness(params, t)
-        elif q == 2 and k1 == 0 and m == k and k2 == k - 1 and t >= 1:
-            b = near_half_table_bisection(field, k, t)
-        elif t <= k1:
-            b = _small_overlap_witness(params, t)
-        elif t <= 2 * k1:
-            b = _mid_overlap_witness(params, t)
-        elif t <= m + k1 - k2:
-            b = _balanced_overlap_witness(params, t)
-        elif t <= k2:
-            b = _deep_overlap_graph_witness(params, t)
-        elif t >= k1 + k2:
-            b = _deep_overlap_wide_witness(params, t)
-        else:
-            b = _deep_overlap_narrow_witness(params, t)
-        _check(b.n == 2 * k, "witness bisection in the wrong ambient space")
+        b = _bisection(field, 2 * k,
+                       *_bis_witness_rows(field, k, m, k1, k2, t))
         _, patterns = _bis_pair_dims(field, k, m, t, b)
     except ValueError as exc:
         raise RuntimeError(f"witness construction failed: {exc}") from exc
@@ -465,73 +369,54 @@ def _bis_pair_dims(field, k, m, t, b):
                        for u in pair)
 
 
+def _bis_witness_rows(field, k, m, k1, k2, t):
+    """The index rows of the two halves, by regime.  Each regime works on
+    the column ranges tt, c1, c2, c of subspace.canonical_piece_columns:
+    U1 = <c1, tt>, U2 = <tt, c2>, and c the rest of V(2k,q)."""
+    if (k1, k2) == (0, 0):
+        return _disjoint_pattern_rows(field, k, m, t)
+    if field.q == 2 and k1 == 0 and m == k and k2 == k - 1 and t >= 1:
+        return _near_half_rows(k, t)
+    if t <= 2 * k1:
+        return _shallow_overlap_rows(field, k, m, k1, k2, t)
+    if t <= m + k1 - k2:
+        return _balanced_overlap_rows(field, k, m, k1, k2, t)
+    if t <= k2:
+        return _graph_overlap_rows(k, m, k1, k2, t)
+    return _deep_overlap_rows(k, m, k1, k2, t)
+
+
 # -- pattern (0,0): both halves disjoint from both subspaces -------------
 
-def _disjoint_pattern_witness(params, t):
-    field = params.field
-    q, m, k = field.q, params.m, params.k
+def _disjoint_pattern_rows(field, k, m, t):
+    """A diagonal pair of <c1> (+) <c2> beside one of <tt, c[:k-m]> (+)
+    <c[k-m:]>.  At q = 2 a diagonal pair of lines does not exist, so one
+    column in c1 (m - t = 1) or one in c[k-m:] (k - m + t = 1) takes one of
+    the forms written down below."""
     n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
-    tt, p1, p2, c = canonical_pieces(field, n, m, t)
-    a_fail = (q == 2 and m - t == 1)
-    b_fail = (q == 2 and k - m + t == 1)
-    cr = c.rows()
-    if not a_fail and not b_fail:
-        c1 = span_rows(field, n, list(tt.rows()) + list(cr[:k - m]))
-        c2 = Subspace(field, n, cr[k - m:])
-        dp = diagonal_pair(p1, p2, m - t)
-        if k - m + t > 0:
-            ep = diagonal_pair(c1, c2, k - m + t)
-            v1 = direct_sum([dp.z1, ep.z1])
-            v2 = direct_sum([dp.z2, ep.z2])
-        else:
-            v1, v2 = dp.z1, dp.z2
-        return Bisection(v1, v2)
-    if a_fail:
-        c3 = Subspace(field, n, cr[:k - m + t])
-        c4 = Subspace(field, n, cr[k - m + t:])
-        if m <= k - 1:
-            d1 = maximal_diagonal(p1, p2)
-            v1 = direct_sum([d1, c3]) if c3.dim else d1
-            d2 = maximal_diagonal(u2, c3)
-            v2 = direct_sum([d2, c4]) if c4.dim else d2
-            return Bisection(v1, v2)
-        w1, w2, b = _own_pair_high_overlap(field, k)
-    elif m == k - 1 and t == 0:  # b_fail only
-        c3 = Subspace(field, n, cr[:1])
-        c4 = Subspace(field, n, cr[1:])
-        dp = diagonal_pair(p1, p2, m)
-        v1 = direct_sum([dp.z1, c3])
-        v2 = direct_sum([dp.z2, c4])
-        return Bisection(v1, v2)
-    else:  # b_fail only, m == k, t == 1, k >= 3
-        w1, w2, b = _own_pair_low_overlap(field, k)
-    return b.apply(transport_pair(w1, w2, u1, u2))
-
-
-def _own_pair_high_overlap(field, k):
-    """q=2, m=k, overlap k-1: a diagonal pair against the coordinate bisection."""
-    n = 2 * k
-    b = coordinate_bisection(field, k)
-    diag = [tuple(1 if j in (i, k + i) else 0 for j in range(n)) for i in range(k)]
-    u1 = span_rows(field, n, diag)
-    last = list(diag[k - 1])
-    last[0] = 1  # u + v with v the V1-projection of the first overlap vector
-    u2 = span_rows(field, n, diag[:k - 1] + [tuple(last)])
-    return u1, u2, b
-
-
-def _own_pair_low_overlap(field, k):
-    """q=2, m=k >= 3, overlap 1: two maximal diagonals sharing one line."""
-    n = 2 * k
-    b = coordinate_bisection(field, k)
-    diag = [tuple(1 if j in (i, k + i) else 0 for j in range(n)) for i in range(k)]
-    u1 = span_rows(field, n, diag)
-    v1p = coordinate_subspace(field, n, range(1, k))
-    v2p = coordinate_subspace(field, n, range(k + 1, n))
-    dp = diagonal_pair(v1p, v2p, k - 1)
-    u2 = direct_sum([dp.z2, span_rows(field, n, [diag[0]])])
-    return u1, u2, b
+    tt, c1, c2, c = canonical_piece_columns(n, m, t)
+    if field.q == 2 and m - t == 1:
+        if m < k:  # V1: c1 + c2, c[:k-1]; V2: U2 paired with c[:k-1], c[k-1:]
+            c3 = c[:k - 1]
+            return (_sums(c1, c2) + _units(c3),
+                    _sums([*tt, *c2], c3) + _units(c[k - 1:]))
+        # m = k, t = k - 1: columns 0 + (2k-1) and i + (k+i-1) for
+        # 2 <= i <= k; 0 + 1 + k and k+1..2k-1
+        return (_sums([0, *range(2, k + 1)], [n - 1, *range(k + 1, n)]),
+                [((0, 1), (1, 1), (k, 1))] + _units(range(k + 1, n)))
+    if field.q == 2 and k - m + t == 1:
+        if t == 0:  # m = k - 1: the whole diagonal pair, one column of c each
+            z1, z2 = _diagonal_rows(field, _units(c1), _units(c2), m)
+            return z1 + _units(c[:1]), z2 + _units(c[1:])
+        # m = k >= 3, t = 1: columns i + (k+i) for i < k; 0 + k + (2k-2),
+        # i + (k+i-1) for 1 <= i <= k-2, and 2k-1
+        return (_sums(range(k), range(k, n)),
+                [((0, 1), (k, 1), (n - 2, 1))]
+                + _sums(range(1, k - 1), range(k, n - 2)) + _units([n - 1]))
+    z1, z2 = _diagonal_rows(field, _units(c1), _units(c2), m - t)
+    e1, e2 = _diagonal_rows(field, _units([*tt, *c[:k - m]]),
+                            _units(c[k - m:]), k - m + t)
+    return z1 + e1, z2 + e2
 
 
 # -- q=2 small cases with k1 = 0, m = k ----------------------------------
@@ -547,275 +432,118 @@ _NEAR_HALF_TABLE = {
 }
 
 
+def _near_half_rows(k, t):
+    """The tabulated halves for q=2, m=k, pattern (0, k-1) as index rows."""
+    return tuple([tuple((i - 1, 1) for i in combo) for combo in half]
+                 for half in _NEAR_HALF_TABLE[(k, t)])
+
+
 def near_half_table_bisection(field, k, t):
     """The tabulated bisection for q=2, m=k, pattern (0, k-1), overlap t."""
     if field.q != 2 or (k, t) not in _NEAR_HALF_TABLE:
         raise ParamError("no tabulated bisection here")
-    n = 2 * k
-    v1_ix, v2_ix = _NEAR_HALF_TABLE[(k, t)]
-
-    def rows_from(ixs):
-        out = []
-        for combo in ixs:
-            v = [0] * n
-            for i in combo:
-                v[i - 1] = 1
-            out.append(tuple(v))
-        return out
-
-    return Bisection(span_rows(field, n, rows_from(v1_ix)),
-                     span_rows(field, n, rows_from(v2_ix)))
+    return _bisection(field, 2 * k, *_near_half_rows(k, t))
 
 
-def _small_case_witness(params, t):
-    """q=2, k1=0, k2=k-1-t, m=k: one half absorbs most of each subspace."""
-    field, m, k, k2 = params.field, params.m, params.k, params.k2
-    n = 2 * k
-    tt, c1, c2, c = canonical_pieces(field, n, m, t)
-    x1, ub1 = c1.rows()[0], _span_slice(c1, 1)
-    x2, ub2 = c2.rows()[0], _span_slice(c2, 1)
-    d1 = add_vecs(field, x1, ub2.rows()[0])
-    d2 = add_vecs(field, x1, x2)
-    d3 = [add_vecs(field, cv, tv) for cv, tv in zip(c.rows(), tt.rows())]
-    v1 = span_rows(field, n, list(ub1.rows()) + [d1] + d3)
-    v2 = span_rows(field, n, list(ub2.rows()) + [d2] + list(c.rows()))
-    _check(v1.dim == k and v2.dim == k, "small-case dimensions off")
-    return Bisection(v1, v2)
+def _small_case_rows(k, t):
+    """q=2, k1=0, m=k, k2=k-1-t: one half takes c1 but its first column,
+    that column plus the second of c2, and c paired with tt; the other
+    takes c2 but its first column, the sum of the two first columns, and
+    c."""
+    tt, c1, c2, c = canonical_piece_columns(2 * k, k, t)
+    return (_units(c1[1:]) + _sums(c1[:1], c2[1:]) + _sums(c, tt),
+            _units(c2[1:]) + _sums(c1[:1], c2) + _units(c))
 
 
-# -- overlap t <= k1 ------------------------------------------------------
+# -- overlap t <= 2 k1 ----------------------------------------------------
 
-def _small_overlap_witness(params, t):
-    field = params.field
-    q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
-    n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
-    tt, c1, c2, _ = canonical_pieces(field, n, m, t)
-    r1, r2 = c1.rows(), c2.rows()
-    u12 = span_rows(field, n, list(tt.rows()) + list(r1[:k1 - t]))
-    u22 = span_rows(field, n, list(tt.rows()) + list(r2[:k2 - t]))
-    u11 = Subspace(field, n, r1[k1 - t:k1 - t + k2])
-    u21 = Subspace(field, n, r2[k2 - t:k2 - t + k1])
-    b1 = direct_sum([u11, u21]) if u21.dim else u11
-    b2 = sum_subspace(u12, u22)
-    _check(b2.dim == k1 + k2 - t, "small overlap: dim B2 off")
-    ball = sum_subspace(b1, b2)
-    _check(ball.dim == 2 * (k1 + k2) - t, "small overlap: dim B off")
-    dim_vbar = n - ball.dim
-    mbar = m - k1 - k2
-    if q == 2 and dim_vbar == 2 and mbar == 1:
-        # forced: t = 0 and m = k = k1 + k2 + 1
-        if k1 > 0:
-            e1 = complement(direct_sum([u11, u12]), u1).rows()[0]
-            e2 = complement(direct_sum([u21, u22]), u2).rows()[0]
-            f1 = u11.rows()[0]
-            f2 = u21.rows()[0]
-            v1 = direct_sum([b1, span_rows(field, n, [add_vecs(field, e1, e2)])])
-            mix = add_vecs(field, add_vecs(field, e1, f1), f2)
-            v2 = direct_sum([b2, span_rows(field, n, [mix])])
-            return Bisection(v1, v2)
-        return _small_case_witness(params, t)
-    vbar = complement(ball, full_space(field, n))
-    d1, d2 = k - k1 - k2, k - k1 - k2 + t
-    if mbar == 0:
-        a1, a2 = _span_slice(vbar, 0, d1), _span_slice(vbar, d1)
-    else:
-        ub1 = project_onto(u1, ball, vbar)
-        ub2 = project_onto(u2, ball, vbar)
-        _check(ub1.dim == mbar and ub2.dim == mbar,
-               "small overlap: projected dimensions off")
-        _check(intersection_dim(ub1, ub2) == 0,
-               "small overlap: projections meet")
-        a1, a2 = complementary_pair_avoiding(vbar, ub1, ub2, d1, d2)
-    v1 = direct_sum([b1, a1]) if a1.dim else b1
-    v2 = direct_sum([b2, a2]) if a2.dim else b2
-    return Bisection(v1, v2)
-
-
-# -- overlap k1 < t <= 2 k1 ----------------------------------------------
-
-def _mid_overlap_witness(params, t):
-    field = params.field
-    q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
-    n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
-    tt, c1, c2, _ = canonical_pieces(field, n, m, t)
-    tr = tt.rows()
-    u12 = Subspace(field, n, tr[:k1])
-    r2 = c2.rows()
-    u22 = span_rows(field, n, list(u12.rows()) + list(r2[:k2 - k1]))
-    s = complement(u12, tt)  # (t - k1)-dimensional
-    r1 = c1.rows()
-    u11 = span_rows(field, n, list(s.rows()) + list(r1[:k2 - (t - k1)]))
-    u21 = span_rows(field, n,
-                    list(s.rows()) + list(r2[k2 - k1:k2 - k1 + (2 * k1 - t)]))
-    b1 = sum_subspace(u11, u21)
-    _check(b1.dim == 2 * k1 + k2 - t, "mid overlap: dim B1 off")
-    b2 = u22
-    ball = sum_subspace(b1, b2)
-    _check(ball.dim == 2 * (k1 + k2) - t, "mid overlap: dim B off")
-    mbar = m - k1 - k2
-    if q == 2 and n - ball.dim == 2 and mbar == 1:
-        raise RuntimeError("impossible tight configuration reached")
-    vbar = complement(ball, full_space(field, n))
-    d1, d2 = k - 2 * k1 - k2 + t, k - k2
-    if mbar == 0:
-        a1, a2 = _span_slice(vbar, 0, d1), _span_slice(vbar, d1)
-    else:
-        ub1 = project_onto(u1, ball, vbar)
-        ub2 = project_onto(u2, ball, vbar)
-        a1, a2 = complementary_pair_avoiding(vbar, ub1, ub2, d1, d2)
-    v1 = direct_sum([b1, a1]) if a1.dim else b1
-    v2 = direct_sum([b2, a2]) if a2.dim else b2
-    return Bisection(v1, v2)
+def _shallow_overlap_rows(field, k, m, k1, k2, t):
+    """B2 = <tt[:x], c1[:k1-x], c2[:k2-x]> with x = min(t, k1) meets U1 in
+    k1 and U2 in k2 dimensions, B1 = the rest of <tt, c1[:s], c2[:s]>
+    (s = k1 + k2 - t) meets them the other way round.  Each half is
+    completed from c and the last mbar = m - k1 - k2 columns x1, x2 of c1
+    and c2, avoiding both: a diagonal pair of <x1>, <x2> and columns of
+    c; at q = 2 with mbar = 1, x1 + x2 and x1 + c[0] go to the half with
+    room, or (c empty: t = 0, m = k) x1 + x2 and x1 + B1's first columns
+    of c1 and c2."""
+    tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
+    x, s = min(t, k1), k1 + k2 - t
+    b1 = _units([*tt[x:], *c1[k1 - x:s], *c2[k2 - x:s]])
+    b2 = _units([*tt[:x], *c1[:k1 - x], *c2[:k2 - x]])
+    x1, x2 = c1[s:], c2[s:]
+    d1, d2 = k - len(b1), k - len(b2)
+    if field.q == 2 and len(x1) == 1:
+        if not c:
+            if not k1:
+                return _small_case_rows(k, t)
+            return (b1 + _sums(x1, x2),
+                    b2 + [((x1[0], 1), (c1[k1], 1), (c2[k2], 1))])
+        mixed = _sums([x1[0]] * 2, [x2[0], c[0]])
+        if d2 >= 2:
+            return b1 + _units(c[:d1]), b2 + mixed + _units(c[d1:])
+        return b1 + mixed + _units(c[d2:]), b2 + _units(c[:d2])
+    z1, z2 = _diagonal_rows(field, _units(x1), _units(x2), len(x1))
+    d = d1 - len(x1)
+    return b1 + z1 + _units(c[:d]), b2 + z2 + _units(c[d:])
 
 
 # -- overlap 2 k1 < t <= m + k1 - k2 --------------------------------------
 
-def _balanced_overlap_witness(params, t):
-    field = params.field
-    q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
-    n = 2 * k
-    u1, u2 = canonical_pair(field, n, m, t)
-    tt, c1, c2, _ = canonical_pieces(field, n, m, t)
-    tr = tt.rows()
-    u11 = Subspace(field, n, tr[:k1])
-    u22 = Subspace(field, n, tr[k1:2 * k1])
-    u12 = span_rows(field, n, list(u22.rows()) + list(c1.rows()[:k2 - k1]))
-    u21 = span_rows(field, n, list(u11.rows()) + list(c2.rows()[:k2 - k1]))
-    t3 = Subspace(field, n, tr[2 * k1:])  # dim t - 2 k1
-    core_parts = [p for p in (u12, u21, t3) if p.dim]
-    core = direct_sum(core_parts)
-    vbar = complement(core, full_space(field, n))
-    mbar = m + k1 - k2 - t
-    if mbar > 0:
-        ub1 = project_onto(u1, core, vbar)
-        ub2 = project_onto(u2, core, vbar)
-        _check(ub1.dim == mbar and intersection_dim(ub1, ub2) == 0,
-               "balanced overlap: projections off")
-        ubar = direct_sum([ub1, ub2])
-        rest = complement(ubar, vbar)
-    else:
-        ub1 = ub2 = None
-        rest = vbar
-    t1 = Subspace(field, n, rest.rows()[:t - 2 * k1])
-    t2 = maximal_diagonal(t1, t3)
-    after = Subspace(field, n, rest.rows()[t - 2 * k1:])
-    half = k - m + k1
-    s1 = _span_slice(after, 0, half)
-    s2 = _span_slice(after, half, 2 * half)
-    _check(after.dim == 2 * half, "balanced overlap: remainder dimension off")
-    if mbar == 0:
-        v1 = direct_sum([p for p in (u21, t1, s1) if p.dim])
-        v2 = direct_sum([p for p in (u12, t2, s2) if p.dim])
-        return Bisection(v1, v2)
-    r = mbar + half
-    if q == 2 and r == 1:
-        # forced: m = k, k1 = 0, k2 = k - 1 - t with t >= 1
-        return _small_case_witness(params, t)
-    y1 = direct_sum([p for p in (ub1, s1) if p.dim])
-    y2 = direct_sum([p for p in (ub2, s2) if p.dim])
-    dp = diagonal_pair(y1, y2, r)
-    v1 = direct_sum([p for p in (u21, t1, dp.z1) if p.dim])
-    v2 = direct_sum([p for p in (u12, t2, dp.z2) if p.dim])
-    return Bisection(v1, v2)
+def _balanced_overlap_rows(field, k, m, k1, k2, t):
+    """V1 holds tt[:k1], c2[:j] and c[:g] (j = k2 - k1, g = t - 2 k1), V2
+    holds tt[k1:2 k1], c1[:j] and c[:g] paired with tt[2 k1:].  The rest
+    of c splits into two runs of half = k - m + k1 columns; with the last
+    columns x1, x2 of c1 and c2 they form Y1, Y2, and each half takes one
+    of a diagonal pair of Y1 (+) Y2 (the runs themselves when x1 is
+    empty)."""
+    tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
+    j, g, half = k2 - k1, t - 2 * k1, k - m + k1
+    v1 = _units([*tt[:k1], *c2[:j], *c[:g]])
+    v2 = _units([*tt[k1:2 * k1], *c1[:j]]) + _sums(c[:g], tt[2 * k1:])
+    x1, x2, s1, s2 = c1[j:], c2[j:], c[g:g + half], c[g + half:]
+    if not x1:
+        return v1 + _units(s1), v2 + _units(s2)
+    r = len(x1) + half
+    if field.q == 2 and r == 1:  # forced: m = k, k1 = 0, k2 = k - 1 - t
+        return _small_case_rows(k, t)
+    z1, z2 = _diagonal_rows(field, _units([*x1, *s1]), _units([*x2, *s2]), r)
+    return v1 + z1, v2 + z2
 
 
 # -- overlap t > m + k1 - k2, t <= k2 (graph completion) ------------------
 
-def _deep_overlap_graph_witness(params, t):
-    field = params.field
-    m, k, k1, k2 = params.m, params.k, params.k1, params.k2
-    n = 2 * k
-    tt, c1, c2, cc = canonical_pieces(field, n, m, t)
-    v21 = Subspace(field, n, c1.rows()[:k2 - t])
-    ub1 = Subspace(field, n, c1.rows()[k2 - t:])
-    v22 = Subspace(field, n, c2.rows()[:k2 - t])
-    ub2 = Subspace(field, n, c2.rows()[k2 - t:])
-    t2 = direct_sum([p for p in (v21, v22, tt) if p.dim])
-    ccr = cc.rows()
-    split = k + 2 * k2 - 2 * m
-    cc1 = Subspace(field, n, ccr[:split])
-    cc2 = Subspace(field, n, ccr[split:])
-    v2 = direct_sum([p for p in (cc2, t2) if p.dim])
-    v11_rows = list(ub1.rows()[:k1])
-    v12_rows = list(ub2.rows()[:k1])
-    w1_rows = list(ub1.rows()[k1:])
-    w2_rows = list(ub2.rows()[k1:])
-    targets1 = list(cc2.rows()) + list(v22.rows())
-    targets2 = list(cc2.rows()) + list(v21.rows())
-    rows = (v11_rows + v12_rows + list(cc1.rows())
-            + _graph_rows(field, w1_rows, targets1)
-            + _graph_rows(field, w2_rows, targets2))
-    v1 = span_rows(field, n, rows)
-    _check(v1.dim == k, "graph completion dimension off")
-    return Bisection(v1, v2)
+def _graph_overlap_rows(k, m, k1, k2, t):
+    """V2 = <c[split:], c1[:j], c2[:j], tt> (j = k2 - t, split = k + 2 k2 -
+    2m); V1 holds the next k1 columns of c1 and of c2 and c[:split], and
+    pairs the remaining columns of c1 with c[split:] then c2[:j], those of
+    c2 with c[split:] then c1[:j]."""
+    tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
+    j, split = k2 - t, k + 2 * k2 - 2 * m
+    tail = c[split:]
+    v1 = (_units([*c1[j:j + k1], *c2[j:j + k1], *c[:split]])
+          + _sums(c1[j + k1:], [*tail, *c2[:j]])
+          + _sums(c2[j + k1:], [*tail, *c1[:j]]))
+    return v1, _units([*tail, *c1[:j], *c2[:j], *tt])
 
 
-# -- overlap t > k2, t >= k1 + k2 -----------------------------------------
+# -- overlap t > k2 -------------------------------------------------------
 
-def _deep_split(params, t):
-    field = params.field
-    m, k, k2 = params.m, params.k, params.k2
-    n = 2 * k
-    tt, ub1, ub2, cc = canonical_pieces(field, n, m, t)
-    tr = tt.rows()
-    t13 = Subspace(field, n, tr[:t - k2])
-    t2 = Subspace(field, n, tr[t - k2:])
-    ccr = cc.rows()
-    a, b = m - t, k - k2 - m + t
-    cc1 = Subspace(field, n, ccr[:a])
-    cc2 = Subspace(field, n, ccr[a:a + b])
-    cc3 = Subspace(field, n, ccr[a + b:])
-    v2 = direct_sum([p for p in (cc1, cc2, t2) if p.dim])
-    return t13, t2, ub1, ub2, cc1, cc2, cc3, v2
-
-
-def _t2_against_c3_rows(field, params, t, t2, cc3):
-    m, k = params.m, params.k
-    if k - 2 * m + t <= 0:
-        return _graph_rows(field, list(cc3.rows()), list(t2.rows()))
-    c3r = cc3.rows()
-    c31 = list(c3r[:params.k2])
-    c32 = list(c3r[params.k2:])
-    return _graph_rows(field, c31, list(t2.rows())) + c32
-
-
-def _deep_overlap_wide_witness(params, t):
-    field = params.field
-    k1 = params.k1
-    n = 2 * params.k
-    t13, t2, ub1, ub2, cc1, cc2, cc3, v2 = _deep_split(params, t)
-    t1_rows = list(t13.rows()[:k1])
-    t3_rows = list(t13.rows()[k1:])
-    du1 = _graph_rows(field, list(ub1.rows()), list(cc1.rows()))
-    du2 = _graph_rows(field, list(ub2.rows()), list(cc1.rows()))
-    dt3 = _graph_rows(field, t3_rows, list(cc2.rows()))
-    dt2 = _t2_against_c3_rows(field, params, t, t2, cc3)
-    v1 = span_rows(field, n, t1_rows + du1 + du2 + dt2 + dt3)
-    _check(v1.dim == params.k, "wide deep-overlap dimension off")
-    return Bisection(v1, v2)
-
-
-# -- overlap k2 < t < k1 + k2 ---------------------------------------------
-
-def _deep_overlap_narrow_witness(params, t):
-    field = params.field
-    m, k, k1, k2 = params.m, params.k, params.k1, params.k2
-    n = 2 * k
-    t13, t2, ub1, ub2, cc1, cc2, cc3, v2 = _deep_split(params, t)
-    v11_rows = list(ub1.rows()[:k1 + k2 - t])
-    p1_rows = list(ub1.rows()[k1 + k2 - t:])
-    v12_rows = list(ub2.rows()[:k1 + k2 - t])
-    p2_rows = list(ub2.rows()[k1 + k2 - t:])
-    p3 = [add_vecs(field, a, b) for a, b in zip(p1_rows, p2_rows)]
-    cc12 = list(cc1.rows()) + list(cc2.rows())
-    p4 = _graph_rows(field, p1_rows, cc12)
-    dt2 = _t2_against_c3_rows(field, params, t, t2, cc3)
-    v1 = span_rows(field, n,
-                   v11_rows + v12_rows + list(t13.rows()) + dt2 + p3 + p4)
-    _check(v1.dim == k, "narrow deep-overlap dimension off")
-    return Bisection(v1, v2)
+def _deep_overlap_rows(k, m, k1, k2, t):
+    """V2 = <c[:k-k2], tt[t-k2:]>.  V1 holds the first x = max(0, k1 + k2 -
+    t) columns of c1 and c2 and tt[:k1-x].  It pairs each other column of
+    c1 with c from its start, and each other column of c2 with the same
+    column of c if x = 0, else with the matching column of c1 (over odd q
+    these two spans differ); then the rest of tt[:t-k2] with the columns
+    of c after those, and c[k-k2:] with tt[t-k2:], keeping the columns of
+    it past k2 whole."""
+    tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
+    x = max(0, k1 + k2 - t)
+    c3, t2 = c[k - k2:], tt[t - k2:]
+    v1 = (_units([*c1[:x], *c2[:x], *tt[:k1 - x]])
+          + _sums(c1[x:], c) + _sums(c2[x:], c1[x:] if x else c)
+          + _sums(tt[k1 - x:t - k2], c[m - t - x:])
+          + _sums(c3, t2) + _units(c3[k2:]))
+    return v1, _units([*c[:k - k2], *t2])
 
 
 # ----------------------------------------------------------------------

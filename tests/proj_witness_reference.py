@@ -7,10 +7,25 @@ plus the span of its partition rows, joined by direct_sum, and for
 m > n/2 the perp of the span of the cyclically shifted dual witness.
 Every step eliminates.  It is kept verbatim, only renamed from
 `_proj_witness`, as an independent oracle; nothing in the package calls it.
+`direct_sum`, which no route of the package uses any more, is kept here
+verbatim too, for this file and tests/bis_witness_reference.py.
 """
 
-from glgeom.subspace import coordinate_subspace, direct_sum, perp, span_rows
+from glgeom.subspace import coordinate_subspace, perp, span_rows
 from glgeom.witness import subset_witness
+
+
+def direct_sum(parts):
+    """Sum of the parts, asserting the sum is direct."""
+    parts = [p for p in parts if p.dim > 0]
+    if not parts:
+        raise ValueError("direct_sum of no nonzero parts")
+    field, n = parts[0].field, parts[0].n
+    rows = [r for p in parts for r in p.basis]
+    s = span_rows(field, n, rows)
+    if s.dim != sum(p.dim for p in parts):
+        raise ValueError("summands are not independent")
+    return s
 
 
 def proj_witness(n, m, k, j, t, field):

@@ -23,10 +23,10 @@ from glgeom.weyl import (double_coset_count, subset_geometry_closed_form,
 from glgeom.witness import (PredicateFailsError, bis_collinear_predicate,
                             bis_collinear_witness, canonical_pair,
                             desarguesian_spread, diagonal_pair,
-                            diagonal_pair_exists_bruteforce, fifth_disjoint,
-                            near_half_table_bisection,
+                            fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, verify_partial_spread,
                             _NEAR_HALF_TABLE)
+from diagonal_reference import diagonal_pair_exists_bruteforce
 from glgeom.orbits import pm_orbits_on_k_spaces
 from fractions import Fraction
 

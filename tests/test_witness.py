@@ -10,11 +10,11 @@ from glgeom.subspace import (apply_mat, coordinate_subspace,
                              transport_pair)
 from glgeom.witness import (PredicateFailsError, bis_collinear_predicate,
                             bis_collinear_witness, canonical_pair,
-                            desarguesian_spread,
-                            diagonal_pair, diagonal_pair_exists_bruteforce,
+                            desarguesian_spread, diagonal_pair,
                             fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, subset_witness,
                             verify_partial_spread)
+from diagonal_reference import diagonal_pair_exists_bruteforce
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -474,18 +474,50 @@ def test_fifth_disjoint_preconditions():
 
 
 def test_construction_check_raises_unimplemented(monkeypatch):
-    """A failed dimension check inside a construction raises RuntimeError
-    (an explicit check, kept under python -O), and the CLI reports it as
-    an internal error."""
+    """A construction that comes out wrong inside the route raises
+    RuntimeError (an explicit check, kept under python -O), and the CLI
+    reports it as an internal error: here the graph completion's paired
+    rows are dropped, so one half falls short of dimension k."""
     import glgeom.witness as wt
     from glgeom.cli import main
     params = BisParams(4, 4, 0, 3, F3)   # t = 2 takes the graph completion
     assert bis_collinear_witness(params, 2)
-    monkeypatch.setattr(wt, "_graph_rows", lambda field, dom, tgt: [])
-    with pytest.raises(RuntimeError, match="graph completion"):
+    monkeypatch.setattr(wt, "_sums", lambda cols, others: [])
+    with pytest.raises(RuntimeError, match="halves must have dimension n/2"):
         bis_collinear_witness(params, 2)
     assert main(["bis-collinear", "--k", "4", "--m", "4", "--k1", "0",
                  "--k2", "3", "--q", "3", "--mode", "witness"]) == 4
+
+
+# per q, the witnesses with m <= k <= 6 and every t that the row-identity
+# test checks: 2,764 over the seven fields
+BIS_REFERENCE_COUNTS = {2: 394, 3: 395, 4: 395, 5: 395, 7: 395, 8: 395,
+                        9: 395}
+# the two deep-overlap cases that first occur at k = 8: c1 and c2 longer
+# than x = k1 + k2 - t > 0, and c[k-k2:] longer than k2 with x > 0
+BIS_DEEP_POINTS = [(8, 8, 2, 5), (8, 6, 2, 4)]
+
+
+@pytest.mark.parametrize("q", sorted(BIS_REFERENCE_COUNTS))
+def test_bis_witness_is_the_reference_construction(q):
+    """The index-row halves are those of the eliminating construction, row
+    for row, and canonical: span_rows leaves each half as it is."""
+    from bis_witness_reference import bis_witness
+    field = field_of(q)
+    points = [(p, t) for p in _valid_bis_params(q, 6)
+              if bis_collinear_predicate(q, p.m, p.k, p.k1, p.k2)
+              for t in range(p.m)]
+    assert len(points) == BIS_REFERENCE_COUNTS[q]
+    if q in (2, 3):
+        points += [(BisParams(*point, field), t) for point in BIS_DEEP_POINTS
+                   for t in range(point[1])]
+    for params, t in points:
+        b = bis_collinear_witness(params, t)
+        want = bis_witness(params, t)
+        assert (b.half1.rows(), b.half2.rows()) == \
+            (want.half1.rows(), want.half2.rows()), (params, t)
+        for half in b.halves():
+            assert span_rows(field, half.n, half.rows()) == half
 
 
 # ---------------------------------------------------------------------
@@ -511,6 +543,12 @@ PROJ_POINTS = [(6, 2, 3, 1, 3), (6, 3, 4, 1, 2), (7, 5, 4, 2, 3)]
 # (q, k, m, k1, k2): pattern (0,0) with both own-pair builds, the wide deep
 # overlap, and m > k through the duality reduction
 BIS_POINTS = [(2, 3, 3, 0, 0), (3, 4, 4, 0, 2), (2, 3, 4, 1, 2)]
+# with BIS_POINTS, every regime of the bisection route at some t: the q = 2
+# small case from both regimes that reach it, the graph completion, the
+# near-half table, pattern (0,0) with one column in c1, the shallow
+# regime's q = 2 mixed rows, and that regime with t > k1 at odd q
+BIS_REGIME_POINTS = [(2, 5, 5, 0, 3), (2, 2, 2, 0, 1), (2, 3, 2, 0, 0),
+                     (2, 3, 3, 1, 1), (3, 5, 5, 1, 2)]
 
 
 @pytest.mark.parametrize("n,m,k,j,q", PROJ_POINTS)
@@ -558,6 +596,41 @@ def test_proj_witness_makes_no_elimination(monkeypatch, n, m, k, j, q):
     assert calls == {"_rref_rows": 0, "kernel": 0}
     perp(coordinate_subspace(field, n, [0]))  # the counters do see a kernel
     assert calls["kernel"] == 1 and calls["_rref_rows"] >= 1
+
+
+@pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS + BIS_REGIME_POINTS)
+def test_bis_witness_makes_one_elimination_per_half(monkeypatch,
+                                                    q, k, m, k1, k2):
+    """The bisection witness is written down as index rows: each witness
+    makes at most one rref per half and no inverse or kernel (every binding
+    of the three gfq kernels in the package is counted)."""
+    import sys
+    from glgeom import gfq
+    modules = [mod for mod_name, mod in sys.modules.items()
+               if mod_name.startswith("glgeom")]
+    calls = {"_rref_rows": 0, "mat_inverse": 0, "kernel": 0}
+    for name in calls:
+        real = getattr(gfq, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, key, counted)
+    params = BisParams(k, m, k1, k2, field_of(q))
+    work = params if m <= k else params.dual()
+    for t in range(work.m):
+        for name in calls:
+            calls[name] = 0
+        assert bis_collinear_witness(work, t).k == work.k
+        assert calls["_rref_rows"] <= 2 and \
+            calls["mat_inverse"] == calls["kernel"] == 0, (t, calls)
+    perp(coordinate_subspace(field_of(q), 2, [0]))
+    transport_pair(*canonical_pair(field_of(q), 4, 2, 1),
+                   *canonical_pair(field_of(q), 4, 2, 0))
+    assert calls["kernel"] == 1 and calls["mat_inverse"] >= 1  # they count
 
 
 @pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS)
@@ -642,14 +715,14 @@ def test_wrong_dual_route_still_fails_the_outer_check(monkeypatch, corrupt):
 def test_lattice_error_inside_a_witness_exits_4(monkeypatch, capsys, argv):
     """A ValueError from a lattice helper after the parameter and predicate
     checks is a construction failure (exit 4), not bad parameters (exit 1):
-    direct_sum on the bisection route, the indicator rows on the
-    projective one."""
+    span_rows on the bisection route, the indicator rows on the projective
+    one."""
     import glgeom.witness as wt
     from glgeom.cli import main
 
     def not_independent(*args):
         raise ValueError("summands are not independent")
-    monkeypatch.setattr(wt, "direct_sum", not_independent)
+    monkeypatch.setattr(wt, "span_rows", not_independent)
     monkeypatch.setattr(wt, "_indicator_rows", not_independent)
     assert main(argv + ["--mode", "witness"]) == 4
     err = capsys.readouterr().err
