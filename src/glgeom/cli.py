@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import traceback
-from fractions import Fraction
 
 from . import counts as ct
 from . import oracle as oc
@@ -24,6 +23,8 @@ from . import witness as wt
 from .errors import ParamError, TooLargeError
 from .gfq import field_make, factor_prime_power
 from .geometry import BisParams, ProjParams
+from .predicates import (bis_collinear_predicate, bis_concurrent_predicate,
+                         proj_collinear_predicate)
 
 SCHEMA = "glgeom/1"
 
@@ -67,7 +68,7 @@ def _verdict_word(complete):
 def cmd_proj_collinear(args):
     field = _field(args.q)
     params = ProjParams(args.n, args.m, args.k, args.j, field)
-    pred = oc.proj_collinear_predicate(args.n, args.m, args.k, args.j)
+    pred = proj_collinear_predicate(args.n, args.m, args.k, args.j)
     payload = {"params": params.to_json_dict()}
     results = {}
     if args.mode in ("predicate", "all"):
@@ -102,7 +103,7 @@ def cmd_proj_collinear(args):
 def cmd_bis_collinear(args):
     field = _field(args.q)
     params = BisParams(args.k, args.m, args.k1, args.k2, field)
-    pred = wt.bis_collinear_predicate(args.q, args.m, args.k, args.k1, args.k2)
+    pred = bis_collinear_predicate(args.q, args.m, args.k, args.k1, args.k2)
     payload = {"params": params.to_json_dict()}
     results = {}
     if args.mode in ("predicate", "all"):
@@ -135,17 +136,16 @@ def cmd_bis_collinear(args):
 def cmd_bis_concurrent(args):
     field = _field(args.q)
     params = BisParams(args.k, args.m, args.k1, args.k2, field)
-    pred = oc.bis_concurrent_predicate(args.q, args.m, args.k, args.k1, args.k2)
+    pred = bis_concurrent_predicate(args.q, args.m, args.k, args.k1, args.k2)
     payload = {"params": params.to_json_dict()}
     results = {}
     if args.mode in ("predicate", "all"):
         results["predicate"] = pred if pred != "unresolved" else "unresolved(paper)"
     if args.mode in ("oracle", "all"):
         reps = None
-        work = params if params.m <= params.k else params.dual()
-        if work.k >= 2:
+        if params.k >= 2:
             reps = ob.stabiliser_orbits_on_bisections(
-                work.k, field, budget=args.budget).representatives
+                params.k, field, budget=args.budget).representatives
         v = oc.concurrent_oracle(params, orbit_reps=reps, budget=args.budget)
         results["oracle"] = _verdict_word(v.complete)
     payload["results"] = results
@@ -170,7 +170,7 @@ def cmd_scan(args):
                         for j in range(max(0, m + k - n), min(m, k) + 1):
                             if m == k == j:
                                 continue  # degenerate geometry, skipped
-                            pred = oc.proj_collinear_predicate(n, m, k, j)
+                            pred = proj_collinear_predicate(n, m, k, j)
                             v = oc.proj_collinear_oracle(
                                 ProjParams(n, m, k, j, field),
                                 budget=args.budget)
@@ -189,7 +189,7 @@ def cmd_scan(args):
                                 params = BisParams(k, m, k1, k2, field)
                             except ParamError:
                                 continue
-                            pred = wt.bis_collinear_predicate(q, m, k, k1, k2)
+                            pred = bis_collinear_predicate(q, m, k, k1, k2)
                             v = oc.bis_collinear_oracle(params, budget=args.budget)
                             rows.append({"q": q, "k": k, "m": m, "k1": k1,
                                          "k2": k2, "predicate": pred,
@@ -207,7 +207,7 @@ def cmd_scan(args):
                                 params = BisParams(k, m, k1, k2, field)
                             except ParamError:
                                 continue
-                            pred = oc.bis_concurrent_predicate(q, m, k, k1, k2)
+                            pred = bis_concurrent_predicate(q, m, k, k1, k2)
                             if pred == "unresolved":
                                 continue
                             if (q, k) not in reps_cache and k >= 2:
@@ -274,7 +274,7 @@ def cmd_counts(args):
         "F(a,k,q)": f"{f} ~ {float(f):.6f}",
         "H(a,k,q)": f"{h} ~ {float(h):.6f}",
         "a": a,
-        "more_than_half": h > Fraction(1, 2),
+        "more_than_half": ct.restricted_movement_sufficient(m, k, q),
     }
     if 2 <= a <= k:
         b = ct.h_lower_bound(a, k, q)

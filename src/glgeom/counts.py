@@ -80,12 +80,6 @@ def h_lower_bound(a, k, q):
     return 1 - term1 - term2
 
 
-def factor_bound_holds(i, k, q):
-    """(1 - q^-i)^2 / (1 - q^-(k+i)) > 1 - 2 q^-i, exactly."""
-    lhs = (1 - Fraction(1, q**i)) ** 2 / (1 - Fraction(1, q ** (k + i)))
-    return lhs > 1 - 2 * Fraction(1, q**i)
-
-
 def count_disjoint_from_halves(m, k, field):
     """Brute-force count of m-subspaces meeting both coordinate halves trivially."""
     n = 2 * k

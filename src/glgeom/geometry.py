@@ -1,4 +1,5 @@
-"""The two rank-2 geometry families as parameter values plus pure predicates.
+"""The two rank-2 geometry families as parameter values, and the
+subspace/bisection incidence on point masks.
 
 A subspace/subspace geometry has m-subspaces as points, k-subspaces as
 lines, and incidence dim(point meet line) = j.  A subspace/bisection
@@ -11,13 +12,9 @@ checks walk the element sets lazily under an explicit budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .subspace import (Bisection, coordinate_subspace, disjoint_pairs,
-                       grassmannian, intersection_dim, meet_dims, perp,
-                       point_masks, sorted_grassmannian)
-from .counts import bisection_count, gaussian
-from .errors import ParamError, TooLargeError
+from .subspace import meet_dims
+from .errors import ParamError
 
 
 @dataclass(frozen=True)
@@ -83,33 +80,11 @@ class BisParams:
                 "m": self.m, "k1": self.k1, "k2": self.k2}
 
 
-class Flag(NamedTuple):
-    point: object
-    line: object
-
-
-def incident_proj(params, u, w):
-    """True iff dim(U meet W) = j, for an m-space U and k-space W."""
-    if u.dim != params.m or w.dim != params.k or u.n != params.n or w.n != params.n:
-        raise ValueError("element dimensions do not match the geometry")
-    return intersection_dim(u, w) == params.j
-
-
-def incident_bis(params, u, b):
-    """True iff the intersection pattern of U with the halves is {k1,k2}."""
-    if u.dim != params.m or u.n != params.n or b.n != params.n:
-        raise ValueError("element dimensions do not match the geometry")
-    d1 = intersection_dim(u, b.half1)
-    d2 = intersection_dim(u, b.half2)
-    if d1 > d2:
-        d1, d2 = d2, d1
-    return (d1, d2) == (params.k1, params.k2)
-
-
 def mask_incident_bis(params):
-    """incident_bis on point masks: incident(u, h1, h2) for the masks of an
-    m-subspace and of a bisection's halves, each meet dimension read off a
-    popcount through meet_dims."""
+    """The incidence of the subspace/bisection geometry on point masks:
+    incident(u, h1, h2) for the masks of an m-subspace and of a
+    bisection's halves, true iff the meet dimensions, each read off a
+    popcount through meet_dims, are {k1, k2} in either order."""
     dims = meet_dims(params.field.q, params.n)
     pattern = {(params.k1, params.k2), (params.k2, params.k1)}
 
@@ -118,107 +93,3 @@ def mask_incident_bis(params):
             in pattern
     return incident
 
-
-def canonical_flag(params):
-    """The flag (<e_1..e_m>, <e_1..e_j, e_{m+1}..e_{k+m-j}>)."""
-    n, m, k, j = params.n, params.m, params.k, params.j
-    field = params.field
-    u = coordinate_subspace(field, n, range(m))
-    w = coordinate_subspace(field, n, list(range(j)) + list(range(m, k + m - j)))
-    return Flag(u, w)
-
-
-def dual_proj(params, element):
-    """Perp map element of the geometry -> element of the dual geometry."""
-    if element.dim not in (params.m, params.k) or element.n != params.n:
-        raise ValueError("not a point or line of this geometry")
-    return perp(element)
-
-
-def dual_bis(params, element):
-    """Perp map for the subspace/bisection family (points and lines)."""
-    if isinstance(element, Bisection):
-        if element.n != params.n:
-            raise ValueError("bisection in the wrong ambient space")
-        return element.dual()
-    if element.dim != params.m or element.n != params.n:
-        raise ValueError("not a point of this geometry")
-    return perp(element)
-
-
-@dataclass
-class NondegeneracyReport:
-    ok: bool
-    num_points: int
-    num_lines: int
-    num_flags: int
-    violation: str | None = None
-
-
-def _proj_sizes(params):
-    q = params.field.q
-    return gaussian(params.n, params.m, q), gaussian(params.n, params.k, q)
-
-
-def _bis_incidence(params):
-    """Points, lines and incidence of a bisection geometry on the point
-    index: a point is an m-subspace with its point mask, a line an index
-    pair (i, j) of disjoint_pairs over the sorted k-subspaces, and an
-    incidence two popcounts through meet_dims, as in the concurrent
-    oracle.  Also returns the names of a point and a line."""
-    field, n = params.field, params.n
-    spaces = list(grassmannian(n, field, params.m))
-    points = list(zip(spaces, point_masks(spaces)))
-    subs = sorted_grassmannian(n, field, params.k)
-    halves = point_masks(subs)
-    on_halves = mask_incident_bis(params)
-
-    def incident(point, line):
-        return on_halves(point[1], halves[line[0]], halves[line[1]])
-
-    def line_name(line):
-        return repr(Bisection._disjoint_sorted(subs[line[0]], subs[line[1]]))
-    return (lambda: points, lambda: disjoint_pairs(halves), incident,
-            lambda point: repr(point[0]), line_name)
-
-
-def nondegeneracy_check(params, budget=10**7):
-    """Verify the three non-degeneracy conditions by enumeration.
-
-    (i) points and lines finite of size >= 2, (ii) every point on at least
-    one line, (iii) every line carries at least one point.  Refuses with
-    TooLargeError above the incidence-test budget, before listing.
-    """
-    field = params.field
-    if isinstance(params, ProjParams):
-        npts, nlin = _proj_sizes(params)
-    else:
-        npts = gaussian(2 * params.k, params.m, field.q)
-        nlin = bisection_count(params.k, field.q)
-    if npts * nlin > budget:
-        raise TooLargeError("incidence enumeration exceeds budget")
-    if npts < 2 or nlin < 2:
-        return NondegeneracyReport(False, npts, nlin, 0,
-                                   "point or line set smaller than 2")
-    if isinstance(params, ProjParams):
-        points = lambda: grassmannian(params.n, field, params.m)
-        lines = lambda: grassmannian(params.n, field, params.k)
-        inc = lambda u, l: incident_proj(params, u, l)
-        point_name = line_name = repr
-    else:
-        points, lines, inc, point_name, line_name = _bis_incidence(params)
-    nflags = 0
-    for u in points():
-        deg = 0
-        for l in lines():
-            if inc(u, l):
-                deg += 1
-        nflags += deg
-        if deg == 0:
-            return NondegeneracyReport(False, npts, nlin, nflags,
-                                       f"point {point_name(u)} on no line")
-    for l in lines():
-        if not any(inc(u, l) for u in points()):
-            return NondegeneracyReport(False, npts, nlin, nflags,
-                                       f"line {line_name(l)} carries no point")
-    return NondegeneracyReport(True, npts, nlin, nflags)

@@ -21,10 +21,9 @@ Mat is an immutable row-major matrix, for matrices in their own right:
 group elements, charts, changes of basis and their inverses.  A subspace
 is not a Mat: subspace.Subspace keeps its canonical rows as plain tuples,
 which the row kernels here take directly: _rref_rows, the one elimination
-(span_rows, kernel, mat_inverse); echelon_insert, which reduces one row
-against canonical rows as they stand (meets and containment at q > 2,
-complements); and rank_of_rows, the rank of a stack of rows (the
-oracle's chart test, and the reference the meet is tested against).
+(span_rows, kernel, mat_inverse); and echelon_insert, which reduces one
+row against canonical rows as they stand (meets and containment at q > 2,
+complements).
 GF(2) additionally gets a packed representation (one int bitmask per row,
 bit j = column j) used by the enumeration-heavy callers; the two
 representations agree bit for bit.
@@ -476,11 +475,6 @@ def rref(m):
 
 def mat_rank(m):
     return len(_rref_rows(m.field, m.entries, m.cols)[0])
-
-
-def rank_of_rows(field, rows, ncols):
-    """Rank of a list of row tuples, no Mat construction."""
-    return len(_rref_rows(field, rows, ncols)[0])
 
 
 def kernel(m):

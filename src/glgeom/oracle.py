@@ -1,11 +1,11 @@
-"""Closed-form completeness predicates and independent brute-force oracles.
+"""Independent brute-force completeness oracles, checked against the closed
+forms of glgeom.predicates.
 
-The predicates are pure integer arithmetic.  The oracles reduce to one
-point pair per overlap dimension t (point pairs with equal overlap form a
-single orbit, so any pair with overlap t decides that t), try the
-constructive witness first, and fall back to exhaustive search over the
-line set; incompleteness is only ever reported after a full scan, so a
-witness bug cannot fake a positive.
+The oracles reduce to one point pair per overlap dimension t (point
+pairs with equal overlap form a single orbit, so any pair with overlap t
+decides that t), try the constructive witness first, and fall back to
+exhaustive search over the line set; incompleteness is only ever
+reported after a full scan, so a witness bug cannot fake a positive.
 
 The two collinear scans avoid a rank test per line:
 
@@ -44,18 +44,14 @@ from itertools import combinations
 from .gfq import pk_rank  # noqa: F401
 from .subspace import (Bisection, bisections, canonical_pair,
                        containing_masks, coordinate_bisection,
-                       coordinate_subspace, complement, full_space,
-                       grassmannian, intersect, intersection_dim, meet_dims,
+                       coordinate_subspace, intersection_dim, meet_dims,
                        meeting_mask, point_masks, schubert_cell,
-                       sorted_grassmannian, span_rows, sum_subspace)
+                       sorted_grassmannian)
 from .counts import bisection_count, gaussian
-from .errors import ParamError, TooLargeError
+from .errors import TooLargeError
 from .geometry import mask_incident_bis
 from .witness import (PredicateFailsError, bis_collinear_witness,
-                      desarguesian_spread, fifth_disjoint,
                       proj_collinear_witness)
-# the closed form for the collinear bisection side lives beside its witness
-from .witness import bis_collinear_predicate  # noqa: F401  (re-export)
 
 
 @dataclass
@@ -80,45 +76,6 @@ def _pair_elements(x):
     if isinstance(x, Bisection):
         return [x.half1, x.half2]
     return [x]
-
-
-# ----------------------------------------------------------------------
-# predicates
-# ----------------------------------------------------------------------
-
-def proj_collinear_predicate(n, m, k, j):
-    """True iff max(0, m+k-n) <= j <= k/2 + max(0, m - n/2).
-
-    Upper bound evaluated as 2j <= k + max(0, 2m-n), all integers.
-    """
-    if not (1 <= m < n and 1 <= k < n):
-        raise ParamError("need 1 <= m,k < n")
-    if not (max(0, m + k - n) <= j <= min(m, k)):
-        raise ParamError("j outside the admissible interval")
-    return 2 * j <= k + max(0, 2 * m - n)
-
-
-def bis_concurrent_predicate(q, m, k, k1, k2):
-    """Verdict {"complete", "incomplete", "unresolved"} for the line-pair side.
-
-    Resolved regions: k2 > m/2 (complete only at (q,k) = (2,1)), and the
-    all-trivial pattern, complete except at (q,k,m) in {(2,1,1), (3,1,1),
-    (2,2,2)} -- at (q,k) = (2,2) the point dimension matters, since four
-    lines of PG(3,2) cannot cover all fifteen points.  Parameters with
-    m > k are reduced through the perp map first.
-    """
-    if k1 > k2:
-        raise ParamError("need k1 <= k2")
-    if m > k:
-        m, k1, k2 = 2 * k - m, k - m + k1, k - m + k2
-        if k1 < 0:
-            raise ParamError("invalid pattern for this point dimension")
-    if 2 * k2 > m:
-        return "complete" if (q, k) == (2, 1) else "incomplete"
-    if (k1, k2) == (0, 0):
-        bad = (q, k) in {(2, 1), (3, 1)} or (q, k, m) == (2, 2, 2)
-        return "incomplete" if bad else "complete"
-    return "unresolved"
 
 
 # ----------------------------------------------------------------------
@@ -303,132 +260,3 @@ def pair_has_common_point(params, b1, b2):
     """Re-check helper: does some m-subspace hit both bisections correctly?"""
     return _uncovered_pair(params, [b1, b2], [0]) is None
 
-
-# ----------------------------------------------------------------------
-# the induction step for the concurrent side
-# ----------------------------------------------------------------------
-
-def _default_quadruples(k, field):
-    """A deterministic sample: one pairwise-disjoint quadruple from the
-    standard spread and one quadruple with a cross intersection."""
-    n = 2 * k
-    spread = desarguesian_spread(k, field)
-    quads = [(Bisection(spread[0], spread[1]), Bisection(spread[2], spread[3]))]
-    pi1 = coordinate_subspace(field, n, range(k))
-    pi2 = coordinate_subspace(field, n, range(k, n))
-    rows = [tuple(1 if j == k else 0 for j in range(n))]
-    for i in range(k - 1):
-        rows.append(tuple(1 if j in (i, k + 1 + i) else 0 for j in range(n)))
-    pi1p = span_rows(field, n, rows)
-    pi2p = complement(pi1p, full_space(field, n))
-    quads.append((Bisection(pi1, pi2), Bisection(pi1p, pi2p)))
-    return quads
-
-
-def _quotient_avoider(k, field, pi1, pi2, pi1p, pi2p, budget):
-    """The hyperplane/quotient construction: a k-space disjoint from all
-    four when pi2 meets pi1p nontrivially.
-
-    The existence argument leaves the line alpha, the hyperplane and the
-    avoiding quotient subspace unconstrained, and not every combination
-    extends, so all three choice points are searched in canonical order.
-    """
-    from .gfq import Mat, mat_inverse, vec_mat, rank_of_rows
-    from .subspace import perp
-    n = 2 * k
-    cross = intersect(pi2, pi1p)
-    steps = 0
-    for alpha_vec in cross.vectors():
-        if not any(alpha_vec):
-            continue
-        alpha = span_rows(field, n, [alpha_vec])
-        big = sum_subspace(pi2, pi1p)
-        # hyperplanes containing big = perps of nonzero vectors of big^perp
-        for w in perp(big).vectors():
-            if not any(w):
-                continue
-            hyper = perp(span_rows(field, n, [w]))
-            pi1s = intersect(pi1, hyper)
-            pi2ps = intersect(pi2p, hyper)
-            if pi1s.dim != k - 1 or pi2ps.dim != k - 1:
-                continue
-            q_part = complement(alpha, hyper)
-            chart_rows = list(alpha.rows()) + list(q_part.rows())
-            for cand in full_space(field, n).rows():
-                if rank_of_rows(field, chart_rows + [cand], n) == n:
-                    chart_rows.append(cand)
-                    break
-            chart = Mat(field, chart_rows)
-            chart_inv = mat_inverse(chart)
-
-            def to_quotient(space):
-                out = []
-                for v in space.rows():
-                    coords = vec_mat(v, chart_inv)
-                    if coords[-1] != 0:
-                        raise RuntimeError("element not inside the hyperplane")
-                    out.append(coords[1:-1])
-                return span_rows(field, n - 2, out)
-
-            images = [to_quotient(x) for x in (pi1s, pi2, pi1p, pi2ps)]
-            from itertools import product as _product
-            for tau_bar in grassmannian(n - 2, field, k - 1):
-                steps += 1
-                if steps > budget:
-                    raise TooLargeError("quotient scan exceeded budget")
-                if any(intersection_dim(tau_bar, im) for im in images):
-                    continue
-                lifted = [vec_mat((0,) + tuple(v) + (0,), chart)
-                          for v in tau_bar.rows()]
-                a0 = alpha.rows()[0]
-                # every complement of alpha inside the preimage of tau_bar
-                for shifts in _product(field.elements(), repeat=k - 1):
-                    rows_tau = [
-                        v if c == 0 else
-                        tuple(field.add(x, field.mul(c, y))
-                              for x, y in zip(v, a0))
-                        for v, c in zip(lifted, shifts)]
-                    tau = span_rows(field, n, rows_tau)
-                    for v in full_space(field, n).vectors():
-                        if any(v) and not hyper.contains_vector(v):
-                            sigma = span_rows(field, n,
-                                              list(tau.rows()) + [v])
-                            if all(intersection_dim(sigma, x) == 0
-                                   for x in (pi1, pi2, pi1p, pi2p)):
-                                return sigma
-    raise RuntimeError("quotient construction exhausted for this quadruple")
-
-
-def induction_step_check(k, field, quadruples=None, budget=10**7):
-    """Operational check of the dimension-induction step for concurrency.
-
-    For each quadruple of k-subspaces forming two bisections: if pairwise
-    disjoint, a fifth disjoint subspace is produced directly; otherwise
-    the quotient-by-a-line construction is run at dimension 2k-2.  True
-    iff every tested quadruple yields a certified disjoint k-subspace.
-    """
-    q = field.q
-    if k <= 2:
-        return True  # the small dimensions are settled directly
-    if quadruples is None:
-        if bis_concurrent_predicate(q, k - 1, k - 1, 0, 0) != "complete":
-            raise ParamError(
-                f"concurrent completeness not established at k={k - 1}, q={q}")
-        quadruples = _default_quadruples(k, field)
-    for bis1, bis2 in quadruples:
-        pi1, pi2 = bis1.halves()
-        pi1p, pi2p = bis2.halves()
-        crossing = [(a, b) for a in (pi1, pi2) for b in (pi1p, pi2p)
-                    if intersection_dim(a, b) > 0]
-        if not crossing:
-            sigma = fifth_disjoint([pi1, pi2, pi1p, pi2p])
-        else:
-            a, b = crossing[0]
-            pi2_, pi1_ = a, (pi1 if a is pi2 else pi2)
-            pi1p_, pi2p_ = b, (pi1p if b is pi2p else pi2p)
-            sigma = _quotient_avoider(k, field, pi1_, pi2_, pi1p_, pi2p_, budget)
-        ok = all(intersection_dim(sigma, x) == 0
-                 for x in (pi1, pi2, pi1p, pi2p))
-        if not ok:
-            return False
-    return True

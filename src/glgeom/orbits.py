@@ -1,17 +1,17 @@
-"""Group actions of GL(n,q) and friends on subspaces, bisections and flags.
+"""Group actions of GL(n,q) and its subgroups on subspaces and bisections.
 
-Orbit partitions run breadth-first with canonical-form hashing: acting on
-a subspace re-reduces its basis, so equal orbits collide in a dict.  The
-orbits of the bisection stabiliser H = GL(k,q) wr 2 on bisections never
-list a bisection: the k-subspaces are indexed once by their
-projective-point masks (subspace.point_masks), each generator of H permutes
-the points and so, by mask lookup, the indices, and the few H-orbits on
-the index are found with a Schreier tree.  For each orbit root A, a random
-Schreier-Sims on points (schreier_sims, fed by random_elements) yields
-strong generators of Stab_H(A), proved complete by its order, and their
-orbits on the q^(k^2) complements of A (subspace.meeting_mask) give the
-orbits on bisections through A.  The stabiliser is generated by GL(k,q)
-in the first block and the block swap.
+Orbits on k-subspaces never re-reduce a basis: the k-subspaces are
+indexed once by their projective-point masks (subspace.point_masks), each
+generator permutes the points and so, by mask lookup, the indices, and one
+breadth-first search with a Schreier tree finds the orbits on the index
+(_index_orbits).  That gives the orbits of the stabiliser of a subspace on
+k-subspaces directly.  The orbits of the bisection stabiliser H = GL(k,q)
+wr 2 on bisections never list a bisection: for each root A of its few
+orbits on the index, a random Schreier-Sims on points (schreier_sims, fed
+by random_elements) yields strong generators of Stab_H(A), proved complete
+by its order, and their orbits on the q^(k^2) complements of A
+(subspace.meeting_mask) give the orbits on bisections through A.  The
+stabiliser is generated by GL(k,q) in the first block and the block swap.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from random import Random
 
 from .gfq import (Mat, mat_identity, mat_inverse, mat_mul, mat_rank,
                   primitive_element)
-from .subspace import (Bisection, Subspace, apply_mat, containing_masks,
-                       coordinate_bisection, grassmannian, mask_points,
-                       meeting_mask, point_masks, point_permutation,
-                       sorted_grassmannian, transport_pair)
+from .subspace import (Bisection, containing_masks, coordinate_bisection,
+                       mask_points, meeting_mask, point_masks,
+                       point_permutation, sorted_grassmannian,
+                       transport_pair)
 from .counts import bisection_count, gaussian
 from .errors import ParamError, TooLargeError
 
@@ -147,64 +147,6 @@ def subspace_stabiliser_generators(m_dim, n, field):
     return GeneratorSet(gens, f"stabiliser of an {m_dim}-subspace in GL({n},{field.q})")
 
 
-def _act(element, g):
-    if isinstance(element, Subspace):
-        return apply_mat(element, g)
-    if isinstance(element, Bisection):
-        return element.apply(g)
-    if isinstance(element, tuple):  # flag or any tuple of subspaces
-        return tuple(apply_mat(x, g) for x in element)
-    raise TypeError(f"cannot act on {type(element)}")
-
-
-def _sort_key(element):
-    if isinstance(element, tuple):
-        return tuple(x.sort_key() for x in element)
-    return element.sort_key()
-
-
-def orbit_partition(gens, seeds, budget=10**7):
-    """Partition the seed set into orbits under the generated group.
-
-    Seeds may be subspaces, bisections or flags (tuples of subspaces); the
-    action is canonical-form BFS.  For big bisection sets prefer
-    stabiliser_orbits_on_bisections.
-    """
-    seeds = list(seeds)
-    if len(seeds) > budget:
-        raise TooLargeError("seed set exceeds budget")
-    seed_set = set(seeds)
-    visited = set()
-    lengths = []
-    reps = []
-    steps = 0
-    for s in seeds:
-        if s in visited:
-            continue
-        orbit = {s}
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens.generators:
-                    y = _act(x, g)
-                    steps += 1
-                    if steps > budget:
-                        raise TooLargeError("orbit BFS exceeded budget")
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if not orbit <= seed_set:
-            raise ValueError("seed set is not closed under the action")
-        visited |= orbit
-        lengths.append(len(orbit))
-        reps.append(min(orbit, key=_sort_key))
-    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], _sort_key(reps[i])))
-    return OrbitReport(tuple(lengths[i] for i in order), len(seeds),
-                       [reps[i] for i in order])
-
-
 def _then(a, b):
     """The point permutation a followed by b."""
     return [b[x] for x in a]
@@ -292,6 +234,58 @@ def schreier_sims(draws, order):
     return chain
 
 
+def _index_orbits(n, k, field, generators):
+    """The orbits of the group that the matrices generate on the
+    k-subspaces of V(n,q), on their index, with no re-reduction.
+
+    The k-subspaces are listed once in canonical (sort_key) order and
+    indexed by their point masks (subspace.point_masks); each generator,
+    as a permutation of the projective points
+    (subspace.point_permutation), moves an index by mask lookup.  One
+    breadth-first search finds the orbits; the least index of each is its
+    root, and parent pointers (a Schreier tree) carry any index back to
+    its root.  Returns the subspaces, their masks, the generators on
+    points, mover (a point permutation to its move on the index), parent
+    (the (index, generator) each non-root was reached by), root_of and
+    sizes ({root: orbit length}).  Raises RuntimeError if the index size
+    contradicts gaussian(n,k,q) or the orbits do not partition it.
+    """
+    q = field.q
+    subs = sorted_grassmannian(n, field, k)
+    nsub = len(subs)
+    if nsub != gaussian(n, k, q):
+        raise RuntimeError(f"{nsub} {k}-subspaces of V({n},{q}), expected "
+                           f"{gaussian(n, k, q)}")
+    masks = point_masks(subs)
+    index = {mask: i for i, mask in enumerate(masks)}
+    gens = [point_permutation(field, n, g) for g in generators]
+    points = [list(mask_points(mask)) for mask in masks]
+
+    def mover(g):
+        """x -> x.g on the index, for a point permutation g."""
+        bits = [1 << y for y in g]
+        return lambda x: index[sum(map(bits.__getitem__, points[x]))]
+    moves = [list(map(mover(g), range(nsub))) for g in gens]
+
+    parent = [None] * nsub
+    root_of = [None] * nsub
+    sizes = {}
+    for root in range(nsub):
+        if root_of[root] is None:
+            root_of[root] = root
+            orbit = [root]
+            for x in orbit:
+                for g, move in enumerate(moves):
+                    y = move[x]
+                    if root_of[y] is None:
+                        root_of[y], parent[y] = root, (x, g)
+                        orbit.append(y)
+            sizes[root] = len(orbit)
+    if sum(sizes.values()) != nsub:
+        raise RuntimeError("the subspace orbits do not partition the index")
+    return subs, masks, gens, mover, parent, root_of, sizes
+
+
 _DRAWS = 1000  # random elements per stabiliser, far above what it needs
 
 
@@ -300,12 +294,9 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     all other bisections, from its orbits on k-subspaces and stabiliser
     orbits on complements.
 
-    The k-subspaces of V(2k,q) are indexed in canonical order by their
-    point masks (subspace.point_masks), and each generator of H acts on
-    projective points and so, by mask lookup, on the index.
-    1. One breadth-first search finds the H-orbits on the index; the least
-       index A of each is its root, and parent pointers (a Schreier tree)
-       carry any index back to its root.
+    1. _index_orbits finds the H-orbits on the index of the k-subspaces
+       of V(2k,q); the least index A of each is its root, and parent
+       pointers (a Schreier tree) carry any index back to its root.
     2. Random elements h of H give elements h.u(A.h)^-1 of Stab_H(A), u
        the tree's transversal; schreier_sims sifts them until the product
        of the basic orbit lengths is |H| / (|H.A| (q-1)), the order of
@@ -337,42 +328,12 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     if count > budget:
         raise TooLargeError(f"{count} bisections of V({n},{q}) exceed the "
                             f"budget of {budget}")
-    subs = sorted_grassmannian(n, field, k)
-    nsub = len(subs)
-    if nsub != gaussian(n, k, q):
-        raise RuntimeError(f"{nsub} {k}-subspaces of V({n},{q}), expected "
-                           f"{gaussian(n, k, q)}")
-    masks = point_masks(subs)
-    index = {mask: i for i, mask in enumerate(masks)}
-    b0 = coordinate_bisection(field, k)
-    gens = [point_permutation(field, n, g)
-            for g in bisection_stabiliser_generators(b0).generators]
-    backs = [_inverse(g) for g in gens]
-    points = [list(mask_points(mask)) for mask in masks]
-
-    def mover(g):
-        """x -> x.g on the index, for a point permutation g."""
-        bits = [1 << y for y in g]
-        return lambda x: index[sum(map(bits.__getitem__, points[x]))]
-    moves = [list(map(mover(g), range(nsub))) for g in gens]
-
     # 1. H-orbits on the index, with a Schreier tree
-    parent = [None] * nsub  # (index, generator) an index was reached by
-    root_of = [None] * nsub
-    sizes = {}
-    for root in range(nsub):
-        if root_of[root] is None:
-            root_of[root] = root
-            orbit = [root]
-            for x in orbit:
-                for g, move in enumerate(moves):
-                    y = move[x]
-                    if root_of[y] is None:
-                        root_of[y], parent[y] = root, (x, g)
-                        orbit.append(y)
-            sizes[root] = len(orbit)
-    if sum(sizes.values()) != nsub:
-        raise RuntimeError("the subspace orbits do not partition the index")
+    b0 = coordinate_bisection(field, k)
+    subs, masks, gens, mover, parent, root_of, sizes = _index_orbits(
+        n, k, field, bisection_stabiliser_generators(b0).generators)
+    nsub = len(subs)
+    backs = [_inverse(g) for g in gens]
 
     def to_root(x):
         """u(x)^-1 on points: carries x to its root."""
@@ -440,15 +401,20 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
 
 
 def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
-    """Orbits of the stabiliser of <e_1..e_m> on all k-subspaces; refused
-    before any is listed when gaussian(n,k,q) exceeds the budget."""
+    """Orbits of the stabiliser of <e_1..e_m> on all k-subspaces, on their
+    index (_index_orbits); refused before any is listed when
+    gaussian(n,k,q) exceeds the budget.  The index is in sort_key order,
+    so each root is the least subspace of its orbit, its representative.
+    """
     count = gaussian(n, k, field.q)
     if count > budget:
         raise TooLargeError(f"{count} {k}-subspaces of V({n},{field.q}) "
                             f"exceed the budget of {budget}")
-    gens = subspace_stabiliser_generators(m, n, field)
-    seeds = list(grassmannian(n, field, k))
-    return orbit_partition(gens, seeds, budget=budget)
+    subs, *_, sizes = _index_orbits(
+        n, k, field, subspace_stabiliser_generators(m, n, field).generators)
+    ranked = sorted(sizes, key=lambda root: (sizes[root], root))
+    return OrbitReport(tuple(sizes[root] for root in ranked), len(subs),
+                       [subs[root] for root in ranked])
 
 
 GOLDEN_ORBITS = {

@@ -119,10 +119,6 @@ def span_rows(field, n, rows):
     return Subspace(field, n, tuple(map(tuple, red)))
 
 
-def zero_subspace(field, n):
-    return Subspace(field, n, ())
-
-
 def full_space(field, n):
     return coordinate_subspace(field, n, range(n))
 
@@ -182,11 +178,6 @@ def intersection_dim(u, w):
     return w.dim - sum(echelon_insert(field, echelon, r) for r in w.basis)
 
 
-def sum_subspace(u, w):
-    _check_ambient(u, w)
-    return span_rows(u.field, u.n, u.basis + w.basis)
-
-
 def perp(u):
     """Orthogonal complement under the standard dot product."""
     if u.dim == 0:
@@ -213,14 +204,6 @@ def intersect(u, w):
     red, pivots = _rref_rows(field, rows, 2 * n)
     return Subspace(field, n, tuple(tuple(r[n:])
                                     for r, p in zip(red, pivots) if p >= n))
-
-
-def is_diagonal(u, y1, y2):
-    """True iff U <= Y1 + Y2 and U meets both Y1 and Y2 trivially."""
-    amb = sum_subspace(y1, y2)
-    if not amb.contains(u):
-        raise ValueError("subspace not inside Y1 + Y2")
-    return intersection_dim(u, y1) == 0 and intersection_dim(u, y2) == 0
 
 
 def _echelon(u):

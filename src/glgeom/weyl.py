@@ -126,12 +126,3 @@ def subset_geometry_oracle(n, m, k, j):
 def subset_geometry_closed_form(n, m, k, j):
     """The closed-form collinear-completeness condition 0 <= k-2j <= n-2m."""
     return 0 <= k - 2 * j <= n - 2 * m
-
-
-def weyl_triple_check(n, m, k, j):
-    """Does S_n factor as W1 W2 W1 for the j-incidence of m- and k-subsets?
-
-    Equivalent to collinear completeness of the subset geometry; this is
-    the statement that licenses the lift to the matrix group.
-    """
-    return subset_geometry_oracle(n, m, k, j)

@@ -34,6 +34,7 @@ from functools import lru_cache
 from .errors import ParamError, TooLargeError
 from .gfq import (Mat, least_irreducible, mat_inverse, poly_mulmod, rref,
                   vec_mat)
+from .predicates import bis_collinear_predicate, proj_collinear_predicate
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                        canonical_piece_columns, coordinate_subspace,
                        grassmannian, intersection_dim, span_rows, _unit_rows)
@@ -237,7 +238,7 @@ def proj_collinear_witness(n, m, k, j, t, field):
         raise ParamError("inadmissible j")
     if not (max(0, 2 * m - n) <= t <= m - 1):
         raise ParamError("overlap t out of range")
-    if 2 * j > k + max(0, 2 * m - n):
+    if not proj_collinear_predicate(n, m, k, j):
         raise PredicateFailsError("no such subspace exists at these parameters")
     try:
         w = _proj_witness(n, m, k, j, t, field)
@@ -326,11 +327,6 @@ def _proj_pair_dims(field, n, m, t, w):
 # ----------------------------------------------------------------------
 # bisection witnesses for the collinear side
 # ----------------------------------------------------------------------
-
-def bis_collinear_predicate(q, m, k, k1, k2):
-    """3 k2 <= k + 1 + m + k1, excluding the single small exception."""
-    return 3 * k2 <= k + 1 + m + k1 and (q, m, k, k1, k2) != (2, 1, 1, 0, 0)
-
 
 def bis_collinear_witness(params, t):
     """A bisection incident with both canonical m-subspaces at overlap t.

@@ -12,7 +12,9 @@ has (the old `diagonal_pair`, `project_onto` and `canonical_pieces`, whose
 pieces the package now gives only as column ranges; `direct_sum` comes
 from tests/proj_witness_reference.py); `bis_witness` is the
 dispatch of bis_collinear_witness without its final verification.
-Nothing in the package calls this file.
+`incident_bis`, the bisection incidence by two rank-based meets, moved
+here verbatim from glgeom.geometry as the reference for the point-mask
+incidence.  Nothing in the package calls this file.
 """
 
 from glgeom.errors import ParamError
@@ -20,10 +22,20 @@ from glgeom.gfq import Mat, mat_inverse, vec_mat
 from glgeom.subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                              complement, coordinate_bisection,
                              coordinate_subspace, full_space,
-                             intersection_dim, span_rows, sum_subspace,
-                             transport_pair)
+                             intersection_dim, span_rows, transport_pair)
 from glgeom.witness import DiagonalPair, _NEAR_HALF_TABLE
-from proj_witness_reference import direct_sum
+from proj_witness_reference import direct_sum, sum_subspace
+
+
+def incident_bis(params, u, b):
+    """True iff the intersection pattern of U with the halves is {k1,k2}."""
+    if u.dim != params.m or u.n != params.n or b.n != params.n:
+        raise ValueError("element dimensions do not match the geometry")
+    d1 = intersection_dim(u, b.half1)
+    d2 = intersection_dim(u, b.half2)
+    if d1 > d2:
+        d1, d2 = d2, d1
+    return (d1, d2) == (params.k1, params.k2)
 
 
 def canonical_pieces(field, n, m, t):

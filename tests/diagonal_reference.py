@@ -7,8 +7,8 @@ from glgeom.witness, with the two enumerators it uses; nothing in the
 package calls it.
 """
 
-from glgeom.gfq import rank_of_rows
 from glgeom.subspace import add_vecs, grassmannian, intersection_dim, span_rows
+from field_reference import rank_of_rows
 
 
 def diagonal_pair_exists_bruteforce(y1, y2, r):

@@ -5,8 +5,17 @@ These are the GF(p) polynomial routines glgeom.gfq used before its one
 product-mod routine over an arbitrary field: multiply, then divide by the
 modulus; irreducibility by trial division with that division; and the
 least generator of GF(q)* by repeated multiplication.  They are kept as
-independent oracles; nothing in the package calls them.
+independent oracles; nothing in the package calls them.  `rank_of_rows`,
+the rank of a list of rows by the package's elimination, moved here
+verbatim from glgeom.gfq, which no longer calls it.
 """
+
+from glgeom.gfq import _rref_rows
+
+
+def rank_of_rows(field, rows, ncols):
+    """Rank of a list of row tuples, no Mat construction."""
+    return len(_rref_rows(field, rows, ncols)[0])
 
 
 def poly_trim(c):

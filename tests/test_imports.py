@@ -1,8 +1,10 @@
 """No stale imports and no dead definitions in the package: every name a
 glgeom module imports is used in that module, unless its line is marked
-`# noqa: F401` (kept on purpose, such as a re-export); and every top-level
+`# noqa: F401` (kept on purpose, such as a re-export); every top-level
 def or class is referenced outside its own body somewhere in src/ or
-tests/."""
+tests/; and every top-level def, class or assignment is reached by name
+from a verb of the CLI or from what the acceptance gate imports, so code
+that only tests run lives under tests/."""
 
 import ast
 import pathlib
@@ -91,3 +93,67 @@ def test_the_check_sees_a_dead_definition(tmp_path):
     other.write_text("from m import Named\n")
     assert unreferenced_definitions([pkg], [other]) == [
         ("m.py", "recursive"), ("m.py", "Dead")]
+
+
+def _definitions(stmt):
+    """The names a top-level statement defines: a def's or a class's, or
+    an assignment's plain-name targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [node.id for t in targets for node in ast.walk(t)
+                if isinstance(node, ast.Name)]
+    return []
+
+
+def unreachable_definitions(package, entry, gate):
+    """(file name, name) for each top-level def, class or assignment in the
+    package files that no chain of names reaches from the roots: the
+    names the entry file defines at top level, and the names the gate
+    imports from glgeom.  A reached name reaches every name that a
+    top-level statement defining it, in any package file, reads
+    (_names_read).  Names are matched, not resolved."""
+    body = {path: ast.parse(path.read_text()).body for path in package}
+    defining = {}
+    for path in package:
+        for stmt in body[path]:
+            for name in _definitions(stmt):
+                defining.setdefault(name, []).append(stmt)
+    todo = [name for stmt in body[entry] for name in _definitions(stmt)]
+    todo += [alias.name for node in ast.walk(ast.parse(gate.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module
+             and node.module.split(".")[0] == "glgeom"
+             for alias in node.names]
+    reached = set()
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for stmt in defining.get(name, []):
+                todo.extend(_names_read(stmt))
+    return [(path.name, name) for path in package for stmt in body[path]
+            for name in _definitions(stmt) if name not in reached]
+
+
+def test_every_definition_is_reached():
+    assert unreachable_definitions(sorted(SRC.glob("*.py")), SRC / "cli.py",
+                                   TESTS / "test_acceptance.py") == []
+
+
+def test_the_check_sees_an_unreached_definition(tmp_path):
+    cli, lib = tmp_path / "cli.py", tmp_path / "lib.py"
+    gate = tmp_path / "test_gate.py"
+    cli.write_text("from . import lib\n\ndef main():\n    return lib.run()\n")
+    lib.write_text("LIMIT = 3\nUNUSED = 4\n\n"
+                   "def run():\n    return helper() + LIMIT\n\n"
+                   "def helper():\n    return 1\n\n"
+                   "def gated():\n    return Shape()\n\n"
+                   "class Shape:\n    pass\n\n"
+                   "def tested_only():\n    return helper()\n\n"
+                   "def recursive(n):\n    return recursive(n - 1)\n")
+    gate.write_text("import lib\nfrom glgeom.lib import gated\n\n"
+                    "def test_it():\n    assert lib.tested_only() and gated()\n")
+    assert unreachable_definitions([cli, lib], cli, gate) == [
+        ("lib.py", "UNUSED"), ("lib.py", "tested_only"),
+        ("lib.py", "recursive")]

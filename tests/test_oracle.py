@@ -8,17 +8,18 @@ from glgeom.gfq import field_make
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams, ProjParams
 from glgeom.counts import restricted_movement_sufficient, TooLargeError
-from glgeom.oracle import (bis_collinear_oracle, bis_concurrent_predicate,
-                           concurrent_oracle, induction_step_check,
-                           pair_has_common_point, proj_collinear_oracle,
-                           proj_collinear_predicate)
-from glgeom.geometry import incident_bis
+from glgeom.oracle import (bis_collinear_oracle, concurrent_oracle,
+                           pair_has_common_point, proj_collinear_oracle)
 from glgeom.orbits import stabiliser_orbits_on_bisections
+from glgeom.predicates import (bis_collinear_predicate,
+                               bis_concurrent_predicate,
+                               proj_collinear_predicate)
 from glgeom.subspace import (Bisection, bisections, coordinate_bisection,
                              coordinate_subspace, grassmannian,
                              intersection_dim, schubert_cell, span_rows)
-from glgeom.witness import (bis_collinear_predicate, canonical_pair,
-                            desarguesian_spread)
+from glgeom.witness import canonical_pair, desarguesian_spread
+from bis_witness_reference import incident_bis
+from paper_checks import induction_step_check
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -248,7 +249,7 @@ def test_bis_collinear_refused_before_masking(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    for name in ("grassmannian", "sorted_grassmannian", "point_masks"):
+    for name in ("sorted_grassmannian", "point_masks"):
         monkeypatch.setattr(oc, name, forbidden)
     with pytest.raises(TooLargeError):
         bis_collinear_oracle(BisParams(2, 2, 0, 2, F2), budget=1)
@@ -397,7 +398,7 @@ def test_concurrent_refused_before_listing(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    for name in ("grassmannian", "sorted_grassmannian", "point_masks",
+    for name in ("bisections", "sorted_grassmannian", "point_masks",
                  "schubert_cell"):
         monkeypatch.setattr(oc, name, forbidden)
     reps = [coordinate_bisection(F2, 2)]

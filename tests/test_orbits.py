@@ -9,15 +9,14 @@ from glgeom.counts import TooLargeError
 from glgeom.gfq import field_make, mat_identity
 from glgeom.orbits import (GOLDEN_ORBITS, GeneratorSet,
                            bisection_stabiliser_generators, gl_generators,
-                           orbit_partition, pm_orbits_on_k_spaces,
-                           random_elements, schreier_sims,
-                           stabiliser_orbits_on_bisections,
+                           pm_orbits_on_k_spaces, random_elements,
+                           schreier_sims, stabiliser_orbits_on_bisections,
                            subspace_stabiliser_generators)
 from glgeom.subspace import (coordinate_bisection, coordinate_subspace,
                              grassmannian, intersection_dim, bisections,
                              point_permutation)
 import orbit_reference
-from orbit_reference import group_order_by_basis_orbit
+from orbit_reference import group_order_by_basis_orbit, orbit_partition
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -171,22 +170,28 @@ def test_order2_stabiliser_on_projective_line():
 # stabiliser orbits on k-subspaces
 # ---------------------------------------------------------------------
 
+# every (n, m, k) with n <= 5 at q = 2 and n <= 4 at q = 3, 4; one orbit
+# per admissible j = dim(U meet W), e.g. W = U or disjoint at (2, 1, 1)
 @pytest.mark.parametrize("n,m,k,q,orbits", [
-    (3, 1, 2, 2, 2),       # j in {0, 1}
-    (4, 2, 2, 2, 3),       # j in {0, 1, 2}
-    (2, 1, 1, 3, 2),       # W = U or disjoint
-])
+    (n, m, k, q, min(m, k) - max(0, m + k - n) + 1)
+    for q, top in ((2, 5), (3, 4), (4, 4)) for n in range(2, top + 1)
+    for m in range(1, n) for k in range(1, n)])
 def test_pm_orbit_counts(n, m, k, q, orbits):
-    field = field_make(q)
+    """The index BFS gives the report of the canonical-form BFS over every
+    k-subspace, and its orbits are the intersection-dimension classes."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
     report = pm_orbits_on_k_spaces(n, m, k, field)
     assert report.num_orbits == orbits
+    gens = subspace_stabiliser_generators(m, n, field)
+    partition = orbit_partition(gens, list(grassmannian(n, field, k)))
+    assert report.orbit_lengths == partition.orbit_lengths
+    assert report.representatives == partition.representatives
+    assert report.total == partition.total
     # orbits are exactly the intersection-dimension classes
     u = coordinate_subspace(field, n, range(m))
     j_of = {}
-    gens = subspace_stabiliser_generators(m, n, field)
     for w in grassmannian(n, field, k):
         j_of.setdefault(intersection_dim(u, w), set()).add(w)
-    partition = orbit_partition(gens, list(grassmannian(n, field, k)))
     assert partition.num_orbits == len(j_of)
     assert sorted(partition.orbit_lengths) == sorted(len(c) for c in j_of.values())
 
@@ -289,7 +294,6 @@ def test_bisection_budget_refused_before_enumeration(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("enumerated despite the budget")
-    monkeypatch.setattr(ob, "grassmannian", forbidden)
     monkeypatch.setattr(ob, "sorted_grassmannian", forbidden)
     with pytest.raises(TooLargeError, match="333430020 .* 10000000"):
         stabiliser_orbits_on_bisections(3, F3)
@@ -388,11 +392,11 @@ def test_point_permutations_match_apply_mat(q, k):
 
 def test_pm_orbits_refused_before_listing(monkeypatch):
     """gaussian(6,3,3) = 33,880 3-subspaces are refused at budget 33,879
-    before grassmannian lists one."""
+    before sorted_grassmannian lists one."""
     import glgeom.orbits as ob
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    monkeypatch.setattr(ob, "grassmannian", forbidden)
+    monkeypatch.setattr(ob, "sorted_grassmannian", forbidden)
     with pytest.raises(TooLargeError, match="33880 .* 33879$"):
         pm_orbits_on_k_spaces(6, 1, 3, F3, budget=33879)

@@ -2,17 +2,17 @@
 
 import pytest
 
-from glgeom.gfq import field_make, Mat, mat_identity, pack_rows, rank_of_rows
+from glgeom.gfq import field_make, Mat, mat_identity, pack_rows
 from glgeom.counts import bisection_count, gaussian
 from glgeom.subspace import (Bisection, adapted_pair_basis, bisections,
                              canonical_pair, canonical_piece_columns,
                              complement, coordinate_subspace, disjoint_pairs,
                              full_space, grassmannian, intersect,
-                             intersection_dim, is_diagonal, meet_dims, perp,
+                             intersection_dim, meet_dims, perp,
                              point_masks, schubert_cell, sorted_grassmannian,
-                             span_rows, sum_subspace, transport_pair,
-                             apply_mat, zero_subspace)
-from proj_witness_reference import direct_sum
+                             span_rows, transport_pair, apply_mat)
+from field_reference import rank_of_rows
+from proj_witness_reference import direct_sum, sum_subspace
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -51,7 +51,7 @@ def test_intersect_examples():
 
 def test_sum_examples():
     u = coordinate_subspace(F2, 3, [0])
-    z = zero_subspace(F2, 3)
+    z = coordinate_subspace(F2, 3, ())
     assert sum_subspace(u, z) == u
     assert sum_subspace(u, coordinate_subspace(F2, 3, [1])) == \
         coordinate_subspace(F2, 3, [0, 1])
@@ -60,7 +60,7 @@ def test_sum_examples():
 
 
 def test_perp_examples():
-    assert perp(full_space(F2, 3)) == zero_subspace(F2, 3)
+    assert perp(full_space(F2, 3)) == coordinate_subspace(F2, 3, ())
     assert perp(coordinate_subspace(F2, 2, [0])) == coordinate_subspace(F2, 2, [1])
     self_perp = span_rows(F2, 2, [(1, 1)])
     assert perp(self_perp) == self_perp  # (1,1).(1,1) = 0 over GF(2)
@@ -97,21 +97,13 @@ def test_modular_law_dimension_formula():
 
 
 # ---------------------------------------------------------------------
-# diagonal / complement
+# complement
 # ---------------------------------------------------------------------
-
-def test_is_diagonal():
-    y1 = coordinate_subspace(F2, 2, [0])
-    y2 = coordinate_subspace(F2, 2, [1])
-    assert is_diagonal(span_rows(F2, 2, [(1, 1)]), y1, y2)
-    assert not is_diagonal(y1, y1, y2)
-    assert is_diagonal(zero_subspace(F2, 2), y1, y2)
-
 
 def test_complement():
     v = full_space(F2, 2)
     u = coordinate_subspace(F2, 2, [0])
-    assert complement(zero_subspace(F2, 2), v) == v
+    assert complement(coordinate_subspace(F2, 2, ()), v) == v
     assert complement(v, v).dim == 0
     assert complement(u, v) == coordinate_subspace(F2, 2, [1])
     with pytest.raises(ValueError, match="not contained in second"):
@@ -267,7 +259,8 @@ def _random_subspaces(field, n, rng):
     subs = [rand(rng.randrange(n + 1)) for _ in range(12)]
     outer = rand(n - 1)
     inner = span_rows(field, n, list(outer.rows())[:rng.randrange(n)])
-    return subs + [zero_subspace(field, n), full_space(field, n), outer, inner]
+    return subs + [coordinate_subspace(field, n, ()), full_space(field, n),
+                   outer, inner]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -382,8 +375,8 @@ def _random_pairs(rng, field):
         yield u, _random_subspace(rng, field, n, rng.randint(0, u.dim), u)
         c = complement(u, full_space(field, n))
         yield u, _random_subspace(rng, field, n, rng.randint(0, c.dim), c)
-        yield u, zero_subspace(field, n)
-        yield zero_subspace(field, n), u
+        yield u, coordinate_subspace(field, n, ())
+        yield coordinate_subspace(field, n, ()), u
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -433,7 +426,7 @@ def test_unreduced_constructors_give_canonical_rows(q):
     rng = random.Random(2000 + q)
     made = []
     for n in range(1, 7):
-        made += [zero_subspace(field, n), full_space(field, n)]
+        made += [coordinate_subspace(field, n, ()), full_space(field, n)]
         for m in range(n + 1):
             if gaussian(n, m, q) <= 2000:
                 made += grassmannian(n, field, m)
@@ -465,7 +458,8 @@ def test_span_rows_checks_its_rows():
         span_rows(F3, 2, [(1, 0), (0, -1)])
     with pytest.raises(ValueError, match="ragged rows"):
         span_rows(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1, 0)])
-    assert span_rows(F3, 2, []) == span_rows(F3, 2, ()) == zero_subspace(F3, 2)
+    assert span_rows(F3, 2, []) == span_rows(F3, 2, ()) == \
+        coordinate_subspace(F3, 2, ())
 
 
 def test_hash_and_packed_rows_on_first_read(monkeypatch):
@@ -486,7 +480,7 @@ def test_hash_and_packed_rows_on_first_read(monkeypatch):
     assert intersection_dim(u, w) == 0 and len(calls) == 2
     for s in subs:
         assert s.packed == pack_rows(s.basis)
-    assert zero_subspace(F3, 2).packed is None
+    assert coordinate_subspace(F3, 2, ()).packed is None
     for field in (F2, F3):
         built = [coordinate_subspace(field, 4, [1, 3]),
                  span_rows(field, 4, [e(field, 4, 2, 4), e(field, 4, 4)]),
@@ -526,7 +520,7 @@ def _meet_pairs(rng, field):
     random pairs of random dimensions."""
     for n in range(1, 13):
         u = _random_subspace(rng, field, n, rng.randint(0, n))
-        yield zero_subspace(field, n), u
+        yield coordinate_subspace(field, n, ()), u
         yield full_space(field, n), u
         yield u, span_rows(field, n, u.rows())
         for _ in range(3):

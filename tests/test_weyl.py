@@ -6,9 +6,8 @@ from glgeom.gfq import field_make
 from glgeom.errors import ParamError
 from glgeom.weyl import (SubsetGeom, YoungSubgroup, double_coset_count,
                          subset_geometry_closed_form, subset_geometry_oracle,
-                         subset_pair_cover, weyl_triple_check,
-                         young_orbit_count)
-from glgeom.oracle import proj_collinear_predicate
+                         subset_pair_cover, young_orbit_count)
+from glgeom.predicates import proj_collinear_predicate
 from glgeom.orbits import pm_orbits_on_k_spaces
 
 
@@ -47,9 +46,11 @@ def test_double_coset_matches_orbit_count():
 
 
 def test_weyl_triple_check_examples():
-    assert weyl_triple_check(4, 2, 2, 1)
-    assert weyl_triple_check(4, 1, 2, 1)
-    assert not weyl_triple_check(5, 2, 4, 1)   # k-2j = 2 > 1 = n-2m
+    """S_n = W1 W2 W1 for the j-incidence of m- and k-subsets exactly when
+    the subset geometry is collinearly complete, which the oracle decides."""
+    assert subset_geometry_oracle(4, 2, 2, 1)
+    assert subset_geometry_oracle(4, 1, 2, 1)
+    assert not subset_geometry_oracle(5, 2, 4, 1)   # k-2j = 2 > 1 = n-2m
     # the t = 0 pair is the obstruction there
     assert subset_pair_cover(5, 2, 4, 1, 1)
     assert not subset_pair_cover(5, 2, 4, 1, 0)

@@ -4,16 +4,17 @@ import pytest
 
 from glgeom.gfq import Mat, field_make, mat_mul, mat_identity
 from glgeom.errors import ParamError
-from glgeom.geometry import BisParams, incident_bis
+from glgeom.geometry import BisParams
+from glgeom.predicates import bis_collinear_predicate
 from glgeom.subspace import (apply_mat, coordinate_subspace,
                              intersection_dim, perp, span_rows,
                              transport_pair)
-from glgeom.witness import (PredicateFailsError, bis_collinear_predicate,
-                            bis_collinear_witness, canonical_pair,
-                            desarguesian_spread, diagonal_pair,
+from glgeom.witness import (PredicateFailsError, bis_collinear_witness,
+                            canonical_pair, desarguesian_spread, diagonal_pair,
                             fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, subset_witness,
                             verify_partial_spread)
+from bis_witness_reference import incident_bis
 from diagonal_reference import diagonal_pair_exists_bruteforce
 
 F2 = field_make(2)
@@ -185,7 +186,7 @@ def test_proj_perp_branch_is_the_transported_witness(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_proj_witness_iff_predicate(q):
     """Witness construction succeeds exactly on predicate-true inputs."""
-    from glgeom.oracle import proj_collinear_predicate
+    from glgeom.predicates import proj_collinear_predicate
     field = field_of(q)
     for n in range(2, 7):
         for m in range(1, n):
@@ -268,7 +269,7 @@ def test_perp_rows_closed_form(q):
 def test_proj_witness_at_the_field_edges(p, e):
     """At n = 12 over the largest extension fields and the largest prime
     field, a witness is built exactly where the predicate holds."""
-    from glgeom.oracle import proj_collinear_predicate
+    from glgeom.predicates import proj_collinear_predicate
     field = field_make(p, e)
     n, built, refused = 12, 0, 0
     for m in range(1, n):
