@@ -1,4 +1,4 @@
-"""Exact arithmetic in GF(q) and the dense matrix kernel.
+"""Exact arithmetic in GF(q) and the row kernels on matrices of rows.
 
 Field elements are integer codes in [0, q).  For prime fields the code is
 the residue itself; for GF(p^e) the code is the base-p digit vector of the
@@ -17,13 +17,12 @@ regimes, picked from q: residues for prime fields, dense add/mul/neg/inv
 tables read off exp/log up to _TABLE_LIMIT, and exp/log above it, where
 addition at p = 2 is the XOR of the codes and at odd p goes digit by digit.
 
-Mat is an immutable row-major matrix, for matrices in their own right:
-group elements, charts, changes of basis and their inverses.  A subspace
-is not a Mat: subspace.Subspace keeps its canonical rows as plain tuples,
-which the row kernels here take directly: _rref_rows, the one elimination
-(span_rows, kernel, mat_inverse); and echelon_insert, which reduces one
-row against canonical rows as they stand (meets and containment at q > 2,
-complements).
+A matrix is a tuple of row tuples, as a subspace basis is: a group
+element, a chart, a change of basis or its inverse acts on row vectors by
+v -> v.g (vec_mat).  The row kernels take such rows directly: _rref_rows,
+the one elimination (subspace.span_rows, kernel, mat_inverse); and
+echelon_insert, which reduces one row against canonical rows as they
+stand (meets at q > 2).
 GF(2) additionally gets a packed representation (one int bitmask per row,
 bit j = column j) used by the enumeration-heavy callers; the two
 representations agree bit for bit.
@@ -273,12 +272,6 @@ class FieldSpec:
             return self._inv[a]
         return self._exp[(self.q - 1) - self._log[a]]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def elements(self):
-        return range(self.q)
-
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
 
@@ -305,82 +298,16 @@ def field_make(p, e=1):
 
 
 # ----------------------------------------------------------------------
-# matrices
+# matrices: tuples of row tuples
 # ----------------------------------------------------------------------
 
-class Mat:
-    """Immutable row-major matrix over a FieldSpec.
-
-    Entries are checked to be field codes in equal-length rows, except
-    with _trusted=True, which is passed only for rows that are such by
-    construction: elimination output, unit rows, the rows of another Mat
-    or of a Subspace.
-    """
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field, entries, cols=None, _trusted=False):
-        entries = tuple(tuple(r) for r in entries)
-        self.field = field
-        self.rows = len(entries)
-        self.cols = len(entries[0]) if entries else (cols or 0)
-        if not _trusted:
-            for r in entries:
-                if len(r) != self.cols:
-                    raise ValueError("ragged rows")
-                for x in r:
-                    if not (0 <= x < field.q):
-                        raise ValueError(f"entry {x} out of range for {field}")
-        self.entries = entries
-
-    def __eq__(self, other):
-        return (isinstance(other, Mat) and self.field == other.field
-                and self.entries == other.entries
-                and (self.rows, self.cols) == (other.rows, other.cols))
-
-    def __hash__(self):
-        return hash((self.field.q, self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"Mat({self.field}, {self.rows}x{self.cols})"
-
-
-def mat_identity(field, n):
-    return Mat(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def mat_mul(a, b):
-    if a.cols != b.rows:
-        raise ValueError("inner dimensions differ")
-    f = a.field
-    mul, add = f.mul, f.add
-    bt = b.entries
-    out = []
-    for ra in a.entries:
-        row = [0] * b.cols
-        for i, x in enumerate(ra):
-            if x:
-                bi = bt[i]
-                if x == 1:
-                    for j, y in enumerate(bi):
-                        if y:
-                            row[j] = add(row[j], y)
-                else:
-                    for j, y in enumerate(bi):
-                        if y:
-                            row[j] = add(row[j], mul(x, y))
-        out.append(row)
-    return Mat(f, out)
-
-
-def vec_mat(v, m):
-    """Row vector times matrix."""
-    f = m.field
-    mul, add = f.mul, f.add
-    out = [0] * m.cols
+def vec_mat(field, v, m):
+    """Row vector times a matrix of rows, as a tuple."""
+    mul, add = field.mul, field.add
+    out = [0] * len(m[0])
     for i, x in enumerate(v):
         if x:
-            mi = m.entries[i]
+            mi = m[i]
             if x == 1:
                 for j, y in enumerate(mi):
                     if y:
@@ -461,51 +388,35 @@ def echelon_insert(field, echelon, row):
     return False
 
 
-def rref(m):
-    """Reduced row echelon form: returns (R, rank, pivots).
-
-    R keeps the original row count (zero rows trail); rank = number of
-    nonzero rows; pivot columns strictly increase.
-    """
-    red, pivots = _rref_rows(m.field, m.entries, m.cols)
-    rank = len(red)
-    full = red + [[0] * m.cols for _ in range(m.rows - rank)]
-    return Mat(m.field, full, cols=m.cols, _trusted=True), rank, pivots
-
-
-def mat_rank(m):
-    return len(_rref_rows(m.field, m.entries, m.cols)[0])
-
-
-def kernel(m):
-    """Canonical (rref) basis of the right null space {v : M v^T = 0}."""
-    f = m.field
-    red, pivots = _rref_rows(f, m.entries, m.cols)
+def kernel(field, rows, ncols):
+    """Canonical (rref) rows of the right null space {v : M v^T = 0} of the
+    matrix with the given rows and ncols columns."""
+    red, pivots = _rref_rows(field, rows, ncols)
     pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        v = [0] * m.cols
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = f.neg(red[r][fc])
-        basis.append(v)
-    canon, _ = _rref_rows(f, basis, m.cols)
-    return Mat(f, canon, cols=m.cols, _trusted=True)
+    for fc in range(ncols):
+        if fc not in pivot_set:
+            v = [0] * ncols
+            v[fc] = 1
+            for r, pc in enumerate(pivots):
+                v[pc] = field.neg(red[r][fc])
+            basis.append(v)
+    canon, _ = _rref_rows(field, basis, ncols)
+    return tuple(map(tuple, canon))
 
 
-def mat_inverse(m):
-    """Inverse of a square matrix; raises ValueError if it is singular."""
-    if m.rows != m.cols:
+def mat_inverse(field, m):
+    """Inverse of a square matrix of rows; raises ValueError if it is
+    singular."""
+    n = len(m)
+    if any(len(r) != n for r in m):
         raise ValueError("inverse of non-square matrix")
-    f = m.field
-    n = m.rows
     aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-           for i, r in enumerate(m.entries)]
-    red, pivots = _rref_rows(f, aug, 2 * n)
+           for i, r in enumerate(m)]
+    red, pivots = _rref_rows(field, aug, 2 * n)
     if len(red) < n or pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return Mat(f, [r[n:] for r in red[:n]])
+    return tuple(tuple(r[n:]) for r in red[:n])
 
 
 # ----------------------------------------------------------------------

@@ -42,11 +42,10 @@ from itertools import combinations
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
-from .subspace import (Bisection, bisections, canonical_pair,
-                       containing_masks, coordinate_bisection,
-                       coordinate_subspace, intersection_dim, meet_dims,
-                       meeting_mask, point_masks, schubert_cell,
-                       sorted_grassmannian)
+from .subspace import (bisections, canonical_pair, containing_masks,
+                       coordinate_bisection, coordinate_subspace,
+                       intersection_dim, meet_dims, meeting_mask,
+                       point_masks, schubert_cell, sorted_grassmannian)
 from .counts import bisection_count, gaussian
 from .errors import TooLargeError
 from .geometry import mask_incident_bis
@@ -60,22 +59,6 @@ class CompletenessVerdict:
     method: str                      # "predicate" | "oracle" | "witness"
     failing_t: int | None = None
     failing_pair: tuple | None = None
-
-    def to_json_dict(self):
-        out = {"complete": self.complete, "method": self.method}
-        if self.failing_t is not None:
-            out["failing_t"] = self.failing_t
-        if self.failing_pair is not None:
-            out["failing_pair"] = [
-                [list(map(list, h.rows())) for h in _pair_elements(x)]
-                for x in self.failing_pair]
-        return out
-
-
-def _pair_elements(x):
-    if isinstance(x, Bisection):
-        return [x.half1, x.half2]
-    return [x]
 
 
 # ----------------------------------------------------------------------

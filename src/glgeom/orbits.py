@@ -12,6 +12,9 @@ by random_elements) yields strong generators of Stab_H(A), proved complete
 by its order, and their orbits on the q^(k^2) complements of A
 (subspace.meeting_mask) give the orbits on bisections through A.  The
 stabiliser is generated by GL(k,q) in the first block and the block swap.
+A generator is a matrix as a tuple of row tuples, like a subspace basis;
+each reaches the search only as a point permutation
+(subspace.point_permutation), which refuses a singular one.
 """
 
 from __future__ import annotations
@@ -22,25 +25,12 @@ from itertools import islice
 from math import prod
 from random import Random
 
-from .gfq import (Mat, mat_identity, mat_inverse, mat_mul, mat_rank,
-                  primitive_element)
+from .gfq import primitive_element
 from .subspace import (Bisection, containing_masks, coordinate_bisection,
                        mask_points, meeting_mask, point_masks,
-                       point_permutation, sorted_grassmannian,
-                       transport_pair)
+                       point_permutation, sorted_grassmannian)
 from .counts import bisection_count, gaussian
 from .errors import ParamError, TooLargeError
-
-
-@dataclass
-class GeneratorSet:
-    generators: list
-    description: str
-
-    def __post_init__(self):
-        for g in self.generators:
-            if g.rows != g.cols or mat_rank(g) != g.rows:
-                raise ValueError("generator is not invertible")
 
 
 @dataclass
@@ -62,73 +52,65 @@ class OrbitReport:
         return len(self.orbit_lengths)
 
 
-def _transvection(field, n, i, j):
-    m = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _rows(m):
+    return tuple(map(tuple, m))
+
+
+def _transvection(n, i, j):
+    m = _identity(n)
     m[i][j] = 1
-    return Mat(field, m)
+    return _rows(m)
 
 
-def _cycle(field, n):
+def _cycle(n):
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         m[i][(i + 1) % n] = 1
-    return Mat(field, m)
+    return _rows(m)
 
 
 def gl_generators(n, field):
-    """A standard generating set of GL(n,q)."""
+    """A standard generating set of GL(n,q), as a list of matrices (tuples
+    of rows)."""
     q = field.q
-    gens = []
     if n == 1:
-        if q > 2:
-            gens.append(Mat(field, [[primitive_element(q, field.mul)]]))
-        else:
-            gens.append(mat_identity(field, 1))
-    else:
-        gens.append(_transvection(field, n, 0, 1))
-        gens.append(_cycle(field, n))
-        if q > 2:
-            a = primitive_element(q, field.mul)
-            d = [[a if i == j == 0 else (1 if i == j else 0) for j in range(n)]
-                 for i in range(n)]
-            gens.append(Mat(field, d))
-    return GeneratorSet(gens, f"GL({n},{q})")
+        return [((primitive_element(q, field.mul),),)]
+    gens = [_transvection(n, 0, 1), _cycle(n)]
+    if q > 2:
+        d = _identity(n)
+        d[0][0] = primitive_element(q, field.mul)
+        gens.append(_rows(d))
+    return gens
 
 
-def _embed_block(field, g, n, offset):
-    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(g.rows):
-        for j in range(g.cols):
-            m[offset + i][offset + j] = g.entries[i][j]
-    return Mat(field, m)
+def _embed_block(g, n, offset):
+    m = _identity(n)
+    for i, row in enumerate(g):
+        m[offset + i][offset:offset + len(row)] = row
+    return _rows(m)
 
 
-def _block_swap(field, k):
+def _block_swap(k):
     m = [[0] * (2 * k) for _ in range(2 * k)]
     for i in range(k):
         m[i][k + i] = 1
         m[k + i][i] = 1
-    return Mat(field, m)
+    return _rows(m)
 
 
-def bisection_stabiliser_generators(b):
-    """Generators of the setwise stabiliser of a bisection in GL(2k,q).
-
-    For the coordinate bisection: GL(k,q) embedded in the first block plus
-    the block swap, which conjugates each first-block generator into its
+def bisection_stabiliser_generators(k, field):
+    """Generators of the setwise stabiliser of the coordinate bisection of
+    V(2k,q) in GL(2k,q): GL(k,q) embedded in the first block plus the
+    block swap, which conjugates each first-block generator into its
     second-block copy, so they generate GL(k) wr C2 (order 2 |GL(k,q)|^2).
-    Other bisections are conjugated into coordinate position first.
     """
-    field, k, n = b.field, b.k, b.n
-    coord = coordinate_bisection(field, k)
-    gens = [_embed_block(field, g, n, 0)
-            for g in gl_generators(k, field).generators]
-    gens.append(_block_swap(field, k))
-    if b != coord:
-        t = transport_pair(coord.half1, coord.half2, b.half1, b.half2)
-        ti = mat_inverse(t)
-        gens = [mat_mul(mat_mul(ti, g), t) for g in gens]
-    return GeneratorSet(gens, f"stabiliser of bisection (k={k}, q={field.q})")
+    gens = [_embed_block(g, 2 * k, 0) for g in gl_generators(k, field)]
+    gens.append(_block_swap(k))
+    return gens
 
 
 def subspace_stabiliser_generators(m_dim, n, field):
@@ -137,14 +119,12 @@ def subspace_stabiliser_generators(m_dim, n, field):
     Block lower-triangular: GL(m) and GL(n-m) blocks plus one corner
     transvection adding e_1 into row m.
     """
-    gens = []
-    for g in gl_generators(m_dim, field).generators:
-        gens.append(_embed_block(field, g, n, 0))
+    gens = [_embed_block(g, n, 0) for g in gl_generators(m_dim, field)]
     if n > m_dim:
-        for g in gl_generators(n - m_dim, field).generators:
-            gens.append(_embed_block(field, g, n, m_dim))
-        gens.append(_transvection(field, n, m_dim, 0))
-    return GeneratorSet(gens, f"stabiliser of an {m_dim}-subspace in GL({n},{field.q})")
+        gens += [_embed_block(g, n, m_dim)
+                 for g in gl_generators(n - m_dim, field)]
+        gens.append(_transvection(n, m_dim, 0))
+    return gens
 
 
 def _then(a, b):
@@ -331,7 +311,7 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     # 1. H-orbits on the index, with a Schreier tree
     b0 = coordinate_bisection(field, k)
     subs, masks, gens, mover, parent, root_of, sizes = _index_orbits(
-        n, k, field, bisection_stabiliser_generators(b0).generators)
+        n, k, field, bisection_stabiliser_generators(k, field))
     nsub = len(subs)
     backs = [_inverse(g) for g in gens]
 
@@ -411,7 +391,7 @@ def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
         raise TooLargeError(f"{count} {k}-subspaces of V({n},{field.q}) "
                             f"exceed the budget of {budget}")
     subs, *_, sizes = _index_orbits(
-        n, k, field, subspace_stabiliser_generators(m, n, field).generators)
+        n, k, field, subspace_stabiliser_generators(m, n, field))
     ranked = sorted(sizes, key=lambda root: (sizes[root], root))
     return OrbitReport(tuple(sizes[root] for root in ranked), len(subs),
                        [subs[root] for root in ranked])

@@ -6,11 +6,11 @@ equality of those row tuples, so subspaces hash and sort.  Subspace(...)
 takes rows that are canonical already (any subset of the rows of a
 canonical basis is one); span_rows is the one constructor for arbitrary
 rows.  Canonical rows are an echelon as they stand, each row's pivot at
-its first 1, so meets and containment reduce the rows of one side against
-the other's basis (gfq.echelon_insert) with no elimination of their
-stack; only at q = 2 is the meet a packed rank.  The enumeration order of
-the Grassmannian is fixed: pivot-column sets in lexicographic order, then
-free entries in row-major lexicographic order.  A listed set of subspaces
+its first 1, so a meet reduces the rows of one side against the other's
+basis (gfq.echelon_insert) with no elimination of their stack; only at
+q = 2 is it a packed rank.  The enumeration order of the Grassmannian is
+fixed: pivot-column sets in lexicographic order, then free entries in
+row-major lexicographic order.  A listed set of subspaces
 is indexed by projective points (point_masks): one int per subspace with
 a bit per point it holds, so dim(A meet B) is read off the popcount of
 mask_A & mask_B (meet_dims), and disjointness and the action of GL(n,q)
@@ -22,8 +22,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
-from .gfq import (Mat, echelon_insert, mat_inverse, mat_mul, pack_rows,
-                  pk_rank, kernel, vec_mat, _rref_rows)
+from .gfq import (echelon_insert, pack_rows, pk_rank, kernel, vec_mat,
+                  _rref_rows)
 
 
 class Subspace:
@@ -74,30 +74,6 @@ class Subspace:
     def rows(self):
         return self.basis
 
-    def contains_vector(self, v):
-        return not echelon_insert(self.field, _echelon(self), v)
-
-    def contains(self, other):
-        """W <= U exactly when every row of W reduces to zero against U."""
-        _check_ambient(self, other)
-        echelon, field = _echelon(self), self.field
-        return not any(echelon_insert(field, echelon, r) for r in other.basis)
-
-    def vectors(self):
-        """All vectors of the subspace (q^dim of them)."""
-        f, rows = self.field, self.basis
-        if not rows:
-            yield (0,) * self.n
-            return
-        for coeffs in product(f.elements(), repeat=len(rows)):
-            v = [0] * self.n
-            for c, row in zip(coeffs, rows):
-                if c:
-                    for j, x in enumerate(row):
-                        if x:
-                            v[j] = f.add(v[j], f.mul(c, x))
-            yield tuple(v)
-
 
 def _check_ambient(u, w):
     if u.field != w.field or u.n != w.n:
@@ -108,12 +84,17 @@ def span_rows(field, n, rows):
     """The subspace spanned by a sequence of rows of length n, empty
     allowed: the one constructor that eliminates.  The rows are checked to
     be field codes of length n by min and max over them; only when that
-    fails is a Mat built, whose entry-by-entry check names the ragged row
-    or the bad entry."""
+    fails are they read one by one, to name the ragged row or the bad
+    entry."""
     if rows and not (min(map(len, rows)) == max(map(len, rows)) == n and (
             n == 0 or 0 <= min(map(min, rows))
             and max(map(max, rows)) < field.q)):
-        Mat(field, rows)  # raises for a ragged row or a bad entry
+        for r in rows:
+            if len(r) != len(rows[0]):
+                raise ValueError("ragged rows")
+            for x in r:
+                if not 0 <= x < field.q:
+                    raise ValueError(f"entry {x} out of range for {field}")
         raise ValueError("basis column count != ambient dim")
     red, _ = _rref_rows(field, rows, n)
     return Subspace(field, n, tuple(map(tuple, red)))
@@ -154,8 +135,8 @@ def canonical_pair(field, n, m, t):
 
 def canonical_piece_columns(n, m, t):
     """The 0-based column ranges of the canonical pair's pieces: T = U1
-    meet U2, C1, C2 (the complements of T in U1, U2 that complement picks)
-    and C (that of U1 + U2 in V), that is <e_{m-t+1}..e_m>, <e_1..e_{m-t}>,
+    meet U2, C1, C2 (the complements of T in U1, U2 made of unit rows) and
+    C (that of U1 + U2 in V), that is <e_{m-t+1}..e_m>, <e_1..e_{m-t}>,
     <e_{m+1}..e_{2m-t}> and <e_{2m-t+1}..e_n>."""
     if not (0 <= t <= m and 2 * m - t <= n):
         raise ValueError("no pair with this overlap exists")
@@ -182,28 +163,7 @@ def perp(u):
     """Orthogonal complement under the standard dot product."""
     if u.dim == 0:
         return full_space(u.field, u.n)
-    basis = Mat(u.field, u.basis, _trusted=True)
-    return Subspace(u.field, u.n, kernel(basis).entries)
-
-
-def intersect(u, w):
-    """U meet W by one elimination (Zassenhaus): the rref of the rows
-    [u | u] for u in U and [w | 0] for w in W, over 2n columns.
-
-    The row space is {(u + w, u)}, whose vectors with zero left half have
-    right half u = -w in U meet W, and every vector of U meet W occurs.  In
-    the rref those vectors are spanned by the rows with a pivot in the
-    right half, whose right halves are therefore the rref of the meet.
-    """
-    _check_ambient(u, w)
-    if u is w or u == w:
-        return u
-    field, n = u.field, u.n
-    zero = (0,) * n
-    rows = [r + r for r in u.basis] + [r + zero for r in w.basis]
-    red, pivots = _rref_rows(field, rows, 2 * n)
-    return Subspace(field, n, tuple(tuple(r[n:])
-                                    for r, p in zip(red, pivots) if p >= n))
+    return Subspace(u.field, u.n, kernel(u.field, u.basis, u.n))
 
 
 def _echelon(u):
@@ -212,65 +172,12 @@ def _echelon(u):
     return [(r.index(1), r) for r in u.basis]
 
 
-def complement(u, inside):
-    """Deterministic W with U (+) W = inside: the rows of inside's canonical
-    basis, in order, that are independent of U and of the rows taken before
-    them, each tested by reduction against an echelon of those rows."""
-    _check_ambient(u, inside)
-    if not inside.contains(u):
-        raise ValueError("first argument not contained in second")
-    field, n = u.field, u.n
-    echelon = _echelon(u)
-    picked = []
-    for cand in inside.basis:
-        if len(echelon) == inside.dim:
-            break
-        if echelon_insert(field, echelon, cand):
-            picked.append(cand)
-    # rows taken from a canonical basis are the canonical basis of their span
-    return Subspace(field, n, tuple(picked))
-
-
 def add_vecs(field, u, v):
     return tuple(field.add(x, y) for x, y in zip(u, v))
 
 
 def scale_vec(field, c, v):
     return tuple(field.mul(c, x) for x in v)
-
-
-def adapted_pair_basis(u1, u2):
-    """Full-space basis adapted to a pair: [U1-part, T, U2-part, rest]."""
-    field, n = u1.field, u1.n
-    t = intersect(u1, u2)
-    rows = list(complement(t, u1).basis + t.basis + complement(t, u2).basis)
-    echelon = []
-    for r in rows:
-        echelon_insert(field, echelon, r)
-    for c in range(n):
-        if len(echelon) == n:
-            break
-        cand = tuple(1 if j == c else 0 for j in range(n))
-        if echelon_insert(field, echelon, cand):
-            rows.append(cand)
-    return Mat(field, rows)
-
-
-def transport_pair(u1, u2, t1, t2):
-    """A GL element g (as a Mat, acting by v -> v.g) with U1 g = T1, U2 g = T2.
-
-    Requires matching dimensions and intersection dimension.
-    """
-    a = adapted_pair_basis(u1, u2)
-    b = adapted_pair_basis(t1, t2)
-    return mat_mul(mat_inverse(a), b)
-
-
-def apply_mat(u, g):
-    """Image subspace U.g under the row action."""
-    if g.rows != u.n:
-        raise ValueError("inner dimensions differ")
-    return span_rows(u.field, u.n, [vec_mat(r, g) for r in u.basis])
 
 
 # ----------------------------------------------------------------------
@@ -330,9 +237,6 @@ class Bisection:
 
     def halves(self):
         return (self.half1, self.half2)
-
-    def apply(self, g):
-        return Bisection(apply_mat(self.half1, g), apply_mat(self.half2, g))
 
     def dual(self):
         return Bisection(perp(self.half1), perp(self.half2))
@@ -451,14 +355,21 @@ def mask_points(mask):
 
 
 def point_permutation(field, n, g):
-    """perm[p] = the point p.g under the row action of an invertible g on
-    V(n,q), in the numbering of point_masks: point p is the vector
-    0..0 1 x with e free entries x, e ascending, then x in code order."""
+    """perm[p] = the point p.g under the row action of an invertible n x n
+    matrix g (a tuple of rows) on V(n,q), in the numbering of point_masks:
+    point p is the vector 0..0 1 x with e free entries x, e ascending, then
+    x in code order.  Raises ValueError for any other g: a singular g
+    sends some point to zero, which numbers no point."""
+    if len(g) != n or any(len(r) != n for r in g):
+        raise ValueError(f"generator is not an invertible {n} x {n} matrix")
     points = [(0,) * (n - 1 - e) + (1,) + x
               for e in range(n) for x in product(range(field.q), repeat=e)]
     number = {scale_vec(field, c, v): p
               for p, v in enumerate(points) for c in range(1, field.q)}
-    return [number[tuple(vec_mat(v, g))] for v in points]
+    perm = [number.get(vec_mat(field, v, g)) for v in points]
+    if None in perm:
+        raise ValueError("generator is not invertible")
+    return perm
 
 
 def containing_masks(masks):

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParamError, TooLargeError
-from .gfq import (Mat, least_irreducible, mat_inverse, poly_mulmod, rref,
-                  vec_mat)
+from .gfq import (least_irreducible, mat_inverse, poly_mulmod, vec_mat,
+                  _rref_rows)
 from .predicates import bis_collinear_predicate, proj_collinear_predicate
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                        canonical_piece_columns, coordinate_subspace,
@@ -627,11 +627,10 @@ def _fifth_disjoint_gf2(pis):
     field = pis[0].field
     n, k = pis[0].n, pis[0].dim
     pi1, pi2, pi3, pi4 = pis
-    base = Mat(field, list(pi1.rows()) + list(pi2.rows()))
-    base_inv = mat_inverse(base)
+    base_inv = mat_inverse(field, pi1.rows() + pi2.rows())
     xs, ys = [], []
     for c in pi3.rows():
-        coords = vec_mat(c, base_inv)
+        coords = vec_mat(field, c, base_inv)
         x = [0] * n
         y = [0] * n
         for i in range(k):
@@ -641,23 +640,22 @@ def _fifth_disjoint_gf2(pis):
                 y = list(add_vecs(field, tuple(y), pi2.rows()[i]))
         xs.append(tuple(x))
         ys.append(tuple(y))
-    frame = Mat(field, xs + ys)
-    frame_inv = mat_inverse(frame)
-    m4 = Mat(field, [vec_mat(r, frame_inv) for r in pi4.rows()])
-    red, rank, pivots = rref(m4)
-    if rank != k or pivots != list(range(k)):
+    frame = xs + ys
+    frame_inv = mat_inverse(field, frame)
+    red, pivots = _rref_rows(
+        field, [vec_mat(field, r, frame_inv) for r in pi4.rows()], n)
+    if len(red) != k or pivots != list(range(k)):
         raise RuntimeError("normalisation failed: fourth space "
                            "not a graph over the first")
-    a = Mat(field, [row[k:] for row in red.entries[:k]])
-    a_inv = mat_inverse(a)
+    a_inv = mat_inverse(field, [row[k:] for row in red])
     new_rows = []
     for i in range(k):
         row = [0] * n
         row[i] = 1
         for j in range(k):
-            row[k + j] = a_inv.entries[i][j]
+            row[k + j] = a_inv[i][j]
         new_rows.append(tuple(row))
-    return span_rows(field, n, [vec_mat(r, frame) for r in new_rows])
+    return span_rows(field, n, [vec_mat(field, r, frame) for r in new_rows])
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ an explicit change of basis.  It is kept verbatim as an independent
 oracle, with copies of the helpers it calls that the package no longer
 has (the old `diagonal_pair`, `project_onto` and `canonical_pieces`, whose
 pieces the package now gives only as column ranges; `direct_sum` comes
-from tests/proj_witness_reference.py); `bis_witness` is the
+from tests/proj_witness_reference.py, and `complement`, `transport_pair`
+and the action on bisections from tests/lattice_reference.py, with
+matrices as tuples of rows); `bis_witness` is the
 dispatch of bis_collinear_witness without its final verification.
 `incident_bis`, the bisection incidence by two rank-based meets, moved
 here verbatim from glgeom.geometry as the reference for the point-mask
@@ -18,12 +20,12 @@ incidence.  Nothing in the package calls this file.
 """
 
 from glgeom.errors import ParamError
-from glgeom.gfq import Mat, mat_inverse, vec_mat
+from glgeom.gfq import mat_inverse, vec_mat
 from glgeom.subspace import (Bisection, Subspace, add_vecs, canonical_pair,
-                             complement, coordinate_bisection,
-                             coordinate_subspace, full_space,
-                             intersection_dim, span_rows, transport_pair)
+                             coordinate_bisection, coordinate_subspace,
+                             full_space, intersection_dim, span_rows)
 from glgeom.witness import DiagonalPair, _NEAR_HALF_TABLE
+from lattice_reference import apply_bisection, complement, transport_pair
 from proj_witness_reference import direct_sum, sum_subspace
 
 
@@ -108,11 +110,11 @@ def project_onto(u, b, c):
     rows = b.basis + c.basis
     if len(rows) != n:
         raise ValueError("B and C do not decompose the ambient space")
-    s = mat_inverse(Mat(field, rows))
+    s = mat_inverse(field, rows)
     nb = b.dim
     out = []
     for v in u.basis:
-        coords = vec_mat(v, s)
+        coords = vec_mat(field, v, s)
         w = [0] * n
         for i in range(nb, n):
             ci = coords[i]
@@ -245,7 +247,7 @@ def _disjoint_pattern_witness(params, t):
         return Bisection(v1, v2)
     else:  # b_fail only, m == k, t == 1, k >= 3
         w1, w2, b = _own_pair_low_overlap(field, k)
-    return b.apply(transport_pair(w1, w2, u1, u2))
+    return apply_bisection(b, transport_pair(w1, w2, u1, u2))
 
 
 def _own_pair_high_overlap(field, k):

@@ -9,6 +9,7 @@ package calls it.
 
 from glgeom.subspace import add_vecs, grassmannian, intersection_dim, span_rows
 from field_reference import rank_of_rows
+import lattice_reference
 
 
 def diagonal_pair_exists_bruteforce(y1, y2, r):
@@ -58,7 +59,7 @@ def grassmannian_sub(space, r):
 def _injective_tuples(space, r):
     """Ordered r-tuples of linearly independent vectors of a subspace."""
     field, n = space.field, space.n
-    vectors = [v for v in space.vectors() if any(v)]
+    vectors = [v for v in lattice_reference.vectors(space) if any(v)]
 
     def rec(chosen):
         if len(chosen) == r:

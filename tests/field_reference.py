@@ -14,7 +14,7 @@ from glgeom.gfq import _rref_rows
 
 
 def rank_of_rows(field, rows, ncols):
-    """Rank of a list of row tuples, no Mat construction."""
+    """Rank of a list of row tuples."""
     return len(_rref_rows(field, rows, ncols)[0])
 
 

@@ -8,18 +8,21 @@ canonical-form BFS that re-reduces a basis per action, which
 glgeom.orbits used for the orbits on k-subspaces before its BFS on the
 point index; `group_order_by_basis_orbit` counts a matrix group by its
 free action on ordered bases.  They are kept verbatim as independent
-oracles; nothing in the package calls them.
+oracles, with generators as lists of matrices (tuples of rows) and the
+action from tests/lattice_reference.py; nothing in the package calls
+them.
 """
 
 from math import prod
 
 from glgeom.counts import gaussian
 from glgeom.errors import ParamError, TooLargeError
+from glgeom.gfq import vec_mat
 from glgeom.orbits import OrbitReport, bisection_stabiliser_generators
-from glgeom.subspace import (Bisection, Subspace, apply_mat,
-                             coordinate_bisection, disjoint_pairs,
-                             mask_points, point_masks, point_permutation,
-                             sorted_grassmannian)
+from glgeom.subspace import (Bisection, Subspace, coordinate_bisection,
+                             disjoint_pairs, mask_points, point_masks,
+                             point_permutation, sorted_grassmannian)
+from lattice_reference import apply_bisection, apply_mat
 
 
 def image_mask(mask, perm):
@@ -57,9 +60,8 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     masks = point_masks(subs)
     index = {mask: i for i, mask in enumerate(masks)}
     b0 = coordinate_bisection(field, k)
-    gens = bisection_stabiliser_generators(b0)
     perms = []
-    for g in gens.generators:
+    for g in bisection_stabiliser_generators(k, field):
         moved = point_permutation(field, n, g)
         perms.append([index[image_mask(mask, moved)] for mask in masks])
     visited = bytearray(nsub * nsub)
@@ -107,7 +109,7 @@ def _act(element, g):
     if isinstance(element, Subspace):
         return apply_mat(element, g)
     if isinstance(element, Bisection):
-        return element.apply(g)
+        return apply_bisection(element, g)
     if isinstance(element, tuple):  # flag or any tuple of subspaces
         return tuple(apply_mat(x, g) for x in element)
     raise TypeError(f"cannot act on {type(element)}")
@@ -142,7 +144,7 @@ def orbit_partition(gens, seeds, budget=10**7):
         while frontier:
             nxt = []
             for x in frontier:
-                for g in gens.generators:
+                for g in gens:
                     y = _act(x, g)
                     steps += 1
                     if steps > budget:
@@ -168,14 +170,13 @@ def group_order_by_basis_orbit(gens, n, field, budget=10**7):
     under the generated subgroup has exactly the group order.
     """
     start = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    from glgeom.gfq import vec_mat
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for basis in frontier:
-            for g in gens.generators:
-                img = tuple(vec_mat(v, g) for v in basis)
+            for g in gens:
+                img = tuple(vec_mat(field, v, g) for v in basis)
                 if img not in seen:
                     if len(seen) > budget:
                         raise TooLargeError("basis orbit exceeded budget")

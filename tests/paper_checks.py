@@ -20,12 +20,12 @@ from glgeom.counts import bisection_count, gaussian
 from glgeom.errors import ParamError, TooLargeError
 from glgeom.geometry import ProjParams, mask_incident_bis
 from glgeom.predicates import bis_concurrent_predicate
-from glgeom.subspace import (Bisection, complement, coordinate_subspace,
-                             disjoint_pairs, full_space, grassmannian,
-                             intersect, intersection_dim, point_masks,
-                             sorted_grassmannian, span_rows)
+from glgeom.subspace import (Bisection, coordinate_subspace, disjoint_pairs,
+                             full_space, grassmannian, intersection_dim,
+                             point_masks, sorted_grassmannian, span_rows)
 from glgeom.witness import desarguesian_spread, fifth_disjoint
 from field_reference import rank_of_rows
+from lattice_reference import complement, contains_vector, intersect, vectors
 from proj_witness_reference import sum_subspace
 
 
@@ -54,18 +54,18 @@ def _quotient_avoider(k, field, pi1, pi2, pi1p, pi2p, budget):
     avoiding quotient subspace unconstrained, and not every combination
     extends, so all three choice points are searched in canonical order.
     """
-    from glgeom.gfq import Mat, mat_inverse, vec_mat
+    from glgeom.gfq import mat_inverse, vec_mat
     from glgeom.subspace import perp
     n = 2 * k
     cross = intersect(pi2, pi1p)
     steps = 0
-    for alpha_vec in cross.vectors():
+    for alpha_vec in vectors(cross):
         if not any(alpha_vec):
             continue
         alpha = span_rows(field, n, [alpha_vec])
         big = sum_subspace(pi2, pi1p)
         # hyperplanes containing big = perps of nonzero vectors of big^perp
-        for w in perp(big).vectors():
+        for w in vectors(perp(big)):
             if not any(w):
                 continue
             hyper = perp(span_rows(field, n, [w]))
@@ -79,13 +79,12 @@ def _quotient_avoider(k, field, pi1, pi2, pi1p, pi2p, budget):
                 if rank_of_rows(field, chart_rows + [cand], n) == n:
                     chart_rows.append(cand)
                     break
-            chart = Mat(field, chart_rows)
-            chart_inv = mat_inverse(chart)
+            chart_inv = mat_inverse(field, chart_rows)
 
             def to_quotient(space):
                 out = []
                 for v in space.rows():
-                    coords = vec_mat(v, chart_inv)
+                    coords = vec_mat(field, v, chart_inv)
                     if coords[-1] != 0:
                         raise RuntimeError("element not inside the hyperplane")
                     out.append(coords[1:-1])
@@ -99,19 +98,19 @@ def _quotient_avoider(k, field, pi1, pi2, pi1p, pi2p, budget):
                     raise TooLargeError("quotient scan exceeded budget")
                 if any(intersection_dim(tau_bar, im) for im in images):
                     continue
-                lifted = [vec_mat((0,) + tuple(v) + (0,), chart)
+                lifted = [vec_mat(field, (0,) + tuple(v) + (0,), chart_rows)
                           for v in tau_bar.rows()]
                 a0 = alpha.rows()[0]
                 # every complement of alpha inside the preimage of tau_bar
-                for shifts in _product(field.elements(), repeat=k - 1):
+                for shifts in _product(range(field.q), repeat=k - 1):
                     rows_tau = [
                         v if c == 0 else
                         tuple(field.add(x, field.mul(c, y))
                               for x, y in zip(v, a0))
                         for v, c in zip(lifted, shifts)]
                     tau = span_rows(field, n, rows_tau)
-                    for v in full_space(field, n).vectors():
-                        if any(v) and not hyper.contains_vector(v):
+                    for v in vectors(full_space(field, n)):
+                        if any(v) and not contains_vector(hyper, v):
                             sigma = span_rows(field, n,
                                               list(tau.rows()) + [v])
                             if all(intersection_dim(sigma, x) == 0

@@ -7,10 +7,11 @@ import pytest
 
 import field_reference
 from glgeom.errors import ParamError
-from glgeom.gfq import (Mat, factor_prime_power, field_make, is_prime, kernel,
-                        least_irreducible, mat_identity, mat_inverse, mat_mul,
-                        mat_rank, pack_rows, pk_rank, poly_mulmod,
-                        primitive_element, rref)
+from glgeom.gfq import (factor_prime_power, field_make, is_prime, kernel,
+                        least_irreducible, mat_inverse, pack_rows, pk_rank,
+                        poly_mulmod, primitive_element, _rref_rows)
+from field_reference import rank_of_rows
+from lattice_reference import mat_mul
 
 PRIME_POWERS_16 = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
                    (11, 1), (13, 1), (2, 4)]
@@ -101,54 +102,51 @@ def test_field_axioms_exhaustive(p, e):
 # rref / kernel / inverse
 # ---------------------------------------------------------------------
 
+def _identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def test_rref_identity():
     f = field_make(2)
-    m = mat_identity(f, 2)
-    r, rank, piv = rref(m)
-    assert r == m and rank == 2 and piv == [0, 1]
+    assert _rref_rows(f, _identity(2), 2) == ([[1, 0], [0, 1]], [0, 1])
 
 
 def test_rref_duplicate_rows():
     f = field_make(2)
-    r, rank, piv = rref(Mat(f, [(1, 1), (1, 1)]))
-    assert rank == 1 and r.entries[0] == (1, 1) and r.entries[1] == (0, 0)
+    assert _rref_rows(f, [(1, 1), (1, 1)], 2) == ([[1, 1]], [0])
 
 
 def test_rref_gf3_example():
     f = field_make(3)
-    r, rank, piv = rref(Mat(f, [(0, 1, 1), (1, 0, 1)]))
-    assert rank == 2 and piv == [0, 1]
-    assert r.entries == ((1, 0, 1), (0, 1, 1))
+    assert _rref_rows(f, [(0, 1, 1), (1, 0, 1)], 3) == \
+        ([[1, 0, 1], [0, 1, 1]], [0, 1])
 
 
 def _all_matrices(f, rows, cols):
     for flat in itertools.product(range(f.q), repeat=rows * cols):
-        yield Mat(f, [flat[i * cols:(i + 1) * cols] for i in range(rows)])
+        yield tuple(flat[i * cols:(i + 1) * cols] for i in range(rows))
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_rref_idempotent_and_row_space(q):
     f = field_make(q)
     for m in _all_matrices(f, 2, 3):
-        r, rank, piv = rref(m)
-        r2, rank2, piv2 = rref(r)
-        assert (r2, rank2, piv2) == (r, rank, piv)
+        r, piv = _rref_rows(f, m, 3)
+        assert _rref_rows(f, r, 3) == (r, piv)
         assert piv == sorted(piv)
         # row space preserved: membership by rank test both ways
-        for row in m.entries:
-            stacked = Mat(f, list(r.entries[:rank]) + [row])
-            assert mat_rank(stacked) == rank
-        for row in r.entries[:rank]:
-            stacked = Mat(f, list(m.entries) + [row])
-            assert mat_rank(stacked) == rank
+        rank = len(r)
+        for row in m:
+            assert rank_of_rows(f, r + [row], 3) == rank
+        for row in r:
+            assert rank_of_rows(f, list(m) + [row], 3) == rank
 
 
 def test_kernel_examples():
     f2 = field_make(2)
-    assert kernel(Mat(f2, [(0, 0, 0)])).rows == 3
-    assert kernel(mat_identity(f2, 3)).rows == 0
-    k = kernel(Mat(f2, [(1, 1)]))
-    assert k.entries == ((1, 1),)
+    assert len(kernel(f2, [(0, 0, 0)], 3)) == 3
+    assert kernel(f2, _identity(3), 3) == ()
+    assert kernel(f2, [(1, 1)], 2) == ((1, 1),)
     # independent oracle: exhaust the 4 vectors of GF(2)^2
     sols = [v for v in itertools.product((0, 1), repeat=2)
             if (v[0] + v[1]) % 2 == 0 and any(v)]
@@ -159,32 +157,34 @@ def test_kernel_examples():
 def test_rank_nullity(q):
     f = field_make(q)
     for m in _all_matrices(f, 2, 3):
-        assert mat_rank(m) + kernel(m).rows == m.cols
+        assert rank_of_rows(f, m, 3) + len(kernel(f, m, 3)) == 3
 
 
 def test_inverse_examples():
     f2 = field_make(2)
-    i2 = mat_identity(f2, 2)
-    assert mat_inverse(i2) == i2
-    a = Mat(f2, [(0, 1), (1, 1)])
-    x = mat_inverse(a)
-    assert x.entries == ((1, 1), (1, 0))
-    assert mat_mul(a, x) == i2
+    i2 = _identity(2)
+    assert mat_inverse(f2, i2) == i2
+    a = ((0, 1), (1, 1))
+    x = mat_inverse(f2, a)
+    assert x == ((1, 1), (1, 0))
+    assert mat_mul(f2, a, x) == i2
     f3 = field_make(3)
-    d = Mat(f3, [(2,)])
-    assert mat_inverse(d) == d  # 2*2 = 4 = 1 mod 3
+    d = ((2,),)
+    assert mat_inverse(f3, d) == d  # 2*2 = 4 = 1 mod 3
     with pytest.raises(ValueError, match="matrix is singular"):
-        mat_inverse(Mat(f2, [(1, 1), (1, 1)]))
+        mat_inverse(f2, ((1, 1), (1, 1)))
+    with pytest.raises(ValueError, match="inverse of non-square matrix"):
+        mat_inverse(f2, ((1, 0, 0), (0, 1, 0)))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_inverse_round_trip(q):
     f = field_make(2, 2) if q == 4 else field_make(q)
-    i3 = mat_identity(f, 3)
+    i3 = _identity(3)
     count = 0
     for m in _all_matrices(f, 3, 3):
-        if mat_rank(m) == 3:
-            assert mat_mul(mat_inverse(m), m) == i3
+        if rank_of_rows(f, m, 3) == 3:
+            assert mat_mul(f, mat_inverse(f, m), m) == i3
             count += 1
         if count > 200:
             break
@@ -197,10 +197,10 @@ def test_inverse_round_trip(q):
 def test_packed_round_trip_bit_for_bit():
     f = field_make(2)
     for m in _all_matrices(f, 3, 4):
-        packed = pack_rows(m.entries)
+        packed = pack_rows(m)
         assert [[(x >> j) & 1 for j in range(4)] for x in packed] == \
-            [list(row) for row in m.entries]
-        assert pk_rank(packed, 4) == rref(m)[1]
+            [list(row) for row in m]
+        assert pk_rank(packed, 4) == rank_of_rows(f, m, 4)
 
 
 def test_large_extension_field_log_tables():

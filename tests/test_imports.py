@@ -2,11 +2,14 @@
 glgeom module imports is used in that module, unless its line is marked
 `# noqa: F401` (kept on purpose, such as a re-export); every top-level
 def or class is referenced outside its own body somewhere in src/ or
-tests/; and every top-level def, class or assignment is reached by name
-from a verb of the CLI or from what the acceptance gate imports, so code
-that only tests run lives under tests/."""
+tests/; and every top-level def, class or assignment, and every method of
+a top-level class, is reached by name from a verb of the CLI or from what
+the acceptance gate imports, so code that only tests run lives under
+tests/."""
 
 import ast
+import builtins
+import importlib
 import pathlib
 from collections import Counter
 
@@ -95,32 +98,71 @@ def test_the_check_sees_a_dead_definition(tmp_path):
         ("m.py", "recursive"), ("m.py", "Dead")]
 
 
-def _definitions(stmt):
-    """The names a top-level statement defines: a def's or a class's, or
-    an assignment's plain-name targets."""
-    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        return [stmt.name]
+def _outside_attributes(cls, package_names):
+    """The attribute names of the class's bases from outside the package: a
+    builtin, or module.Class with the module imported here."""
+    out = set()
+    for base in cls.bases:
+        head, *path = ast.unparse(base).split(".")
+        if head in package_names:
+            continue
+        obj = (importlib.import_module(head) if path
+               else getattr(builtins, head))
+        for part in path:
+            obj = getattr(obj, part)
+        out.update(dir(obj))
+    return out
+
+
+def _definitions(stmt, package_names):
+    """(name, node) for each name a top-level statement defines, with the
+    node whose reads reaching that name reaches.  A def or an assignment
+    target gives the statement.  A class gives its body less its methods,
+    and each method, as "Class.method", its own def; dunders and overrides
+    of a base from outside the package run without being named, so they
+    stay in the class's body."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [(stmt.name, stmt)]
+    if isinstance(stmt, ast.ClassDef):
+        implicit = _outside_attributes(stmt, package_names)
+        methods = [node for node in stmt.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   and not node.name.startswith("__")
+                   and node.name not in implicit]
+        body = ast.ClassDef(name=stmt.name, bases=stmt.bases,
+                            keywords=stmt.keywords,
+                            decorator_list=stmt.decorator_list,
+                            body=[node for node in stmt.body
+                                  if node not in methods])
+        return [(stmt.name, body)] + [
+            (f"{stmt.name}.{node.name}", node) for node in methods]
     if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        return [node.id for t in targets for node in ast.walk(t)
+        return [(node.id, stmt) for t in targets for node in ast.walk(t)
                 if isinstance(node, ast.Name)]
     return []
 
 
 def unreachable_definitions(package, entry, gate):
-    """(file name, name) for each top-level def, class or assignment in the
-    package files that no chain of names reaches from the roots: the
-    names the entry file defines at top level, and the names the gate
-    imports from glgeom.  A reached name reaches every name that a
-    top-level statement defining it, in any package file, reads
-    (_names_read).  Names are matched, not resolved."""
+    """(file name, name) for each top-level def, class or assignment, and
+    each method of a top-level class other than a dunder or an override
+    of a base from outside the package, in the package files that no
+    chain of names reaches from the roots: the names the entry file
+    defines at top level, and the names the gate imports from glgeom.  A
+    reached name reaches every name read (_names_read) by a definition of
+    it in any package file, and reaching a name reaches every method of
+    that name.  Names are matched, not resolved."""
     body = {path: ast.parse(path.read_text()).body for path in package}
+    package_names = {stmt.name for stmts in body.values() for stmt in stmts
+                     if isinstance(stmt, ast.ClassDef)}
+    defined = {path: [d for stmt in body[path]
+                      for d in _definitions(stmt, package_names)]
+               for path in package}
     defining = {}
     for path in package:
-        for stmt in body[path]:
-            for name in _definitions(stmt):
-                defining.setdefault(name, []).append(stmt)
-    todo = [name for stmt in body[entry] for name in _definitions(stmt)]
+        for name, node in defined[path]:
+            defining.setdefault(name.split(".")[-1], []).append(node)
+    todo = [name for name, _ in defined[entry] if "." not in name]
     todo += [alias.name for node in ast.walk(ast.parse(gate.read_text()))
              if isinstance(node, ast.ImportFrom) and node.module
              and node.module.split(".")[0] == "glgeom"
@@ -130,10 +172,11 @@ def unreachable_definitions(package, entry, gate):
         name = todo.pop()
         if name not in reached:
             reached.add(name)
-            for stmt in defining.get(name, []):
-                todo.extend(_names_read(stmt))
-    return [(path.name, name) for path in package for stmt in body[path]
-            for name in _definitions(stmt) if name not in reached]
+            for node in defining.get(name, []):
+                todo.extend(_names_read(node))
+    return [(path.name, name) for path in package
+            for name, _ in defined[path]
+            if name.split(".")[-1] not in reached]
 
 
 def test_every_definition_is_reached():
@@ -144,16 +187,27 @@ def test_every_definition_is_reached():
 def test_the_check_sees_an_unreached_definition(tmp_path):
     cli, lib = tmp_path / "cli.py", tmp_path / "lib.py"
     gate = tmp_path / "test_gate.py"
-    cli.write_text("from . import lib\n\ndef main():\n    return lib.run()\n")
+    cli.write_text("import argparse\nfrom . import lib\n\n"
+                   "class Parser(argparse.ArgumentParser):\n"
+                   "    def error(self, message):\n"
+                   "        raise SystemExit\n\n"
+                   "def main():\n    return lib.run()\n")
     lib.write_text("LIMIT = 3\nUNUSED = 4\n\n"
                    "def run():\n    return helper() + LIMIT\n\n"
                    "def helper():\n    return 1\n\n"
-                   "def gated():\n    return Shape()\n\n"
-                   "class Shape:\n    pass\n\n"
+                   "def gated():\n    return Shape().area()\n\n"
+                   "class Shape:\n    sides = 4\n\n"
+                   "    def __repr__(self):\n        return 'Shape'\n\n"
+                   "    def area(self):\n        return self.side()\n\n"
+                   "    def side(self):\n        return 1\n\n"
+                   "    def tested_method(self):\n        return 2\n\n"
+                   "class Fault(ValueError):\n"
+                   "    def with_traceback(self, tb):\n        return self\n\n"
                    "def tested_only():\n    return helper()\n\n"
                    "def recursive(n):\n    return recursive(n - 1)\n")
     gate.write_text("import lib\nfrom glgeom.lib import gated\n\n"
                     "def test_it():\n    assert lib.tested_only() and gated()\n")
     assert unreachable_definitions([cli, lib], cli, gate) == [
-        ("lib.py", "UNUSED"), ("lib.py", "tested_only"),
+        ("lib.py", "UNUSED"), ("lib.py", "Shape.tested_method"),
+        ("lib.py", "Fault"), ("lib.py", "tested_only"),
         ("lib.py", "recursive")]

@@ -19,6 +19,7 @@ from glgeom.subspace import (Bisection, bisections, coordinate_bisection,
                              intersection_dim, schubert_cell, span_rows)
 from glgeom.witness import canonical_pair, desarguesian_spread
 from bis_witness_reference import incident_bis
+from lattice_reference import vectors
 from paper_checks import induction_step_check
 
 F2 = field_make(2)
@@ -204,7 +205,7 @@ def test_collinear_budgets_count_what_the_scan_lists(monkeypatch):
     monkeypatch.setattr(oc, "sorted_grassmannian", whole)
     cases = ((ProjParams(6, 3, 3, 2, F3), proj_collinear_oracle, 0, len),
              (BisParams(2, 2, 0, 2, F3), bis_collinear_oracle, 1,
-              lambda subs: sum(len(list(s.vectors())) for s in subs)))
+              lambda subs: sum(len(list(vectors(s))) for s in subs)))
     for params, oracle, failing_t, per_scan in cases:
         listed.clear()
         assert oracle(params, budget=10**7).failing_t == failing_t
@@ -286,7 +287,7 @@ def test_concurrent_reproduces_stated_failing_pair():
     # fits inside them
     covered = set()
     for s in (v1, v2, v3, v4):
-        covered |= {v for v in s.vectors() if any(v)}
+        covered |= {v for v in vectors(s) if any(v)}
     assert len(covered) == 10
     uncovered = {(1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1),
                  (1, 1, 0, 1), (1, 1, 1, 1)}
@@ -467,7 +468,7 @@ def test_quotient_chart_check_raises(monkeypatch):
     import glgeom.gfq as gfq
     real = gfq.vec_mat
     monkeypatch.setattr(gfq, "vec_mat",
-                        lambda v, m: real(v, m)[:-1] + (1,))
+                        lambda field, v, m: real(field, v, m)[:-1] + (1,))
     pi1 = coordinate_subspace(F2, 6, range(3))
     pi2 = coordinate_subspace(F2, 6, range(3, 6))
     pi1p = span_rows(F2, 6, [(0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 1, 0),

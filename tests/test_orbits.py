@@ -6,15 +6,17 @@ from random import Random
 import pytest
 
 from glgeom.counts import TooLargeError
-from glgeom.gfq import field_make, mat_identity
-from glgeom.orbits import (GOLDEN_ORBITS, GeneratorSet,
-                           bisection_stabiliser_generators, gl_generators,
-                           pm_orbits_on_k_spaces, random_elements,
-                           schreier_sims, stabiliser_orbits_on_bisections,
+from glgeom.errors import ParamError
+from glgeom.gfq import field_make, vec_mat
+from glgeom.orbits import (GOLDEN_ORBITS, bisection_stabiliser_generators,
+                           gl_generators, pm_orbits_on_k_spaces,
+                           random_elements, schreier_sims,
+                           stabiliser_orbits_on_bisections,
                            subspace_stabiliser_generators)
 from glgeom.subspace import (coordinate_bisection, coordinate_subspace,
                              grassmannian, intersection_dim, bisections,
                              point_permutation)
+from lattice_reference import apply_bisection, apply_mat
 import orbit_reference
 from orbit_reference import group_order_by_basis_orbit, orbit_partition
 
@@ -36,7 +38,7 @@ def point_action_order(gens, n, field, order, draws=1000):
     order of the group its strong generators generate, so reaching it
     shows the group on points has at least that order; RuntimeError if
     the draws run out first."""
-    perms = [point_permutation(field, n, g) for g in gens.generators]
+    perms = [point_permutation(field, n, g) for g in gens]
     chain = schreier_sims(islice(random_elements(perms, Random(7)), draws),
                           order)
     out = 1
@@ -50,8 +52,7 @@ def point_action_order(gens, n, field, order, draws=1000):
 # ---------------------------------------------------------------------
 
 def test_gl1_generators():
-    gens = gl_generators(1, F2)
-    assert gens.generators == [mat_identity(F2, 1)]
+    assert gl_generators(1, F2) == [((1,),)]
     assert group_order_by_basis_orbit(gl_generators(1, F3), 1, F3) == 2
 
 
@@ -68,16 +69,14 @@ def test_gl_generators_generate(n, q):
     report = orbit_partition(gens, points)
     assert report.num_orbits == 1
     # orbit BFS from e_1 reaches every nonzero vector
-    from glgeom.gfq import vec_mat
-    from itertools import product
     start = tuple(1 if i == 0 else 0 for i in range(n))
     seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for v in frontier:
-            for g in gens.generators:
-                w = vec_mat(v, g)
+            for g in gens:
+                w = vec_mat(field, v, g)
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -86,10 +85,10 @@ def test_gl_generators_generate(n, q):
 
 
 def test_bisection_stabiliser_orders():
-    gens = bisection_stabiliser_generators(coordinate_bisection(F2, 1))
+    gens = bisection_stabiliser_generators(1, F2)
     assert group_order_by_basis_orbit(gens, 2, F2) == 2
     assert point_action_order(gens, 2, F2, 2) == 2
-    gens = bisection_stabiliser_generators(coordinate_bisection(F3, 2))
+    gens = bisection_stabiliser_generators(2, F3)
     want = 2 * gl_order(2, 3)**2  # 4608
     assert group_order_by_basis_orbit(gens, 4, F3) == want
     assert point_action_order(gens, 4, F3, want // 2) * 2 == want
@@ -97,7 +96,7 @@ def test_bisection_stabiliser_orders():
 
 @pytest.mark.slow
 def test_bisection_stabiliser_order_k3_q2():
-    gens = bisection_stabiliser_generators(coordinate_bisection(F2, 3))
+    gens = bisection_stabiliser_generators(3, F2)
     want = 2 * gl_order(3, 2)**2  # 56448
     assert group_order_by_basis_orbit(gens, 6, F2) == want
     assert point_action_order(gens, 6, F2, want) == want
@@ -108,8 +107,7 @@ def test_order_kernel_refuses_an_order_it_cannot_reach():
     block only, which acts faithfully on points: the product of the basic
     orbit lengths reaches its order 48 and never the wreath product's,
     and the draws run out."""
-    gens = bisection_stabiliser_generators(coordinate_bisection(F3, 2))
-    block = GeneratorSet(gens.generators[:-1], "GL(2,3) in the first block")
+    block = bisection_stabiliser_generators(2, F3)[:-1]
     assert point_action_order(block, 4, F3, gl_order(2, 3)) == 48
     with pytest.raises(RuntimeError, match="ran out of draws"):
         point_action_order(block, 4, F3, gl_order(2, 3)**2, draws=200)
@@ -117,19 +115,46 @@ def test_order_kernel_refuses_an_order_it_cannot_reach():
 
 def test_stabiliser_fixes_bisection():
     b0 = coordinate_bisection(F3, 2)
-    for g in bisection_stabiliser_generators(b0).generators:
-        assert b0.apply(g) == b0
-    # conjugated generators for a non-coordinate bisection
-    other = next(b for b in bisections(2, F2) if b != coordinate_bisection(F2, 2))
-    for g in bisection_stabiliser_generators(other).generators:
-        assert other.apply(g) == other
+    for g in bisection_stabiliser_generators(2, F3):
+        assert apply_bisection(b0, g) == b0
 
 
 def test_subspace_stabiliser_fixes_subspace():
     u = coordinate_subspace(F3, 4, [0, 1])
-    from glgeom.subspace import apply_mat
-    for g in subspace_stabiliser_generators(2, 4, F3).generators:
+    for g in subspace_stabiliser_generators(2, 4, F3):
         assert apply_mat(u, g) == u
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_point_permutation_refuses_a_singular_matrix(q):
+    """A singular g sends some point to zero: ValueError, not ParamError,
+    so the CLI reports an internal error (exit 4), not bad parameters.  A
+    matrix that is not n x n is refused the same way."""
+    field = field_make(q)
+    refused = [(2, ((1, 1), (1, 1))), (2, ((1, q - 1), (q - 1, 1))),
+               (3, ((1, 0, 0), (0, 1, 0), (0, 0, 0))),
+               (3, ((1, 0, 1), (0, 1, 1), (1, 1, 2))),
+               (2, ((1, 0),)), (2, ((1, 0, 0), (0, 1, 0)))]
+    for n, g in refused:
+        with pytest.raises(ValueError, match="not .*invertible") as info:
+            point_permutation(field, n, g)
+        assert not isinstance(info.value, ParamError), g
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_every_builder_generator_is_a_point_permutation(q):
+    """Each generator of the three builders, at every size the routes and
+    tests use, permutes the projective points."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    built = [(n, gl_generators(n, field)) for n in range(1, 5)]
+    built += [(2 * k, bisection_stabiliser_generators(k, field))
+              for k in (1, 2)]
+    built += [(n, subspace_stabiliser_generators(m, n, field))
+              for n in range(2, 5) for m in range(1, n)]
+    for n, gens in built:
+        for g in gens:
+            perm = point_permutation(field, n, g)
+            assert sorted(perm) == list(range((q ** n - 1) // (q - 1)))
 
 
 # ---------------------------------------------------------------------
@@ -146,7 +171,7 @@ def test_orbit_partition_transitive_example():
 def test_orbit_partition_deterministic_under_generator_order():
     gens = gl_generators(3, F2)
     seeds = list(grassmannian(3, F2, 1))
-    rev = GeneratorSet(list(reversed(gens.generators)), "reversed")
+    rev = list(reversed(gens))
     a = orbit_partition(gens, seeds)
     b = orbit_partition(rev, seeds)
     assert a.orbit_lengths == b.orbit_lengths
@@ -158,7 +183,7 @@ def test_order2_stabiliser_on_projective_line():
     a single orbit of length 2 on the other two bisections (the swap maps
     them to each other)."""
     b0 = coordinate_bisection(F2, 1)
-    gens = bisection_stabiliser_generators(b0)
+    gens = bisection_stabiliser_generators(1, F2)
     assert group_order_by_basis_orbit(gens, 2, F2) == 2
     others = [b for b in bisections(1, F2) if b != b0]
     assert len(others) == 2
@@ -235,7 +260,8 @@ def test_index_bfs_matches_generic_partition(q, k):
     field = field_make(q)
     b0 = coordinate_bisection(field, k)
     others = [b for b in bisections(k, field) if b != b0]
-    generic = orbit_partition(bisection_stabiliser_generators(b0), others)
+    gens = bisection_stabiliser_generators(k, field)
+    generic = orbit_partition(gens, others)
     report = stabiliser_orbits_on_bisections(k, field)
     assert report.orbit_lengths == generic.orbit_lengths
     assert report.representatives == generic.representatives
@@ -247,8 +273,8 @@ def test_stabiliser_generators_first_block_and_swap(q, k):
     """GL(k,q) in the first block plus the block swap: the swap conjugates
     each first-block generator into its second-block copy."""
     field = field_make(2, 2) if q == 4 else field_make(q)
-    gens = bisection_stabiliser_generators(coordinate_bisection(field, k))
-    assert len(gens.generators) == len(gl_generators(k, field).generators) + 1
+    gens = bisection_stabiliser_generators(k, field)
+    assert len(gens) == len(gl_generators(k, field)) + 1
 
 
 def test_orbits_q4_k2():
@@ -345,8 +371,7 @@ def test_strong_generator_moving_the_root_is_an_internal_error(monkeypatch):
     the orbits on the complements of A would be wrong."""
     import glgeom.orbits as ob
     real = ob.schreier_sims
-    swap = point_permutation(F3, 4, bisection_stabiliser_generators(
-        coordinate_bisection(F3, 2)).generators[-1])
+    swap = point_permutation(F3, 4, bisection_stabiliser_generators(2, F3)[-1])
 
     def with_swap(draws, order):
         chain = real(draws, order)
@@ -375,15 +400,14 @@ def test_route_matches_the_reference_search(q, k):
 def test_point_permutations_match_apply_mat(q, k):
     """Each stabiliser generator permutes the k-subspace index the same
     way through its point permutation as through apply_mat."""
-    from glgeom.subspace import apply_mat, point_masks, sorted_grassmannian
+    from glgeom.subspace import point_masks, sorted_grassmannian
     from orbit_reference import image_mask
     field = field_make(2, 2) if q == 4 else field_make(q)
     subs = sorted_grassmannian(2 * k, field, k)
     masks = point_masks(subs)
     by_mask = {x: i for i, x in enumerate(masks)}
     by_sub = {s: i for i, s in enumerate(subs)}
-    gens = bisection_stabiliser_generators(coordinate_bisection(field, k))
-    for g in gens.generators:
+    for g in bisection_stabiliser_generators(k, field):
         moved = point_permutation(field, 2 * k, g)
         assert sorted(moved) == list(range((q ** (2 * k) - 1) // (q - 1)))
         assert [by_mask[image_mask(x, moved)] for x in masks] == \
