@@ -142,10 +142,8 @@ def cmd_bis_concurrent(args):
     if args.mode in ("predicate", "all"):
         results["predicate"] = pred if pred != "unresolved" else "unresolved(paper)"
     if args.mode in ("oracle", "all"):
-        reps = None
-        if params.k >= 2:
-            reps = ob.stabiliser_orbits_on_bisections(
-                params.k, field, budget=args.budget).representatives
+        reps = ob.stabiliser_orbits_on_bisections(
+            params.k, field, budget=args.budget).representatives
         v = oc.concurrent_oracle(params, orbit_reps=reps, budget=args.budget)
         results["oracle"] = _verdict_word(v.complete)
     payload["results"] = results
@@ -210,12 +208,12 @@ def cmd_scan(args):
                             pred = bis_concurrent_predicate(q, m, k, k1, k2)
                             if pred == "unresolved":
                                 continue
-                            if (q, k) not in reps_cache and k >= 2:
+                            if (q, k) not in reps_cache:
                                 reps_cache[(q, k)] = \
                                     ob.stabiliser_orbits_on_bisections(
                                         k, field, budget=args.budget).representatives
                             v = oc.concurrent_oracle(
-                                params, orbit_reps=reps_cache.get((q, k)),
+                                params, orbit_reps=reps_cache[(q, k)],
                                 budget=args.budget)
                             rows.append({"q": q, "k": k, "m": m, "k1": k1,
                                          "k2": k2, "predicate": pred,

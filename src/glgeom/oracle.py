@@ -215,7 +215,7 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     q, m, k = field.q, params.m, params.k
     if m > k:
         dual = params.dual()
-        reps = [b.dual() for b in orbit_reps] if orbit_reps else None
+        reps = None if orbit_reps is None else [b.dual() for b in orbit_reps]
         return concurrent_oracle(dual, reps, budget)
     if orbit_reps is not None:
         npairs = len(orbit_reps)

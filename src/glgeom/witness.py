@@ -7,15 +7,15 @@ than guessing.  A collinear witness's certificate records the verification
 just made (a one-entry memo); one for any other W computes its own.
 Pair-specific constructions work on the canonical pair U1 = <e_1..e_m>,
 U2 = <e_{m-t+1}..e_{2m-t}>.  The projective witness is written down with
-no elimination.  For m <= n/2 the subset witness gives disjoint column
-sets, and W's canonical rows are their 0/1 indicator rows ordered by least
-column: each row's first 1 is at its least column, where every other row
-is 0.  For m > n/2 it needs no change of basis: perp U1, perp U2 are the
-canonical (n-m)-pair moved by a cyclic coordinate shift, so W is the perp
-of the dual witness's sets shifted by +m mod n.  Its canonical rows are
-e_c for each column c in no set and e_s - e_max(S) for each s != max(S)
-in each set S, ordered by pivot: each is 0 off its pivot but at a set's
-maximum, which is no pivot.
+no elimination.  For m <= n/2 its disjoint column sets are slices of the
+pair's pieces (subspace.canonical_piece_columns), and W's canonical rows
+are their 0/1 indicator rows ordered by least column: each row's first 1
+is at its least column, where every other row is 0.  For m > n/2 it needs
+no change of basis: perp U1, perp U2 are the canonical (n-m)-pair moved
+by a cyclic coordinate shift, so W is the perp of the dual witness's sets
+shifted by +m mod n.  Its canonical rows are e_c for each column c in no
+set and e_s - e_max(S) for each s != max(S) in each set S, ordered by
+pivot: each is 0 off its pivot but at a set's maximum, which is no pivot.
 
 The bisection witness is index data.  Each regime names, for each half,
 its unit rows e_c and its rows e_c + lambda e_d (a few q = 2 rows have
@@ -42,13 +42,6 @@ from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
 
 class PredicateFailsError(ValueError):
     """No witness exists: the closed form refuses these parameters."""
-
-
-def _check(ok, what):
-    """An internal consistency check that, unlike assert, survives
-    python -O; a failure means a construction does not cover this case."""
-    if not ok:
-        raise RuntimeError(what)
 
 
 # ----------------------------------------------------------------------
@@ -148,91 +141,16 @@ def diagonal_pair(y1, y2, r):
     return pair
 
 
-# ----------------------------------------------------------------------
-# subset witnesses (the symmetric-group shadow of the subspace problem)
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SetWitness:
-    p_set: frozenset
-    k_set: frozenset | None
-    partition: tuple | None
-
-
-def subset_witness(n, m, k, j, t):
-    """The explicit (n-2m+2j)-subset P meeting both canonical m-subsets in
-    j points, plus a k-subset K of P or a partition of the complement.
-
-    Canonical subsets: M1 = {1..m}, M2 = {m-t+1..2m-t}.
-    """
-    if not (1 <= m <= n / 2):
-        raise ParamError("need 1 <= m <= n/2")
-    if not (1 <= k < n):
-        raise ParamError("need 1 <= k < n")
-    if not (max(0, m + k - n) <= j <= min(m, k)):
-        raise ParamError("inadmissible j")
-    if not 2 * j <= k:
-        raise ParamError("need 2j <= k")
-    if not (0 <= t <= m - 1):
-        raise ParamError("need 0 <= t <= m-1")
-    m1 = frozenset(range(1, m + 1))
-    m2 = frozenset(range(m - t + 1, 2 * m - t + 1))
-    if j <= m - t:
-        p1 = set(range(1, j + 1))
-        p2 = set(range(2 * m - t - j + 1, 2 * m - t + 1))
-        p = p1 | p2 | set(range(2 * m - t + 1, n - t + 1))
-    elif j <= t:
-        p1 = set(range(m - t + 1, m - t + j + 1))
-        p = p1 | set(range(2 * m - t + 1, n + j - t + 1))
-    else:
-        p1 = set(range(m + 1 - j, m + j - t + 1))
-        p = p1 | set(range(2 * m - t + 1, n + 1))
-    _check(len(p) == n - 2 * m + 2 * j, "subset witness: |P| off")
-    _check(len(p & m1) == j and len(p & m2) == j,
-           "subset witness: P meets M1, M2 wrongly")
-    k_set = None
-    partition = None
-    if 0 <= k - 2 * j <= n - 2 * m:
-        core = (p & m1) | (p & m2)
-        pad = sorted(p - m1 - m2)
-        k_set = frozenset(sorted(core) + pad[:k - len(core)])
-        _check(len(k_set) == k, "subset witness: |K| off")
-        _check(len(k_set & m1) == j and len(k_set & m2) == j,
-               "subset witness: K meets M1, M2 wrongly")
-    else:
-        rest = set(range(1, n + 1)) - p
-        _check(len(rest) == 2 * m - 2 * j,
-               "subset witness: complement of P has the wrong size")
-        # pair across the two subsets so no part lies inside M1 or M2
-        only1 = sorted(rest & (m1 - m2))
-        only2 = sorted(rest & (m2 - m1))
-        both = sorted(rest & m1 & m2)
-        outside = sorted(rest - m1 - m2)
-        _check(len(only1) == len(only2) and len(both) == len(outside),
-               "subset witness: cross pairing impossible")
-        pairs = list(zip(only1, only2)) + list(zip(both, outside))
-        num_parts = (k - 2 * j) - (n - 2 * m)
-        _check(1 <= num_parts <= len(pairs),
-               "subset witness: part count out of range")
-        parts = [frozenset(pr) for pr in pairs[:num_parts - 1]]
-        tail = [x for pr in pairs[num_parts - 1:] for x in pr]
-        parts.append(frozenset(tail))
-        for part in parts:
-            _check(not part <= m1 and not part <= m2,
-                   "subset witness: a part lies inside M1 or M2")
-        partition = tuple(parts)
-    return SetWitness(frozenset(p), k_set, partition)
-
-
 def proj_collinear_witness(n, m, k, j, t, field):
     """A k-subspace meeting both canonical m-subspaces in dimension j.
 
-    Exists precisely when 2j <= k + max(0, 2m-n); built from the subset
-    witness for m <= n/2, else as perp of the witness Wb at (n-m, n-k,
-    n-m-k+j, n-2m+t) under the shift e_i -> e_{i+m mod n}.  The shift
-    takes the canonical (n-m)-pair with overlap n-2m+t to perp U1 =
-    <e_{m+1}..e_n> and perp U2 (the coordinates outside U2), so
-    dim(W meet Ui) = n - dim(shifted Wb + perp Ui) = j.
+    Exists precisely when 2j <= k + max(0, 2m-n); written down from the
+    column sets of _proj_column_sets for m <= n/2, else as perp of the
+    witness Wb at (n-m, n-k, n-m-k+j, n-2m+t) under the shift
+    e_i -> e_{i+m mod n}.  The shift takes the canonical (n-m)-pair with
+    overlap n-2m+t to perp U1 = <e_{m+1}..e_n> and perp U2 (the
+    coordinates outside U2), so dim(W meet Ui) = n - dim(shifted Wb +
+    perp Ui) = j.
     """
     if not (max(0, m + k - n) <= j <= min(m, k)):
         raise ParamError("inadmissible j")
@@ -251,9 +169,10 @@ def proj_collinear_witness(n, m, k, j, t, field):
 
 
 def _proj_witness(n, m, k, j, t, field):
-    """proj_collinear_witness unverified, written down from disjoint column
-    sets with no elimination; only the outer result is checked, by
-    _proj_pair_dims, whose meet kernel trusts the rows to be canonical.
+    """proj_collinear_witness unverified, written down from the disjoint
+    column sets of _proj_column_sets (slices of the canonical pieces) with
+    no elimination; only the outer result is checked, by _proj_pair_dims,
+    whose meet kernel trusts the rows to be canonical.
 
     For m <= n/2 the rows are the 0/1 indicator rows of the sets of
     _proj_column_sets, ordered by least column: each row's first 1 is at
@@ -273,14 +192,30 @@ def _proj_witness(n, m, k, j, t, field):
 
 
 def _proj_column_sets(n, m, k, j, t):
-    """The disjoint 0-based column sets whose indicator rows span the
-    witness for m <= n/2: the singletons of K, or those of P and the
-    parts of the partition of the rest (subset_witness)."""
-    sw = subset_witness(n, m, k, j, t)
-    if sw.k_set is not None:
-        return [[i - 1] for i in sw.k_set]
-    return ([[i - 1] for i in sw.p_set]
-            + [[i - 1 for i in part] for part in sw.partition])
+    """The disjoint column sets whose indicator rows span the witness for
+    m <= n/2, as slices of the pieces tt, c1, c2, c of
+    canonical_piece_columns (U1 = <c1, tt>, U2 = <tt, c2>).  The core, j
+    columns in each Ui, is c1[:j] and the last j of c2, or tt[:j], or
+    c1[m-j:], tt and c2[:j-t]; P adds c[:pad].  The sets are singletons of
+    the core and c[:k-|core|], or those of P and k-2j-(n-2m) parts of the
+    rest: pairs of c1 and c2, then of tt and c, the last part merged.  No
+    part lies inside U1 or U2."""
+    tt, c1, c2, c = canonical_piece_columns(n, m, t)
+    if j <= m - t:
+        core, c1, c2 = [*c1[:j], *c2[m - t - j:]], c1[j:], c2[:m - t - j]
+    elif j <= t:
+        core, tt = list(tt[:j]), tt[j:]
+    else:
+        core = [*c1[m - j:], *tt, *c2[:j - t]]  # and P holds all of c
+        c1, c2 = c1[:m - j], c2[j - t:]
+    parts = k - 2 * j - (n - 2 * m)
+    if parts <= 0:
+        return [[x] for x in [*core, *c[:k - len(core)]]]
+    pad = n - 2 * m + 2 * j - len(core)
+    pairs = [*zip(c1, c2), *zip(tt, c[pad:])]
+    return ([[x] for x in [*core, *c[:pad]]]
+            + [list(pr) for pr in pairs[:parts - 1]]
+            + [[x for pr in pairs[parts - 1:] for x in pr]])
 
 
 def _indicator_rows(n, sets):

@@ -210,6 +210,31 @@ def test_bis_concurrent_refusal_is_the_orbit_routes(capsys):
     assert "bisections of V(4,7) exceed the budget" in err
 
 
+def test_bis_con_scan_digest(capsys):
+    """sha256 of the scan's --format json output, pinned from the release
+    that ran the concurrent oracle over all pairs of bisections at k = 1:
+    30 points, 10 of them at k = 1, now all on orbit representatives."""
+    import hashlib
+    code, out, _ = run(capsys, "scan", "--family", "bis-con", "--max-k", "2",
+                       "--qs", "2,3,4,5,7", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0c5778f052aeb0a99803b9410f7b1b7487f701c9a0134271e554e5b5a7dd7aff")
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 30 and sum(r["k"] == 1 for r in rows) == 10
+
+
+def test_bis_concurrent_k1_budget_is_the_orbit_routes(capsys):
+    """At k = 1 the oracle also checks one line pair per orbit: 2 pairs
+    times 5 points of V(2,4) fit a budget of 200, where all 45 pairs of
+    its 10 bisections (225) did not."""
+    code, out, _ = run(capsys, "bis-concurrent", "--k", "1", "--m", "1",
+                       "--k1", "0", "--k2", "0", "--q", "4",
+                       "--budget", "200", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["oracle"] == "complete"
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     """A broken runtime invariant exits 4, not 1 ("bad parameters"): here a
     complement of an orbit root goes missing."""

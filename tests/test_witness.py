@@ -11,13 +11,13 @@ from glgeom.subspace import (coordinate_subspace, intersection_dim, perp,
 from glgeom.witness import (PredicateFailsError, bis_collinear_witness,
                             canonical_pair, desarguesian_spread, diagonal_pair,
                             fifth_disjoint, near_half_table_bisection,
-                            proj_collinear_witness, subset_witness,
-                            verify_partial_spread)
+                            proj_collinear_witness, verify_partial_spread)
 from bis_witness_reference import incident_bis
 from diagonal_reference import diagonal_pair_exists_bruteforce
 from field_reference import rank_of_rows
 from lattice_reference import (apply_mat, intersect, mat_mul, transport_pair,
                                vectors)
+from proj_witness_reference import subset_witness
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -97,8 +97,23 @@ def test_subset_witness_examples():
     assert {2, 3} <= swm.p_set  # middle case: P1 = {m-t+1 .. m-t+j}
 
 
+def _set_witness_columns(sw):
+    """The 0-based column sets of a SetWitness: the singletons of K, or
+    those of P and the parts of the partition of the rest."""
+    if sw.k_set is not None:
+        return [[i - 1] for i in sw.k_set]
+    return ([[i - 1] for i in sw.p_set]
+            + [[i - 1 for i in part] for part in sw.partition])
+
+
 def test_subset_witness_properties_exhaustive():
-    for n in range(2, 11):
+    """The reference subset witness, and the column sets written down from
+    the canonical pieces, which must be the same sets: k pairwise disjoint
+    sets, exactly j of them inside U1's columns [0, m) and j inside U2's
+    [m-t, 2m-t)."""
+    from glgeom.witness import _proj_column_sets
+    checked = 0
+    for n in range(2, 17):
         for m in range(1, n // 2 + 1):
             for k in range(1, n):
                 for j in range(max(0, m + k - n), min(m, k) + 1):
@@ -127,6 +142,18 @@ def test_subset_witness_properties_exhaustive():
                                 assert not union & part
                                 union |= part
                             assert union == set(range(1, n + 1)) - sw.p_set
+                        sets = _proj_column_sets(n, m, k, j, t)
+                        cols = [c for s in sets for c in s]
+                        assert len(cols) == len(set(cols)), (n, m, k, j, t)
+                        assert len(sets) == k
+                        assert sum(max(s) < m for s in sets) == j
+                        assert sum(m - t <= min(s) and max(s) < 2 * m - t
+                                   for s in sets) == j
+                        assert (sorted(map(sorted, sets)) == sorted(
+                            map(sorted, _set_witness_columns(sw)))), \
+                            (n, m, k, j, t)
+                        checked += 1
+    assert checked == 6630  # every admissible point with n <= 16
 
 
 def test_subset_witness_preconditions():
