@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParamError, TooLargeError
-from .subspace import coordinate_subspace, grassmannian, intersection_dim
+from .subspace import grassmannian, range_meet_dim
 
 
 def gaussian(n, m, q):
@@ -83,13 +83,8 @@ def h_lower_bound(a, k, q):
 def count_disjoint_from_halves(m, k, field):
     """Brute-force count of m-subspaces meeting both coordinate halves trivially."""
     n = 2 * k
-    v1 = coordinate_subspace(field, n, range(k))
-    v2 = coordinate_subspace(field, n, range(k, n))
-    count = 0
-    for u in grassmannian(n, field, m):
-        if intersection_dim(u, v1) == 0 and intersection_dim(u, v2) == 0:
-            count += 1
-    return count
+    return sum(range_meet_dim(u, 0, k) == 0 and range_meet_dim(u, k, n) == 0
+               for u in grassmannian(n, field, m))
 
 
 _ENUMERABLE = {(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)}

@@ -12,12 +12,12 @@ The two collinear scans avoid a rank test per line:
 - proj: the pair is U1 = <e_{n-m}..e_{n-1}>, U2 = <e_{n-2m+t}..e_{n-m+t-1}>,
   the canonical pair of subspace.canonical_pair moved by the
   coordinate-reversal permutation (an element of GL(n,q)), hence with the
-  same overlap t and in the same orbit.  For W in canonical rref with
-  pivots p_1 < ... < p_k, W meet <e_a..e_{n-1}> is spanned by the rows
-  with p_i >= a (a combination of rows is zero in column p_i exactly when
-  its coefficient on row i is), so dim(W meet U1) = #{i : p_i >= n-m}.
-  Only the Schubert cells with exactly j such pivots are scanned, with one
-  intersection_dim(W, U2) per line.
+  same overlap t and in the same orbit.  By the pivot lemma of
+  subspace.range_meet_dim, W in canonical rref meets the suffix U1 in
+  #{i : p_i >= n-m} dimensions, p_1 < ... < p_k its pivots.  Only the
+  Schubert cells with exactly j such pivots are scanned, with one
+  range_meet_dim(W, n-2m+t, n-m+t) per line for U2, which ranks only
+  the nonzero slices of W's rows past U2's columns.
 - bis: the k-subspaces S_i are listed once (subspace.sorted_grassmannian)
   and indexed by projective points (subspace.point_masks), with the tables
   d1[i] = dim(S_i meet U1) and, per t, d2[i] = dim(S_i meet U2) read off
@@ -29,8 +29,8 @@ The concurrent oracle reads incidence off the same point masks: the
 m-subspaces are listed once per call, and a pair of bisections is covered
 iff some point mask meets the four halves in the pattern.  With orbit
 representatives every pair holds the coordinate bisection, one half of
-which is the suffix <e_k..e_{2k-1}>; by the pivot lemma above, W meets it
-in dimension #{i : p_i >= k}, so only the Schubert cells of Gr(2k,m) with
+which is the suffix <e_k..e_{2k-1}>; by the pivot lemma, W meets it in
+dimension #{i : p_i >= k}, so only the Schubert cells of Gr(2k,m) with
 k1 or k2 pivots from column k are listed.  The all-pairs scan lists every
 cell.
 """
@@ -43,9 +43,9 @@ from itertools import combinations
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
 from .subspace import (bisections, canonical_pair, containing_masks,
-                       coordinate_bisection, coordinate_subspace,
-                       intersection_dim, meet_dims, meeting_mask,
-                       point_masks, schubert_cell, sorted_grassmannian)
+                       coordinate_bisection, meet_dims, meeting_mask,
+                       point_masks, range_meet_dim, schubert_cell,
+                       sorted_grassmannian)
 from .counts import bisection_count, gaussian
 from .errors import TooLargeError
 from .geometry import mask_incident_bis
@@ -99,8 +99,8 @@ def proj_collinear_oracle(params, budget=10**7, use_witness=True):
             # k-j pivots left of column n-m and j from it on, in lex order
             cells = [lo + hi for lo in combinations(range(n - m), k - j)
                      for hi in combinations(range(n - m, n), j)]
-        u2 = coordinate_subspace(field, n, range(n - 2 * m + t, n - m + t))
-        if not any(intersection_dim(w, u2) == j
+        lo, hi = n - 2 * m + t, n - m + t  # U2's columns
+        if not any(range_meet_dim(w, lo, hi) == j
                    for p in cells for w in schubert_cell(n, field, p)):
             return CompletenessVerdict(False, "oracle", failing_t=t)
     method = "witness" if (use_witness and cells is None) else "oracle"
@@ -233,6 +233,7 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     else:
         lines = [coordinate_bisection(field, k), *orbit_reps]
         # dim(W meet <e_k..e_{2k-1}>) is W's pivot count from column k
+        # (the pivot lemma of subspace.range_meet_dim)
         cells = [p for p in combinations(range(2 * k), m)
                  if sum(c >= k for c in p) in (params.k1, params.k2)]
         pair = _uncovered_pair(params, lines, [0], cells)

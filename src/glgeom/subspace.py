@@ -8,13 +8,16 @@ canonical basis is one); span_rows is the one constructor for arbitrary
 rows.  Canonical rows are an echelon as they stand, each row's pivot at
 its first 1, so a meet reduces the rows of one side against the other's
 basis (gfq.echelon_insert) with no elimination of their stack; only at
-q = 2 is it a packed rank.  The enumeration order of the Grassmannian is
-fixed: pivot-column sets in lexicographic order, then free entries in
-row-major lexicographic order.  A listed set of subspaces
-is indexed by projective points (point_masks): one int per subspace with
-a bit per point it holds, so dim(A meet B) is read off the popcount of
-mask_A & mask_B (meet_dims), and disjointness and the action of GL(n,q)
-become bitset operations.
+q = 2 is it a packed rank.  A meet with a coordinate range
+<e_a..e_{b-1}> (range_meet_dim) is read off the pivots, since the rows
+are fully reduced: a rank runs only on the slices past b of the rows
+with pivots in the range, and only when one is nonzero.  The enumeration
+order of the Grassmannian is fixed: pivot-column sets in lexicographic
+order, then free entries in row-major lexicographic order.  A listed set
+of subspaces is indexed by projective points (point_masks): one int per
+subspace with a bit per point it holds, so dim(A meet B) is read off the
+popcount of mask_A & mask_B (meet_dims), and disjointness and the action
+of GL(n,q) become bitset operations.
 """
 
 from __future__ import annotations
@@ -157,6 +160,46 @@ def intersection_dim(u, w):
         u, w = w, u
     echelon, field = _echelon(u), u.field
     return w.dim - sum(echelon_insert(field, echelon, r) for r in w.basis)
+
+
+def range_meet_dim(w, a, b):
+    """dim(W meet <e_a..e_{b-1}>), 0-based columns, 0 <= a <= b <= n.
+
+    The pivot lemma.  Let W's canonical rows r_i have pivots p_1 < ... <
+    p_k.  Full rref means each r_i is 0 at every other row's pivot, so a
+    combination sum c_i r_i has entry c_i in column p_i.  It lies in the
+    range only if c_i = 0 for every p_i outside [a, b), and the rows with
+    p_i in [a, b) are 0 left of a; so the meet is the space of their
+    combinations that are 0 from column b on, of dimension the number of
+    those rows minus the rank of their slices to [b, n).  A suffix (b = n)
+    is met in #{i : p_i >= a} dimensions, with no rank.  A nonzero slice
+    is ranked by pk_rank at q = 2, else by echelon_insert into an empty
+    echelon.
+
+    The lemma needs W's rows to be fully reduced, more than the echelon
+    that intersection_dim trusts: rows passed to Subspace(...) unchecked
+    must be canonical, or the answer may be wrong.
+    """
+    n = w.n
+    if not 0 <= a <= b <= n:
+        raise ValueError(f"no column range [{a}, {b}) in V({n},q)")
+    kept, tails = 0, []
+    for r in w.basis:
+        p = r.index(1)
+        if p >= b:
+            break
+        if p >= a:
+            kept += 1
+            tail = r[b:]
+            if any(tail):
+                tails.append(tail)
+    if not tails:
+        return kept
+    field = w.field
+    if field.q == 2:
+        return kept - pk_rank(pack_rows(tails), n - b)
+    echelon = []
+    return kept - sum(echelon_insert(field, echelon, r) for r in tails)
 
 
 def perp(u):

@@ -37,7 +37,8 @@ from .gfq import (least_irreducible, mat_inverse, poly_mulmod, vec_mat,
 from .predicates import bis_collinear_predicate, proj_collinear_predicate
 from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                        canonical_piece_columns, coordinate_subspace,
-                       grassmannian, intersection_dim, span_rows, _unit_rows)
+                       grassmannian, intersection_dim, range_meet_dim,
+                       span_rows, _unit_rows)
 
 
 class PredicateFailsError(ValueError):
@@ -251,12 +252,22 @@ def _perp_rows(field, n, sets):
     return tuple(r for r in rows if r is not None)
 
 
+def _pair_ranges(m, t):
+    """The 0-based column ranges [lo, hi) of the canonical pair: U1 = <c1,
+    tt> is [0, m) and U2 = <tt, c2> is [m-t, 2m-t), in the pieces of
+    canonical_piece_columns."""
+    return (0, m), (m - t, 2 * m - t)
+
+
 @lru_cache(maxsize=1)
 def _proj_pair_dims(field, n, m, t, w):
     """The canonical pair at overlap t and (dim W meet U1, dim W meet U2):
-    a witness's verification, which its certificate reads again."""
-    u1, u2 = canonical_pair(field, n, m, t)
-    return (u1, u2), (intersection_dim(w, u1), intersection_dim(w, u2))
+    a witness's verification, which its certificate reads again.  Each
+    meet is a range_meet_dim over Ui's column range; the pair itself is
+    built only for the certificate."""
+    return (canonical_pair(field, n, m, t),
+            tuple(range_meet_dim(w, lo, hi)
+                  for lo, hi in _pair_ranges(m, t)))
 
 
 # ----------------------------------------------------------------------
@@ -294,10 +305,10 @@ def bis_collinear_witness(params, t):
 def _bis_pair_dims(field, k, m, t, b):
     """The canonical pair in V(2k,q) at overlap t and each Ui's sorted
     pattern (dim Ui meet V1, dim Ui meet V2), as for _proj_pair_dims."""
-    pair = canonical_pair(field, 2 * k, m, t)
-    return pair, tuple(tuple(sorted((intersection_dim(u, b.half1),
-                                     intersection_dim(u, b.half2))))
-                       for u in pair)
+    return (canonical_pair(field, 2 * k, m, t),
+            tuple(tuple(sorted((range_meet_dim(b.half1, lo, hi),
+                                range_meet_dim(b.half2, lo, hi))))
+                  for lo, hi in _pair_ranges(m, t)))
 
 
 def _bis_witness_rows(field, k, m, k1, k2, t):

@@ -224,6 +224,18 @@ def test_bis_con_scan_digest(capsys):
     assert len(rows) == 30 and sum(r["k"] == 1 for r in rows) == 10
 
 
+def test_proj_scan_digest(capsys):
+    """sha256 of the proj scan's --format json output at n <= 6, q = 2, 3,
+    pinned from the release whose oracle met U2 by a rank per line (now
+    range_meet_dim on U2's columns)."""
+    import hashlib
+    code, out, _ = run(capsys, "scan", "--family", "proj", "--max-n", "6",
+                       "--qs", "2,3", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fcc7030f1926cd86c779bb271b90988c9d24c7bc21596d7ecc0d1c16e9280f3b")
+
+
 def test_bis_concurrent_k1_budget_is_the_orbit_routes(capsys):
     """At k = 1 the oracle also checks one line pair per orbit: 2 pairs
     times 5 points of V(2,4) fit a budget of 200, where all 45 pairs of

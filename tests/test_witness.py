@@ -236,9 +236,11 @@ def test_proj_witness_iff_predicate(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_proj_witness_is_the_reference_construction(q):
     """The closed-form rows are those of the eliminating construction, row
-    for row, and canonical: span_rows leaves them as they are (the meet
-    kernel's echelon trusts canonical rows, so a non-canonical W could
-    pass verification wrongly)."""
+    for row, and canonical: span_rows leaves them as they are.  This is
+    the one route whose rows are written down and trusted, with no
+    span_rows, and its verification, subspace.range_meet_dim, needs full
+    rref (every row 0 at every other row's pivot), more than an echelon:
+    a non-canonical W could pass verification wrongly."""
     from proj_witness_reference import proj_witness
     field = field_of(q)
     checked = 0
@@ -296,7 +298,8 @@ def test_perp_rows_closed_form(q):
 @pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (2 ** 61 - 1, 1)])
 def test_proj_witness_at_the_field_edges(p, e):
     """At n = 12 over the largest extension fields and the largest prime
-    field, a witness is built exactly where the predicate holds."""
+    field, a witness is built exactly where the predicate holds, and its
+    trusted rows are canonical (span_rows leaves them as they are)."""
     from glgeom.predicates import proj_collinear_predicate
     field = field_make(p, e)
     n, built, refused = 12, 0, 0
@@ -312,6 +315,7 @@ def test_proj_witness_at_the_field_edges(p, e):
                         refused += 1
                         continue
                     assert pred and w.dim == k
+                    assert span_rows(field, n, w.rows()) == w
                     built += 1
     assert (built, refused) == (1076, 406)
 
@@ -582,16 +586,16 @@ def test_proj_certificate_reads_the_witness_verification(monkeypatch,
                                                          n, m, k, j, q):
     from glgeom.witness import proj_witness_certificate
     field = field_of(q)
-    rank_tests = _counting(monkeypatch, "intersection_dim")
+    meets = _counting(monkeypatch, "range_meet_dim")
     pairs = _counting(monkeypatch, "canonical_pair")
     for t in range(max(0, 2 * m - n), m):
-        rank_tests.clear()
+        meets.clear()
         w = proj_collinear_witness(n, m, k, j, t, field)
-        assert len(rank_tests) == 2  # the returned W only, also for m > n/2
-        rank_tests.clear()
+        assert len(meets) == 2  # the returned W only, also for m > n/2
+        meets.clear()
         pairs.clear()
         cert = proj_witness_certificate(n, m, k, j, t, field, w)
-        assert rank_tests == [] and pairs == []
+        assert meets == [] and pairs == []
         assert cert["intersection_dims"] == [j, j]
 
 
@@ -664,15 +668,17 @@ def test_bis_certificate_reads_the_witness_verification(monkeypatch,
     from glgeom.witness import bis_witness_certificate
     params = BisParams(k, m, k1, k2, field_of(q))
     work = params if m <= k else params.dual()
-    rank_tests = _counting(monkeypatch, "intersection_dim")
+    meets = _counting(monkeypatch, "range_meet_dim")
     pairs = _counting(monkeypatch, "canonical_pair")
     want = [work.k1, work.k2]
     for t in range(work.m):
+        meets.clear()
         b = bis_collinear_witness(work, t)
-        rank_tests.clear()
+        assert len(meets) == 4  # each half against each of U1, U2
+        meets.clear()
         pairs.clear()
         cert = bis_witness_certificate(work, t, b)
-        assert rank_tests == [] and pairs == []
+        assert meets == [] and pairs == []
         assert cert["intersection_dims"] == {"U1": want, "U2": want}
 
 
