@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import traceback
 
 from . import counts as ct
 from . import oracle as oc
@@ -377,6 +376,7 @@ def main(argv=None):
         print(f"bad parameters: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS
     except Exception as exc:
+        import traceback  # only this branch needs it, so a run skips the load
         print(f"internal error: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

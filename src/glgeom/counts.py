@@ -1,9 +1,13 @@
-"""Exact counting: Gaussian binomials, the disjointness product functions,
-and the more-than-half occupancy criterion, all in big-integer rationals.
+"""Exact counting: the disjointness product functions and the
+more-than-half occupancy criterion, all in big-integer rationals.
 
 Everything here is a Fraction or an int; no floating point touches any
 comparison, so threshold claims like "> 1/2" are exact even on the
-boundary (e.g. 24/65 at q = 3).
+boundary (e.g. 24/65 at q = 3).  The Gaussian binomial and the bisection
+count live in glgeom.subspace, beside the enumeration they check, so the
+engine never imports this module or fractions; they are imported here
+for the counts verb and the acceptance gate, which read them from
+glgeom.counts.
 """
 
 from __future__ import annotations
@@ -11,27 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParamError, TooLargeError
-from .subspace import grassmannian, range_meet_dim
-
-
-def gaussian(n, m, q):
-    """Number of m-subspaces of an n-dimensional space over GF(q)."""
-    if not (0 <= m <= n):
-        raise ParamError("need 0 <= m <= n")
-    num = 1
-    den = 1
-    for i in range(m):
-        num *= q ** (n - i) - 1
-        den *= q ** (m - i) - 1
-    if num % den:
-        raise RuntimeError("Gaussian binomial quotient is not an integer")
-    return num // den
-
-
-def bisection_count(k, q):
-    """Number of bisections of V(2k,q): unordered pairs of disjoint
-    k-subspaces, each k-subspace having q^(k^2) complements."""
-    return gaussian(2 * k, k, q) * q ** (k * k) // 2
+from .subspace import bisection_count  # noqa: F401
+from .subspace import gaussian, grassmannian, range_meet_dim
 
 
 def f_value(r, s, q):

@@ -11,23 +11,17 @@ checks walk the element sets lazily under an explicit budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .subspace import meet_dims
 from .errors import ParamError
 
 
-@dataclass(frozen=True)
 class ProjParams:
     """Parameters (n, m, k, j) of an m-versus-k subspace geometry over GF(q)."""
-    n: int
-    m: int
-    k: int
-    j: int
-    field: object
 
-    def __post_init__(self):
-        n, m, k, j = self.n, self.m, self.k, self.j
+    __slots__ = ("n", "m", "k", "j", "field")
+
+    def __init__(self, n, m, k, j, field):
+        self.n, self.m, self.k, self.j, self.field = n, m, k, j, field
         if not (1 <= m < n and 1 <= k < n):
             raise ParamError("need 1 <= m,k < n")
         if not (max(0, m + k - n) <= j <= min(m, k)):
@@ -35,6 +29,10 @@ class ProjParams:
         if m == k == j:
             raise ParamError("incidence would be equality: point and line "
                              "stabilisers coincide")
+
+    def __repr__(self):
+        return (f"ProjParams(n={self.n}, m={self.m}, k={self.k}, j={self.j}, "
+                f"field={self.field!r})")
 
     def dual(self):
         n, m, k, j = self.n, self.m, self.k, self.j
@@ -45,17 +43,13 @@ class ProjParams:
                 "m": self.m, "k": self.k, "j": self.j}
 
 
-@dataclass(frozen=True)
 class BisParams:
     """Parameters (k; m; k1 <= k2) of a subspace/bisection geometry in V(2k,q)."""
-    k: int
-    m: int
-    k1: int
-    k2: int
-    field: object
 
-    def __post_init__(self):
-        k, m, k1, k2 = self.k, self.m, self.k1, self.k2
+    __slots__ = ("k", "m", "k1", "k2", "field")
+
+    def __init__(self, k, m, k1, k2, field):
+        self.k, self.m, self.k1, self.k2, self.field = k, m, k1, k2, field
         if k < 1 or not (1 <= m < 2 * k):
             raise ParamError("need k >= 1 and 1 <= m < 2k")
         if not (0 <= k1 <= k2 <= k):
@@ -63,6 +57,10 @@ class BisParams:
         # flag existence: an m-space meeting the halves in k1, k2 dimensions
         if k1 + k2 > m or m > k + k1:
             raise ParamError("no flag exists: need k1+k2 <= m <= k+k1")
+
+    def __repr__(self):
+        return (f"BisParams(k={self.k}, m={self.m}, k1={self.k1}, "
+                f"k2={self.k2}, field={self.field!r})")
 
     @property
     def n(self):

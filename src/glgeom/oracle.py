@@ -37,28 +37,28 @@ cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
-from .subspace import (bisections, canonical_pair, containing_masks,
-                       coordinate_bisection, meet_dims, meeting_mask,
-                       point_masks, range_meet_dim, schubert_cell,
-                       sorted_grassmannian)
-from .counts import bisection_count, gaussian
+from .subspace import (bisection_count, bisections, canonical_pair,
+                       containing_masks, coordinate_bisection, gaussian,
+                       meet_dims, meeting_mask, point_masks, range_meet_dim,
+                       schubert_cell, sorted_grassmannian)
 from .errors import TooLargeError
 from .geometry import mask_incident_bis
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       proj_collinear_witness)
 
 
-@dataclass
 class CompletenessVerdict:
-    complete: bool
-    method: str                      # "predicate" | "oracle" | "witness"
-    failing_t: int | None = None
-    failing_pair: tuple | None = None
+    __slots__ = ("complete", "method", "failing_t", "failing_pair")
+
+    def __init__(self, complete, method, failing_t=None, failing_pair=None):
+        self.complete = complete
+        self.method = method             # "predicate" | "oracle" | "witness"
+        self.failing_t = failing_t
+        self.failing_pair = failing_pair
 
 
 # ----------------------------------------------------------------------

@@ -19,25 +19,26 @@ each reaches the search only as a point permutation
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from collections import Counter
 from itertools import islice
 from math import prod
 from random import Random
 
 from .gfq import primitive_element
-from .subspace import (Bisection, containing_masks, coordinate_bisection,
-                       mask_points, meeting_mask, point_masks,
-                       point_permutation, sorted_grassmannian)
-from .counts import bisection_count, gaussian
+from .subspace import (Bisection, bisection_count, containing_masks,
+                       coordinate_bisection, gaussian, mask_points,
+                       meeting_mask, point_masks, point_permutation,
+                       sorted_grassmannian)
 from .errors import ParamError, TooLargeError
 
 
-@dataclass
 class OrbitReport:
-    orbit_lengths: tuple        # sorted ascending
-    total: int
-    representatives: list = dc_field(default_factory=list)
+    __slots__ = ("orbit_lengths", "total", "representatives")
+
+    def __init__(self, orbit_lengths, total, representatives):
+        self.orbit_lengths = orbit_lengths      # sorted ascending
+        self.total = total
+        self.representatives = representatives
 
     def multiset(self):
         return Counter(self.orbit_lengths)

@@ -13,11 +13,13 @@ q = 2 is it a packed rank.  A meet with a coordinate range
 are fully reduced: a rank runs only on the slices past b of the rows
 with pivots in the range, and only when one is nonzero.  The enumeration
 order of the Grassmannian is fixed: pivot-column sets in lexicographic
-order, then free entries in row-major lexicographic order.  A listed set
-of subspaces is indexed by projective points (point_masks): one int per
-subspace with a bit per point it holds, so dim(A meet B) is read off the
-popcount of mask_A & mask_B (meet_dims), and disjointness and the action
-of GL(n,q) become bitset operations.
+order, then free entries in row-major lexicographic order.  The listings
+are checked against the closed-form counts kept beside them (gaussian,
+bisection_count), so the engine needs no import of glgeom.counts.  A
+listed set of subspaces is indexed by projective points (point_masks):
+one int per subspace with a bit per point it holds, so dim(A meet B) is
+read off the popcount of mask_A & mask_B (meet_dims), and disjointness
+and the action of GL(n,q) become bitset operations.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, product
 
+from .errors import ParamError
 from .gfq import (echelon_insert, pack_rows, pk_rank, kernel, vec_mat,
                   _rref_rows)
 
@@ -292,8 +295,28 @@ def coordinate_bisection(field, k):
 
 
 # ----------------------------------------------------------------------
-# enumeration
+# enumeration, and the counts that check it
 # ----------------------------------------------------------------------
+
+def gaussian(n, m, q):
+    """Number of m-subspaces of an n-dimensional space over GF(q)."""
+    if not (0 <= m <= n):
+        raise ParamError("need 0 <= m <= n")
+    num = 1
+    den = 1
+    for i in range(m):
+        num *= q ** (n - i) - 1
+        den *= q ** (m - i) - 1
+    if num % den:
+        raise RuntimeError("Gaussian binomial quotient is not an integer")
+    return num // den
+
+
+def bisection_count(k, q):
+    """Number of bisections of V(2k,q): unordered pairs of disjoint
+    k-subspaces, each k-subspace having q^(k^2) complements."""
+    return gaussian(2 * k, k, q) * q ** (k * k) // 2
+
 
 def schubert_cell(n, field, pivots):
     """The subspaces of V(n,q) whose canonical basis has the given pivot
@@ -452,10 +475,9 @@ def bisections(k, field):
     """All bisections of V(2k,q), each unordered pair exactly once: the
     disjoint pairs of the sorted k-subspaces.
 
-    Count: counts.bisection_count(k, q), checked once the listing ends.
+    Count: bisection_count(k, q), checked once the listing ends.
     disjoint_pairs has proved each pair disjoint, so no rank test repeats.
     """
-    from .counts import bisection_count
     subs = sorted_grassmannian(2 * k, field, k)
     listed = 0
     for i, j in disjoint_pairs(point_masks(subs)):

@@ -8,21 +8,16 @@ double-coset count live beside each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import ParamError, TooLargeError
 
 
-@dataclass(frozen=True)
 class SubsetGeom:
-    n: int
-    m: int
-    k: int
-    j: int
+    __slots__ = ("n", "m", "k", "j")
 
-    def __post_init__(self):
-        n, m, k, j = self.n, self.m, self.k, self.j
+    def __init__(self, n, m, k, j):
+        self.n, self.m, self.k, self.j = n, m, k, j
         if not (1 <= m <= n / 2):
             raise ParamError("need 1 <= m <= n/2")
         if not (1 <= k < n):
@@ -31,16 +26,16 @@ class SubsetGeom:
             raise ParamError("j outside the admissible interval")
 
 
-@dataclass(frozen=True)
 class YoungSubgroup:
     """Setwise stabiliser in S_n of a block, represented by the block itself."""
-    n: int
-    block: frozenset
 
-    def __post_init__(self):
-        if not self.block or len(self.block) >= self.n:
+    __slots__ = ("n", "block")
+
+    def __init__(self, n, block):
+        self.n, self.block = n, block
+        if not block or len(block) >= n:
             raise ParamError("block must be nonempty and proper")
-        if not all(1 <= x <= self.n for x in self.block):
+        if not all(1 <= x <= n for x in block):
             raise ParamError("block not inside {1..n}")
 
     def generators(self):

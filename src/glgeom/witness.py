@@ -28,7 +28,6 @@ dimension k, disjoint) and _bis_pair_dims (both patterns (k1, k2)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ParamError, TooLargeError
@@ -100,12 +99,11 @@ def _diagonal_rows(field, es, fs, r):
     return z1, z2
 
 
-@dataclass(frozen=True)
 class DiagonalPair:
-    z1: Subspace
-    z2: Subspace
-    y1: Subspace
-    y2: Subspace
+    __slots__ = ("z1", "z2", "y1", "y2")
+
+    def __init__(self, z1, z2, y1, y2):
+        self.z1, self.z2, self.y1, self.y2 = z1, z2, y1, y2
 
     def verify(self):
         r = self.z1.dim

@@ -46,6 +46,11 @@ def test_bis_params_validation():
         BisParams(2, 3, 0, 0, F2)       # no flag: m > k + k1
 
 
+def test_proj_params_repr_names_the_fields():
+    assert repr(ProjParams(4, 2, 2, 1, F2)) == \
+        "ProjParams(n=4, m=2, k=2, j=1, field=GF(2))"
+
+
 # ---------------------------------------------------------------------
 # incidence
 # ---------------------------------------------------------------------

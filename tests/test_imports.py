@@ -5,12 +5,16 @@ def or class is referenced outside its own body somewhere in src/ or
 tests/; and every top-level def, class or assignment, and every method of
 a top-level class, is reached by name from a verb of the CLI or from what
 the acceptance gate imports, so code that only tests run lives under
-tests/."""
+tests/.  Importing the engine modules loads neither dataclasses nor
+fractions, which would only add to the set-up time of every process."""
 
 import ast
 import builtins
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -211,3 +215,32 @@ def test_the_check_sees_an_unreached_definition(tmp_path):
         ("lib.py", "UNUSED"), ("lib.py", "Shape.tested_method"),
         ("lib.py", "Fault"), ("lib.py", "tested_only"),
         ("lib.py", "recursive")]
+
+
+ENGINE = ("gfq", "subspace", "geometry", "witness", "oracle", "orbits")
+
+
+def modules_added(names):
+    """The names that importing glgeom.<name> for each name adds to
+    sys.modules, in a fresh interpreter with only src/ on the path."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            f"for name in {list(names)!r}:\n"
+            "    __import__('glgeom.' + name)\n"
+            "print(*sorted(set(sys.modules) - before))\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+def test_the_engine_imports_no_dataclasses_or_fractions():
+    added = modules_added(ENGINE)
+    assert {f"glgeom.{name}" for name in ENGINE} <= added
+    assert added & {"dataclasses", "fractions", "glgeom.counts"} == set()
+
+
+def test_the_cli_imports_no_dataclasses():
+    added = modules_added(["cli"])
+    assert "glgeom.cli" in added
+    assert "dataclasses" not in added

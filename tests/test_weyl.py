@@ -29,6 +29,13 @@ def test_young_subgroup_validation():
         YoungSubgroup(4, frozenset({1, 2, 3, 4}))
 
 
+def test_young_subgroup_block_inside_the_range():
+    with pytest.raises(ParamError, match=r"block not inside \{1\.\.n\}"):
+        YoungSubgroup(4, frozenset({0, 1}))
+    with pytest.raises(ParamError, match=r"block not inside \{1\.\.n\}"):
+        YoungSubgroup(4, frozenset({2, 5}))
+
+
 def test_double_coset_count_examples():
     assert double_coset_count(4, {1, 2}, {3, 4}) == 3
     assert double_coset_count(3, {1}, {1, 2}) == 2

@@ -737,6 +737,19 @@ def test_wrong_dual_route_still_fails_the_outer_check(monkeypatch, corrupt):
                  "--j", "2", "--q", "3", "--mode", "witness"]) == 4
 
 
+def test_failed_bis_verification_names_the_parameters(monkeypatch):
+    """The verification failure prints the parameters field by field, not
+    an object address."""
+    import glgeom.witness as wt
+    monkeypatch.setattr(wt, "_bis_pair_dims",
+                        lambda field, k, m, t, b: (None, ((0, 0), (0, 0))))
+    with pytest.raises(RuntimeError, match="failed verification") as info:
+        bis_collinear_witness(BisParams(2, 2, 0, 1, F3), 1)
+    message = str(info.value)
+    assert "BisParams(k=2, m=2, k1=0, k2=1, field=GF(3)) t=1" in message
+    assert "object at 0x" not in message
+
+
 @pytest.mark.parametrize("argv", [
     ["bis-collinear", "--k", "2", "--m", "2", "--k1", "0", "--k2", "0",
      "--q", "3"],
