@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import counts as ct
 from . import oracle as oc
 from . import orbits as ob
 from . import weyl as wy
@@ -261,6 +260,7 @@ def cmd_orbits(args):
 
 
 def cmd_counts(args):
+    from . import counts as ct  # loads fractions, which no other verb needs
     q, k, m = _field(args.q).q, args.k, args.m
     a = k - m + 1
     h = ct.h_value(a, k, q)

@@ -18,21 +18,21 @@ The two collinear scans avoid a rank test per line:
   Schubert cells with exactly j such pivots are scanned, with one
   range_meet_dim(W, n-2m+t, n-m+t) per line for U2, which ranks only
   the nonzero slices of W's rows past U2's columns.
-- bis: the k-subspaces S_i are listed once (subspace.sorted_grassmannian)
-  and indexed by projective points (subspace.point_masks), with the tables
-  d1[i] = dim(S_i meet U1) and, per t, d2[i] = dim(S_i meet U2) read off
+- bis: the k-subspaces S_i are indexed once by projective points, straight
+  from row codes (subspace.grassmannian_index), with the tables d1[i] =
+  dim(S_i meet U1) and, per t, d2[i] = dim(S_i meet U2) read off
   popcounts; a bisection {S_i, S_j} is incident with both points iff
   {d1[i], d1[j]} = {d2[i], d2[j]} = {k1, k2} as multisets, and the
   subspaces meeting S_i are a bitset OR over its points.
 
 The concurrent oracle reads incidence off the same point masks: the
-m-subspaces are listed once per call, and a pair of bisections is covered
-iff some point mask meets the four halves in the pattern.  With orbit
-representatives every pair holds the coordinate bisection, one half of
-which is the suffix <e_k..e_{2k-1}>; by the pivot lemma, W meets it in
-dimension #{i : p_i >= k}, so only the Schubert cells of Gr(2k,m) with
-k1 or k2 pivots from column k are listed.  The all-pairs scan lists every
-cell.
+m-subspaces are masked once per call, straight from row codes
+(subspace.grassmannian_index), and a pair of bisections is covered iff some point
+mask meets the four halves in the pattern.  With orbit representatives
+every pair holds the coordinate bisection, one half of which is the suffix
+<e_k..e_{2k-1}>; by the pivot lemma, W meets it in dimension #{i : p_i >=
+k}, so only the Schubert cells of Gr(2k,m) with k1 or k2 pivots from
+column k are masked.  The all-pairs scan masks every cell.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ from itertools import combinations
 from .gfq import pk_rank  # noqa: F401
 from .subspace import (bisection_count, bisections, canonical_pair,
                        containing_masks, coordinate_bisection, gaussian,
-                       meet_dims, meeting_mask, point_masks, range_meet_dim,
-                       schubert_cell, sorted_grassmannian)
+                       grassmannian_index, meet_dims, meeting_mask,
+                       point_masks, range_meet_dim, schubert_cell)
 from .errors import TooLargeError
 from .geometry import mask_incident_bis
 from .witness import (PredicateFailsError, bis_collinear_witness,
@@ -160,7 +160,7 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
                 raise TooLargeError(f"{m - t} table scans of the {q ** k} "
                                     f"vectors of {nsub} {k}-subspaces exceed "
                                     f"the budget of {budget}")
-            masks = point_masks(sorted_grassmannian(2 * k, field, k))
+            masks = grassmannian_index(2 * k, field, k)[1]
             through = containing_masks(masks)
             dims = meet_dims(q, 2 * k)
         u1, u2 = point_masks(list(canonical_pair(field, 2 * k, m, t)))
@@ -180,16 +180,15 @@ def _uncovered_pair(params, lines, firsts, cells=None):
     """The first pair (lines[a], lines[b]), a in firsts and b > a, of
     bisections with no m-subspace incident with both, or None: the points
     incident with lines[a] are kept, and each lines[b] scans them up to
-    its first incident one.  The points are the m-subspaces of the
-    Schubert cells with the given pivot sets (default: all of them), which
-    must hold every point incident with some lines[a]."""
+    its first incident one.  The points are the masks (grassmannian_index)
+    of the m-subspaces of the Schubert cells with the given pivot sets
+    (default: all), which must hold every point incident with some
+    lines[a]."""
     if any(b.n != params.n for b in lines):
         raise ValueError("bisection in the wrong ambient space")
     n, field, m = params.n, params.field, params.m
-    if cells is None:
-        cells = combinations(range(n), m)
     incident = mask_incident_bis(params)
-    points = point_masks([w for p in cells for w in schubert_cell(n, field, p)])
+    points = grassmannian_index(n, field, m, cells)[1]
     halves = point_masks([h for b in lines for h in b.halves()])
     for a in firsts:
         h1, h2 = halves[2 * a], halves[2 * a + 1]

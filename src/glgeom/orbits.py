@@ -1,20 +1,21 @@
 """Group actions of GL(n,q) and its subgroups on subspaces and bisections.
 
-Orbits on k-subspaces never re-reduce a basis: the k-subspaces are
-indexed once by their projective-point masks (subspace.point_masks), each
-generator permutes the points and so, by mask lookup, the indices, and one
-breadth-first search with a Schreier tree finds the orbits on the index
-(_index_orbits).  That gives the orbits of the stabiliser of a subspace on
-k-subspaces directly.  The orbits of the bisection stabiliser H = GL(k,q)
-wr 2 on bisections never list a bisection: for each root A of its few
-orbits on the index, a random Schreier-Sims on points (schreier_sims, fed
-by random_elements) yields strong generators of Stab_H(A), proved complete
-by its order, and their orbits on the q^(k^2) complements of A
-(subspace.meeting_mask) give the orbits on bisections through A.  The
-stabiliser is generated by GL(k,q) in the first block and the block swap.
-A generator is a matrix as a tuple of row tuples, like a subspace basis;
-each reaches the search only as a point permutation
-(subspace.point_permutation), which refuses a singular one.
+Orbits on k-subspaces never re-reduce a basis: the k-subspaces are indexed
+once by basis code and projective-point mask, straight from row codes
+(subspace.grassmannian_index), each generator permutes the points and so,
+by mask lookup, the indices, and one breadth-first search with a Schreier
+tree finds the orbits on the index (_index_orbits); a Subspace is rebuilt
+from its code only for a representative.  That gives the orbits of the
+stabiliser of a subspace on k-subspaces directly.  The orbits of the
+bisection stabiliser H = GL(k,q) wr 2 on bisections never list a
+bisection: for each root A of its few orbits on the index, a random
+Schreier-Sims on points (schreier_sims, fed by random_elements) yields
+strong generators of Stab_H(A), proved complete by its order, and their
+orbits on the q^(k^2) complements of A (subspace.meeting_mask) give the
+orbits on bisections through A.  The stabiliser is generated by GL(k,q) in
+the first block and the block swap.  A generator is a matrix as a tuple of
+row tuples, like a subspace basis; each reaches the search only as a point
+permutation (subspace.point_permutation), which refuses a singular one.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from math import prod
 from random import Random
 
 from .gfq import primitive_element
-from .subspace import (Bisection, bisection_count, containing_masks,
-                       coordinate_bisection, gaussian, mask_points,
-                       meeting_mask, point_masks, point_permutation,
-                       sorted_grassmannian)
+from .subspace import (Bisection, bisection_count, coded_subspace,
+                       containing_masks, coordinate_bisection, gaussian,
+                       grassmannian_index, mask_points, meeting_mask,
+                       point_masks, point_permutation)
 from .errors import ParamError, TooLargeError
 
 
@@ -219,25 +220,24 @@ def _index_orbits(n, k, field, generators):
     """The orbits of the group that the matrices generate on the
     k-subspaces of V(n,q), on their index, with no re-reduction.
 
-    The k-subspaces are listed once in canonical (sort_key) order and
-    indexed by their point masks (subspace.point_masks); each generator,
-    as a permutation of the projective points
+    The k-subspaces are indexed once, in sort_key order, by their basis
+    codes and point masks (subspace.grassmannian_index), with no Subspace
+    object; each generator, as a permutation of the projective points
     (subspace.point_permutation), moves an index by mask lookup.  One
     breadth-first search finds the orbits; the least index of each is its
     root, and parent pointers (a Schreier tree) carry any index back to
-    its root.  Returns the subspaces, their masks, the generators on
-    points, mover (a point permutation to its move on the index), parent
+    its root.  Returns the codes, their masks, the generators on points,
+    mover (a point permutation to its move on the index), parent
     (the (index, generator) each non-root was reached by), root_of and
     sizes ({root: orbit length}).  Raises RuntimeError if the index size
     contradicts gaussian(n,k,q) or the orbits do not partition it.
     """
     q = field.q
-    subs = sorted_grassmannian(n, field, k)
-    nsub = len(subs)
+    codes, masks = grassmannian_index(n, field, k)
+    nsub = len(codes)
     if nsub != gaussian(n, k, q):
         raise RuntimeError(f"{nsub} {k}-subspaces of V({n},{q}), expected "
                            f"{gaussian(n, k, q)}")
-    masks = point_masks(subs)
     index = {mask: i for i, mask in enumerate(masks)}
     gens = [point_permutation(field, n, g) for g in generators]
     points = [list(mask_points(mask)) for mask in masks]
@@ -264,7 +264,7 @@ def _index_orbits(n, k, field, generators):
             sizes[root] = len(orbit)
     if sum(sizes.values()) != nsub:
         raise RuntimeError("the subspace orbits do not partition the index")
-    return subs, masks, gens, mover, parent, root_of, sizes
+    return codes, masks, gens, mover, parent, root_of, sizes
 
 
 _DRAWS = 1000  # random elements per stabiliser, far above what it needs
@@ -311,9 +311,9 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                             f"budget of {budget}")
     # 1. H-orbits on the index, with a Schreier tree
     b0 = coordinate_bisection(field, k)
-    subs, masks, gens, mover, parent, root_of, sizes = _index_orbits(
+    codes, masks, gens, mover, parent, root_of, sizes = _index_orbits(
         n, k, field, bisection_stabiliser_generators(k, field))
-    nsub = len(subs)
+    nsub = len(codes)
     backs = [_inverse(g) for g in gens]
 
     def to_root(x):
@@ -361,7 +361,7 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                 ordered.append((a, len(orbit), b))
 
     # 4. unordered orbits, each from the lesser of its two ordered ones
-    own = tuple(sorted(subs.index(half) for half in (b0.half1, b0.half2)))
+    own = tuple(sorted(map(masks.index, point_masks(list(b0.halves())))))
     lengths, reps = [], []
     for o, (a, size, b) in enumerate(ordered):
         p = label[root_of[b], mover(to_root(b))(a)]
@@ -377,8 +377,8 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                            f"theorem for a group of order {group_order}")
     ranked = sorted(range(len(lengths)), key=lambda i: (lengths[i], reps[i]))
     return OrbitReport(tuple(lengths[i] for i in ranked), count - 1,
-                       [Bisection(subs[reps[i][0]], subs[reps[i][1]])
-                        for i in ranked])
+                       [Bisection(*(coded_subspace(field, n, k, codes[x])
+                                    for x in reps[i])) for i in ranked])
 
 
 def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
@@ -391,11 +391,12 @@ def pm_orbits_on_k_spaces(n, m, k, field, budget=10**7):
     if count > budget:
         raise TooLargeError(f"{count} {k}-subspaces of V({n},{field.q}) "
                             f"exceed the budget of {budget}")
-    subs, *_, sizes = _index_orbits(
+    codes, *_, sizes = _index_orbits(
         n, k, field, subspace_stabiliser_generators(m, n, field))
     ranked = sorted(sizes, key=lambda root: (sizes[root], root))
-    return OrbitReport(tuple(sizes[root] for root in ranked), len(subs),
-                       [subs[root] for root in ranked])
+    return OrbitReport(tuple(sizes[root] for root in ranked), len(codes),
+                       [coded_subspace(field, n, k, codes[root])
+                        for root in ranked])
 
 
 GOLDEN_ORBITS = {

@@ -11,21 +11,24 @@ basis (gfq.echelon_insert) with no elimination of their stack; only at
 q = 2 is it a packed rank.  A meet with a coordinate range
 <e_a..e_{b-1}> (range_meet_dim) is read off the pivots, since the rows
 are fully reduced: a rank runs only on the slices past b of the rows
-with pivots in the range, and only when one is nonzero.  The enumeration
-order of the Grassmannian is fixed: pivot-column sets in lexicographic
-order, then free entries in row-major lexicographic order.  The listings
-are checked against the closed-form counts kept beside them (gaussian,
-bisection_count), so the engine needs no import of glgeom.counts.  A
-listed set of subspaces is indexed by projective points (point_masks):
-one int per subspace with a bit per point it holds, so dim(A meet B) is
-read off the popcount of mask_A & mask_B (meet_dims), and disjointness
-and the action of GL(n,q) become bitset operations.
+with pivots in the range, and only when one is nonzero.  The Grassmannian
+is listed in a fixed order (pivot-column sets, then free entries, each in
+lexicographic order) and checked against the counts kept beside it
+(gaussian, bisection_count), so the engine needs no glgeom.counts.  A set
+of subspaces is indexed by projective points: one int per subspace with
+a bit per point it holds, so dim(A meet B) is read off the popcount of
+mask_A & mask_B (meet_dims), and disjointness and the action of GL(n,q)
+become bitset operations.  grassmannian_index masks whole Schubert cells
+straight from integer row codes, with no Subspace object, and point_masks
+given subspaces through the same span loop (_span_masks); a Subspace is
+rebuilt from its code (coded_subspace) only where one is read.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 
 from .errors import ParamError
 from .gfq import (echelon_insert, pack_rows, pk_rank, kernel, vec_mat,
@@ -318,39 +321,38 @@ def bisection_count(k, q):
     return gaussian(2 * k, k, q) * q ** (k * k) // 2
 
 
+def _cell_rows(n, q, pivots):
+    """Per row of the Schubert cell with these pivots, top first, (pivot p,
+    the codes the row takes): q^(n-1-p) plus its free entries (the columns
+    past p that are no pivot) times their weights q^(n-1-c), in lex order."""
+    for p in pivots:
+        codes = [q ** (n - 1 - p)]
+        for w in (q ** (n - 1 - c) for c in range(p + 1, n) if c not in pivots):
+            codes = [x + y for x in codes for y in range(0, q * w, w)]
+        yield p, codes
+
+
+def _code_row(code, q, n):
+    """The row of length n with this base-q code."""
+    return tuple(code // q ** (n - 1 - c) % q for c in range(n))
+
+
 def schubert_cell(n, field, pivots):
     """The subspaces of V(n,q) whose canonical basis has the given pivot
-    columns (increasing), free entries in row-major lexicographic order."""
-    m = len(pivots)
-    pivot_set = set(pivots)
-    free = [(r, c) for r in range(m) for c in range(n)
-            if c > pivots[r] and c not in pivot_set]
-    base = [[0] * n for _ in range(m)]
-    for r, p in enumerate(pivots):
-        base[r][p] = 1
-    for values in product(range(field.q), repeat=len(free)):
-        rows = [row[:] for row in base]
-        for (r, c), v in zip(free, values):
-            rows[r][c] = v
-        yield Subspace(field, n, tuple(map(tuple, rows)))
+    columns (increasing), free entries in row-major lexicographic order:
+    each row runs through its codes (_cell_rows), the first row slowest."""
+    rows = [[_code_row(r, field.q, n) for r in codes]
+            for _, codes in _cell_rows(n, field.q, pivots)]
+    return (Subspace(field, n, basis) for basis in product(*rows))
 
 
 def grassmannian(n, field, m):
-    """All m-subspaces of V(n,q), each exactly once, in canonical order.
-
-    Pivot-column sets run lexicographically, one Schubert cell each; for a
-    fixed pivot set the free entries run in row-major lexicographic order.
-    """
+    """All m-subspaces of V(n,q), each exactly once, in canonical order:
+    the Schubert cells of the pivot-column sets in lexicographic order."""
     if not (0 <= m <= n):
         raise ValueError("need 0 <= m <= n")
     for pivots in combinations(range(n), m):
         yield from schubert_cell(n, field, pivots)
-
-
-def sorted_grassmannian(n, field, m):
-    """The m-subspaces of V(n,q) as a list in sort_key order: the index
-    that bisections are coded against (a bisection is a disjoint pair)."""
-    return sorted(grassmannian(n, field, m), key=Subspace.sort_key)
 
 
 # ----------------------------------------------------------------------
@@ -368,42 +370,78 @@ def _digit_tables(field, width):
     return add, scale
 
 
-def point_masks(subs):
-    """One int per subspace (all of one V(n,q)): bit p is set iff
-    projective point p lies in the subspace.
+def coded_subspace(field, n, m, code):
+    """The m-subspace of V(n,q) whose canonical rows, read row-major as
+    one base-q number (the first entry most significant), are the code."""
+    entries = iter(_code_row(code, field.q, n * m))
+    return Subspace(field, n, tuple(zip(*[entries] * n)))
 
-    Point p is the vector with first nonzero entry 1, in column n-1-e, and
-    base-q code c (first coordinate most significant): p = (q^e - 1)/(q - 1)
-    + c - q^e.  For canonical rows r_1..r_d these vectors are r_i +
-    sum_{j>i} c_j r_j, coded per half of the coordinates through add and
-    scale tables, with no field call per entry.
-    """
-    if not subs:
-        return []
-    field, n = subs[0].field, subs[0].n
+
+def _span_masks(field, n, cells):
+    """The basis codes and point masks, as two lists, of the subspaces in
+    the cells: per row, top first, (pivot column, the codes the canonical
+    row takes), one subspace per choice of a code for each row.  Point p
+    is the vector with leading 1 in column n-1-e and base-q code c: p =
+    (q^e - 1)/(q - 1) + c - q^e.  The vectors r_i + sum_{j>i} c_j r_j are
+    coded per half of the coordinates through add and scale tables, with
+    the rows fixed from the last one up: the span of the rows below row i
+    is expanded once for all choices of the rows above it."""
     q = field.q
     w = (n + 1) // 2  # the low half; the high half is never wider
-    low = q ** w
+    low, big = q ** w, q ** n
     add, scale = _digit_tables(field, w)
     # per column of the leading 1, point index minus code
     offsets = [(q ** e - 1) // (q - 1) - q ** e for e in range(n - 1, -1, -1)]
-    out = []
-    for s in subs:
-        mask, span = 0, [(0, 0)]  # span: codes of the span of later rows
-        rows = s.basis
-        for i in range(len(rows) - 1, -1, -1):
-            code = 0
-            for x in rows[i]:
-                code = code * q + x
-            hi, lo = divmod(code, low)
-            add_hi, add_lo, off = add[hi], add[lo], offsets[rows[i].index(1)]
+    codes, masks = [], []
+
+    def fix(rows, i, span, mask, code, weight):  # rows below i are fixed
+        p, row_codes = rows[i]
+        off = offsets[p]
+        for r in row_codes:
+            hi, lo = divmod(r, low)
+            add_hi, add_lo, full = add[hi], add[lo], mask
             for x, y in span:
-                mask |= 1 << (add_hi[x] * low + add_lo[y] + off)
+                full |= 1 << (add_hi[x] * low + add_lo[y] + off)
             if i:
-                span = [(add[scale[c][hi]][x], add[scale[c][lo]][y])
-                        for c in range(q) for x, y in span]
-        out.append(mask)
-    return out
+                fix(rows, i - 1, span + [
+                    (add[scale[c][hi]][x], add[scale[c][lo]][y])
+                    for c in range(1, q) for x, y in span],
+                    full, code + r * weight, weight * big)
+            else:
+                codes.append(code + r * weight)
+                masks.append(full)
+    for rows in cells:
+        if rows:
+            fix(rows, len(rows) - 1, [(0, 0)], 0, 0, 1)
+        else:  # the zero subspace
+            codes.append(0)
+            masks.append(0)
+    return codes, masks
+
+
+def point_masks(subs):
+    """One int per subspace (all of one V(n,q)): bit p is set iff
+    projective point p (numbered as in _span_masks) lies in the subspace,
+    each passed to _span_masks as a cell of one code per canonical row."""
+    if not subs:
+        return []
+    field, n = subs[0].field, subs[0].n
+    weight = [field.q ** (n - 1 - c) for c in range(n)]
+    return _span_masks(field, n, ([(r.index(1), (sum(map(mul, r, weight)),))
+                                   for r in s.basis] for s in subs))[1]
+
+
+def grassmannian_index(n, field, m, cells=None):
+    """The basis codes and point masks of the m-subspaces of V(n,q) in the
+    Schubert cells with the given pivot sets (default: all), straight from
+    row codes (_cell_rows) with no Subspace object, in code order: that is
+    sort_key order, as equal-length rows compare like their codes."""
+    if cells is None:
+        cells = combinations(range(n), m)
+    codes, masks = _span_masks(field, n, (list(_cell_rows(n, field.q, p))
+                                          for p in cells))
+    order = sorted(range(len(codes)), key=codes.__getitem__)
+    return [codes[i] for i in order], [masks[i] for i in order]
 
 
 def meet_dims(q, n):
@@ -473,14 +511,15 @@ def disjoint_pairs(masks):
 
 def bisections(k, field):
     """All bisections of V(2k,q), each unordered pair exactly once: the
-    disjoint pairs of the sorted k-subspaces.
+    disjoint pairs of the k-subspace index (grassmannian_index).
 
     Count: bisection_count(k, q), checked once the listing ends.
     disjoint_pairs has proved each pair disjoint, so no rank test repeats.
     """
-    subs = sorted_grassmannian(2 * k, field, k)
+    codes, masks = grassmannian_index(2 * k, field, k)
+    subs = [coded_subspace(field, 2 * k, k, code) for code in codes]
     listed = 0
-    for i, j in disjoint_pairs(point_masks(subs)):
+    for i, j in disjoint_pairs(masks):
         listed += 1
         yield Bisection._disjoint_sorted(subs[i], subs[j])
     want = bisection_count(k, field.q)

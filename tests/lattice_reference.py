@@ -7,14 +7,23 @@ here from glgeom.subspace and glgeom.gfq once no verb reached them; a
 matrix is a tuple of row tuples, as in the package.  The former methods
 `Subspace.contains`, `Subspace.contains_vector`, `Subspace.vectors` and
 `Bisection.apply` are the functions `contains`, `contains_vector`,
-`vectors` and `apply_bisection`.  Nothing in the package calls this file.
+`vectors` and `apply_bisection`.  `sorted_grassmannian`, the list of
+Subspace objects that the package's coded index (grassmannian_index)
+replaced, is the reference that index is checked against.  Nothing in the
+package calls this file.
 """
 
 from itertools import product
 
 from glgeom.gfq import echelon_insert, mat_inverse, vec_mat, _rref_rows
 from glgeom.subspace import (Bisection, Subspace, _check_ambient, _echelon,
-                             span_rows)
+                             grassmannian, span_rows)
+
+
+def sorted_grassmannian(n, field, m):
+    """The m-subspaces of V(n,q) as a list in sort_key order: the index
+    that bisections are coded against (a bisection is a disjoint pair)."""
+    return sorted(grassmannian(n, field, m), key=Subspace.sort_key)
 
 
 def mat_mul(field, a, b):

@@ -21,8 +21,8 @@ from glgeom.gfq import vec_mat
 from glgeom.orbits import OrbitReport, bisection_stabiliser_generators
 from glgeom.subspace import (Bisection, Subspace, coordinate_bisection,
                              disjoint_pairs, mask_points, point_masks,
-                             point_permutation, sorted_grassmannian)
-from lattice_reference import apply_bisection, apply_mat
+                             point_permutation)
+from lattice_reference import apply_bisection, apply_mat, sorted_grassmannian
 
 
 def image_mask(mask, perm):

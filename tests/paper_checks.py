@@ -22,10 +22,11 @@ from glgeom.geometry import ProjParams, mask_incident_bis
 from glgeom.predicates import bis_concurrent_predicate
 from glgeom.subspace import (Bisection, coordinate_subspace, disjoint_pairs,
                              full_space, grassmannian, intersection_dim,
-                             point_masks, sorted_grassmannian, span_rows)
+                             point_masks, span_rows)
 from glgeom.witness import desarguesian_spread, fifth_disjoint
 from field_reference import rank_of_rows
-from lattice_reference import complement, contains_vector, intersect, vectors
+from lattice_reference import (complement, contains_vector, intersect,
+                               sorted_grassmannian, vectors)
 from proj_witness_reference import sum_subspace
 
 

@@ -49,7 +49,7 @@ def test_budget_exit_code(capsys, monkeypatch):
 
     def listed(*args):
         raise AssertionError("scan listed subspaces despite the budget")
-    monkeypatch.setattr(oc, "sorted_grassmannian", listed)
+    monkeypatch.setattr(oc, "grassmannian_index", listed)
     monkeypatch.setattr(oc, "schubert_cell", listed)
     code, out, err = run(capsys, "bis-collinear", "--k", "3", "--m", "3",
                          "--k1", "0", "--k2", "3", "--q", "3",
@@ -184,12 +184,12 @@ def test_bis_concurrent_budget_refused_before_orbits(capsys, monkeypatch):
     """--budget reaches the orbit partition at (q,k) = (2,3), which refuses
     before it lists the 1395 3-subspaces of V(6,2)."""
     import glgeom.orbits as ob
-    real = ob.sorted_grassmannian
+    real = ob.grassmannian_index
 
     def not_at_k3(n, field, m):
         assert (n, field.q, m) != (6, 2, 3), "orbit partition at (2,3) listed"
         return real(n, field, m)
-    monkeypatch.setattr(ob, "sorted_grassmannian", not_at_k3)
+    monkeypatch.setattr(ob, "grassmannian_index", not_at_k3)
     code, out, err = run(capsys, "bis-concurrent", "--k", "3", "--m", "3",
                          "--k1", "0", "--k2", "0", "--q", "2",
                          "--budget", "10")
@@ -315,13 +315,15 @@ def test_refusals_at_the_cli_edge(capsys, argv, code, prefix):
 def test_value_error_inside_a_route_exits_4(capsys, monkeypatch, module,
                                             argv):
     """A ValueError from a kernel mid-route is the engine's fault: exit 4,
-    not "bad parameters"."""
+    not "bad parameters": the orbit route's coded index, the oracle's point
+    masks."""
     import importlib
 
-    def broken(subs):
+    def broken(*args):
         raise ValueError("kernel fault")
+    kernel = {"orbits": "grassmannian_index", "oracle": "point_masks"}[module]
     monkeypatch.setattr(importlib.import_module(f"glgeom.{module}"),
-                        "point_masks", broken)
+                        kernel, broken)
     code, err = exit_code_and_err(capsys, argv.split())
     assert code == 4
     assert err.startswith("internal error: kernel fault\nTraceback")

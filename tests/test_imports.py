@@ -6,7 +6,8 @@ tests/; and every top-level def, class or assignment, and every method of
 a top-level class, is reached by name from a verb of the CLI or from what
 the acceptance gate imports, so code that only tests run lives under
 tests/.  Importing the engine modules loads neither dataclasses nor
-fractions, which would only add to the set-up time of every process."""
+fractions, which would only add to the set-up time of every process; nor
+does importing the CLI."""
 
 import ast
 import builtins
@@ -244,3 +245,11 @@ def test_the_cli_imports_no_dataclasses():
     added = modules_added(["cli"])
     assert "glgeom.cli" in added
     assert "dataclasses" not in added
+
+
+def test_the_cli_imports_no_fractions():
+    """Only the counts verb reads glgeom.counts, so it loads it (and
+    fractions) itself; importing the CLI loads neither."""
+    added = modules_added(["cli"])
+    assert "glgeom.cli" in added
+    assert added & {"fractions", "glgeom.counts"} == set()

@@ -14,9 +14,10 @@ from glgeom.orbits import stabiliser_orbits_on_bisections
 from glgeom.predicates import (bis_collinear_predicate,
                                bis_concurrent_predicate,
                                proj_collinear_predicate)
-from glgeom.subspace import (Bisection, bisections, coordinate_bisection,
-                             coordinate_subspace, grassmannian,
-                             intersection_dim, schubert_cell, span_rows)
+from glgeom.subspace import (Bisection, bisections, coded_subspace,
+                             coordinate_bisection, coordinate_subspace,
+                             grassmannian, grassmannian_index,
+                             intersection_dim, span_rows)
 from glgeom.witness import canonical_pair, desarguesian_spread
 from bis_witness_reference import incident_bis
 from lattice_reference import vectors
@@ -174,7 +175,7 @@ def test_bis_oracle_budget(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("listed")
-    monkeypatch.setattr(oc, "sorted_grassmannian", refuse)
+    monkeypatch.setattr(oc, "grassmannian_index", refuse)
     with pytest.raises(TooLargeError):
         bis_collinear_oracle(BisParams(3, 3, 0, 3, F3), budget=10)
     with pytest.raises(TooLargeError):
@@ -187,22 +188,23 @@ def test_collinear_budgets_count_what_the_scan_lists(monkeypatch):
     first that falls through to the scan (t = 0 at both points) to the
     last: exactly that passes, one less is refused.  One proj scan lists
     the subspaces of the cells (the point fails at t = 0, after one scan);
-    one bis scan codes the vectors of every listed k-subspace."""
+    one bis scan codes the vectors of every k-subspace in its index, each
+    rebuilt here from its code."""
     import glgeom.oracle as oc
     listed = []
-    real_cell, real_sorted = oc.schubert_cell, oc.sorted_grassmannian
+    real_cell, real_index = oc.schubert_cell, oc.grassmannian_index
 
     def cell(*args):
         for w in real_cell(*args):
             listed.append(w)
             yield w
 
-    def whole(*args):
-        out = real_sorted(*args)
-        listed.extend(out)
-        return out
+    def whole(n, field, m):
+        codes, masks = real_index(n, field, m)
+        listed.extend(coded_subspace(field, n, m, c) for c in codes)
+        return codes, masks
     monkeypatch.setattr(oc, "schubert_cell", cell)
-    monkeypatch.setattr(oc, "sorted_grassmannian", whole)
+    monkeypatch.setattr(oc, "grassmannian_index", whole)
     cases = ((ProjParams(6, 3, 3, 2, F3), proj_collinear_oracle, 0, len),
              (BisParams(2, 2, 0, 2, F3), bis_collinear_oracle, 1,
               lambda subs: sum(len(list(vectors(s))) for s in subs)))
@@ -222,7 +224,7 @@ def test_witnessed_points_list_nothing(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("listed")
-    for name in ("combinations", "schubert_cell", "sorted_grassmannian"):
+    for name in ("combinations", "schubert_cell", "grassmannian_index"):
         monkeypatch.setattr(oc, name, refuse)
     v = proj_collinear_oracle(ProjParams(60, 30, 30, 15, F2), budget=10)
     assert (v.complete, v.method) == (True, "witness")
@@ -250,7 +252,7 @@ def test_bis_collinear_refused_before_masking(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    for name in ("sorted_grassmannian", "point_masks"):
+    for name in ("grassmannian_index", "point_masks"):
         monkeypatch.setattr(oc, name, forbidden)
     with pytest.raises(TooLargeError):
         bis_collinear_oracle(BisParams(2, 2, 0, 2, F2), budget=1)
@@ -348,7 +350,7 @@ def test_concurrent_cell_pruning_matches_full_scan(q, k, monkeypatch):
     """With orbit representatives the oracle lists only the Schubert cells
     with k1 or k2 pivots from column k.  At every admissible (m, k1, k2),
     m > k through the perp reduction, its verdict and failing pair equal
-    those of the scan over every m-subspace, and it builds exactly the
+    those of the scan over every m-subspace, and it masks exactly the
     subspaces of those cells: q^(free entries) each, which are the
     m-subspaces meeting <e_k..e_{2k-1}> in dimension k1 or k2."""
     import glgeom.oracle as oc
@@ -357,11 +359,11 @@ def test_concurrent_cell_pruning_matches_full_scan(q, k, monkeypatch):
     reps = stabiliser_orbits_on_bisections(k, field).representatives
     listed = []
 
-    def counting_cell(*args):
-        for w in schubert_cell(*args):
-            listed.append(w)
-            yield w
-    monkeypatch.setattr(oc, "schubert_cell", counting_cell)
+    def counting_cells(*args):
+        codes, masks = grassmannian_index(*args)
+        listed.extend(masks)
+        return codes, masks
+    monkeypatch.setattr(oc, "grassmannian_index", counting_cells)
     suffix = coordinate_subspace(field, n, range(k, n))
     for m in range(1, n):
         for k1 in range(k + 1):
@@ -399,7 +401,7 @@ def test_concurrent_refused_before_listing(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    for name in ("bisections", "sorted_grassmannian", "point_masks",
+    for name in ("bisections", "grassmannian_index", "point_masks",
                  "schubert_cell"):
         monkeypatch.setattr(oc, name, forbidden)
     reps = [coordinate_bisection(F2, 2)]

@@ -320,7 +320,7 @@ def test_bisection_budget_refused_before_enumeration(monkeypatch):
 
     def forbidden(*args):
         raise AssertionError("enumerated despite the budget")
-    monkeypatch.setattr(ob, "sorted_grassmannian", forbidden)
+    monkeypatch.setattr(ob, "grassmannian_index", forbidden)
     with pytest.raises(TooLargeError, match="333430020 .* 10000000"):
         stabiliser_orbits_on_bisections(3, F3)
     with pytest.raises(TooLargeError, match="357120 .* 1000$"):
@@ -328,12 +328,15 @@ def test_bisection_budget_refused_before_enumeration(monkeypatch):
 
 
 def test_dropped_pair_is_an_internal_error(monkeypatch):
-    """An index one subspace short of gaussian(2k,k,q) raises RuntimeError,
+    """An index one code short of gaussian(2k,k,q) raises RuntimeError,
     which the CLI does not report as bad parameters."""
     import glgeom.orbits as ob
-    real = ob.sorted_grassmannian
-    monkeypatch.setattr(ob, "sorted_grassmannian",
-                        lambda n, field, m: real(n, field, m)[1:])
+    real = ob.grassmannian_index
+
+    def short(n, field, m):
+        codes, masks = real(n, field, m)
+        return codes[1:], masks[1:]
+    monkeypatch.setattr(ob, "grassmannian_index", short)
     with pytest.raises(RuntimeError,
                        match=r"34 2-subspaces of V\(4,2\), expected 35"):
         stabiliser_orbits_on_bisections(2, F2)
@@ -400,7 +403,8 @@ def test_route_matches_the_reference_search(q, k):
 def test_point_permutations_match_apply_mat(q, k):
     """Each stabiliser generator permutes the k-subspace index the same
     way through its point permutation as through apply_mat."""
-    from glgeom.subspace import point_masks, sorted_grassmannian
+    from glgeom.subspace import point_masks
+    from lattice_reference import sorted_grassmannian
     from orbit_reference import image_mask
     field = field_make(2, 2) if q == 4 else field_make(q)
     subs = sorted_grassmannian(2 * k, field, k)
@@ -416,11 +420,42 @@ def test_point_permutations_match_apply_mat(q, k):
 
 def test_pm_orbits_refused_before_listing(monkeypatch):
     """gaussian(6,3,3) = 33,880 3-subspaces are refused at budget 33,879
-    before sorted_grassmannian lists one."""
+    before grassmannian_index codes one."""
     import glgeom.orbits as ob
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    monkeypatch.setattr(ob, "sorted_grassmannian", forbidden)
+    monkeypatch.setattr(ob, "grassmannian_index", forbidden)
     with pytest.raises(TooLargeError, match="33880 .* 33879$"):
         pm_orbits_on_k_spaces(6, 1, 3, F3, budget=33879)
+
+
+def test_routes_build_no_subspace_listing(monkeypatch):
+    """The orbit route and the concurrent oracle on its representatives
+    take their k-subspaces and points from the coded kernel: with every
+    Subspace lister patched to raise, in orbits, oracle and subspace, the
+    (2,3) partition is still the golden one and the concurrent point
+    (q,k,m,k1,k2) = (2,3,3,1,2) still fails at the coordinate bisection
+    against the twelfth representative."""
+    import glgeom.oracle as oc
+    import glgeom.orbits as ob
+    import glgeom.subspace as sp
+    from glgeom.geometry import BisParams
+    from glgeom.oracle import concurrent_oracle
+
+    def forbidden(*args):
+        raise AssertionError("listed as Subspace objects")
+    for module in (oc, ob, sp):
+        for name in ("grassmannian", "schubert_cell", "sorted_grassmannian"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    report = stabiliser_orbits_on_bisections(3, F2)
+    assert report.total == 357119
+    assert report.multiset() == GOLDEN_ORBITS[(2, 3)]
+    v = concurrent_oracle(BisParams(3, 3, 1, 2, F2),
+                          orbit_reps=report.representatives)
+    assert (v.complete, v.method) == (False, "oracle")
+    assert v.failing_pair == (coordinate_bisection(F2, 3),
+                              report.representatives[11])
+    assert [h.basis for h in v.failing_pair[1].halves()] == [
+        ((1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (0, 0, 1, 1, 0, 0)),
+        ((1, 0, 0, 0, 1, 0), (0, 1, 0, 1, 0, 0), (0, 0, 1, 0, 1, 1))]

@@ -1,19 +1,22 @@
 """Subspace lattice, enumeration and bisection tests."""
 
+from itertools import combinations, product
+
 import pytest
 
 from glgeom.gfq import field_make, pack_rows
 from glgeom.counts import bisection_count, gaussian
 from glgeom.subspace import (Bisection, bisections, canonical_pair,
-                             canonical_piece_columns, coordinate_subspace,
+                             canonical_piece_columns, coded_subspace,
+                             coordinate_subspace,
                              disjoint_pairs, full_space, grassmannian,
-                             intersection_dim, meet_dims, perp, point_masks,
-                             range_meet_dim, schubert_cell,
-                             sorted_grassmannian, span_rows)
+                             grassmannian_index, intersection_dim, meet_dims,
+                             perp, point_masks, range_meet_dim, schubert_cell,
+                             span_rows)
 from field_reference import rank_of_rows
 from lattice_reference import (adapted_pair_basis, apply_mat, complement,
                                contains, contains_vector, intersect,
-                               transport_pair)
+                               sorted_grassmannian, transport_pair, vectors)
 from proj_witness_reference import direct_sum, sum_subspace
 
 F2 = field_make(2)
@@ -136,6 +139,24 @@ def test_grassmannian_counts(n, m, q, count):
     field = field_make(q)
     assert sum(1 for _ in grassmannian(n, field, m)) == count
     assert gaussian(n, m, q) == count
+
+
+@pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (3, 4)])
+def test_schubert_cell_order(n, q):
+    """A cell lists its bases with the free entries in row-major
+    lexicographic order, as filling them from product(range(q), ...)."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    for m in range(n + 1):
+        for pivots in combinations(range(n), m):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, n) if c not in pivots]
+            want = []
+            for values in product(range(q), repeat=len(free)):
+                rows = [[int(c == p) for c in range(n)] for p in pivots]
+                for (r, c), v in zip(free, values):
+                    rows[r][c] = v
+                want.append(tuple(map(tuple, rows)))
+            assert [s.basis for s in schubert_cell(n, field, pivots)] == want
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (6, 2), (4, 3), (5, 3)])
@@ -307,6 +328,56 @@ def _random_subspaces(field, n, rng):
     inner = span_rows(field, n, list(outer.rows())[:rng.randrange(n)])
     return subs + [coordinate_subspace(field, n, ()), full_space(field, n),
                    outer, inner]
+
+
+def _projective_points(s):
+    """The point numbers of a subspace from its vectors, with no table:
+    the vector with leading 1 in column n-1-e and base-q code c is point
+    (q^e - 1)/(q - 1) + c - q^e."""
+    q, n = s.field.q, s.n
+    out = 0
+    for v in vectors(s):
+        if any(v) and v[next(i for i, x in enumerate(v) if x)] == 1:
+            e = n - 1 - v.index(1)
+            code = sum(x * q ** (n - 1 - c) for c, x in enumerate(v))
+            out |= 1 << ((q ** e - 1) // (q - 1) + code - q ** e)
+    return out
+
+
+# the largest n per q at which the Subspace listing of Gr(n, m) stays
+# near a second: n <= 6, 8 at q = 2, 4 or 5 where q^n is large; past
+# LISTED subspaces (m = 3, 4 and 5 at (q, n) = (2, 8)) it is skipped
+KERNEL_N = {2: 8, 3: 6, 4: 5, 5: 4, 7: 4, 8: 4, 9: 4}
+LISTED = 40_000
+
+
+@pytest.mark.parametrize("q", sorted(KERNEL_N))
+def test_coded_kernel_matches_the_subspace_listing(q):
+    """The coded index, of all cells and of one, against the Subspace
+    listing it replaced, at every m from 0 (the zero space) to n (the full
+    cell):
+    the index masks equal point_masks(sorted_grassmannian(...)) in order,
+    the subspace rebuilt from each code is the listing's entry at that
+    index, and per Schubert cell the masks equal those of schubert_cell
+    as multisets.  Where q^n <= 81 the masks also equal the points read
+    off the vectors, with no table; an empty cell list gives empty lists."""
+    field = {4: field_make(2, 2), 8: field_make(2, 3),
+             9: field_make(3, 2)}.get(q) or field_make(q)
+    for n in range(KERNEL_N[q] + 1):
+        for m in range(n + 1):
+            if gaussian(n, m, q) > LISTED:
+                continue
+            codes, masks = grassmannian_index(n, field, m)
+            subs = sorted_grassmannian(n, field, m)
+            assert masks == point_masks(subs)
+            assert [coded_subspace(field, n, m, c) for c in codes] == subs
+            if q ** n <= 81:
+                assert masks == [_projective_points(s) for s in subs]
+            for pivots in combinations(range(n), m):
+                cell = list(schubert_cell(n, field, pivots))
+                got = grassmannian_index(n, field, m, [pivots])[1]
+                assert sorted(got) == sorted(point_masks(cell))
+    assert grassmannian_index(4, field, 2, []) == ([], [])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
