@@ -28,11 +28,13 @@ The two collinear scans avoid a rank test per line:
 The concurrent oracle reads incidence off the same point masks: the
 m-subspaces are masked once per call, straight from row codes
 (subspace.grassmannian_index), and a pair of bisections is covered iff some point
-mask meets the four halves in the pattern.  With orbit representatives
-every pair holds the coordinate bisection, one half of which is the suffix
-<e_k..e_{2k-1}>; by the pivot lemma, W meets it in dimension #{i : p_i >=
-k}, so only the Schubert cells of Gr(2k,m) with k1 or k2 pivots from
-column k are masked.  The all-pairs scan masks every cell.
+mask meets the four halves in the pattern.  It has one route: by flag
+transitivity it checks the coordinate bisection against one representative
+of each orbit of its stabiliser (orbits.stabiliser_orbits_on_bisections),
+so every pair holds the coordinate bisection, one half of which is the
+suffix <e_k..e_{2k-1}>; by the pivot lemma, W meets it in dimension
+#{i : p_i >= k}, so only the Schubert cells of Gr(2k,m) with k1 or k2
+pivots from column k are masked.
 """
 
 from __future__ import annotations
@@ -41,12 +43,13 @@ from itertools import combinations
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
-from .subspace import (bisection_count, bisections, canonical_pair,
-                       containing_masks, coordinate_bisection, gaussian,
-                       grassmannian_index, meet_dims, meeting_mask,
-                       point_masks, range_meet_dim, schubert_cell)
+from .subspace import (canonical_pair, containing_masks,
+                       coordinate_bisection, gaussian, grassmannian_index,
+                       meet_dims, meeting_mask, point_masks, range_meet_dim,
+                       schubert_cell)
 from .errors import TooLargeError
 from .geometry import mask_incident_bis
+from .orbits import stabiliser_orbits_on_bisections
 from .witness import (PredicateFailsError, bis_collinear_witness,
                       proj_collinear_witness)
 
@@ -176,39 +179,39 @@ def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
 # concurrent oracle
 # ----------------------------------------------------------------------
 
-def _uncovered_pair(params, lines, firsts, cells=None):
-    """The first pair (lines[a], lines[b]), a in firsts and b > a, of
-    bisections with no m-subspace incident with both, or None: the points
-    incident with lines[a] are kept, and each lines[b] scans them up to
-    its first incident one.  The points are the masks (grassmannian_index)
-    of the m-subspaces of the Schubert cells with the given pivot sets
-    (default: all), which must hold every point incident with some
-    lines[a]."""
+def _uncovered_pair(params, lines, cells=None):
+    """The first pair (lines[0], lines[b]), b > 0, of bisections with no
+    m-subspace incident with both, or None: the points incident with
+    lines[0] are kept, and each lines[b] scans them up to its first
+    incident one.  The points are the masks (grassmannian_index) of the
+    m-subspaces of the Schubert cells with the given pivot sets (default:
+    all), which must hold every point incident with lines[0]."""
     if any(b.n != params.n for b in lines):
         raise ValueError("bisection in the wrong ambient space")
     n, field, m = params.n, params.field, params.m
     incident = mask_incident_bis(params)
     points = grassmannian_index(n, field, m, cells)[1]
     halves = point_masks([h for b in lines for h in b.halves()])
-    for a in firsts:
-        h1, h2 = halves[2 * a], halves[2 * a + 1]
-        kept = [u for u in points if incident(u, h1, h2)]
-        for b in range(a + 1, len(lines)):
-            h1, h2 = halves[2 * b], halves[2 * b + 1]
-            if not any(incident(u, h1, h2) for u in kept):
-                return lines[a], lines[b]
+    kept = [u for u in points if incident(u, halves[0], halves[1])]
+    for b in range(1, len(lines)):
+        h1, h2 = halves[2 * b], halves[2 * b + 1]
+        if not any(incident(u, h1, h2) for u in kept):
+            return lines[0], lines[b]
     return None
 
 
 def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     """Does every pair of distinct bisections share an incident m-subspace?
 
-    With orbit_reps (one bisection per orbit of the coordinate-bisection
-    stabiliser), only the pairs (coordinate bisection, representative) are
-    checked, which is sufficient by transitivity; otherwise all unordered
-    pairs of bisections are.  Refuses with TooLargeError before listing
-    anything when the pairs times the gaussian(2k,m,q) points exceed the
-    budget.
+    Only the pairs (coordinate bisection, representative) are checked, one
+    representative per orbit of the coordinate-bisection stabiliser, which
+    is sufficient by transitivity.  orbit_reps shares one partition across
+    calls; without it the partition is computed after the perp reduction
+    (k is unchanged, and the perp dual fixes the coordinate bisection), and
+    stabiliser_orbits_on_bisections refuses with TooLargeError before any
+    enumeration when its bisection count exceeds the budget.  The point
+    scan is refused with TooLargeError, before any point is masked, when
+    the pairs times the gaussian(2k,m,q) points exceed the budget.
     """
     field = params.field
     q, m, k = field.q, params.m, params.k
@@ -216,30 +219,20 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
         dual = params.dual()
         reps = None if orbit_reps is None else [b.dual() for b in orbit_reps]
         return concurrent_oracle(dual, reps, budget)
-    if orbit_reps is not None:
-        npairs = len(orbit_reps)
-    else:
-        nlines = bisection_count(k, q)
-        npairs = nlines * (nlines - 1) // 2
-        if npairs * 4 > budget:
-            raise TooLargeError("line-pair enumeration exceeds budget; "
-                                "supply orbit representatives")
-    if npairs * gaussian(2 * k, m, q) > budget:
-        raise TooLargeError("point scan over line pairs exceeds budget")
     if orbit_reps is None:
-        lines = list(bisections(k, field))
-        pair = _uncovered_pair(params, lines, range(len(lines)))
-    else:
-        lines = [coordinate_bisection(field, k), *orbit_reps]
-        # dim(W meet <e_k..e_{2k-1}>) is W's pivot count from column k
-        # (the pivot lemma of subspace.range_meet_dim)
-        cells = [p for p in combinations(range(2 * k), m)
-                 if sum(c >= k for c in p) in (params.k1, params.k2)]
-        pair = _uncovered_pair(params, lines, [0], cells)
+        orbit_reps = stabiliser_orbits_on_bisections(
+            k, field, budget).representatives
+    if len(orbit_reps) * gaussian(2 * k, m, q) > budget:
+        raise TooLargeError("point scan over line pairs exceeds budget")
+    lines = [coordinate_bisection(field, k), *orbit_reps]
+    # dim(W meet <e_k..e_{2k-1}>) is W's pivot count from column k
+    # (the pivot lemma of subspace.range_meet_dim)
+    cells = [p for p in combinations(range(2 * k), m)
+             if sum(c >= k for c in p) in (params.k1, params.k2)]
+    pair = _uncovered_pair(params, lines, cells)
     return CompletenessVerdict(pair is None, "oracle", failing_pair=pair)
 
 
 def pair_has_common_point(params, b1, b2):
     """Re-check helper: does some m-subspace hit both bisections correctly?"""
-    return _uncovered_pair(params, [b1, b2], [0]) is None
-
+    return _uncovered_pair(params, [b1, b2]) is None

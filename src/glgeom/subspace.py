@@ -251,14 +251,6 @@ class Bisection:
         self.half2 = b
         self._hash = hash((a, b))
 
-    @classmethod
-    def _disjoint_sorted(cls, a, b):
-        """Unchecked {A, B} for disjoint halves, A first: only for a pair
-        that disjoint_pairs has proved disjoint."""
-        self = cls.__new__(cls)
-        self.half1, self.half2, self._hash = a, b, hash((a, b))
-        return self
-
     @property
     def field(self):
         return self.half1.field
@@ -494,34 +486,3 @@ def meeting_mask(mask, through):
         meets |= through[p]
     return meets
 
-
-def disjoint_pairs(masks):
-    """All index pairs (i, j), i < j, of point masks (point_masks) of
-    subspaces with meet 0, in order.  Two subspaces meet iff they share a
-    projective point, so the clear bits above bit i of meeting_mask are
-    the partners j of i; only bitsets are held, never the list of pairs."""
-    through = containing_masks(masks)
-    everything = (1 << len(masks)) - 1
-    for i, mask in enumerate(masks):
-        below = (1 << (i + 1)) - 1  # j <= i is never paired with i
-        free = everything & ~(meeting_mask(mask, through) | below)
-        for j in mask_points(free):
-            yield i, j
-
-
-def bisections(k, field):
-    """All bisections of V(2k,q), each unordered pair exactly once: the
-    disjoint pairs of the k-subspace index (grassmannian_index).
-
-    Count: bisection_count(k, q), checked once the listing ends.
-    disjoint_pairs has proved each pair disjoint, so no rank test repeats.
-    """
-    codes, masks = grassmannian_index(2 * k, field, k)
-    subs = [coded_subspace(field, 2 * k, k, code) for code in codes]
-    listed = 0
-    for i, j in disjoint_pairs(masks):
-        listed += 1
-        yield Bisection._disjoint_sorted(subs[i], subs[j])
-    want = bisection_count(k, field.q)
-    if listed != want:
-        raise RuntimeError(f"bisections: listed {listed}, expected {want}")

@@ -20,8 +20,8 @@ from glgeom.errors import ParamError, TooLargeError
 from glgeom.gfq import vec_mat
 from glgeom.orbits import OrbitReport, bisection_stabiliser_generators
 from glgeom.subspace import (Bisection, Subspace, coordinate_bisection,
-                             disjoint_pairs, mask_points, point_masks,
-                             point_permutation)
+                             mask_points, point_masks, point_permutation)
+from concurrent_reference import disjoint_pairs
 from lattice_reference import apply_bisection, apply_mat, sorted_grassmannian
 
 

@@ -20,10 +20,11 @@ from glgeom.counts import bisection_count, gaussian
 from glgeom.errors import ParamError, TooLargeError
 from glgeom.geometry import ProjParams, mask_incident_bis
 from glgeom.predicates import bis_concurrent_predicate
-from glgeom.subspace import (Bisection, coordinate_subspace, disjoint_pairs,
-                             full_space, grassmannian, intersection_dim,
-                             point_masks, span_rows)
+from glgeom.subspace import (Bisection, coordinate_subspace, full_space,
+                             grassmannian, intersection_dim, point_masks,
+                             span_rows)
 from glgeom.witness import desarguesian_spread, fifth_disjoint
+from concurrent_reference import _disjoint_sorted, disjoint_pairs
 from field_reference import rank_of_rows
 from lattice_reference import (complement, contains_vector, intersect,
                                sorted_grassmannian, vectors)
@@ -186,7 +187,7 @@ def _bis_incidence(params):
         return on_halves(point[1], halves[line[0]], halves[line[1]])
 
     def line_name(line):
-        return repr(Bisection._disjoint_sorted(subs[line[0]], subs[line[1]]))
+        return repr(_disjoint_sorted(subs[line[0]], subs[line[1]]))
     return (lambda: points, lambda: disjoint_pairs(halves), incident,
             lambda point: repr(point[0]), line_name)
 

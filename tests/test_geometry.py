@@ -7,9 +7,10 @@ from glgeom.gfq import field_make
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams, ProjParams
 from glgeom.orbits import gl_generators
-from glgeom.subspace import (Bisection, bisections, coordinate_subspace,
-                             grassmannian, intersection_dim, perp, span_rows)
+from glgeom.subspace import (Bisection, coordinate_subspace, grassmannian,
+                             intersection_dim, perp, span_rows)
 from bis_witness_reference import incident_bis
+from concurrent_reference import bisections
 from lattice_reference import contains
 from orbit_reference import orbit_partition
 from paper_checks import nondegeneracy_check

@@ -14,12 +14,13 @@ from glgeom.orbits import stabiliser_orbits_on_bisections
 from glgeom.predicates import (bis_collinear_predicate,
                                bis_concurrent_predicate,
                                proj_collinear_predicate)
-from glgeom.subspace import (Bisection, bisections, coded_subspace,
+from glgeom.subspace import (Bisection, coded_subspace,
                              coordinate_bisection, coordinate_subspace,
                              grassmannian, grassmannian_index,
                              intersection_dim, span_rows)
 from glgeom.witness import canonical_pair, desarguesian_spread
 from bis_witness_reference import incident_bis
+from concurrent_reference import bisections, concurrent_all_pairs
 from lattice_reference import vectors
 from paper_checks import induction_step_check
 
@@ -302,9 +303,37 @@ def test_concurrent_with_orbit_reps_matches_full_enumeration():
     reps = stabiliser_orbits_on_bisections(2, F2).representatives
     for (m, k1, k2) in [(2, 0, 0), (1, 0, 0), (2, 0, 1)]:
         p = BisParams(2, m, k1, k2, F2)
-        full = concurrent_oracle(p)
+        full = concurrent_all_pairs(p)
         reduced = concurrent_oracle(p, orbit_reps=reps)
         assert full.complete == reduced.complete
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2)])
+def test_concurrent_route_matches_all_pairs_reference(q, k):
+    """The orbit route, computing its own representatives, against the
+    all-pairs scan it replaced, at every admissible point where the
+    reference's budget admits all pairs: the verdicts agree, and every
+    failing pair of either route is uncovered.  Both routes name a failing
+    pair in the geometry they scan, the perp dual when m > k."""
+    field = F4 if q == 4 else field_make(q)
+    checked = 0
+    for m in range(1, 2 * k):
+        for k1 in range(k + 1):
+            for k2 in range(k1, k + 1):
+                try:
+                    p = BisParams(k, m, k1, k2, field)
+                except ParamError:
+                    continue
+                got, want = concurrent_oracle(p), concurrent_all_pairs(p)
+                assert got.complete == want.complete, (m, k1, k2)
+                scanned = p.dual() if m > k else p
+                for v in (got, want):
+                    assert (v.failing_pair is None) == v.complete
+                    if v.failing_pair is not None:
+                        assert not pair_has_common_point(scanned,
+                                                         *v.failing_pair)
+                checked += 1
+    assert checked == {1: 2, 2: 8}[k]
 
 
 def _concurrent_reference(params, orbit_reps=None):
@@ -326,8 +355,9 @@ def _concurrent_reference(params, orbit_reps=None):
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2)])
 def test_concurrent_oracle_matches_incident_bis_scan(q, k):
     """The mask oracle against the rank scan at every admissible point
-    with m < 2k, with orbit representatives and, where the default budget
-    admits all pairs, without."""
+    with m < 2k, with orbit representatives given and computed; the scan
+    checks all pairs where the budget of concurrent_all_pairs admits them,
+    and the pairs with the representatives elsewhere."""
     field = F4 if q == 4 else field_make(q)
     reps = stabiliser_orbits_on_bisections(k, field).representatives
     for m in range(1, 2 * k):
@@ -339,9 +369,9 @@ def test_concurrent_oracle_matches_incident_bis_scan(q, k):
                     continue
                 assert concurrent_oracle(p, orbit_reps=reps).complete == \
                     _concurrent_reference(p, reps)
-                if (q, k) != (3, 2):
-                    assert concurrent_oracle(p).complete == \
-                        _concurrent_reference(p)
+                assert concurrent_oracle(p).complete == \
+                    _concurrent_reference(p, None if (q, k) != (3, 2)
+                                          else reps)
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2),
@@ -379,11 +409,11 @@ def test_concurrent_cell_pruning_matches_full_scan(q, k, monkeypatch):
                 d, lines = (p.dual(), [b.dual() for b in reps]) if m > k \
                     else (p, reps)
                 lines = [coordinate_bisection(field, k), *lines]
-                pair = oc._uncovered_pair(d, lines, [0])
+                pair = oc._uncovered_pair(d, lines)
                 assert v.complete == (pair is None)
                 assert v.failing_pair == pair
                 assert v.complete == (oc._uncovered_pair(
-                    p, [coordinate_bisection(field, k), *reps], [0]) is None)
+                    p, [coordinate_bisection(field, k), *reps]) is None)
                 cells = [c for c in combinations(range(n), d.m)
                          if sum(x >= k for x in c) in (d.k1, d.k2)]
                 free = [sum(n - 1 - x for x in c) - d.m * (d.m - 1) // 2
@@ -395,24 +425,32 @@ def test_concurrent_cell_pruning_matches_full_scan(q, k, monkeypatch):
 
 
 def test_concurrent_refused_before_listing(monkeypatch):
-    """Over budget, both paths refuse before the point enumerator or the
-    index builder runs."""
+    """Over budget, the one route refuses before the point enumerator or
+    any index builder runs: given representatives, at the point scan;
+    without them, at the partition's count of bisections, before the
+    k-subspace index is built."""
     import glgeom.oracle as oc
+    import glgeom.orbits as ob
+    # the 2 pairs (coordinate bisection, representative) of V(2,4) times
+    # its 5 points fit, where all 45 pairs of bisections (225) did not
+    v = concurrent_oracle(BisParams(1, 1, 0, 0, F4), budget=200)
+    assert v.complete
 
     def forbidden(*args):
         raise AssertionError("listed despite the budget")
-    for name in ("bisections", "grassmannian_index", "point_masks",
-                 "schubert_cell"):
+    for name in ("grassmannian_index", "point_masks", "schubert_cell"):
         monkeypatch.setattr(oc, name, forbidden)
+    for name in ("grassmannian_index", "_index_orbits"):
+        monkeypatch.setattr(ob, name, forbidden)
     reps = [coordinate_bisection(F2, 2)]
-    with pytest.raises(TooLargeError):
+    with pytest.raises(TooLargeError, match="point scan"):
         concurrent_oracle(BisParams(2, 2, 0, 0, F2), orbit_reps=reps, budget=1)
     with pytest.raises(TooLargeError):
         concurrent_oracle(BisParams(2, 2, 0, 0, F2), budget=1)
-    # 45 line pairs of V(2,4) pass the pair bound (180) but not the point
-    # scan over them (225)
-    with pytest.raises(TooLargeError, match="point scan"):
-        concurrent_oracle(BisParams(1, 1, 0, 0, F4), budget=200)
+    # V(4,2) has 280 bisections, one more than the budget
+    with pytest.raises(TooLargeError,
+                       match=r"280 bisections of V\(4,2\) exceed the budget"):
+        concurrent_oracle(BisParams(2, 3, 1, 1, F2), budget=279)
 
 
 def test_sufficiency_chain():

@@ -14,8 +14,9 @@ from glgeom.orbits import (GOLDEN_ORBITS, bisection_stabiliser_generators,
                            stabiliser_orbits_on_bisections,
                            subspace_stabiliser_generators)
 from glgeom.subspace import (coordinate_bisection, coordinate_subspace,
-                             grassmannian, intersection_dim, bisections,
+                             grassmannian, intersection_dim,
                              point_permutation)
+from concurrent_reference import bisections
 from lattice_reference import apply_bisection, apply_mat
 import orbit_reference
 from orbit_reference import group_order_by_basis_orbit, orbit_partition

@@ -6,13 +6,13 @@ import pytest
 
 from glgeom.gfq import field_make, pack_rows
 from glgeom.counts import bisection_count, gaussian
-from glgeom.subspace import (Bisection, bisections, canonical_pair,
+from glgeom.subspace import (Bisection, canonical_pair,
                              canonical_piece_columns, coded_subspace,
-                             coordinate_subspace,
-                             disjoint_pairs, full_space, grassmannian,
+                             coordinate_subspace, full_space, grassmannian,
                              grassmannian_index, intersection_dim, meet_dims,
                              perp, point_masks, range_meet_dim, schubert_cell,
                              span_rows)
+from concurrent_reference import bisections, disjoint_pairs
 from field_reference import rank_of_rows
 from lattice_reference import (adapted_pair_basis, apply_mat, complement,
                                contains, contains_vector, intersect,
@@ -264,6 +264,7 @@ def test_bisections_trust_disjoint_pairs(monkeypatch):
     """bisections() makes no rank test per pair (disjoint_pairs has proved
     each pair disjoint), the public constructor still makes its own, and a
     listing that loses a pair raises when it ends."""
+    import concurrent_reference as cr
     import glgeom.subspace as sp
 
     def rank_test(u, w):
@@ -274,8 +275,8 @@ def test_bisections_trust_disjoint_pairs(monkeypatch):
     with pytest.raises(_RankTested):
         Bisection(*listed[0].halves())
     monkeypatch.undo()
-    real = sp.disjoint_pairs
-    monkeypatch.setattr(sp, "disjoint_pairs", lambda subs: list(real(subs))[1:])
+    real = cr.disjoint_pairs
+    monkeypatch.setattr(cr, "disjoint_pairs", lambda subs: list(real(subs))[1:])
     with pytest.raises(RuntimeError, match="listed 5264, expected 5265"):
         list(bisections(2, F3))
 
