@@ -236,6 +236,115 @@ def test_proj_scan_digest(capsys):
         "fcc7030f1926cd86c779bb271b90988c9d24c7bc21596d7ecc0d1c16e9280f3b")
 
 
+@pytest.mark.parametrize("argv, digest", [
+    ("scan --family bis-col --max-k 3 --qs 2,3",
+     "86b231367a1a66edd9c6661cb37b715011ea3b37f622e771f55c7e8a3cbe1ee5"),
+    ("scan --family sn --max-n 12",
+     "511b7de02a198ab61044e303cc9b5337c3e45cd297a820682b189110549bfabc"),
+])
+def test_scan_digest(capsys, argv, digest):
+    """sha256 of the --format json output of the bis-col scan (56 points)
+    and the sn scan (817 points), pinned before the verbs shared one
+    route runner."""
+    import hashlib
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+VERDICT_DIGESTS = {
+    "proj-collinear --n 4 --m 2 --k 2 --j 1 --q 2": (
+        "5a45e41c32fb17a36041d6bd809c4ece19a10f1728c09d2a92e90e92947f12ed",
+        "bec855943c8df90d4ef93f8e4f2ede4b598c2cbd36eeb099c766c1ea2c5903f5"),
+    "proj-collinear --n 4 --m 2 --k 2 --j 1 --q 2 --mode predicate": (
+        "0310e3d9c3dcae507850c2e1bbe6a5caea566037471149a339e033c8e293ef43",
+        "b21bfaf863545b51bf3d45b741a8d926b236b53ed8c3f61cccd31ce36653b01e"),
+    "proj-collinear --n 4 --m 2 --k 2 --j 1 --q 2 --mode witness": (
+        "41ae1df4d9d5dfcad0b7f5c5e3b98483a106e50f0cee0307dce88d21ad161e6c",
+        "b931ebe310e700035c59abcb9483d818f5e23da279cdb00dfb75ecc7857e1f8b"),
+    "proj-collinear --n 5 --m 2 --k 3 --j 1 --q 3 --certificate": (
+        "a4cfcb7634c8ec47857a704e6591ce3631b905e1a487c9d4e35398a51c50ac97",
+        "208cf385d67c11600cea51aba5b22c37cfdc494f10a89c98aae1e9311665f039"),
+    "proj-collinear --n 6 --m 3 --k 3 --j 2 --q 2 --certificate": (
+        "8782f45c5e156e8cd5abf3e432ea7ca74d44fc5c5c664d36ae0c45354c12528d",
+        "5786d534cf6ab434ce698f55a060dff5da0ed83440dd26f0aa6aab4ce72a5a8c"),
+    "proj-collinear --n 6 --m 3 --k 3 --j 2 --q 2 --mode oracle": (
+        "430bdaa159decf0cb5152933596bdd8981252a329e98ad283525cef7a037b707",
+        "74806176101d30c804478b8faf9b9f3a42dfbe90214f486b56f125c3a651cb9a"),
+    "bis-collinear --k 1 --m 1 --k1 0 --k2 0 --q 2": (
+        "8df6456c8533a49b3512727d898c71e14a8e3617f915a3e39b0a41eb0f568e3e",
+        "90d9059e04be7543ea834d8831256cfafc80aeaa867a73e4126a8130ad3878e7"),
+    "bis-collinear --k 2 --m 2 --k1 0 --k2 1 --q 2 --certificate": (
+        "b5177aed962546417c70aaec5d7734c6c7793f5df97a81de6ed323cddda7bac7",
+        "6492b023da902a8569c887af6da48c75c87ff91123faf25a6ed79513f16b06dc"),
+    "bis-collinear --k 2 --m 3 --k1 1 --k2 1 --q 2 --mode oracle": (
+        "f48ed9994cf7540c95c1554a2dc144dcf91a478917177c7b75acd77a936b825c",
+        "bf623498ae1a68f4110eb6dbacc14e7ce0126c9807faca5bc692b21ffe5db95a"),
+    "bis-collinear --k 3 --m 4 --k1 1 --k2 2 --q 3 --certificate": (
+        "34ae5aedf548d3aa8ce8b977aa3ca8bfd127a4056d48feac1c4b2f2020dc735e",
+        "8bed5eee4791f6d16163d7bb65cb676802106fb3c68f52a0f64bf95dfb8d6328"),
+    "bis-concurrent --k 2 --m 2 --k1 0 --k2 0 --q 3": (
+        "49376a67593a84181095a69f6fb0b7f127173f149f1b10a45bf20caeda826480",
+        "4f5b867bca9057bea56b9c638dd5db13d1add4a1ef719833f66d0d3d7cd56383"),
+    "bis-concurrent --k 2 --m 2 --k1 0 --k2 1 --q 3": (
+        "ed146a300735d1931f4594fad26acc97947fd68157ff95e9869fc42f4f28e587",
+        "14916e58bf8abc0da0b2269f43b4797bdd9b7cf6aa4d1fc4829b315a1b635746"),
+    "bis-concurrent --k 2 --m 2 --k1 0 --k2 1 --q 3 --mode predicate": (
+        "6b679c3b79e949cd72047d90be287edae91f79f1a594ec9808ed99b501ed777b",
+        "e1f72120064685d5b60db11dd781a250514c5d7944b712264c6c73ad2b11b2b2"),
+    "bis-concurrent --k 2 --m 3 --k1 1 --k2 2 --q 2": (
+        "cc692f243adc059389af8943e8e1f27f83ac36a0be08db784ca587643127e1c4",
+        "745bb4704842bfcdf1a044a5625f523b3429a7c12896b51faeba5826686da228"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", list(VERDICT_DIGESTS))
+def test_verdict_output_pinned(capsys, argv, fmt):
+    """sha256 of the verdict verbs' stdout, each exiting 0: every mode,
+    failing_t, certificates (at (k,m,k1,k2) = (3,4,1,2), of the dual
+    geometry) and none when the witness fails, an unresolved(paper) row,
+    and the perp reduction at m > k."""
+    import hashlib
+    code, out, err = run(capsys, *argv.split(), "--format", fmt)
+    assert code == 0 and err == ""
+    digest = VERDICT_DIGESTS[argv][fmt == "json"]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, predicate, word", [
+    ("proj-collinear --n 4 --m 2 --k 2 --j 1 --q 2",
+     "proj_collinear_predicate", False),
+    ("bis-collinear --k 2 --m 2 --k1 0 --k2 1 --q 2",
+     "bis_collinear_predicate", False),
+    ("bis-concurrent --k 2 --m 2 --k1 0 --k2 0 --q 3",
+     "bis_concurrent_predicate", "incomplete"),
+])
+def test_routes_that_disagree_exit_2(capsys, monkeypatch, argv, predicate,
+                                     word):
+    """A closed form that reads incomplete where the other routes read
+    complete is a disagreement: exit 2, with every verdict printed."""
+    import glgeom.cli as cli
+    monkeypatch.setattr(cli, predicate, lambda *args: word)
+    code, out, _ = run(capsys, *argv.split(), "--format", "json")
+    results = json.loads(out)["results"]
+    assert code == 2
+    assert results.pop("predicate") == "incomplete"
+    assert set(results.values()) == {"complete"}
+
+
+def test_readme_commands_run(capsys):
+    """Every glgeom line of the README's command-line block exits 0."""
+    import pathlib
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#")[0].split()[1:]
+                for line in block.splitlines() if line.startswith("glgeom ")]
+    assert commands
+    for argv in commands:
+        assert run(capsys, *argv)[0] == 0, argv
+
+
 def test_bis_concurrent_k1_budget_is_the_orbit_routes(capsys):
     """At k = 1 the oracle also checks one line pair per orbit: 2 pairs
     times 5 points of V(2,4) fit a budget of 200, where all 45 pairs of
