@@ -1,7 +1,9 @@
 """Command-line driver: reproducible experiments with machine-readable output.
 
 Exit codes: 0 success, 1 bad parameters (a usage error or a ParamError),
-2 internal disagreement or golden mismatch, 3 enumeration budget exceeded
+2 disagreement (two routes' decided verdicts, complete and incomplete,
+differ; unresolved(paper) decides nothing), a scan mismatch or a golden
+mismatch, 3 enumeration budget exceeded
 (TooLargeError), 4 internal error (any other exception from the engine,
 such as a broken runtime invariant or an unimplemented case; its
 traceback follows the one-line message on stderr).  JSON
@@ -63,161 +65,131 @@ def _verdict_word(complete):
     return "complete" if complete else "incomplete"
 
 
-def cmd_proj_collinear(args):
-    field = _field(args.q)
-    params = ProjParams(args.n, args.m, args.k, args.j, field)
-    pred = proj_collinear_predicate(args.n, args.m, args.k, args.j)
+def _routes(args, params, routes):
+    """Run the (mode, route) pairs that --mode selects, in order, and emit
+    their verdicts.  A route returns its verdict word and the payload
+    fields it adds.  Exit 2 when two decided words (complete, incomplete)
+    differ; unresolved(paper) decides nothing."""
     payload = {"params": params.to_json_dict()}
     results = {}
-    if args.mode in ("predicate", "all"):
-        results["predicate"] = _verdict_word(pred)
-    if args.mode in ("oracle", "all"):
-        v = oc.proj_collinear_oracle(params, budget=args.budget)
-        results["oracle"] = _verdict_word(v.complete)
-        if v.failing_t is not None:
-            payload["failing_t"] = v.failing_t
-    if args.mode in ("witness", "all"):
-        ok = True
-        certs = []
-        try:
-            t_lo = max(0, 2 * args.m - args.n)
-            for t in range(t_lo, args.m):
-                w = wt.proj_collinear_witness(args.n, args.m, args.k, args.j,
-                                              t, field)
-                certs.append(wt.proj_witness_certificate(
-                    args.n, args.m, args.k, args.j, t, field, w))
-        except wt.PredicateFailsError:
-            ok = False
-        results["witness"] = _verdict_word(ok)
-        if args.certificate and ok:
-            payload["certificates"] = certs
+    for mode, route in routes:
+        if args.mode in (mode, "all"):
+            results[mode], fields = route()
+            payload.update(fields)
     payload["results"] = results
     _emit(args, payload)
-    if len(set(results.values())) > 1:
-        return EXIT_DISAGREE
-    return EXIT_OK
+    decided = set(results.values()) & {"complete", "incomplete"}
+    return EXIT_DISAGREE if len(decided) > 1 else EXIT_OK
+
+
+def _collinear_oracle(verdict):
+    if verdict.failing_t is None:
+        return _verdict_word(verdict.complete), {}
+    return _verdict_word(verdict.complete), {"failing_t": verdict.failing_t}
+
+
+def _witness(args, certificates):
+    """The witness route: complete iff a certificate exists at every overlap
+    t (PredicateFailsError at the first that has none), attached under
+    --certificate."""
+    try:
+        certs = list(certificates)
+    except wt.PredicateFailsError:
+        return "incomplete", {}
+    return "complete", ({"certificates": certs} if args.certificate else {})
+
+
+def cmd_proj_collinear(args):
+    n, m, k, j, field = args.n, args.m, args.k, args.j, _field(args.q)
+    params = ProjParams(n, m, k, j, field)
+    certificates = (wt.proj_witness_certificate(
+        n, m, k, j, t, field, wt.proj_collinear_witness(n, m, k, j, t, field))
+        for t in range(max(0, 2 * m - n), m))
+    return _routes(args, params, [
+        ("predicate", lambda: (
+            _verdict_word(proj_collinear_predicate(n, m, k, j)), {})),
+        ("oracle", lambda: _collinear_oracle(
+            oc.proj_collinear_oracle(params, budget=args.budget))),
+        ("witness", lambda: _witness(args, certificates))])
 
 
 def cmd_bis_collinear(args):
-    field = _field(args.q)
-    params = BisParams(args.k, args.m, args.k1, args.k2, field)
-    pred = bis_collinear_predicate(args.q, args.m, args.k, args.k1, args.k2)
-    payload = {"params": params.to_json_dict()}
-    results = {}
-    if args.mode in ("predicate", "all"):
-        results["predicate"] = _verdict_word(pred)
-    if args.mode in ("oracle", "all"):
-        v = oc.bis_collinear_oracle(params, budget=args.budget)
-        results["oracle"] = _verdict_word(v.complete)
-        if v.failing_t is not None:
-            payload["failing_t"] = v.failing_t
-    if args.mode in ("witness", "all"):
-        work = params if params.m <= params.k else params.dual()
-        ok = True
-        certs = []
-        try:
-            for t in range(work.m):
-                b = wt.bis_collinear_witness(work, t)
-                certs.append(wt.bis_witness_certificate(work, t, b))
-        except wt.PredicateFailsError:
-            ok = False
-        results["witness"] = _verdict_word(ok)
-        if args.certificate and ok:
-            payload["certificates"] = certs
-    payload["results"] = results
-    _emit(args, payload)
-    if len(set(results.values())) > 1:
-        return EXIT_DISAGREE
-    return EXIT_OK
+    params = BisParams(args.k, args.m, args.k1, args.k2, _field(args.q))
+    work = params if params.m <= params.k else params.dual()
+    certificates = (wt.bis_witness_certificate(
+        work, t, wt.bis_collinear_witness(work, t)) for t in range(work.m))
+    return _routes(args, params, [
+        ("predicate", lambda: (_verdict_word(bis_collinear_predicate(
+            args.q, args.m, args.k, args.k1, args.k2)), {})),
+        ("oracle", lambda: _collinear_oracle(
+            oc.bis_collinear_oracle(params, budget=args.budget))),
+        ("witness", lambda: _witness(args, certificates))])
 
 
 def cmd_bis_concurrent(args):
-    field = _field(args.q)
-    params = BisParams(args.k, args.m, args.k1, args.k2, field)
-    pred = bis_concurrent_predicate(args.q, args.m, args.k, args.k1, args.k2)
-    payload = {"params": params.to_json_dict()}
-    results = {}
-    if args.mode in ("predicate", "all"):
-        results["predicate"] = pred if pred != "unresolved" else "unresolved(paper)"
-    if args.mode in ("oracle", "all"):
-        reps = ob.stabiliser_orbits_on_bisections(
-            params.k, field, budget=args.budget).representatives
-        v = oc.concurrent_oracle(params, orbit_reps=reps, budget=args.budget)
-        results["oracle"] = _verdict_word(v.complete)
-    payload["results"] = results
-    _emit(args, payload)
-    if ("predicate" in results and "oracle" in results
-            and results["predicate"] in ("complete", "incomplete")
-            and results["predicate"] != results["oracle"]):
-        return EXIT_DISAGREE
-    return EXIT_OK
+    params = BisParams(args.k, args.m, args.k1, args.k2, _field(args.q))
+
+    def predicate():
+        word = bis_concurrent_predicate(args.q, args.m, args.k, args.k1,
+                                        args.k2)
+        return ("unresolved(paper)" if word == "unresolved" else word), {}
+    return _routes(args, params, [
+        ("predicate", predicate),
+        ("oracle", lambda: (_verdict_word(oc.concurrent_oracle(
+            params, budget=args.budget).complete), {}))])
+
+
+def _bis_points(field, max_k, m_past_k):
+    """The admissible BisParams over the field with k <= max_k, in scan
+    order (k, m, k1, k2); m runs up to 2k - 1, or up to k."""
+    for k in range(1, max_k + 1):
+        for m in range(1, 2 * k if m_past_k else k + 1):
+            for k1 in range(0, k + 1):
+                for k2 in range(k1, k + 1):
+                    try:
+                        yield BisParams(k, m, k1, k2, field)
+                    except ParamError:
+                        continue
+
+
+def _scan_rows(args, q, field):
+    """The scan's rows at one field order, closed form against oracle."""
+    if args.family == "proj":
+        for n in range(2, args.max_n + 1):
+            for m in range(1, n):
+                for k in range(1, n):
+                    for j in range(max(0, m + k - n), min(m, k) + 1):
+                        if m == k == j:
+                            continue  # degenerate geometry, skipped
+                        pred = proj_collinear_predicate(n, m, k, j)
+                        v = oc.proj_collinear_oracle(
+                            ProjParams(n, m, k, j, field), budget=args.budget)
+                        yield {"n": n, "m": m, "k": k, "j": j, "q": q,
+                               "predicate": pred, "oracle": v.complete}
+    elif args.family == "bis-col":
+        for p in _bis_points(field, args.max_k, m_past_k=True):
+            pred = bis_collinear_predicate(q, p.m, p.k, p.k1, p.k2)
+            v = oc.bis_collinear_oracle(p, budget=args.budget)
+            yield {"q": q, "k": p.k, "m": p.m, "k1": p.k1, "k2": p.k2,
+                   "predicate": pred, "oracle": v.complete}
+    else:
+        reps = {}  # one orbit partition per k, at its first resolved point
+        for p in _bis_points(field, args.max_k, m_past_k=False):
+            pred = bis_concurrent_predicate(q, p.m, p.k, p.k1, p.k2)
+            if pred == "unresolved":
+                continue
+            if p.k not in reps:
+                reps[p.k] = ob.stabiliser_orbits_on_bisections(
+                    p.k, field, budget=args.budget).representatives
+            v = oc.concurrent_oracle(p, orbit_reps=reps[p.k],
+                                     budget=args.budget)
+            yield {"q": q, "k": p.k, "m": p.m, "k1": p.k1, "k2": p.k2,
+                   "predicate": pred, "oracle": _verdict_word(v.complete)}
 
 
 def cmd_scan(args):
-    qs = args.qs
     rows = []
-    mism = 0
-    if args.family == "proj":
-        for q in qs:
-            field = _field(q)
-            for n in range(2, args.max_n + 1):
-                for m in range(1, n):
-                    for k in range(1, n):
-                        for j in range(max(0, m + k - n), min(m, k) + 1):
-                            if m == k == j:
-                                continue  # degenerate geometry, skipped
-                            pred = proj_collinear_predicate(n, m, k, j)
-                            v = oc.proj_collinear_oracle(
-                                ProjParams(n, m, k, j, field),
-                                budget=args.budget)
-                            rows.append({"n": n, "m": m, "k": k, "j": j,
-                                         "q": q, "predicate": pred,
-                                         "oracle": v.complete})
-        mism = sum(1 for r in rows if r["predicate"] != r["oracle"])
-    elif args.family == "bis-col":
-        for q in qs:
-            field = _field(q)
-            for k in range(1, args.max_k + 1):
-                for m in range(1, 2 * k):
-                    for k1 in range(0, k + 1):
-                        for k2 in range(k1, k + 1):
-                            try:
-                                params = BisParams(k, m, k1, k2, field)
-                            except ParamError:
-                                continue
-                            pred = bis_collinear_predicate(q, m, k, k1, k2)
-                            v = oc.bis_collinear_oracle(params, budget=args.budget)
-                            rows.append({"q": q, "k": k, "m": m, "k1": k1,
-                                         "k2": k2, "predicate": pred,
-                                         "oracle": v.complete})
-        mism = sum(1 for r in rows if r["predicate"] != r["oracle"])
-    elif args.family == "bis-con":
-        reps_cache = {}
-        for q in qs:
-            field = _field(q)
-            for k in range(1, args.max_k + 1):
-                for m in range(1, k + 1):
-                    for k1 in range(0, k + 1):
-                        for k2 in range(k1, k + 1):
-                            try:
-                                params = BisParams(k, m, k1, k2, field)
-                            except ParamError:
-                                continue
-                            pred = bis_concurrent_predicate(q, m, k, k1, k2)
-                            if pred == "unresolved":
-                                continue
-                            if (q, k) not in reps_cache:
-                                reps_cache[(q, k)] = \
-                                    ob.stabiliser_orbits_on_bisections(
-                                        k, field, budget=args.budget).representatives
-                            v = oc.concurrent_oracle(
-                                params, orbit_reps=reps_cache[(q, k)],
-                                budget=args.budget)
-                            rows.append({"q": q, "k": k, "m": m, "k1": k1,
-                                         "k2": k2, "predicate": pred,
-                                         "oracle": _verdict_word(v.complete)})
-        mism = sum(1 for r in rows if r["predicate"] != r["oracle"])
-    elif args.family == "sn":
+    if args.family == "sn":
         for n in range(2, args.max_n + 1):
             for m in range(1, n // 2 + 1):
                 for k in range(1, n):
@@ -226,7 +198,11 @@ def cmd_scan(args):
                         want = wy.subset_geometry_closed_form(n, m, k, j)
                         rows.append({"n": n, "m": m, "k": k, "j": j,
                                      "oracle": got, "closed_form": want})
-        mism = sum(1 for r in rows if r["oracle"] != r["closed_form"])
+        mism = sum(r["oracle"] != r["closed_form"] for r in rows)
+    else:
+        for q in args.qs:
+            rows.extend(_scan_rows(args, q, _field(q)))
+        mism = sum(r["predicate"] != r["oracle"] for r in rows)
     payload = {"family": args.family, "points": len(rows), "mismatches": mism}
     if args.format == "json":
         payload["rows"] = rows

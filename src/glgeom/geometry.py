@@ -70,9 +70,6 @@ class BisParams:
         k, m, k1, k2 = self.k, self.m, self.k1, self.k2
         return BisParams(k, 2 * k - m, k - m + k1, k - m + k2, self.field)
 
-    def pattern(self):
-        return (self.k1, self.k2)
-
     def to_json_dict(self):
         return {"family": "bis", "q": self.field.q, "k": self.k,
                 "m": self.m, "k1": self.k1, "k2": self.k2}

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ParamError, TooLargeError
+from .errors import ParamError
 from .gfq import (least_irreducible, mat_inverse, poly_mulmod, vec_mat,
                   _rref_rows)
 from .predicates import bis_collinear_predicate, proj_collinear_predicate
@@ -534,7 +534,7 @@ def verify_partial_spread(subs):
     return True
 
 
-def fifth_disjoint(pis, budget=10**7):
+def fifth_disjoint(pis):
     """A k-subspace disjoint from four pairwise-disjoint ones (q^k >= 4).
 
     Over GF(2) the four are normalised to the frame [I|0], [0|I], [I|I],
@@ -559,9 +559,7 @@ def fifth_disjoint(pis, budget=10**7):
         if not all(intersection_dim(sigma, p) == 0 for p in pis):
             raise RuntimeError("fifth subspace failed verification")
         return sigma
-    for steps, cand in enumerate(grassmannian(n, field, k), 1):
-        if steps > budget:
-            raise TooLargeError("scan budget exceeded")
+    for cand in grassmannian(n, field, k):
         if all(intersection_dim(cand, p) == 0 for p in pis):
             return cand  # the scan's own test is its verification
     raise RuntimeError("no disjoint subspace found (impossible)")

@@ -241,7 +241,7 @@ def test_proj_scan_digest(capsys):
      "86b231367a1a66edd9c6661cb37b715011ea3b37f622e771f55c7e8a3cbe1ee5"),
     ("scan --family sn --max-n 12",
      "511b7de02a198ab61044e303cc9b5337c3e45cd297a820682b189110549bfabc"),
-])
+], ids=["bis-col", "sn"])
 def test_scan_digest(capsys, argv, digest):
     """sha256 of the --format json output of the bis-col scan (56 points)
     and the sn scan (817 points), pinned before the verbs shared one

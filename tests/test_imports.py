@@ -58,18 +58,23 @@ def test_the_check_sees_an_unused_import(tmp_path):
     assert unused_imports(f) == [(2, "os"), (5, "d")]
 
 
-def _names_read(node):
-    """Names a statement reads: bare names, attributes and the names a
-    from-import brings in."""
+def _reads(node):
+    """(name, as_attribute) for each name a statement reads: bare names and
+    the names a from-import brings in (False), and attributes (True)."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out.add((sub.id, False))
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out.add((sub.attr, True))
         elif isinstance(sub, ast.ImportFrom):
-            out.update(alias.name for alias in sub.names)
+            out.update((alias.name, False) for alias in sub.names)
     return out
+
+
+def _names_read(node):
+    """Names a statement reads, as a bare name or as an attribute."""
+    return {name for name, _ in _reads(node)}
 
 
 def unreferenced_definitions(package, others):
@@ -154,34 +159,44 @@ def unreachable_definitions(package, entry, gate):
     of a base from outside the package, in the package files that no
     chain of names reaches from the roots: the names the entry file
     defines at top level, and the names the gate imports from glgeom.  A
-    reached name reaches every name read (_names_read) by a definition of
-    it in any package file, and reaching a name reaches every method of
-    that name.  Names are matched, not resolved."""
+    reached name reaches every name read (_reads) by a definition of it in
+    any package file.  A top-level name is reached by any read of it; a
+    method only by an attribute read, so that a local variable of the same
+    name reaches nothing.  Names are matched, not resolved."""
     body = {path: ast.parse(path.read_text()).body for path in package}
     package_names = {stmt.name for stmts in body.values() for stmt in stmts
                      if isinstance(stmt, ast.ClassDef)}
     defined = {path: [d for stmt in body[path]
                       for d in _definitions(stmt, package_names)]
                for path in package}
-    defining = {}
+    top, methods = {}, {}
     for path in package:
         for name, node in defined[path]:
-            defining.setdefault(name.split(".")[-1], []).append(node)
-    todo = [name for name, _ in defined[entry] if "." not in name]
-    todo += [alias.name for node in ast.walk(ast.parse(gate.read_text()))
+            *cls, last = name.split(".")
+            (methods if cls else top).setdefault(last, []).append(node)
+    todo = [(name, False) for name, _ in defined[entry] if "." not in name]
+    todo += [(alias.name, False)
+             for node in ast.walk(ast.parse(gate.read_text()))
              if isinstance(node, ast.ImportFrom) and node.module
              and node.module.split(".")[0] == "glgeom"
              for alias in node.names]
     reached = set()
     while todo:
-        name = todo.pop()
-        if name not in reached:
-            reached.add(name)
-            for node in defining.get(name, []):
-                todo.extend(_names_read(node))
+        read = todo.pop()
+        if read not in reached:
+            reached.add(read)
+            name, as_attribute = read
+            nodes = top.get(name, []) + (methods.get(name, [])
+                                         if as_attribute else [])
+            for node in nodes:
+                todo.extend(_reads(node))
+    reached_names = {name for name, _ in reached}
+    reached_attributes = {name for name, as_attribute in reached
+                          if as_attribute}
     return [(path.name, name) for path in package
             for name, _ in defined[path]
-            if name.split(".")[-1] not in reached]
+            if name.split(".")[-1] not in
+            (reached_attributes if "." in name else reached_names)]
 
 
 def test_every_definition_is_reached():
@@ -198,7 +213,8 @@ def test_the_check_sees_an_unreached_definition(tmp_path):
                    "        raise SystemExit\n\n"
                    "def main():\n    return lib.run()\n")
     lib.write_text("LIMIT = 3\nUNUSED = 4\n\n"
-                   "def run():\n    return helper() + LIMIT\n\n"
+                   "def run():\n    tested_method = helper()\n"
+                   "    return tested_method + LIMIT\n\n"
                    "def helper():\n    return 1\n\n"
                    "def gated():\n    return Shape().area()\n\n"
                    "class Shape:\n    sides = 4\n\n"
