@@ -6,14 +6,17 @@ differ; unresolved(paper) decides nothing), a scan mismatch or a golden
 mismatch, 3 enumeration budget exceeded
 (TooLargeError), 4 internal error (any other exception from the engine,
 such as a broken runtime invariant or an unimplemented case; its
-traceback follows the one-line message on stderr).  JSON
-output is byte-identical across runs for identical inputs.
+traceback follows the one-line message on stderr), 141 stdout closed
+before the output was written (as `| head` does; the shell's code for a
+SIGPIPE death, with nothing on stderr).  JSON output is byte-identical
+across runs for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import oracle as oc
@@ -33,6 +36,7 @@ EXIT_BAD_PARAMS = 1
 EXIT_DISAGREE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+EXIT_CLOSED_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -238,6 +242,8 @@ def cmd_orbits(args):
 def cmd_counts(args):
     from . import counts as ct  # loads fractions, which no other verb needs
     q, k, m = _field(args.q).q, args.k, args.m
+    # first, so that a bad m is refused as m, not as a = k - m + 1
+    more_than_half = ct.restricted_movement_sufficient(m, k, q)
     a = k - m + 1
     h = ct.h_value(a, k, q)
     f = ct.f_value(a, k, q)
@@ -247,7 +253,7 @@ def cmd_counts(args):
         "F(a,k,q)": f"{f} ~ {float(f):.6f}",
         "H(a,k,q)": f"{h} ~ {float(h):.6f}",
         "a": a,
-        "more_than_half": ct.restricted_movement_sufficient(m, k, q),
+        "more_than_half": more_than_half,
     }
     if 2 <= a <= k:
         b = ct.h_lower_bound(a, k, q)
@@ -344,7 +350,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the unwritten rest to devnull, so the
+        # flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_PIPE
     except TooLargeError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

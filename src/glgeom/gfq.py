@@ -12,10 +12,9 @@ or with b = [1] remainder, modulo a monic modulus), least_irreducible
 (trial division) and primitive_element (the least generator of GF(q)*).
 field_make takes its modulus from them, FieldSpec its exp/log tables
 from q - 1 products by the primitive element, and the spreads of
-witness.py their GF(q^k) over GF(q).  Scalar arithmetic has three
-regimes, picked from q: residues for prime fields, dense add/mul/neg/inv
-tables read off exp/log up to _TABLE_LIMIT, and exp/log above it, where
-addition at p = 2 is the XOR of the codes and at odd p goes digit by digit.
+witness.py their GF(q^k) over GF(q).  Scalar arithmetic has two
+regimes, fixed when the field is made: residues mod p for prime fields,
+and exp/log with Zech logarithms for GF(p^e), O(q) memory at every q.
 
 A matrix is a tuple of row tuples, as a subspace basis is: a group
 element, a chart, a change of basis or its inverse acts on row vectors by
@@ -35,7 +34,6 @@ from functools import lru_cache
 from .errors import ParamError
 
 MAX_FIELD_ORDER = 2**61
-_TABLE_LIMIT = 1024  # full add/mul tables up to this order
 
 
 _WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -154,123 +152,18 @@ def primitive_element(q, mul):
 
 
 class FieldSpec:
-    """GF(q) with q = p^e; all scalar arithmetic lives here."""
+    """GF(q) with q = p^e; all scalar arithmetic lives here, as add, sub,
+    neg, mul and inv bound once when the field is made."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_add", "_mul", "_inv", "_neg",
-                 "_log", "_exp")
+    __slots__ = ("p", "e", "q", "modulus", "add", "sub", "neg", "mul", "inv")
 
     def __init__(self, p, e, modulus):
         self.p = p
         self.e = e
         self.q = p**e
         self.modulus = modulus  # () for prime fields
-        self._add = self._mul = self._inv = self._neg = None
-        self._log = self._exp = None
-        if e > 1:
-            self._build_tables()
-
-    # -- element codes <-> coefficient vectors --------------------------
-
-    def _vec(self, code):
-        p, e = self.p, self.e
-        out = []
-        for _ in range(e):
-            out.append(code % p)
-            code //= p
-        return out
-
-    def _code(self, vec):
-        c = 0
-        for d in reversed(vec):
-            c = c * self.p + d
-        return c
-
-    def _build_tables(self):
-        """exp/log from q - 1 products by the primitive element; up to the
-        table limit, dense add, mul, neg and inv tables read off them."""
-        p, q = self.p, self.q
-        base, modulus = field_make(p), self.modulus
-
-        def mul(a, b):
-            return self._code(poly_mulmod(base, self._vec(a), self._vec(b),
-                                          modulus))
-
-        g = self._vec(primitive_element(q, mul))
-        log = [0] * q
-        exp = [0] * (2 * (q - 1))
-        x = [1]
-        for i in range(q - 1):
-            c = self._code(x)
-            exp[i] = exp[i + q - 1] = c
-            log[c] = i
-            x = poly_mulmod(base, x, g, modulus)
-        self._log, self._exp = log, exp
-        if q > _TABLE_LIMIT:
-            return
-        # digit by digit: codes below p^(d+1) are lo + p^d * top
-        add, size = [[0]], 1
-        for _ in range(self.e):
-            add = [[s + size * ((ta + tb) % p)
-                    for tb in range(p) for s in add[lo]]
-                   for ta in range(p) for lo in range(size)]
-            size *= p
-        logs = log[1:]
-        self._add = add
-        self._mul = [[0] * q] + [[0] + [exp[la + lb] for lb in logs]
-                                 for la in logs]
-        self._inv = [0] + [exp[q - 1 - la] for la in logs]
-        self._neg = [row.index(0) for row in add]
-
-    # -- scalar operations ----------------------------------------------
-
-    def add(self, a, b):
-        if self.e == 1:
-            return (a + b) % self.p
-        if self._add is not None:
-            return self._add[a][b]
-        p = self.p
-        if p == 2:  # digit-wise sum mod 2 of the codes' bits
-            return a ^ b
-        return self._code([(x + y) % p
-                           for x, y in zip(self._vec(a), self._vec(b))])
-
-    def sub(self, a, b):
-        if self.e == 1:
-            return (a - b) % self.p
-        if self._add is not None:
-            return self._add[a][self._neg[b]]
-        p = self.p
-        if p == 2:
-            return a ^ b
-        return self._code([(x - y) % p
-                           for x, y in zip(self._vec(a), self._vec(b))])
-
-    def neg(self, a):
-        if self.e == 1:
-            return (-a) % self.p
-        if self._neg is not None:
-            return self._neg[a]
-        if self.p == 2:
-            return a
-        return self._code([(-x) % self.p for x in self._vec(a)])
-
-    def mul(self, a, b):
-        if self.e == 1:
-            return (a * b) % self.p
-        if self._mul is not None:
-            return self._mul[a][b]
-        if a == 0 or b == 0:
-            return 0
-        return self._exp[self._log[a] + self._log[b]]
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self.e == 1:
-            return pow(a, self.p - 2, self.p)
-        if self._inv is not None:
-            return self._inv[a]
-        return self._exp[(self.q - 1) - self._log[a]]
+        ops = _prime_ops(p) if e == 1 else _zech_ops(p, e, modulus)
+        self.add, self.sub, self.neg, self.mul, self.inv = ops
 
     def __eq__(self, other):
         return isinstance(other, FieldSpec) and (self.p, self.e) == (other.p, other.e)
@@ -280,6 +173,91 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.q})"
+
+
+def _prime_ops(p):
+    """add, sub, neg, mul, inv on the residues mod p."""
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, p - 2, p)
+    return ((lambda a, b: (a + b) % p), (lambda a, b: (a - b) % p),
+            (lambda a: -a % p), (lambda a, b: a * b % p), inv)
+
+
+def _zech_ops(p, e, modulus):
+    """add, sub, neg, mul, inv of GF(p^e) on exp/log and Zech tables.
+
+    exp/log come from q - 1 products by the primitive element g, and the
+    Zech logarithms zech[n] = log(1 + g^n) give a + b = g^(log a +
+    zech[log b - log a]).  Adding 1 to a code changes only its constant
+    digit; the entry is None where g^n = -1, whose code is p - 1.  exp and
+    zech run over two periods, so every index below stays in range.
+    Negation multiplies by -1 = g^half: half = (q - 1)/2 at odd p, 0 at 2.
+    """
+    q = p**e
+    base = field_make(p)
+
+    def vec(code):
+        out = []
+        for _ in range(e):
+            out.append(code % p)
+            code //= p
+        return out
+
+    def code(v):
+        return sum(d * p**i for i, d in enumerate(v))
+
+    def poly_mul(a, b):
+        return code(poly_mulmod(base, vec(a), vec(b), modulus))
+
+    g = vec(primitive_element(q, poly_mul))
+    log = [0] * q
+    exp = [0] * (2 * (q - 1))
+    x = [1]
+    for i in range(q - 1):
+        c = code(x)
+        exp[i] = exp[i + q - 1] = c
+        log[c] = i
+        x = poly_mulmod(base, x, g, modulus)
+    zech = [None] * (2 * (q - 1))
+    for n in range(q - 1):
+        c = exp[n]
+        c = c - c % p + (c + 1) % p
+        if c:
+            zech[n] = zech[n + q - 1] = log[c]
+    half = (q - 1) // 2 if p % 2 else 0
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = zech[log[b] - la]
+        return 0 if z is None else exp[la + z]
+
+    def sub(a, b):
+        if not b:
+            return a
+        lb = log[b] + half
+        if not a:
+            return exp[lb]
+        la = log[a]
+        z = zech[lb - la]
+        return 0 if z is None else exp[la + z]
+
+    def neg(a):
+        return exp[log[a] + half] if a else 0
+
+    def mul(a, b):
+        return exp[log[a] + log[b]] if a and b else 0
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[q - 1 - log[a]]
+    return add, sub, neg, mul, inv
 
 
 @lru_cache(maxsize=None)

@@ -72,8 +72,9 @@ def test_witnessed_point_is_not_refused(capsys):
 
 
 def test_witness_at_the_largest_dense_table_field(capsys):
-    """GF(1024), the last field with dense tables, builds in well under a
-    second, so the witness route runs at the CLI edge."""
+    """GF(1024), the largest field that once had q x q tables, builds its
+    O(q) exp/log and Zech tables in well under a second, so the witness
+    route runs at the CLI edge."""
     code, out, _ = run(capsys, "proj-collinear", "--q", "1024", "--n", "4",
                        "--m", "2", "--k", "2", "--j", "1",
                        "--mode", "witness", "--format", "json")
@@ -371,6 +372,32 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error:")
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that stops early, as `| head -c 10` does, on output larger
+    than a pipe buffer (149 KB): exit 141, not 4, and stderr stays
+    empty."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import glgeom
+    src = str(pathlib.Path(glgeom.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ("proj-collinear --n 40 --m 20 --k 20 --j 10 --q 3 "
+            "--certificate --format json").split()
+    proc = subprocess.Popen([sys.executable, "-m", "glgeom.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head == b'{"certific' and err == b""
+
+
 def exit_code_and_err(capsys, argv):
     """main's exit code, a usage error's included, and its stderr."""
     try:
@@ -385,6 +412,9 @@ def exit_code_and_err(capsys, argv):
     ("counts --q 0 --k 2 --m 1", 1, "bad parameters: not a prime power"),
     ("counts --q 6 --k 2 --m 1", 1, "bad parameters: not a prime power"),
     ("orbits --q 2 --k 0", 1, "bad parameters: need k >= 1"),
+    # counts names m itself, not the a = k - m + 1 derived from it
+    ("counts --q 2 --k 3 --m 0", 1, "bad parameters: need 1 <= m <= k"),
+    ("counts --q 2 --k 3 --m 4", 1, "bad parameters: need 1 <= m <= k"),
     ("proj-collinear --n 4 --m 2 --k 2 --j 1 --q 131072 --mode predicate",
      1, "bad parameters: extension fields above 2^16"),
     ("scan --family proj --qs 2,x", 1, "glgeom scan: error: argument --qs"),

@@ -7,9 +7,9 @@ import pytest
 
 import field_reference
 from glgeom.errors import ParamError
-from glgeom.gfq import (factor_prime_power, field_make, is_prime, kernel,
-                        least_irreducible, mat_inverse, pack_rows, pk_rank,
-                        poly_mulmod, primitive_element, _rref_rows)
+from glgeom.gfq import (FieldSpec, factor_prime_power, field_make, is_prime,
+                        kernel, least_irreducible, mat_inverse, pack_rows,
+                        pk_rank, poly_mulmod, primitive_element, _rref_rows)
 from field_reference import rank_of_rows
 from lattice_reference import mat_mul
 
@@ -203,40 +203,71 @@ def test_packed_round_trip_bit_for_bit():
         assert pk_rank(packed, 4) == rank_of_rows(f, m, 4)
 
 
+def _digitwise(p, e, op, *codes):
+    """op applied coefficient by coefficient to the digit vectors of the
+    codes, reduced mod p, as a code."""
+    vecs = [field_reference.digits(c, p, e) for c in codes]
+    return sum(op(*xs) % p * p**i for i, xs in enumerate(zip(*vecs)))
+
+
 def test_large_extension_field_log_tables():
-    """Above the dense-table limit, multiplication runs on log/antilog;
-    its products and inverses match the multiply-then-divide reference."""
+    """GF(2^11), GF(2^16), GF(3^7) and GF(3^10) run on their exp/log and
+    Zech tables: sampled products, inverses, sums, differences and
+    negatives match the multiply-then-divide and digit-vector references,
+    and the field laws hold on the samples."""
     import random
-    f = field_make(2, 11)   # GF(2048)
-    assert f._mul is None and f._log is not None
-    mul = field_reference.field_mul(2, 11, f.modulus)
-    rng = random.Random(11)
-    for _ in range(2000):
-        a, b, c = (rng.randrange(f.q) for _ in range(3))
-        assert f.mul(a, b) == mul(a, b)
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-        if a:
-            assert mul(a, f.inv(a)) == 1
+    for p, e in [(2, 11), (2, 16), (3, 7), (3, 10)]:
+        f = field_make(p, e)
+        mul = field_reference.field_mul(p, e, f.modulus)
+        rng = random.Random(f.q)
+        for _ in range(2000):
+            a, b, c = (rng.randrange(f.q) for _ in range(3))
+            assert f.mul(a, b) == mul(a, b)
+            assert f.add(a, b) == _digitwise(p, e, lambda x, y: x + y, a, b)
+            assert f.sub(a, b) == _digitwise(p, e, lambda x, y: x - y, a, b)
+            assert f.neg(a) == _digitwise(p, e, lambda x: -x, a)
+            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+            if a:
+                assert mul(a, f.inv(a)) == 1
 
 
 @pytest.mark.parametrize("p,e", [(2, 11), (2, 16), (3, 7)])
 def test_addition_above_the_table_limit(p, e):
-    """Above the dense-table limit add, sub and neg (the XOR of the codes
-    at p = 2) match coefficient-wise arithmetic on the digit vectors."""
+    """Above q = 1024 (once the dense-table limit; every GF(p^e) now adds
+    through Zech logarithms) add, sub and neg match coefficient-wise
+    arithmetic on the digit vectors, including zero operands."""
     import random
     f = field_make(p, e)
-    assert f._add is None
-
-    def digitwise(op, *codes):
-        return f._code([op(*xs) % p for xs in zip(*map(f._vec, codes))])
     rng = random.Random(p ** e)
-    for _ in range(2000):
-        a, b = rng.randrange(f.q), rng.randrange(f.q)
-        assert f.add(a, b) == digitwise(lambda x, y: x + y, a, b)
-        assert f.sub(a, b) == digitwise(lambda x, y: x - y, a, b)
-        assert f.neg(a) == digitwise(lambda x: -x, a)
+    pairs = [(rng.randrange(f.q), rng.randrange(f.q)) for _ in range(2000)]
+    for a, b in pairs + [(0, 0), (0, 1), (1, 0), (f.q - 1, 0), (0, f.q - 1)]:
+        assert f.add(a, b) == _digitwise(p, e, lambda x, y: x + y, a, b)
+        assert f.sub(a, b) == _digitwise(p, e, lambda x, y: x - y, a, b)
+        assert f.neg(a) == _digitwise(p, e, lambda x: -x, a)
         assert f.add(a, f.neg(a)) == 0
+
+
+@pytest.mark.parametrize("q", [7, 9, 2048])
+def test_inverse_of_zero_raises(q):
+    f = field_make(*factor_prime_power(q))
+    with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+        f.inv(0)
+
+
+def test_field_construction_memory_is_linear_in_q():
+    """GF(1024) keeps exp, log and Zech tables of O(q) entries: building
+    it allocates well under 2 MB (a q x q table of ints alone is 8 MB)."""
+    import tracemalloc
+    modulus = least_irreducible(field_make(2), 10)
+    tracemalloc.start()
+    try:
+        f = FieldSpec(2, 10, modulus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.q == 1024 and f.mul(2, f.inv(2)) == 1
+    assert peak < 2 * 10**6, peak
 
 
 # ---------------------------------------------------------------------
@@ -259,24 +290,43 @@ def test_least_irreducible_matches_reference():
 
 @pytest.mark.parametrize("p,e", _extension_degrees(256))
 def test_dense_tables_match_reference(p, e):
+    """The full q x q tables of add, sub and mul, and neg and inv at every
+    element, read through the public operations, match the digit-vector
+    sums and the multiply-then-divide reference."""
     f = field_make(p, e)
     q = f.q
-    assert f._mul is not None
     assert f.modulus == field_reference.least_irreducible(p, e)
     mul = field_reference.field_mul(p, e, f.modulus)
     digits = [field_reference.digits(a, p, e) for a in range(q)]
 
     def code(vec):
-        return sum(d * p**i for i, d in enumerate(vec))
+        return sum(d % p * p**i for i, d in enumerate(vec))
     for a in range(q):
-        assert f._neg[a] == code([-d % p for d in digits[a]])
+        assert f.neg(a) == code([-d for d in digits[a]])
         if a:
-            assert mul(a, f._inv[a]) == 1
-        for b in range(q):
-            assert f._add[a][b] == code([(x + y) % p for x, y in
-                                         zip(digits[a], digits[b])])
-            if b >= a:
-                assert f._mul[a][b] == f._mul[b][a] == mul(a, b)
+            assert mul(a, f.inv(a)) == 1
+        da = digits[a]
+        assert [f.add(a, b) for b in range(q)] == \
+            [code([x + y for x, y in zip(da, db)]) for db in digits]
+        assert [f.sub(a, b) for b in range(q)] == \
+            [code([x - y for x, y in zip(da, db)]) for db in digits]
+        assert [f.mul(a, b) for b in range(q)] == [mul(a, b) for b in range(q)]
+
+
+def test_prime_field_operations_every_pair():
+    """Every pair at every prime q <= 256: the residue operations."""
+    for p in filter(is_prime, range(257)):
+        f = field_make(p)
+        for a in range(p):
+            assert [f.add(a, b) for b in range(p)] == \
+                [(a + b) % p for b in range(p)]
+            assert [f.sub(a, b) for b in range(p)] == \
+                [(a - b) % p for b in range(p)]
+            assert [f.mul(a, b) for b in range(p)] == \
+                [a * b % p for b in range(p)]
+            assert f.neg(a) == -a % p
+            if a:
+                assert a * f.inv(a) % p == 1
 
 
 def test_primitive_element_matches_order_search():
@@ -307,13 +357,20 @@ def test_poly_mulmod_remainder_and_product():
 @pytest.mark.parametrize("p,e", [(17, 2), (7, 3), (2, 9), (5, 4), (3, 6),
                                  (2, 10)])
 def test_field_axioms_sampled_at_the_table_limit(p, e):
-    """The largest dense-table fields: 289, 343, 512, 625, 729, 1024."""
+    """289, 343, 512, 625, 729 and 1024, the largest fields below the
+    former 1024 dense-table limit: sampled sums, differences, negatives,
+    products and inverses match the references, and the field laws
+    hold."""
     import random
     f = field_make(p, e)
-    assert f._mul is not None
+    mul = field_reference.field_mul(p, e, f.modulus)
     rng = random.Random(f.q)
     for _ in range(3000):
         a, b, c = (rng.randrange(f.q) for _ in range(3))
+        assert f.add(a, b) == _digitwise(p, e, lambda x, y: x + y, a, b)
+        assert f.sub(a, b) == _digitwise(p, e, lambda x, y: x - y, a, b)
+        assert f.neg(a) == _digitwise(p, e, lambda x: -x, a)
+        assert f.mul(a, b) == mul(a, b)
         assert f.add(a, b) == f.add(b, a)
         assert f.mul(a, b) == f.mul(b, a)
         assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
