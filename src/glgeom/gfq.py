@@ -11,7 +11,8 @@ Polynomials over any field have one routine each: poly_mulmod (product,
 or with b = [1] remainder, modulo a monic modulus), least_irreducible
 (trial division) and primitive_element (the least generator of GF(q)*).
 field_make takes its modulus from them, FieldSpec its exp/log tables
-from q - 1 products by the primitive element, and the spreads of
+from the reductions of the primitive element g times x^i (one fixed step
+times g, tabled per half code), and the spreads of
 witness.py their GF(q^k) over GF(q).  Scalar arithmetic has two
 regimes, fixed when the field is made: residues mod p for prime fields,
 and exp/log with Zech logarithms for GF(p^e), O(q) memory at every q.
@@ -185,17 +186,22 @@ def _prime_ops(p):
             (lambda a: -a % p), (lambda a, b: a * b % p), inv)
 
 
-def _zech_ops(p, e, modulus):
-    """add, sub, neg, mul, inv of GF(p^e) on exp/log and Zech tables.
+def _zech_tables(p, e, modulus):
+    """The exp, log and Zech tables of GF(p^e) for _zech_ops.
 
-    exp/log come from q - 1 products by the primitive element g, and the
-    Zech logarithms zech[n] = log(1 + g^n) give a + b = g^(log a +
-    zech[log b - log a]).  Adding 1 to a code changes only its constant
-    digit; the entry is None where g^n = -1, whose code is p - 1.  exp and
-    zech run over two periods, so every index below stays in range.
-    Negation multiplies by -1 = g^half: half = (q - 1)/2 at odd p, 0 at 2.
+    exp runs over the powers of the primitive element g by one fixed step
+    times g.  A code splits into its high e - e//2 and low e//2 digits;
+    the products by g of every half (sums of the reductions of g.x^i,
+    added digit vector by digit vector) are tabled once, cut into pieces
+    of w = max(1, e//2) digits, and the step adds the two halves' products
+    piece by piece through one add table of w-digit codes, of p^(2w) <= q
+    entries.  zech[n] = log(1 + g^n): adding 1 to a code changes only its
+    constant digit; the entry is None where g^n = -1, whose code is p - 1.
+    exp and zech run over two periods, so every index that _zech_ops forms
+    stays in range.
     """
-    q = p**e
+    q, h, w = p**e, e // 2, max(1, e // 2)
+    low, width = p**h, p**w
     base = field_make(p)
 
     def vec(code):
@@ -211,21 +217,50 @@ def _zech_ops(p, e, modulus):
     def poly_mul(a, b):
         return code(poly_mulmod(base, vec(a), vec(b), modulus))
 
+    def pieces(v):  # the w-digit pieces of a digit vector, top one first
+        return tuple(code(v[i:i + w]) for i in range(0, e, w))[::-1]
+
     g = vec(primitive_element(q, poly_mul))
+    reduced = [poly_mulmod(base, [0] * i + g, [1], modulus) for i in range(e)]
+    times = []  # per half, the pieces of its products by g in code order
+    for digits in (range(h), range(h, e)):
+        sums = [[0] * e]
+        for i in digits:
+            sums = [[base.add(x, base.mul(c, y))
+                     for x, y in zip(s, reduced[i])]
+                    for c in range(p) for s in sums]
+        times.append(list(map(pieces, sums)))
+    times_low, times_high = times
+    add = [[0]]  # add[a][b]: the digit-wise sum of the w-digit codes a, b
+    for _ in range(w):
+        add = [[s * p + (i + j) % p for s in row for j in range(p)]
+               for row in add for i in range(p)]
     log = [0] * q
     exp = [0] * (2 * (q - 1))
-    x = [1]
+    c = 1
     for i in range(q - 1):
-        c = code(x)
         exp[i] = exp[i + q - 1] = c
         log[c] = i
-        x = poly_mulmod(base, x, g, modulus)
+        hi, lo = divmod(c, low)
+        c = 0
+        for x, y in zip(times_high[hi], times_low[lo]):
+            c = c * width + add[x][y]
     zech = [None] * (2 * (q - 1))
     for n in range(q - 1):
         c = exp[n]
         c = c - c % p + (c + 1) % p
         if c:
             zech[n] = zech[n + q - 1] = log[c]
+    return exp, log, zech
+
+
+def _zech_ops(p, e, modulus):
+    """add, sub, neg, mul, inv of GF(p^e) on exp/log and Zech tables
+    (_zech_tables): a + b = g^(log a + zech[log b - log a]).  Negation
+    multiplies by -1 = g^half: half = (q - 1)/2 at odd p, 0 at 2.
+    """
+    q = p**e
+    exp, log, zech = _zech_tables(p, e, modulus)
     half = (q - 1) // 2 if p % 2 else 0
 
     def add(a, b):

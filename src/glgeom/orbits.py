@@ -11,25 +11,28 @@ bisection stabiliser H = GL(k,q) wr 2 on bisections never list a
 bisection: for each root A of its few orbits on the index, a random
 Schreier-Sims on points (schreier_sims, fed by random_elements) yields
 strong generators of Stab_H(A), proved complete by its order, and their
-orbits on the q^(k^2) complements of A (subspace.meeting_mask) give the
-orbits on bisections through A.  The stabiliser is generated by GL(k,q) in
-the first block and the block swap.  A generator is a matrix as a tuple of
-row tuples, like a subspace basis; each reaches the search only as a point
-permutation (subspace.point_permutation), which refuses a singular one.
+orbits on the q^(k^2) complements of A give the orbits on bisections
+through A.  The complements are numbered by the affine chart X ->
+span{b_i + sum_j X_ij a_j}, X in M_k(q) (_chart_kit), on which each
+strong generator acts as an affine map, read off k^2 + 1 of its moves on
+the index and extended to a permutation of the chart by one add per
+complement.  The stabiliser is generated by GL(k,q) in the first block and
+the block swap.  A generator is a matrix as a tuple of row tuples, like a
+subspace basis; each reaches the search only as a point permutation
+(subspace.point_permutation), which refuses a singular one.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
+from itertools import islice, product
 from math import prod
+from operator import or_, xor
 from random import Random
 
 from .gfq import primitive_element
-from .subspace import (Bisection, bisection_count, coded_subspace,
-                       containing_masks, coordinate_bisection, gaussian,
-                       grassmannian_index, mask_points, meeting_mask,
-                       point_masks, point_permutation)
+from .subspace import (Bisection, bisection_count, coded_subspace, gaussian,
+                       grassmannian_index, mask_points, point_permutation)
 from .errors import ParamError, TooLargeError
 
 
@@ -159,19 +162,24 @@ def random_elements(perms, rng):
             yield acc
 
 
-def _coset_inverses(point, gens):
-    """{y: the inverse of u_y} over the orbit of point under gens, where
-    u_y is a product of gens carrying point to y (a transversal)."""
-    backs = [_inverse(s) for s in gens]
-    out = {point: list(range(len(gens[0])))}
-    orbit = [point]
+def _grow_cosets(cosets, gens, backs):
+    """Grow {y: the inverse of u_y}, u_y a product of gens carrying a
+    point to y (a transversal), from the orbit under gens[:-1] to the
+    orbit under all gens, in place; backs are the inverses of gens.  The
+    entries already there stay, so each is composed once."""
+    g, g_back = gens[-1], backs[-1]
+    orbit = []
+    for x in list(cosets):
+        y = g[x]
+        if y not in cosets:
+            cosets[y] = _then(g_back, cosets[x])
+            orbit.append(y)
     for x in orbit:
         for s, back in zip(gens, backs):
             y = s[x]
-            if y not in out:
-                out[y] = _then(back, out[x])
+            if y not in cosets:
+                cosets[y] = _then(back, cosets[x])
                 orbit.append(y)
-    return out
 
 
 def schreier_sims(draws, order):
@@ -185,13 +193,14 @@ def schreier_sims(draws, order):
     is sifted through the levels; a non-trivial residue fixes the base
     points of the levels it passed, so it joins the generators of those
     levels and of the one where it stopped, or, if it passed them all,
-    starts a new level at the first point it moves.  The
+    starts a new level at the first point it moves; each level's
+    transversal grows in place (_grow_cosets).  The
     product of the basic orbit lengths never exceeds the order of the
     group the strong generators generate, and that group lies in G, so
     once the product equals the order they generate G: the loop stops
     there.  Raises RuntimeError if the draws run out first.
     """
-    chain = []
+    chain, backs = [], []  # backs[i]: the inverses of level i's generators
     draws = iter(draws)
     while prod(len(level[2]) for level in chain) != order:
         g = next(draws, None)
@@ -209,10 +218,13 @@ def schreier_sims(draws, order):
             moved = next((x for x, y in enumerate(g) if x != y), None)
             if moved is None:
                 continue
-            chain.append((moved, [], None))
+            chain.append((moved, [], {moved: list(range(len(g)))}))
+            backs.append([])
+        back = _inverse(g)
         for i in range(depth + 1):
-            point, gens, _ = chain[i]
-            chain[i] = (point, gens + [g], _coset_inverses(point, gens + [g]))
+            chain[i][1].append(g)
+            backs[i].append(back)
+            _grow_cosets(chain[i][2], chain[i][1], backs[i])
     return chain
 
 
@@ -226,8 +238,9 @@ def _index_orbits(n, k, field, generators):
     (subspace.point_permutation), moves an index by mask lookup.  One
     breadth-first search finds the orbits; the least index of each is its
     root, and parent pointers (a Schreier tree) carry any index back to
-    its root.  Returns the codes, their masks, the generators on points,
-    mover (a point permutation to its move on the index), parent
+    its root.  Returns the codes, their masks, index ({mask: index}), the
+    generators on points, mover (a point permutation to its move on the
+    index), parent
     (the (index, generator) each non-root was reached by), root_of and
     sizes ({root: orbit length}).  Raises RuntimeError if the index size
     contradicts gaussian(n,k,q) or the orbits do not partition it.
@@ -264,7 +277,137 @@ def _index_orbits(n, k, field, generators):
             sizes[root] = len(orbit)
     if sum(sizes.values()) != nsub:
         raise RuntimeError("the subspace orbits do not partition the index")
-    return codes, masks, gens, mover, parent, root_of, sizes
+    return codes, masks, index, gens, mover, parent, root_of, sizes
+
+
+def _chart_kit(field, k, index):
+    """The complement chart of one route call, on V(2k,q), over the index
+    ({point mask: index}) of its k-subspaces.
+
+    Let A have canonical rows a_j and let b_i be the unit rows off A's
+    pivot columns, a complement of A.  The complements of A are the
+    C(X) = span{b_i + sum_j X_ij a_j}, one per X in M_k(q), coded as
+    coded_subspace codes a k x k basis: row by row, each row a k-digit
+    base-q code.  A vector of V(2k,q) is coded the same way, as two rows.
+    Returns two functions:
+
+    chart(code): the indices of the C(X) in the order of the codes of X,
+    for the subspace A with this basis code, masked with no rank.  The
+    points of C(X) are v.b + (v X).a over the normalised coefficient
+    vectors v: per v, the point bit of v.b + w.a for every w, and the code
+    of v X for every X, summed row by row.  A mask that is not in the
+    index maps to None.
+
+    permutation(move, chart, where): for a g fixing A, as its move on the
+    index, the permutation of the codes by which g carries C(X) to C(X'),
+    where = {index: code} inverting chart.  If g fixes A, then A g = P A
+    and b g = R b + S a, so X' = R^-1 (X P + S): affine.  It is read off
+    the images of X = 0 and of the k^2 unit matrices, k^2 + 1 moves, and
+    extended to every code by about one add per code.
+
+    Codes add digit by digit: by XOR at p = 2 (a digit of GF(2^e) is a bit
+    field), otherwise row by row through the add table of one row; the
+    scale table of one row multiplies them.
+    """
+    q, n, size, cells = field.q, 2 * k, field.q ** k, k * k
+    rows = list(product(range(q), repeat=k))  # in code order
+    code_of = {x: c for c, x in enumerate(rows)}
+    scale = [[code_of[tuple(field.mul(c, v) for v in x)] for x in rows]
+             for c in range(q)]
+    minus_one = field.neg(1)
+
+    def times(c, a):
+        """The code of c.a."""
+        if c < 2:
+            return a if c else 0
+        row, out, weight = scale[c], 0, 1
+        while a:
+            a, x = divmod(a, size)
+            out += row[x] * weight
+            weight *= size
+        return out
+
+    # spread(xs, ys) is [x + y for x in xs for y in ys] on one-row codes,
+    # xs the short list.  extend(s, units, count) lists s + sum_t c_t
+    # units[t] over every c in GF(q)^len(units) in code order, on codes of
+    # count rows; the last unit is summed first, as the lowest digit.
+    if field.p == 2:
+        def spread(xs, ys):
+            return [x ^ y for x in xs for y in ys]
+
+        def extend(s, units, count):
+            sums = [s]
+            for u in reversed(units):
+                sums = spread([times(c, u) for c in range(q)], sums)
+            return sums
+        minus = xor
+    else:
+        add = [[code_of[tuple(map(field.add, x, y))] for y in rows]
+               for x in rows]
+
+        def spread(xs, ys):
+            return [row[y] for row in map(add.__getitem__, xs) for y in ys]
+
+        def split(code, count):
+            """The rows of a code, the top one first."""
+            out = []
+            for _ in range(count):
+                code, x = divmod(code, size)
+                out.append(x)
+            return out[::-1]
+
+        def extend(s, units, count):
+            parts = [[x] for x in split(s, count)]  # per row, the sums' rows
+            for u in reversed(units):
+                steps = [split(times(c, u), count) for c in range(q)]
+                parts = [spread([step[i] for step in steps], part)
+                         for i, part in enumerate(parts)]
+            sums = parts[0]
+            for part in parts[1:]:
+                sums = [y * size + x for y, x in zip(sums, part)]
+            return sums
+
+        def minus(a, b):
+            out = 0
+            for x, y in zip(split(a, k), split(times(minus_one, b), k)):
+                out = out * size + add[x][y]
+            return out
+
+    # bit_of[c]: the bit of the point of the vector with code c, numbered
+    # as in subspace.point_permutation: point (q^e - 1)/(q - 1) + x is the
+    # vector 0..0 1 x of code q^e + x, and its multiples
+    bit_of = [0] * q ** n
+    for e in range(n):
+        for x in range(q ** e):
+            for c in range(1, q):
+                bit_of[times(c, q ** e + x)] = 1 << (q ** e - 1) // (q - 1) + x
+    coefficients = [(0,) * (k - 1 - e) + (1,) + x
+                    for e in range(k) for x in product(range(q), repeat=e)]
+
+    def chart(code):
+        a_rows = [code // q ** (n * (k - 1 - j)) % q ** n for j in range(k)]
+        # a canonical row of code r has its leading 1 where q^e <= r < q^(e+1)
+        pivots = {n - 1 - next(e for e in range(n) if r < q ** (e + 1))
+                  for r in a_rows}
+        free = [q ** (n - 1 - c) for c in range(n) if c not in pivots]
+        masks = [0] * q ** cells
+        for v in coefficients:
+            v_b = sum(x * unit for x, unit in zip(v, free))
+            bits = list(map(bit_of.__getitem__, extend(v_b, a_rows, 2)))
+            v_x = [0]
+            for c in reversed(v):
+                v_x = spread(scale[c], v_x)
+            masks = list(map(or_, masks, map(bits.__getitem__, v_x)))
+        return [index.get(mask) for mask in masks]
+
+    every = list(range(q ** cells))  # the permutations share these ints
+
+    def permutation(move, chart, where):
+        shift = where[move(chart[0])]
+        return list(map(every.__getitem__, extend(shift, [
+            minus(where[move(chart[q ** (cells - 1 - t)])], shift)
+            for t in range(cells)], k)))
+    return chart, permutation
 
 
 _DRAWS = 1000  # random elements per stabiliser, far above what it needs
@@ -283,8 +426,13 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
        of the basic orbit lengths is |H| / (|H.A| (q-1)), the order of
        Stab_H(A) on points (the scalars act trivially), which proves the
        strong generators generate it.
-    3. The complements of A, the clear bits of its meeting_mask, fall
-       into the orbits C of those generators.
+    3. The complements of A are numbered by their chart codes
+       (_chart_kit: one point mask each, no rank), checked to be q^(k^2)
+       distinct indices disjoint from A.  Each strong generator permutes
+       the codes by an affine map, read off the images of X = 0 and the
+       k^2 unit matrices; the orbits C of those permutations are found
+       by list lookups and labelled in per-root lists, each with its
+       least complement by index.
     4. For B in such an orbit C, the H-orbit of the ordered pair (A, B)
        has |H.A| |C| pairs.  The reversed pair (B, A), carried to B's
        root through the tree, lies in the same ordered orbit or another,
@@ -310,8 +458,7 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
         raise TooLargeError(f"{count} bisections of V({n},{q}) exceed the "
                             f"budget of {budget}")
     # 1. H-orbits on the index, with a Schreier tree
-    b0 = coordinate_bisection(field, k)
-    codes, masks, gens, mover, parent, root_of, sizes = _index_orbits(
+    codes, masks, index, gens, mover, parent, root_of, sizes = _index_orbits(
         n, k, field, bisection_stabiliser_generators(k, field))
     nsub = len(codes)
     backs = [_inverse(g) for g in gens]
@@ -327,16 +474,17 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
     # 2. and 3. stabiliser orbits on the complements of each root
     group_order = 2 * prod(q**k - q**i for i in range(k))**2
     elements = random_elements(gens, Random(1))
-    through = containing_masks(masks)
-    everything = (1 << nsub) - 1
-    label = {}      # (root, complement) -> ordered orbit
+    chart_of, permutation = _chart_kit(field, k, index)
+    cells = q ** (k * k)
+    labels = {}     # root -> per index, its ordered orbit as a complement
     ordered = []    # per ordered orbit: root, length of C, least of C
     for a, size in sizes.items():
-        comps = list(mask_points(everything
-                                 & ~meeting_mask(masks[a], through)))
-        if len(comps) != q**(k * k):
-            raise RuntimeError(f"{len(comps)} complements of subspace {a}, "
-                               f"expected {q**(k * k)}")
+        chart = chart_of(codes[a])
+        where = dict(zip(chart, range(cells)))
+        found = sum(b is not None and not masks[b] & masks[a] for b in where)
+        if found != cells:
+            raise RuntimeError(f"{found} complements of subspace {a}, "
+                               f"expected {cells}")
         order, rest = divmod(group_order, size * (q - 1))
         draws = (_then(h, to_root(mover(h)(a)))
                  for h in islice(elements, _DRAWS))
@@ -347,24 +495,34 @@ def stabiliser_orbits_on_bisections(k, field, budget=10**7):
                                f"order {group_order} / ({size} ({q - 1}))")
         if any(mover(g)(a) != a for g in strong):
             raise RuntimeError(f"a strong generator moves subspace {a}")
-        movers = [mover(g) for g in strong]
-        for b in comps:
-            if (a, b) not in label:
-                label[a, b] = len(ordered)
-                orbit = [b]
-                for x in orbit:
-                    for move in movers:
-                        y = move(x)
-                        if (a, y) not in label:
-                            label[a, y] = len(ordered)
-                            orbit.append(y)
-                ordered.append((a, len(orbit), b))
+        perms = [permutation(mover(g), chart, where) for g in strong]
+        label = [None] * cells
+        for x in range(cells):
+            if label[x] is None:
+                o = len(ordered)
+                label[x] = o
+                orbit = [x]
+                for y in orbit:
+                    for perm in perms:
+                        z = perm[y]
+                        if label[z] is None:
+                            label[z] = o
+                            orbit.append(z)
+                ordered.append((a, len(orbit), min(map(chart.__getitem__,
+                                                       orbit))))
+        at = labels[a] = [None] * nsub
+        for b, o in zip(chart, label):
+            at[b] = o
 
-    # 4. unordered orbits, each from the lesser of its two ordered ones
-    own = tuple(sorted(map(masks.index, point_masks(list(b0.halves())))))
+    # 4. unordered orbits, each from the lesser of its two ordered ones.
+    # The coordinate bisection's own pair is found by basis code: row i of
+    # <e_1..e_k> has its 1 at entry i (n + 1) of the code, and each row of
+    # <e_(k+1)..e_n> has it k entries later.
+    first = sum(q ** (n * k - 1 - i * (n + 1)) for i in range(k))
+    own = tuple(sorted(map(codes.index, (first, first // q ** k))))
     lengths, reps = [], []
     for o, (a, size, b) in enumerate(ordered):
-        p = label[root_of[b], mover(to_root(b))(a)]
+        p = labels[root_of[b]][mover(to_root(b))(a)]
         if p < o:
             continue
         a2, _, b2 = ordered[p]

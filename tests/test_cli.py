@@ -361,12 +361,17 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     """A broken runtime invariant exits 4, not 1 ("bad parameters"): here a
     complement of an orbit root goes missing."""
     import glgeom.orbits as ob
-    real = ob.meeting_mask
+    real = ob._chart_kit
 
-    def one_more(mask, through):
-        meets = real(mask, through)
-        return meets | (~meets & (meets + 1))  # the least clear bit
-    monkeypatch.setattr(ob, "meeting_mask", one_more)
+    def one_twice(field, k, index):
+        chart, permutation = real(field, k, index)
+
+        def short(code):
+            out = chart(code)
+            out[1] = out[0]
+            return out
+        return short, permutation
+    monkeypatch.setattr(ob, "_chart_kit", one_twice)
     code, out, err = run(capsys, "orbits", "--q", "2", "--k", "2")
     assert code == 4 and out == ""
     assert err.startswith("internal error:")

@@ -288,6 +288,21 @@ def test_least_irreducible_matches_reference():
         assert least_irreducible(field_make(p), e) == want, (p, e)
 
 
+def test_extension_field_tables_are_pinned():
+    """The modulus and the exp, log and Zech tables of all 93 extension
+    fields up to 2^16, hashed together, keep the digest they had when exp
+    was built from q - 1 polynomial products by the primitive element."""
+    import hashlib
+    from glgeom.gfq import _zech_tables
+    digest = hashlib.sha256()
+    for p, e in _extension_degrees(2**16):
+        modulus = least_irreducible(field_make(p), e)
+        exp, log, zech = _zech_tables(p, e, modulus)
+        digest.update(repr((p, e, modulus, exp, log, zech)).encode())
+    assert digest.hexdigest() == ("778782fc006074ddde25b79f178418b7"
+                                  "c21d0dbaa46ac9784f08d2ec574e826b")
+
+
 @pytest.mark.parametrize("p,e", _extension_degrees(256))
 def test_dense_tables_match_reference(p, e):
     """The full q x q tables of add, sub and mul, and neg and inv at every

@@ -346,17 +346,26 @@ def test_dropped_pair_is_an_internal_error(monkeypatch):
 # Mutants of the route: each breaks one runtime invariant.
 
 def test_dropped_complement_is_an_internal_error(monkeypatch):
-    """meeting_mask marking one complement of a root as meeting it: the
-    complement count is q^(k^2) - 1."""
+    """A chart that names one complement of a root twice, or names a
+    subspace outside the chart, which meets the root: q^(k^2) - 1
+    complements are found."""
     import glgeom.orbits as ob
-    real = ob.meeting_mask
+    real = ob._chart_kit
 
-    def one_more(mask, through):
-        meets = real(mask, through)
-        return meets | (~meets & (meets + 1))  # the least clear bit
-    monkeypatch.setattr(ob, "meeting_mask", one_more)
-    with pytest.raises(RuntimeError, match="80 complements .* expected 81"):
-        stabiliser_orbits_on_bisections(2, F3)
+    for fault in ("twice", "meets"):
+        def faulty(field, k, index):
+            chart, permutation = real(field, k, index)
+
+            def wrong(code):
+                out = chart(code)
+                out[1] = out[0] if fault == "twice" else next(
+                    i for i in range(len(index)) if i not in out)
+                return out
+            return wrong, permutation
+        monkeypatch.setattr(ob, "_chart_kit", faulty)
+        with pytest.raises(RuntimeError,
+                           match="80 complements .* expected 81"):
+            stabiliser_orbits_on_bisections(2, F3)
 
 
 def test_short_strong_generating_set_is_an_internal_error(monkeypatch):
@@ -398,6 +407,76 @@ def test_route_matches_the_reference_search(q, k):
     assert got.orbit_lengths == want.orbit_lengths
     assert got.representatives == want.representatives
     assert got.total == want.total
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2),
+                                 (5, 2), (2, 3)])
+def test_chart_permutations_match_the_moves(monkeypatch, q, k):
+    """Every chart the route builds lists, at the code of X, the index of
+    span{b_i + sum_j X_ij a_j}, spanned here by elimination; and every
+    strong generator's chart permutation, read off k^2 + 1 moves and
+    extended affinely, sends each complement of each root where the
+    generator's move on the index (its point permutation) sends it."""
+    import glgeom.orbits as ob
+    from itertools import product
+    from glgeom.subspace import (bisection_count, coded_subspace,
+                                 grassmannian_index, span_rows)
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    n = 2 * k
+    codes = grassmannian_index(n, field, k)[0]
+    real = ob._chart_kit
+    seen = {"charts": 0, "permutations": 0}
+
+    def checking(field_, k_, index):
+        chart_of, permutation = real(field_, k_, index)
+
+        def chart(code):
+            out = chart_of(code)
+            a = coded_subspace(field, n, k, code).basis
+            pivots = {r.index(1) for r in a}
+            b = [r for c, r in enumerate(coordinate_subspace(
+                field, n, range(n)).basis) if c not in pivots]
+            assert len(out) == q ** (k * k)
+            for x, i in zip(product(range(q), repeat=k * k), out):
+                rows = []
+                for r, row in enumerate(b):
+                    for j, a_j in enumerate(a):
+                        c = x[r * k + j]
+                        row = tuple(field.add(u, field.mul(c, v))
+                                    for u, v in zip(row, a_j))
+                    rows.append(row)
+                assert coded_subspace(field, n, k, codes[i]) == span_rows(
+                    field, n, rows)
+            seen["charts"] += 1
+            return out
+
+        def checked(move, chart, where):
+            out = permutation(move, chart, where)
+            assert [chart[y] for y in out] == [move(x) for x in chart]
+            seen["permutations"] += 1
+            return out
+        return chart, checked
+    monkeypatch.setattr(ob, "_chart_kit", checking)
+    assert stabiliser_orbits_on_bisections(k, field).total == \
+        bisection_count(k, q) - 1
+    assert seen["charts"] >= 2 and seen["permutations"] >= 1
+
+
+def test_route_runs_without_the_meeting_masks(monkeypatch):
+    """The complements come from the chart alone: with containing_masks,
+    meeting_mask and point_masks patched to raise in orbits and subspace,
+    the (3,2) and (2,3) partitions are still the golden ones."""
+    import glgeom.orbits as ob
+    import glgeom.subspace as sp
+
+    def forbidden(*args):
+        raise AssertionError("complements found through point masks")
+    for module in (ob, sp):
+        for name in ("containing_masks", "meeting_mask", "point_masks"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    for q, k in ((3, 2), (2, 3)):
+        report = stabiliser_orbits_on_bisections(k, field_make(q))
+        assert report.multiset() == GOLDEN_ORBITS[(q, k)]
 
 
 @pytest.mark.parametrize("q,k", [(2, 2), (3, 2), (2, 3), (4, 2)])
