@@ -1,11 +1,13 @@
 """Independent brute-force completeness oracles, checked against the closed
 forms of glgeom.predicates.
 
-The oracles reduce to one point pair per overlap dimension t (point
-pairs with equal overlap form a single orbit, so any pair with overlap t
-decides that t), try the constructive witness first, and fall back to
-exhaustive search over the line set; incompleteness is only ever
-reported after a full scan, so a witness bug cannot fake a positive.
+The collinear searches (proj_collinear_search, bis_collinear_search)
+scan the line set at one point pair per overlap t (pairs with equal
+overlap form one orbit), after one budget check over every overlap.  The
+collinear oracles are the witness at every overlap, or one search: the
+witness fails from the closed form, which does not depend on t.  So
+incompleteness is only reported after a full scan, and a witness bug
+cannot fake a positive.
 
 The two collinear scans avoid a rank test per line:
 
@@ -59,55 +61,56 @@ class CompletenessVerdict:
 
     def __init__(self, complete, method, failing_t=None, failing_pair=None):
         self.complete = complete
-        self.method = method             # "predicate" | "oracle" | "witness"
+        self.method = method             # "oracle" (a search) | "witness"
         self.failing_t = failing_t
         self.failing_pair = failing_pair
 
 
 # ----------------------------------------------------------------------
-# collinear oracles
+# collinear searches and oracles
 # ----------------------------------------------------------------------
 
-def proj_collinear_oracle(params, budget=10**7, use_witness=True):
+def proj_collinear_search(params, budget=10**7):
     """Search-based collinear completeness of the m-vs-k geometry.
 
     One pair per overlap t, moved to suffix position (module docstring); a
     t fails only after every line W with dim(W meet U1) = j, i.e. every
     Schubert cell of Gr(n,k) with exactly j pivots >= n-m, has been
     scanned without dim(W meet U2) = j.  The budget bounds the subspaces
-    the scans may list: those lines, once for the first t that falls
-    through to the scan and once for each t after it.  It is checked at
-    that first t, before anything is listed, so a point the witness decides
-    at every t is never refused.
+    the scans may list, those lines once per overlap, and is checked
+    before anything is listed.
     """
     n, m, k, j = params.n, params.m, params.k, params.j
     field = params.field
     q = field.q
+    overlaps = range(max(0, 2 * m - n), m)
     # the k-subspaces W with dim(W meet U1) = j
     lines = (q ** ((m - j) * (k - j)) * gaussian(m, j, q)
              * gaussian(n - m, k - j, q))
-    cells = None
-    for t in range(max(0, 2 * m - n), m):
-        if use_witness:
-            try:
-                proj_collinear_witness(n, m, k, j, t, field)
-                continue
-            except PredicateFailsError:
-                pass
-        if cells is None:  # the first scan: refuse before listing anything
-            if lines * (m - t) > budget:
-                raise TooLargeError(f"{m - t} Schubert-cell scans of {lines} "
-                                    f"{k}-subspaces exceed the budget of "
-                                    f"{budget}")
-            # k-j pivots left of column n-m and j from it on, in lex order
-            cells = [lo + hi for lo in combinations(range(n - m), k - j)
-                     for hi in combinations(range(n - m, n), j)]
+    if lines * len(overlaps) > budget:
+        raise TooLargeError(f"{len(overlaps)} Schubert-cell scans of {lines} "
+                            f"{k}-subspaces exceed the budget of {budget}")
+    # k-j pivots left of column n-m and j from it on, in lex order
+    cells = [lo + hi for lo in combinations(range(n - m), k - j)
+             for hi in combinations(range(n - m, n), j)]
+    for t in overlaps:
         lo, hi = n - 2 * m + t, n - m + t  # U2's columns
         if not any(range_meet_dim(w, lo, hi) == j
                    for p in cells for w in schubert_cell(n, field, p)):
             return CompletenessVerdict(False, "oracle", failing_t=t)
-    method = "witness" if (use_witness and cells is None) else "oracle"
-    return CompletenessVerdict(True, method)
+    return CompletenessVerdict(True, "oracle")
+
+
+def proj_collinear_oracle(params, budget=10**7):
+    """The witness at every overlap t, or proj_collinear_search where the
+    closed form fails (at the first t, as it does not depend on t)."""
+    n, m, k, j = params.n, params.m, params.k, params.j
+    try:
+        for t in range(max(0, 2 * m - n), m):
+            proj_collinear_witness(n, m, k, j, t, params.field)
+    except PredicateFailsError:
+        return proj_collinear_search(params, budget)
+    return CompletenessVerdict(True, "witness")
 
 
 def _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
@@ -131,48 +134,48 @@ def _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
     return False
 
 
-def bis_collinear_oracle(params, budget=10**8, use_witness=True, reduce=True):
+def bis_collinear_search(params, budget=10**8):
     """Search-based collinear completeness of the subspace/bisection geometry.
 
-    Applies the perp reduction when m > k (unless reduce=False, which scans
-    the stated parameters directly), then checks one canonical pair per
-    overlap t, witness first, then a full scan of the bisections through
-    the dimension tables of the module docstring.  The budget bounds q^k
-    vectors for each of the gaussian(2k,k,q) k-subspaces (more than the
-    points the index codes) over the first t that falls through to the
-    scan and every t after it, and is checked at that first t, before
-    anything is listed.
+    Scans the stated parameters, m > k included: the canonical pairs, U1
+    once and U2 per overlap t, masked in one point_masks call, and all
+    bisections through the dimension tables of the module docstring.  The
+    budget bounds q^k vectors for each of the gaussian(2k,k,q) k-subspaces
+    (more than the points the index codes) once per overlap, and is
+    checked before anything is listed.
     """
     field = params.field
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
-    if m > k:
-        if reduce:
-            return bis_collinear_oracle(params.dual(), budget, use_witness)
-        use_witness = False  # the constructive route needs m <= k
-    masks = None
-    for t in range(max(0, 2 * m - 2 * k), m):
-        if use_witness:
-            try:
-                bis_collinear_witness(params, t)
-                continue
-            except PredicateFailsError:
-                pass
-        if masks is None:  # the first scan: refuse before masking anything
-            nsub = gaussian(2 * k, k, q)
-            if nsub * q ** k * (m - t) > budget:
-                raise TooLargeError(f"{m - t} table scans of the {q ** k} "
-                                    f"vectors of {nsub} {k}-subspaces exceed "
-                                    f"the budget of {budget}")
-            masks = grassmannian_index(2 * k, field, k)[1]
-            through = containing_masks(masks)
-            dims = meet_dims(q, 2 * k)
-        u1, u2 = point_masks(list(canonical_pair(field, 2 * k, m, t)))
-        d1 = [dims[(x & u1).bit_count()] for x in masks]
+    overlaps = range(max(0, 2 * m - 2 * k), m)
+    nsub = gaussian(2 * k, k, q)
+    if nsub * q ** k * len(overlaps) > budget:
+        raise TooLargeError(f"{len(overlaps)} table scans of the {q ** k} "
+                            f"vectors of {nsub} {k}-subspaces exceed "
+                            f"the budget of {budget}")
+    masks = grassmannian_index(2 * k, field, k)[1]
+    through = containing_masks(masks)
+    dims = meet_dims(q, 2 * k)
+    pairs = [canonical_pair(field, 2 * k, m, t) for t in overlaps]
+    u1, *u2s = point_masks([pairs[0][0], *(u2 for _, u2 in pairs)])
+    d1 = [dims[(x & u1).bit_count()] for x in masks]
+    for t, u2 in zip(overlaps, u2s):
         d2 = [dims[(x & u2).bit_count()] for x in masks]
         if not _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
             return CompletenessVerdict(False, "oracle", failing_t=t)
-    method = "witness" if (use_witness and masks is None) else "oracle"
-    return CompletenessVerdict(True, method)
+    return CompletenessVerdict(True, "oracle")
+
+
+def bis_collinear_oracle(params, budget=10**8):
+    """The perp reduction when m > k, then the witness at every overlap t,
+    or bis_collinear_search where the closed form fails (at the first t)."""
+    if params.m > params.k:
+        params = params.dual()
+    try:
+        for t in range(params.m):
+            bis_collinear_witness(params, t)
+    except PredicateFailsError:
+        return bis_collinear_search(params, budget)
+    return CompletenessVerdict(True, "witness")
 
 
 # ----------------------------------------------------------------------
@@ -213,12 +216,12 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**8):
     scan is refused with TooLargeError, before any point is masked, when
     the pairs times the gaussian(2k,m,q) points exceed the budget.
     """
+    if params.m > params.k:
+        params = params.dual()
+        if orbit_reps is not None:
+            orbit_reps = [b.dual() for b in orbit_reps]
     field = params.field
     q, m, k = field.q, params.m, params.k
-    if m > k:
-        dual = params.dual()
-        reps = None if orbit_reps is None else [b.dual() for b in orbit_reps]
-        return concurrent_oracle(dual, reps, budget)
     if orbit_reps is None:
         orbit_reps = stabiliser_orbits_on_bisections(
             k, field, budget).representatives

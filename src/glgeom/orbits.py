@@ -31,8 +31,9 @@ from operator import or_, xor
 from random import Random
 
 from .gfq import primitive_element
-from .subspace import (Bisection, bisection_count, coded_subspace, gaussian,
-                       grassmannian_index, mask_points, point_permutation)
+from .subspace import (Bisection, _digit_tables, bisection_count,
+                       coded_subspace, gaussian, grassmannian_index,
+                       mask_points, point_permutation)
 from .errors import ParamError, TooLargeError
 
 
@@ -310,10 +311,7 @@ def _chart_kit(field, k, index):
     scale table of one row multiplies them.
     """
     q, n, size, cells = field.q, 2 * k, field.q ** k, k * k
-    rows = list(product(range(q), repeat=k))  # in code order
-    code_of = {x: c for c, x in enumerate(rows)}
-    scale = [[code_of[tuple(field.mul(c, v) for v in x)] for x in rows]
-             for c in range(q)]
+    add, scale = _digit_tables(field, k)
     minus_one = field.neg(1)
 
     def times(c, a):
@@ -342,9 +340,6 @@ def _chart_kit(field, k, index):
             return sums
         minus = xor
     else:
-        add = [[code_of[tuple(map(field.add, x, y))] for y in rows]
-               for x in rows]
-
         def spread(xs, ys):
             return [row[y] for row in map(add.__getitem__, xs) for y in ys]
 

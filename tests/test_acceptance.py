@@ -12,8 +12,9 @@ from glgeom.counts import (disjoint_count_identity_check, f_value, gaussian,
                            h_lower_bound, h_value)
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams, ProjParams
-from glgeom.oracle import (bis_collinear_oracle, concurrent_oracle,
-                           pair_has_common_point, proj_collinear_oracle)
+from glgeom.oracle import (bis_collinear_oracle, bis_collinear_search,
+                           concurrent_oracle, pair_has_common_point,
+                           proj_collinear_oracle)
 from glgeom.orbits import GOLDEN_ORBITS, stabiliser_orbits_on_bisections
 from glgeom.predicates import (bis_collinear_predicate,
                                bis_concurrent_predicate,
@@ -334,7 +335,6 @@ def test_criterion_8_duality_suite():
                     except ParamError:
                         continue
                     direct = bis_collinear_oracle(p).complete
-                    dual_direct = bis_collinear_oracle(
-                        p.dual(), reduce=False, use_witness=False).complete
+                    dual_direct = bis_collinear_search(p.dual()).complete
                     assert direct == dual_direct, (q, k, m, k1, k2)
     print("ACCEPTANCE 8: PASS")

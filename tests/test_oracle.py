@@ -8,8 +8,9 @@ from glgeom.gfq import field_make
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams, ProjParams
 from glgeom.counts import restricted_movement_sufficient, TooLargeError
-from glgeom.oracle import (bis_collinear_oracle, concurrent_oracle,
-                           pair_has_common_point, proj_collinear_oracle)
+from glgeom.oracle import (bis_collinear_oracle, bis_collinear_search,
+                           concurrent_oracle, pair_has_common_point,
+                           proj_collinear_oracle, proj_collinear_search)
 from glgeom.orbits import stabiliser_orbits_on_bisections
 from glgeom.predicates import (bis_collinear_predicate,
                                bis_concurrent_predicate,
@@ -27,6 +28,7 @@ from paper_checks import induction_step_check
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
+FIELDS = {2: F2, 3: F3, 4: F4}
 
 
 # ---------------------------------------------------------------------
@@ -85,8 +87,8 @@ def test_proj_oracle_pure_search_mode():
     for (n, m, k, j) in [(4, 2, 2, 1), (4, 1, 2, 1), (4, 3, 2, 1), (3, 1, 2, 0)]:
         for field in (F2, F3):
             p = ProjParams(n, m, k, j, field)
-            assert proj_collinear_oracle(p, use_witness=False).complete == \
-                proj_collinear_oracle(p, use_witness=True).complete == \
+            assert proj_collinear_search(p).complete == \
+                proj_collinear_oracle(p).complete == \
                 proj_collinear_predicate(n, m, k, j)
 
 
@@ -135,8 +137,7 @@ def test_proj_oracle_matches_per_line_scan(field):
                         lambda u1, u2: any(
                             intersection_dim(w, u1) == j
                             and intersection_dim(w, u2) == j for w in lines))
-                    got = proj_collinear_oracle(ProjParams(n, m, k, j, field),
-                                                use_witness=False)
+                    got = proj_collinear_search(ProjParams(n, m, k, j, field))
                     assert (got.complete, got.failing_t) == \
                         (want is None, want), (n, m, k, j)
 
@@ -159,8 +160,7 @@ def test_bis_oracle_matches_per_line_scan(field):
                         lambda u1, u2: any(
                             incident_bis(params, u1, b)
                             and incident_bis(params, u2, b) for b in lines))
-                    got = bis_collinear_oracle(params, use_witness=False,
-                                               reduce=False)
+                    got = bis_collinear_search(params)
                     assert (got.complete, got.failing_t) == \
                         (want is None, want), (k, m, k1, k2)
 
@@ -231,6 +231,43 @@ def test_witnessed_points_list_nothing(monkeypatch):
     assert (v.complete, v.method) == (True, "witness")
     v = bis_collinear_oracle(BisParams(4, 4, 0, 0, F3), budget=10)
     assert (v.complete, v.method) == (True, "witness")
+
+
+def _exhaustive_scan_points():
+    """The benchmark's exhaustive-scan points, restated, with (2,3,3,0,3)
+    put back: every bisection point of criterion 2, then the grid of
+    `scan --family proj --max-n 6 --qs 2,3`."""
+    for q, k in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)):
+        for m in range(1, 2 * k):
+            for k1 in range(k + 1):
+                for k2 in range(k1, k + 1):
+                    if k1 + k2 <= m <= k + k1:
+                        yield BisParams(k, m, k1, k2, FIELDS[q])
+    for q in (2, 3):
+        for n in range(2, 7):
+            for m in range(1, n):
+                for k in range(1, n):
+                    for j in range(max(0, m + k - n), min(m, k) + 1):
+                        if not m == k == j:
+                            yield ProjParams(n, m, k, j, FIELDS[q])
+
+
+def test_oracle_is_the_witness_or_the_search():
+    """At every exhaustive-scan point the oracle's verdict and failing t
+    are its search's, and its method is the witness exactly where the
+    closed form holds."""
+    points = list(_exhaustive_scan_points())
+    assert len(points) == 260
+    for p in points:
+        if isinstance(p, ProjParams):
+            oracle, search = proj_collinear_oracle(p), proj_collinear_search(p)
+            holds = proj_collinear_predicate(p.n, p.m, p.k, p.j)
+        else:
+            oracle, search = bis_collinear_oracle(p), bis_collinear_search(p)
+            holds = bis_collinear_predicate(p.field.q, p.m, p.k, p.k1, p.k2)
+        assert (oracle.complete, oracle.failing_t) == \
+            (search.complete, search.failing_t), p
+        assert (oracle.method == "witness") == holds, p
 
 
 # ---------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from glgeom.gfq import field_make
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams
-from glgeom.predicates import bis_collinear_predicate
+from glgeom.predicates import (bis_collinear_predicate,
+                               proj_collinear_predicate)
 from glgeom.subspace import (coordinate_subspace, intersection_dim, perp,
                              span_rows)
 from glgeom.witness import (PredicateFailsError, bis_collinear_witness,
@@ -214,7 +215,6 @@ def test_proj_perp_branch_is_the_transported_witness(q):
 @pytest.mark.parametrize("q", [2, 3])
 def test_proj_witness_iff_predicate(q):
     """Witness construction succeeds exactly on predicate-true inputs."""
-    from glgeom.predicates import proj_collinear_predicate
     field = field_of(q)
     for n in range(2, 7):
         for m in range(1, n):
@@ -300,7 +300,6 @@ def test_proj_witness_at_the_field_edges(p, e):
     """At n = 12 over the largest extension fields and the largest prime
     field, a witness is built exactly where the predicate holds, and its
     trusted rows are canonical (span_rows leaves them as they are)."""
-    from glgeom.predicates import proj_collinear_predicate
     field = field_make(p, e)
     n, built, refused = 12, 0, 0
     for m in range(1, n):
@@ -360,6 +359,60 @@ def test_bis_witness_full_coverage(q):
                 d = tuple(sorted((intersection_dim(u, b.half1),
                                   intersection_dim(u, b.half2))))
                 assert d == want
+
+
+def _builds_at_every_overlap(build, overlaps):
+    """True if build(t) returns at every overlap, False if it raises
+    PredicateFailsError at every one; a mix fails the test."""
+    built = set()
+    for t in overlaps:
+        try:
+            build(t)
+            built.add(True)
+        except PredicateFailsError:
+            built.add(False)
+    assert len(built) == 1, built
+    return built.pop()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_proj_witness_builds_at_every_overlap_or_none(q):
+    """The collinear oracles try the witness at each overlap and search
+    only on PredicateFailsError, so it must come at every overlap or at
+    none, exactly where the closed form fails: every admissible point
+    with n <= 8."""
+    field = field_of(q)
+    for n in range(2, 9):
+        for m in range(1, n):
+            for k in range(1, n):
+                for j in range(max(0, m + k - n), min(m, k) + 1):
+                    built = _builds_at_every_overlap(
+                        lambda t: proj_collinear_witness(n, m, k, j, t, field),
+                        range(max(0, 2 * m - n), m))
+                    assert built == proj_collinear_predicate(n, m, k, j), \
+                        (n, m, k, j)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_bis_witness_builds_at_every_overlap_or_none(q):
+    """As for proj: every point with k <= 4, those with m > k dualised to
+    m <= k as bis_collinear_oracle does."""
+    field = field_of(q)
+    for k in range(1, 5):
+        for m in range(1, 2 * k):
+            for k1 in range(k + 1):
+                for k2 in range(k1, k + 1):
+                    try:
+                        params = BisParams(k, m, k1, k2, field)
+                    except ParamError:
+                        continue
+                    if m > k:
+                        params = params.dual()
+                    built = _builds_at_every_overlap(
+                        lambda t: bis_collinear_witness(params, t),
+                        range(params.m))
+                    assert built == bis_collinear_predicate(
+                        q, params.m, k, params.k1, params.k2), (k, m, k1, k2)
 
 
 def test_bis_witness_requires_m_le_k():
