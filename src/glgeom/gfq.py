@@ -22,9 +22,9 @@ element, a chart, a change of basis or its inverse acts on row vectors by
 v -> v.g (vec_mat).  The row kernels take such rows directly: _rref_rows,
 the one elimination (subspace.span_rows, kernel, mat_inverse); and
 echelon_insert, which reduces one row against canonical rows as they
-stand (meets at q > 2).
+stand (meets at q > 2, and range meets at every q).
 GF(2) additionally gets a packed representation (one int bitmask per row,
-bit j = column j) used by the enumeration-heavy callers; the two
+bit j = column j), used only by subspace.intersection_dim; the two
 representations agree bit for bit.
 """
 
@@ -320,15 +320,9 @@ def vec_mat(field, v, m):
     out = [0] * len(m[0])
     for i, x in enumerate(v):
         if x:
-            mi = m[i]
-            if x == 1:
-                for j, y in enumerate(mi):
-                    if y:
-                        out[j] = add(out[j], y)
-            else:
-                for j, y in enumerate(mi):
-                    if y:
-                        out[j] = add(out[j], mul(x, y))
+            for j, y in enumerate(m[i]):
+                if y:
+                    out[j] = add(out[j], mul(x, y))
     return tuple(out)
 
 

@@ -134,7 +134,7 @@ def _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
     return False
 
 
-def bis_collinear_search(params, budget=10**8):
+def bis_collinear_search(params, budget=10**7):
     """Search-based collinear completeness of the subspace/bisection geometry.
 
     Scans the stated parameters, m > k included: the canonical pairs, U1
@@ -165,7 +165,7 @@ def bis_collinear_search(params, budget=10**8):
     return CompletenessVerdict(True, "oracle")
 
 
-def bis_collinear_oracle(params, budget=10**8):
+def bis_collinear_oracle(params, budget=10**7):
     """The perp reduction when m > k, then the witness at every overlap t,
     or bis_collinear_search where the closed form fails (at the first t)."""
     if params.m > params.k:
@@ -203,7 +203,7 @@ def _uncovered_pair(params, lines, cells=None):
     return None
 
 
-def concurrent_oracle(params, orbit_reps=None, budget=10**8):
+def concurrent_oracle(params, orbit_reps=None, budget=10**7):
     """Does every pair of distinct bisections share an incident m-subspace?
 
     Only the pairs (coordinate bisection, representative) are checked, one

@@ -109,10 +109,6 @@ def span_rows(field, n, rows):
     return Subspace(field, n, tuple(map(tuple, red)))
 
 
-def full_space(field, n):
-    return coordinate_subspace(field, n, range(n))
-
-
 @lru_cache(maxsize=None)
 def _unit_rows(n):
     """The unit rows e_0..e_{n-1} of V(n,q), built once per n and shared by
@@ -179,8 +175,7 @@ def range_meet_dim(w, a, b):
     combinations that are 0 from column b on, of dimension the number of
     those rows minus the rank of their slices to [b, n).  A suffix (b = n)
     is met in #{i : p_i >= a} dimensions, with no rank.  A nonzero slice
-    is ranked by pk_rank at q = 2, else by echelon_insert into an empty
-    echelon.
+    is ranked by echelon_insert into an empty echelon, at every q.
 
     The lemma needs W's rows to be fully reduced, more than the echelon
     that intersection_dim trusts: rows passed to Subspace(...) unchecked
@@ -201,17 +196,13 @@ def range_meet_dim(w, a, b):
                 tails.append(tail)
     if not tails:
         return kept
-    field = w.field
-    if field.q == 2:
-        return kept - pk_rank(pack_rows(tails), n - b)
     echelon = []
-    return kept - sum(echelon_insert(field, echelon, r) for r in tails)
+    return kept - sum(echelon_insert(w.field, echelon, r) for r in tails)
 
 
 def perp(u):
-    """Orthogonal complement under the standard dot product."""
-    if u.dim == 0:
-        return full_space(u.field, u.n)
+    """Orthogonal complement under the standard dot product: the kernel
+    of no rows is the whole space."""
     return Subspace(u.field, u.n, kernel(u.field, u.basis, u.n))
 
 
@@ -223,10 +214,6 @@ def _echelon(u):
 
 def add_vecs(field, u, v):
     return tuple(field.add(x, y) for x, y in zip(u, v))
-
-
-def scale_vec(field, c, v):
-    return tuple(field.mul(c, x) for x in v)
 
 
 # ----------------------------------------------------------------------
@@ -454,17 +441,21 @@ def point_permutation(field, n, g):
     """perm[p] = the point p.g under the row action of an invertible n x n
     matrix g (a tuple of rows) on V(n,q), in the numbering of point_masks:
     point p is the vector 0..0 1 x with e free entries x, e ascending, then
-    x in code order.  Raises ValueError for any other g: a singular g
-    sends some point to zero, which numbers no point."""
+    x in code order; an image is numbered by its multiple with leading 1.
+    Raises ValueError for any other g: a singular g sends some point to
+    zero, which numbers no point."""
     if len(g) != n or any(len(r) != n for r in g):
         raise ValueError(f"generator is not an invertible {n} x {n} matrix")
     points = [(0,) * (n - 1 - e) + (1,) + x
               for e in range(n) for x in product(range(field.q), repeat=e)]
-    number = {scale_vec(field, c, v): p
-              for p, v in enumerate(points) for c in range(1, field.q)}
-    perm = [number.get(vec_mat(field, v, g)) for v in points]
-    if None in perm:
-        raise ValueError("generator is not invertible")
+    number, perm = {v: p for p, v in enumerate(points)}, []
+    for v in points:
+        w = vec_mat(field, v, g)
+        lead = next(filter(None, w), 0)  # the image's first nonzero entry
+        if not lead:
+            raise ValueError("generator is not invertible")
+        c = field.inv(lead)
+        perm.append(number[tuple(field.mul(c, x) for x in w)])
     return perm
 
 

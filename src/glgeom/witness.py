@@ -403,15 +403,16 @@ def _shallow_overlap_rows(field, k, m, k1, k2, t):
     (s = k1 + k2 - t) meets them the other way round.  Each half is
     completed from c and the last mbar = m - k1 - k2 columns x1, x2 of c1
     and c2, avoiding both: a diagonal pair of <x1>, <x2> and columns of
-    c; at q = 2 with mbar = 1, x1 + x2 and x1 + c[0] go to the half with
-    room, or (c empty: t = 0, m = k) x1 + x2 and x1 + B1's first columns
-    of c1 and c2."""
+    c; at q = 2 with mbar = 1, x1 + x2 and x1 + c[0] always go to B2, or
+    (c empty: t = 0, m = k) x1 + x2 and x1 + B1's first columns of c1 and
+    c2.  B2 has room for both: it lacks d2 = k - m + 1 + x rows, and d2 <
+    2 would need m = k and x = 0, so t = 0 (t <= 2 k1) and c empty."""
     tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
     x, s = min(t, k1), k1 + k2 - t
     b1 = _units([*tt[x:], *c1[k1 - x:s], *c2[k2 - x:s]])
     b2 = _units([*tt[:x], *c1[:k1 - x], *c2[:k2 - x]])
     x1, x2 = c1[s:], c2[s:]
-    d1, d2 = k - len(b1), k - len(b2)
+    d1 = k - len(b1)
     if field.q == 2 and len(x1) == 1:
         if not c:
             if not k1:
@@ -419,9 +420,7 @@ def _shallow_overlap_rows(field, k, m, k1, k2, t):
             return (b1 + _sums(x1, x2),
                     b2 + [((x1[0], 1), (c1[k1], 1), (c2[k2], 1))])
         mixed = _sums([x1[0]] * 2, [x2[0], c[0]])
-        if d2 >= 2:
-            return b1 + _units(c[:d1]), b2 + mixed + _units(c[d1:])
-        return b1 + mixed + _units(c[d2:]), b2 + _units(c[:d2])
+        return b1 + _units(c[:d1]), b2 + mixed + _units(c[d1:])
     z1, z2 = _diagonal_rows(field, _units(x1), _units(x2), len(x1))
     d = d1 - len(x1)
     return b1 + z1 + _units(c[:d]), b2 + z2 + _units(c[d:])
@@ -498,11 +497,6 @@ def desarguesian_spread(k, field):
     """
     q = field.q
     n = 2 * k
-    if k == 1:
-        out = [coordinate_subspace(field, n, [1])]
-        for a in range(q):
-            out.append(span_rows(field, n, [(1, a)]))
-        return out
     modulus = least_irreducible(field, k)
     spread = [coordinate_subspace(field, n, range(k, n))]
     for code in range(q**k):

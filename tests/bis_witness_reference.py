@@ -23,9 +23,10 @@ from glgeom.errors import ParamError
 from glgeom.gfq import mat_inverse, vec_mat
 from glgeom.subspace import (Bisection, Subspace, add_vecs, canonical_pair,
                              coordinate_bisection, coordinate_subspace,
-                             full_space, intersection_dim, span_rows)
+                             intersection_dim, span_rows)
 from glgeom.witness import DiagonalPair, _NEAR_HALF_TABLE
-from lattice_reference import apply_bisection, complement, transport_pair
+from lattice_reference import (apply_bisection, complement, full_space,
+                               transport_pair)
 from proj_witness_reference import direct_sum, sum_subspace
 
 

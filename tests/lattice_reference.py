@@ -2,28 +2,34 @@
 longer run, kept for the tests and the reference constructions.
 
 `intersect` (the meet by one Zassenhaus elimination), `complement`,
-`adapted_pair_basis`, `transport_pair`, `apply_mat` and `mat_mul` moved
-here from glgeom.subspace and glgeom.gfq once no verb reached them; a
-matrix is a tuple of row tuples, as in the package.  The former methods
-`Subspace.contains`, `Subspace.contains_vector`, `Subspace.vectors` and
-`Bisection.apply` are the functions `contains`, `contains_vector`,
-`vectors` and `apply_bisection`.  `sorted_grassmannian`, the list of
-Subspace objects that the package's coded index (grassmannian_index)
-replaced, is the reference that index is checked against.  Nothing in the
-package calls this file.
+`adapted_pair_basis`, `transport_pair`, `apply_mat`, `mat_mul` and
+`full_space` moved here from glgeom.subspace and glgeom.gfq once no verb
+reached them; a matrix is a tuple of row tuples, as in the package.  The
+former methods `Subspace.contains`, `Subspace.contains_vector`,
+`Subspace.vectors` and `Bisection.apply` are the functions `contains`,
+`contains_vector`, `vectors` and `apply_bisection`; `random_gl` draws the
+group elements that the randomised tests move them by.
+`sorted_grassmannian`, the list of Subspace objects that the package's
+coded index (grassmannian_index) replaced, is the reference that index
+is checked against.  Nothing in the package calls this file.
 """
 
 from itertools import product
 
 from glgeom.gfq import echelon_insert, mat_inverse, vec_mat, _rref_rows
 from glgeom.subspace import (Bisection, Subspace, _check_ambient, _echelon,
-                             grassmannian, span_rows)
+                             coordinate_subspace, grassmannian, span_rows)
 
 
 def sorted_grassmannian(n, field, m):
     """The m-subspaces of V(n,q) as a list in sort_key order: the index
     that bisections are coded against (a bisection is a disjoint pair)."""
     return sorted(grassmannian(n, field, m), key=Subspace.sort_key)
+
+
+def full_space(field, n):
+    """V(n,q) itself, spanned by its unit rows."""
+    return coordinate_subspace(field, n, range(n))
 
 
 def mat_mul(field, a, b):
@@ -137,3 +143,13 @@ def apply_mat(u, g):
 
 def apply_bisection(b, g):
     return Bisection(apply_mat(b.half1, g), apply_mat(b.half2, g))
+
+
+def random_gl(rng, field, n):
+    """A uniformly random element of GL(n,q) drawn from a random.Random:
+    random matrices of rows until one has rank n."""
+    while True:
+        g = tuple(tuple(rng.randrange(field.q) for _ in range(n))
+                  for _ in range(n))
+        if span_rows(field, n, g).dim == n:
+            return g

@@ -20,14 +20,13 @@ from glgeom.counts import bisection_count, gaussian
 from glgeom.errors import ParamError, TooLargeError
 from glgeom.geometry import ProjParams, mask_incident_bis
 from glgeom.predicates import bis_concurrent_predicate
-from glgeom.subspace import (Bisection, coordinate_subspace, full_space,
-                             grassmannian, intersection_dim, point_masks,
-                             span_rows)
+from glgeom.subspace import (Bisection, coordinate_subspace, grassmannian,
+                             intersection_dim, point_masks, span_rows)
 from glgeom.witness import desarguesian_spread, fifth_disjoint
 from concurrent_reference import _disjoint_sorted, disjoint_pairs
 from field_reference import rank_of_rows
-from lattice_reference import (complement, contains_vector, intersect,
-                               sorted_grassmannian, vectors)
+from lattice_reference import (complement, contains_vector, full_space,
+                               intersect, sorted_grassmannian, vectors)
 from proj_witness_reference import sum_subspace
 
 

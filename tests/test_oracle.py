@@ -22,7 +22,7 @@ from glgeom.subspace import (Bisection, coded_subspace,
 from glgeom.witness import canonical_pair, desarguesian_spread
 from bis_witness_reference import incident_bis
 from concurrent_reference import bisections, concurrent_all_pairs
-from lattice_reference import vectors
+from lattice_reference import apply_bisection, random_gl, vectors
 from paper_checks import induction_step_check
 
 F2 = field_make(2)
@@ -313,6 +313,28 @@ def test_concurrent_failing_pair_is_recheckable():
     assert not v.complete and v.failing_pair is not None
     b1, b2 = v.failing_pair
     assert not pair_has_common_point(p, b1, b2)
+
+
+def test_common_point_is_invariant_under_gl():
+    """GL(2k,q) preserves incidence, so a pair of bisections moved by one
+    element keeps its answer: the failing pair that concurrent_oracle
+    names at (q,k,m) = (2,2,2), pattern (0,0), stays uncovered, and the
+    coordinate bisection with three orbit representatives at (3,2,2),
+    pattern (0,0), stay covered, each pair moved by seeded random
+    elements."""
+    import random
+    rng = random.Random(29)
+    p2, p3 = BisParams(2, 2, 0, 0, F2), BisParams(2, 2, 0, 0, F3)
+    base3 = coordinate_bisection(F3, 2)
+    reps = stabiliser_orbits_on_bisections(2, F3).representatives
+    cases = [(p2, concurrent_oracle(p2).failing_pair, False)]
+    cases += [(p3, (base3, b), True) for b in reps[:3]]
+    for p, pair, covered in cases:
+        assert pair_has_common_point(p, *pair) == covered
+        for _ in range(5):
+            g = random_gl(rng, p.field, 4)
+            moved = [apply_bisection(b, g) for b in pair]
+            assert pair_has_common_point(p, *moved) == covered, (pair, g)
 
 
 def test_concurrent_reproduces_stated_failing_pair():

@@ -8,15 +8,16 @@ from glgeom.gfq import field_make, pack_rows
 from glgeom.counts import bisection_count, gaussian
 from glgeom.subspace import (Bisection, canonical_pair,
                              canonical_piece_columns, coded_subspace,
-                             coordinate_subspace, full_space, grassmannian,
+                             coordinate_subspace, grassmannian,
                              grassmannian_index, intersection_dim, meet_dims,
                              perp, point_masks, range_meet_dim, schubert_cell,
                              span_rows)
 from concurrent_reference import bisections, disjoint_pairs
 from field_reference import rank_of_rows
 from lattice_reference import (adapted_pair_basis, apply_mat, complement,
-                               contains, contains_vector, intersect,
-                               sorted_grassmannian, transport_pair, vectors)
+                               contains, contains_vector, full_space,
+                               intersect, sorted_grassmannian, transport_pair,
+                               vectors)
 from proj_witness_reference import direct_sum, sum_subspace
 
 F2 = field_make(2)

@@ -16,8 +16,8 @@ from glgeom.witness import (PredicateFailsError, bis_collinear_witness,
 from bis_witness_reference import incident_bis
 from diagonal_reference import diagonal_pair_exists_bruteforce
 from field_reference import rank_of_rows
-from lattice_reference import (apply_mat, intersect, mat_mul, transport_pair,
-                               vectors)
+from lattice_reference import (apply_bisection, apply_mat, intersect,
+                               mat_mul, random_gl, transport_pair, vectors)
 from proj_witness_reference import subset_witness
 
 F2 = field_make(2)
@@ -632,6 +632,70 @@ BIS_POINTS = [(2, 3, 3, 0, 0), (3, 4, 4, 0, 2), (2, 3, 4, 1, 2)]
 # regime's q = 2 mixed rows, and that regime with t > k1 at odd q
 BIS_REGIME_POINTS = [(2, 5, 5, 0, 3), (2, 2, 2, 0, 1), (2, 3, 2, 0, 0),
                      (2, 3, 3, 1, 1), (3, 5, 5, 1, 2)]
+
+
+@pytest.mark.parametrize("n,m,k,j,q", PROJ_POINTS)
+def test_proj_witness_meets_are_invariant_under_gl(n, m, k, j, q):
+    """W, U1 and U2 moved by one seeded random element of GL(n,q) keep
+    their meet dimensions: j with each of U1, U2, and t between them."""
+    import random
+    field, rng = field_of(q), random.Random(n * 100 + q)
+    for t in range(max(0, 2 * m - n), m):
+        w = proj_collinear_witness(n, m, k, j, t, field)
+        for _ in range(3):
+            g = random_gl(rng, field, n)
+            wg, u1, u2 = (apply_mat(s, g)
+                          for s in (w, *canonical_pair(field, n, m, t)))
+            assert (intersection_dim(wg, u1), intersection_dim(wg, u2),
+                    intersection_dim(u1, u2)) == (j, j, t), (t, g)
+
+
+@pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS + BIS_REGIME_POINTS)
+def test_bis_witness_meets_are_invariant_under_gl(q, k, m, k1, k2):
+    """As for proj: the bisection witness and the canonical pair moved by
+    one element keep the pattern (k1, k2) against each of U1, U2."""
+    import random
+    field, rng = field_of(q), random.Random(k * 100 + q)
+    params = BisParams(k, m, k1, k2, field)
+    work = params if m <= k else params.dual()
+    for t in range(work.m):
+        b = bis_collinear_witness(work, t)
+        for _ in range(3):
+            g = random_gl(rng, field, 2 * k)
+            bg = apply_bisection(b, g)
+            pair = [apply_mat(u, g)
+                    for u in canonical_pair(field, 2 * k, work.m, t)]
+            assert intersection_dim(*pair) == t
+            for u in pair:
+                assert tuple(sorted(intersection_dim(u, h)
+                                    for h in bg.halves())) == \
+                    (work.k1, work.k2), (t, g)
+
+
+def test_shallow_overlap_mixed_rows_build_up_to_k10():
+    """q = 2, the shallow regime (t <= 2 k1) with one column x1 of c1 past
+    the halves' shares (m = k1 + k2 + 1) and c nonempty: x1 + x2 and x1 +
+    c[0] go to B2, which lacks d2 = k - m + 1 + min(t, k1) >= 2 rows.
+    Every such point with k <= 10 where the predicate holds builds a
+    witness with the stated meets."""
+    built = 0
+    for k in range(2, 11):
+        for k1 in range(k):
+            for k2 in range(max(k1, 1), k - k1):
+                m = k1 + k2 + 1
+                if not bis_collinear_predicate(2, m, k, k1, k2):
+                    continue
+                for t in range(min(m - 1, 2 * k1) + 1):
+                    if 2 * m - t == 2 * k:  # c is empty
+                        continue
+                    assert k - m + 1 + min(t, k1) >= 2
+                    b = bis_collinear_witness(BisParams(k, m, k1, k2, F2), t)
+                    for u in canonical_pair(F2, 2 * k, m, t):
+                        assert tuple(sorted(intersection_dim(u, h)
+                                            for h in b.halves())) == \
+                            (k1, k2), (k, m, k1, k2, t)
+                    built += 1
+    assert built == 316
 
 
 @pytest.mark.parametrize("n,m,k,j,q", PROJ_POINTS)
