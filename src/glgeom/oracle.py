@@ -189,8 +189,8 @@ def _uncovered_pair(params, lines, cells=None):
     incident one.  The points are the masks (grassmannian_index) of the
     m-subspaces of the Schubert cells with the given pivot sets (default:
     all), which must hold every point incident with lines[0]."""
-    if any(b.n != params.n for b in lines):
-        raise ValueError("bisection in the wrong ambient space")
+    if any(b.n != params.n or b.field != params.field for b in lines):
+        raise ValueError("bisection in the wrong ambient space or field")
     n, field, m = params.n, params.field, params.m
     incident = mask_incident_bis(params)
     points = grassmannian_index(n, field, m, cells)[1]

@@ -20,8 +20,10 @@ a bit per point it holds, so dim(A meet B) is read off the popcount of
 mask_A & mask_B (meet_dims), and disjointness and the action of GL(n,q)
 become bitset operations.  grassmannian_index masks whole Schubert cells
 straight from integer row codes, with no Subspace object, and point_masks
-given subspaces through the same span loop (_span_masks); a Subspace is
-rebuilt from its code (coded_subspace) only where one is read.
+given subspaces through the same span loop (_span_masks), which sums
+vectors by XOR of their codes at p = 2 and through half-code add tables
+at odd p; a Subspace keeps its mask in its _mask slot, and is rebuilt
+from its code (coded_subspace) only where one is read.
 """
 
 from __future__ import annotations
@@ -39,18 +41,20 @@ class Subspace:
     """A subspace of V(n, q), stored as its canonical rref rows (a tuple of
     row tuples, no zero rows), which the constructor trusts: span_rows
     builds one from any other rows.  The constructor computes nothing
-    from the rows: the hash and, at q = 2, the packed rows are computed
-    the first time they are read and kept in their slots, None until then
-    (an unset slot would make each first read raise and catch an
-    AttributeError, which costs more than the hash itself)."""
+    from the rows: the hash, at q = 2 the packed rows, and the point mask
+    (point_masks) are computed when first read and kept in their slots,
+    None until then (an unset slot would make each first read raise and
+    catch an AttributeError, which costs more than the hash itself).
+    Each is a function of the rows that dies with the object; equality
+    and the hash read none of them."""
 
-    __slots__ = ("field", "n", "basis", "_packed", "_hash")
+    __slots__ = ("field", "n", "basis", "_packed", "_hash", "_mask")
 
     def __init__(self, field, n, rows):
         self.field = field
         self.n = n
         self.basis = rows
-        self._packed = self._hash = None
+        self._packed = self._hash = self._mask = None
 
     @property
     def dim(self):
@@ -340,10 +344,12 @@ def grassmannian(n, field, m):
 
 def _digit_tables(field, width):
     """Add and scale tables on base-q codes of `width` coordinates:
-    add[a][b] is the code of a + b, scale[c][a] that of c.a."""
+    add[a][b] is the code of a + b, scale[c][a] that of c.a.  At p = 2
+    codes add by XOR (a digit of GF(2^e) is a bit field), so add is None."""
     digits = list(product(range(field.q), repeat=width))  # in code order
     code = {x: a for a, x in enumerate(digits)}
-    add = [[code[tuple(map(field.add, x, y))] for y in digits] for x in digits]
+    add = None if field.p == 2 else [
+        [code[tuple(map(field.add, x, y))] for y in digits] for x in digits]
     scale = [[code[tuple(field.mul(c, v) for v in x)] for x in digits]
              for c in range(field.q)]
     return add, scale
@@ -362,10 +368,12 @@ def _span_masks(field, n, cells):
     row takes), one subspace per choice of a code for each row.  Point p
     is the vector with leading 1 in column n-1-e and base-q code c: p =
     (q^e - 1)/(q - 1) + c - q^e.  The vectors r_i + sum_{j>i} c_j r_j are
-    coded per half of the coordinates through add and scale tables, with
-    the rows fixed from the last one up: the span of the rows below row i
-    is expanded once for all choices of the rows above it."""
-    q = field.q
+    coded with the rows fixed from the last one up: the span of the rows
+    below row i is expanded once for all choices of the rows above it.
+    At p = 2 the span holds whole codes, summed by XOR; at odd p it holds
+    the codes of the two halves of the coordinates, summed through add
+    tables.  Both scale through the half-code scale table."""
+    q, xor = field.q, field.p == 2
     w = (n + 1) // 2  # the low half; the high half is never wider
     low, big = q ** w, q ** n
     add, scale = _digit_tables(field, w)
@@ -373,25 +381,35 @@ def _span_masks(field, n, cells):
     offsets = [(q ** e - 1) // (q - 1) - q ** e for e in range(n - 1, -1, -1)]
     codes, masks = [], []
 
+    def spread(r, span):  # span, then c.r + span for every c != 0
+        hi, lo = divmod(r, low)
+        if xor:
+            return span + [(scale[c][hi] * low + scale[c][lo]) ^ s
+                           for c in range(1, q) for s in span]
+        return span + [(add[scale[c][hi]][x], add[scale[c][lo]][y])
+                       for c in range(1, q) for x, y in span]
+
     def fix(rows, i, span, mask, code, weight):  # rows below i are fixed
         p, row_codes = rows[i]
         off = offsets[p]
         for r in row_codes:
-            hi, lo = divmod(r, low)
-            add_hi, add_lo, full = add[hi], add[lo], mask
-            for x, y in span:
-                full |= 1 << (add_hi[x] * low + add_lo[y] + off)
+            full = mask
+            if xor:
+                for s in span:
+                    full |= 1 << ((r ^ s) + off)
+            else:
+                add_hi, add_lo = add[r // low], add[r % low]
+                for x, y in span:
+                    full |= 1 << (add_hi[x] * low + add_lo[y] + off)
             if i:
-                fix(rows, i - 1, span + [
-                    (add[scale[c][hi]][x], add[scale[c][lo]][y])
-                    for c in range(1, q) for x, y in span],
-                    full, code + r * weight, weight * big)
+                fix(rows, i - 1, spread(r, span), full, code + r * weight,
+                    weight * big)
             else:
                 codes.append(code + r * weight)
                 masks.append(full)
     for rows in cells:
         if rows:
-            fix(rows, len(rows) - 1, [(0, 0)], 0, 0, 1)
+            fix(rows, len(rows) - 1, [0 if xor else (0, 0)], 0, 0, 1)
         else:  # the zero subspace
             codes.append(0)
             masks.append(0)
@@ -399,15 +417,23 @@ def _span_masks(field, n, cells):
 
 
 def point_masks(subs):
-    """One int per subspace (all of one V(n,q)): bit p is set iff
-    projective point p (numbered as in _span_masks) lies in the subspace,
-    each passed to _span_masks as a cell of one code per canonical row."""
-    if not subs:
-        return []
-    field, n = subs[0].field, subs[0].n
-    weight = [field.q ** (n - 1 - c) for c in range(n)]
-    return _span_masks(field, n, ([(r.index(1), (sum(map(mul, r, weight)),))
-                                   for r in s.basis] for s in subs))[1]
+    """One int per subspace (all of one V(n,q), else ValueError): bit p is
+    set iff projective point p (numbered as in _span_masks) lies in the
+    subspace.  A subspace's mask is kept in its _mask slot; those not
+    masked yet go to one _span_masks call, each as a cell of one code per
+    canonical row."""
+    for s in subs:
+        _check_ambient(subs[0], s)
+    fresh = [s for s in subs if s._mask is None]
+    if fresh:
+        field, n = fresh[0].field, fresh[0].n
+        weight = [field.q ** (n - 1 - c) for c in range(n)]
+        masks = _span_masks(field, n, (
+            [(r.index(1), (sum(map(mul, r, weight)),)) for r in s.basis]
+            for s in fresh))[1]
+        for s, mask in zip(fresh, masks):
+            s._mask = mask
+    return [s._mask for s in subs]
 
 
 def grassmannian_index(n, field, m, cells=None):

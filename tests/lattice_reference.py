@@ -11,7 +11,11 @@ former methods `Subspace.contains`, `Subspace.contains_vector`,
 group elements that the randomised tests move them by.
 `sorted_grassmannian`, the list of Subspace objects that the package's
 coded index (grassmannian_index) replaced, is the reference that index
-is checked against.  Nothing in the package calls this file.
+is checked against.  `_span_masks` and its `_digit_tables` are the
+projective-point kernel as it was before the package's span loop added
+by XOR at p = 2, kept verbatim (add and scale tables on half codes at
+every q) as the reference the new kernel is checked against.  Nothing in
+the package calls this file.
 """
 
 from itertools import product
@@ -153,3 +157,56 @@ def random_gl(rng, field, n):
                   for _ in range(n))
         if span_rows(field, n, g).dim == n:
             return g
+
+
+def _digit_tables(field, width):
+    """Add and scale tables on base-q codes of `width` coordinates:
+    add[a][b] is the code of a + b, scale[c][a] that of c.a."""
+    digits = list(product(range(field.q), repeat=width))  # in code order
+    code = {x: a for a, x in enumerate(digits)}
+    add = [[code[tuple(map(field.add, x, y))] for y in digits] for x in digits]
+    scale = [[code[tuple(field.mul(c, v) for v in x)] for x in digits]
+             for c in range(field.q)]
+    return add, scale
+
+
+def _span_masks(field, n, cells):
+    """The basis codes and point masks, as two lists, of the subspaces in
+    the cells: per row, top first, (pivot column, the codes the canonical
+    row takes), one subspace per choice of a code for each row.  Point p
+    is the vector with leading 1 in column n-1-e and base-q code c: p =
+    (q^e - 1)/(q - 1) + c - q^e.  The vectors r_i + sum_{j>i} c_j r_j are
+    coded per half of the coordinates through add and scale tables, with
+    the rows fixed from the last one up: the span of the rows below row i
+    is expanded once for all choices of the rows above it."""
+    q = field.q
+    w = (n + 1) // 2  # the low half; the high half is never wider
+    low, big = q ** w, q ** n
+    add, scale = _digit_tables(field, w)
+    # per column of the leading 1, point index minus code
+    offsets = [(q ** e - 1) // (q - 1) - q ** e for e in range(n - 1, -1, -1)]
+    codes, masks = [], []
+
+    def fix(rows, i, span, mask, code, weight):  # rows below i are fixed
+        p, row_codes = rows[i]
+        off = offsets[p]
+        for r in row_codes:
+            hi, lo = divmod(r, low)
+            add_hi, add_lo, full = add[hi], add[lo], mask
+            for x, y in span:
+                full |= 1 << (add_hi[x] * low + add_lo[y] + off)
+            if i:
+                fix(rows, i - 1, span + [
+                    (add[scale[c][hi]][x], add[scale[c][lo]][y])
+                    for c in range(1, q) for x, y in span],
+                    full, code + r * weight, weight * big)
+            else:
+                codes.append(code + r * weight)
+                masks.append(full)
+    for rows in cells:
+        if rows:
+            fix(rows, len(rows) - 1, [(0, 0)], 0, 0, 1)
+        else:  # the zero subspace
+            codes.append(0)
+            masks.append(0)
+    return codes, masks

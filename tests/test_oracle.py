@@ -307,6 +307,62 @@ def test_common_point_rejects_foreign_bisection():
                               coordinate_bisection(F2, 3))
 
 
+def test_concurrent_refuses_representatives_over_another_field():
+    """Representatives, or a pair to re-check, over another field than
+    params are refused before any half is masked, although their n
+    matches: over GF(3) at q = 2 they once gave a failing pair mixing a
+    q = 2 and a q = 3 bisection, and over GF(2) at q = 3 they answered
+    "complete" from the 10 orbits of the wrong group."""
+    reps = {f.q: stabiliser_orbits_on_bisections(2, f).representatives
+            for f in (F2, F3)}
+    refused = "wrong ambient space or field"
+    for field, other in ((F2, 3), (F3, 2)):
+        for m, k1, k2 in ((2, 0, 0), (3, 1, 1)):  # m > k: the perp reduction
+            with pytest.raises(ValueError, match=refused):
+                concurrent_oracle(BisParams(2, m, k1, k2, field),
+                                  orbit_reps=reps[other])
+        with pytest.raises(ValueError, match=refused):
+            pair_has_common_point(BisParams(2, 2, 0, 0, field),
+                                  coordinate_bisection(field, 2),
+                                  reps[other][0])
+    assert all(h._mask is None for q in reps for b in reps[q]
+               for h in b.halves())
+
+
+def test_concurrent_masks_representatives_once(monkeypatch):
+    """concurrent_oracle calls with the same representatives mask their
+    halves once, in the first call; each later call masks only its own
+    coordinate bisection's two halves.  The verdicts and failing pairs
+    equal those from a fresh, unmasked partition, at every point with
+    m <= k at (2,2) and (3,2)."""
+    import glgeom.oracle as oc
+    real, fresh = oc.point_masks, []
+
+    def watching(subs):
+        fresh.append({id(s) for s in subs if s._mask is None})
+        return real(subs)
+    for field in (F2, F3):
+        reps = stabiliser_orbits_on_bisections(2, field).representatives
+        halves = {id(h) for b in reps for h in b.halves()}
+        points = [BisParams(2, m, k1, k2, field) for m, k1, k2 in
+                  ((1, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1), (2, 0, 2),
+                   (2, 1, 1))]
+        for i, p in enumerate(points):
+            unmasked = stabiliser_orbits_on_bisections(2, field)
+            want = concurrent_oracle(p, orbit_reps=unmasked.representatives)
+            monkeypatch.setattr(oc, "point_masks", watching)
+            fresh.clear()
+            got = [concurrent_oracle(p, orbit_reps=reps) for _ in range(2)]
+            monkeypatch.setattr(oc, "point_masks", real)
+            # the first call on these representatives masks their halves
+            assert [len(x) for x in fresh] == [2 + len(halves) * (i == 0), 2]
+            assert halves & fresh[0] == (halves if i == 0 else set())
+            assert not halves & fresh[1]
+            for v in got:
+                assert v.complete == want.complete
+                assert v.failing_pair == want.failing_pair
+
+
 def test_concurrent_failing_pair_is_recheckable():
     p = BisParams(2, 2, 0, 0, F2)
     v = concurrent_oracle(p)

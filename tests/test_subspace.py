@@ -382,6 +382,76 @@ def test_coded_kernel_matches_the_subspace_listing(q):
     assert grassmannian_index(4, field, 2, []) == ([], [])
 
 
+SPAN_N = {2: 6, 4: 4, 8: 4, 3: 4, 5: 4, 7: 4, 9: 4}
+
+
+@pytest.mark.parametrize("q", sorted(SPAN_N))
+def test_span_kernel_matches_the_half_code_kernel(q):
+    """_span_masks, which sums by XOR at p = 2, gives the same codes and
+    masks, in the same order, as the kernel kept in lattice_reference
+    (add and scale tables on half codes at every q): per pivot set of
+    every m <= n <= SPAN_N[q], and for all cells of one (n, m) at once."""
+    from glgeom.subspace import _cell_rows, _span_masks
+    import lattice_reference
+    field = {4: field_make(2, 2), 8: field_make(2, 3),
+             9: field_make(3, 2)}.get(q) or field_make(q)
+    for n in range(1, SPAN_N[q] + 1):
+        for m in range(n + 1):
+            cells = [list(_cell_rows(n, q, pivots))
+                     for pivots in combinations(range(n), m)]
+            for cell in cells:
+                assert _span_masks(field, n, [cell]) == \
+                    lattice_reference._span_masks(field, n, [cell]), (n, cell)
+            assert _span_masks(field, n, cells) == \
+                lattice_reference._span_masks(field, n, cells), (n, m)
+
+
+def test_point_masks_are_kept_per_subspace(monkeypatch):
+    """point_masks masks a subspace once and keeps the mask in its _mask
+    slot: a second call on the same objects runs no _span_masks, a call
+    with some new ones passes only those, and equal subspaces compare and
+    hash equal whether or not their slot is filled."""
+    import glgeom.subspace as sub
+    real, passed = sub._span_masks, []
+
+    def counting(field, n, cells):
+        cells = list(cells)
+        passed.append(len(cells))
+        return real(field, n, cells)
+    monkeypatch.setattr(sub, "_span_masks", counting)
+    for field in (F2, F3):
+        subs = list(grassmannian(4, field, 2))
+        twins = list(grassmannian(4, field, 2))  # equal, not yet masked
+        masks = point_masks(subs)
+        assert all(s._mask is not None for s in subs)
+        assert all(t._mask is None for t in twins)
+        assert subs == twins
+        assert [hash(s) for s in subs] == [hash(t) for t in twins]
+        assert len(set(subs + twins)) == len(subs)
+        passed.clear()
+        assert point_masks(twins[:3] + subs) == masks[:3] + masks
+        assert passed == [3]
+
+    def forbidden(*args):
+        raise AssertionError("masked again")
+    monkeypatch.setattr(sub, "_span_masks", forbidden)
+    assert point_masks(subs) == masks
+    assert point_masks([]) == []
+
+
+def test_point_masks_refuse_mixed_ambient_spaces():
+    """Subspaces of different V(n,q) are refused before any is masked, in
+    either order: all were once masked in the numbering of the first, so
+    a GF(3) row with an entry 2 after a GF(2) subspace raised IndexError,
+    and the other mixes got masks of the wrong space."""
+    u, w = coordinate_subspace(F2, 4, [0, 1]), span_rows(F3, 4, [(1, 2, 0, 0)])
+    line = coordinate_subspace(F2, 3, [0])
+    for subs in ([u, w], [w, u], [u, line], [line, u]):
+        with pytest.raises(ValueError, match="different ambient spaces"):
+            point_masks(subs)
+        assert all(s._mask is None for s in subs)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_point_mask_meet_matches_intersection_dim(q):
     """The popcount meet against the rank-based one on seeded random pairs

@@ -10,7 +10,8 @@ from glgeom.predicates import (bis_collinear_predicate,
 from glgeom.subspace import (coordinate_subspace, intersection_dim, perp,
                              span_rows)
 from glgeom.witness import (PredicateFailsError, bis_collinear_witness,
-                            canonical_pair, desarguesian_spread, diagonal_pair,
+                            bis_witness_certificate, canonical_pair,
+                            desarguesian_spread, diagonal_pair,
                             fifth_disjoint, near_half_table_bisection,
                             proj_collinear_witness, verify_partial_spread)
 from bis_witness_reference import incident_bis
@@ -413,6 +414,44 @@ def test_bis_witness_builds_at_every_overlap_or_none(q):
                         range(params.m))
                     assert built == bis_collinear_predicate(
                         q, params.m, k, params.k1, params.k2), (k, m, k1, k2)
+
+
+@pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (2 ** 61 - 1, 1)])
+def test_bis_witness_at_the_field_edges(p, e):
+    """At k = 64 over the largest extension fields and the largest prime
+    field, on seeded admissible (m, k1, k2, t) with m <= k, drawn until 10
+    points hold the predicate and 5 fail it: a witness is built exactly
+    where the predicate holds, both halves have dimension k, and the
+    certificate reads (k1, k2) against U1 and U2.  The first witness's
+    meets with the canonical pair, and its halves' meet, are also taken
+    by the rank-based reference (Zassenhaus elimination)."""
+    import random
+    field, k, rng = field_make(p, e), 64, random.Random(e)
+    built, refused = [], 0
+    while len(built) < 10 or refused < 5:
+        m = rng.randint(1, k)
+        k2 = rng.randint(0, m)
+        k1 = rng.randint(0, min(k2, m - k2))
+        t = rng.randrange(m)
+        params = BisParams(k, m, k1, k2, field)
+        if not bis_collinear_predicate(field.q, m, k, k1, k2):
+            if refused < 5:
+                with pytest.raises(PredicateFailsError):
+                    bis_collinear_witness(params, t)
+                refused += 1
+            continue
+        if len(built) == 10:
+            continue
+        b = bis_collinear_witness(params, t)
+        assert b.half1.dim == b.half2.dim == k
+        cert = bis_witness_certificate(params, t, b)
+        assert cert["intersection_dims"] == {"U1": [k1, k2], "U2": [k1, k2]}
+        built.append((params, t, b))
+    params, t, b = built[0]
+    assert intersect(b.half1, b.half2).dim == 0
+    for u in canonical_pair(field, 2 * k, params.m, t):
+        assert sorted(intersect(u, h).dim for h in b.halves()) == \
+            [params.k1, params.k2]
 
 
 def test_bis_witness_requires_m_le_k():
