@@ -9,10 +9,11 @@ across runs.
 
 Polynomials over any field have one routine each: poly_mulmod (product,
 or with b = [1] remainder, modulo a monic modulus), least_irreducible
-(trial division) and primitive_element (the least generator of GF(q)*).
-field_make takes its modulus from them, FieldSpec its exp/log tables
-from the reductions of the primitive element g times x^i (one fixed step
-times g, tabled per half code), and the spreads of
+(trial division), primitive_element (the least generator of GF(q)*) and
+_coefficients (a code's digits, least significant first, as a
+polynomial).  field_make takes its modulus from them, FieldSpec its
+exp/log tables from the reductions of the primitive element g times x^i
+(one fixed step times g, tabled per half code), and the spreads of
 witness.py their GF(q^k) over GF(q).  Scalar arithmetic has two
 regimes, fixed when the field is made: residues mod p for prime fields,
 and exp/log with Zech logarithms for GF(p^e), O(q) memory at every q.
@@ -95,6 +96,15 @@ def poly_mulmod(field, a, b, modulus):
     return out[:d]
 
 
+def _coefficients(code, base, count):
+    """The first count base-`base` digits of code, least significant first."""
+    out = []
+    for _ in range(count):
+        code, x = divmod(code, base)
+        out.append(x)
+    return out
+
+
 def least_irreducible(field, degree):
     """The lexicographically least monic irreducible of the given degree
     over field, as a coefficient tuple with the leading 1 included.
@@ -106,18 +116,10 @@ def least_irreducible(field, degree):
     degree 1 to degree/2 leaves remainder zero.
     """
     q = field.q
-
-    def monic(code, d):
-        low = []
-        for _ in range(d):
-            low.append(code % q)
-            code //= q
-        return low + [1]
-
-    divisors = [monic(code, d) for d in range(1, degree // 2 + 1)
-                for code in range(q**d)]
+    divisors = [_coefficients(code, q, d) + [1]
+                for d in range(1, degree // 2 + 1) for code in range(q**d)]
     for code in range(q**degree):
-        f = monic(code, degree)
+        f = _coefficients(code, q, degree) + [1]
         if all(any(poly_mulmod(field, f, [1], g)) for g in divisors):
             return tuple(f)
     raise RuntimeError("no irreducible polynomial found (impossible)")
@@ -204,23 +206,17 @@ def _zech_tables(p, e, modulus):
     low, width = p**h, p**w
     base = field_make(p)
 
-    def vec(code):
-        out = []
-        for _ in range(e):
-            out.append(code % p)
-            code //= p
-        return out
-
     def code(v):
         return sum(d * p**i for i, d in enumerate(v))
 
     def poly_mul(a, b):
-        return code(poly_mulmod(base, vec(a), vec(b), modulus))
+        return code(poly_mulmod(base, _coefficients(a, p, e),
+                                _coefficients(b, p, e), modulus))
 
     def pieces(v):  # the w-digit pieces of a digit vector, top one first
         return tuple(code(v[i:i + w]) for i in range(0, e, w))[::-1]
 
-    g = vec(primitive_element(q, poly_mul))
+    g = _coefficients(primitive_element(q, poly_mul), p, e)
     reduced = [poly_mulmod(base, [0] * i + g, [1], modulus) for i in range(e)]
     times = []  # per half, the pieces of its products by g in code order
     for digits in (range(h), range(h, e)):

@@ -31,7 +31,7 @@ from operator import or_, xor
 from random import Random
 
 from .gfq import primitive_element
-from .subspace import (Bisection, _digit_tables, bisection_count,
+from .subspace import (Bisection, _code_row, _digit_tables, bisection_count,
                        coded_subspace, gaussian, grassmannian_index,
                        mask_points, point_permutation)
 from .errors import ParamError, TooLargeError
@@ -343,18 +343,11 @@ def _chart_kit(field, k, index):
         def spread(xs, ys):
             return [row[y] for row in map(add.__getitem__, xs) for y in ys]
 
-        def split(code, count):
-            """The rows of a code, the top one first."""
-            out = []
-            for _ in range(count):
-                code, x = divmod(code, size)
-                out.append(x)
-            return out[::-1]
-
         def extend(s, units, count):
-            parts = [[x] for x in split(s, count)]  # per row, the sums' rows
+            # per row, the sums' rows
+            parts = [[x] for x in _code_row(s, size, count)]
             for u in reversed(units):
-                steps = [split(times(c, u), count) for c in range(q)]
+                steps = [_code_row(times(c, u), size, count) for c in range(q)]
                 parts = [spread([step[i] for step in steps], part)
                          for i, part in enumerate(parts)]
             sums = parts[0]
@@ -364,7 +357,8 @@ def _chart_kit(field, k, index):
 
         def minus(a, b):
             out = 0
-            for x, y in zip(split(a, k), split(times(minus_one, b), k)):
+            for x, y in zip(_code_row(a, size, k),
+                            _code_row(times(minus_one, b), size, k)):
                 out = out * size + add[x][y]
             return out
 
@@ -380,7 +374,7 @@ def _chart_kit(field, k, index):
                     for e in range(k) for x in product(range(q), repeat=e)]
 
     def chart(code):
-        a_rows = [code // q ** (n * (k - 1 - j)) % q ** n for j in range(k)]
+        a_rows = _code_row(code, q ** n, k)
         # a canonical row of code r has its leading 1 where q^e <= r < q^(e+1)
         pivots = {n - 1 - next(e for e in range(n) if r < q ** (e + 1))
                   for r in a_rows}

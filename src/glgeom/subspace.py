@@ -216,10 +216,6 @@ def _echelon(u):
     return [(r.index(1), r) for r in u.basis]
 
 
-def add_vecs(field, u, v):
-    return tuple(field.add(x, y) for x, y in zip(u, v))
-
-
 # ----------------------------------------------------------------------
 # bisections
 # ----------------------------------------------------------------------

@@ -32,9 +32,9 @@ from functools import lru_cache
 
 from .errors import ParamError
 from .gfq import (least_irreducible, mat_inverse, poly_mulmod, vec_mat,
-                  _rref_rows)
+                  _coefficients, _rref_rows)
 from .predicates import bis_collinear_predicate, proj_collinear_predicate
-from .subspace import (Bisection, Subspace, add_vecs, canonical_pair,
+from .subspace import (Bisection, Subspace, canonical_pair,
                        canonical_piece_columns, coordinate_subspace,
                        grassmannian, intersection_dim, range_meet_dim,
                        span_rows, _unit_rows)
@@ -312,11 +312,15 @@ def _bis_pair_dims(field, k, m, t, b):
 def _bis_witness_rows(field, k, m, k1, k2, t):
     """The index rows of the two halves, by regime.  Each regime works on
     the column ranges tt, c1, c2, c of subspace.canonical_piece_columns:
-    U1 = <c1, tt>, U2 = <tt, c2>, and c the rest of V(2k,q)."""
+    U1 = <c1, tt>, U2 = <tt, c2>, and c the rest of V(2k,q).  At q = 2,
+    k1 = 0, m = k, k2 = k - 1 - t the shallow (t = 0) and balanced regimes
+    would need two disjoint diagonal lines, so _small_case_rows serves."""
     if (k1, k2) == (0, 0):
         return _disjoint_pattern_rows(field, k, m, t)
     if field.q == 2 and k1 == 0 and m == k and k2 == k - 1 and t >= 1:
         return _near_half_rows(k, t)
+    if field.q == 2 and k1 == 0 and m == k and k2 == k - 1 - t:
+        return _small_case_rows(k, t)
     if t <= 2 * k1:
         return _shallow_overlap_rows(field, k, m, k1, k2, t)
     if t <= m + k1 - k2:
@@ -404,9 +408,10 @@ def _shallow_overlap_rows(field, k, m, k1, k2, t):
     completed from c and the last mbar = m - k1 - k2 columns x1, x2 of c1
     and c2, avoiding both: a diagonal pair of <x1>, <x2> and columns of
     c; at q = 2 with mbar = 1, x1 + x2 and x1 + c[0] always go to B2, or
-    (c empty: t = 0, m = k) x1 + x2 and x1 + B1's first columns of c1 and
-    c2.  B2 has room for both: it lacks d2 = k - m + 1 + x rows, and d2 <
-    2 would need m = k and x = 0, so t = 0 (t <= 2 k1) and c empty."""
+    (c empty: t = 0, m = k, and k1 >= 1, see _bis_witness_rows) x1 + x2
+    and x1 + B1's first columns of c1 and c2.  B2 has room for both: it
+    lacks d2 = k - m + 1 + x rows, and d2 < 2 would need m = k and x = 0,
+    so t = 0 (t <= 2 k1) and c empty."""
     tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
     x, s = min(t, k1), k1 + k2 - t
     b1 = _units([*tt[x:], *c1[k1 - x:s], *c2[k2 - x:s]])
@@ -415,8 +420,6 @@ def _shallow_overlap_rows(field, k, m, k1, k2, t):
     d1 = k - len(b1)
     if field.q == 2 and len(x1) == 1:
         if not c:
-            if not k1:
-                return _small_case_rows(k, t)
             return (b1 + _sums(x1, x2),
                     b2 + [((x1[0], 1), (c1[k1], 1), (c2[k2], 1))])
         mixed = _sums([x1[0]] * 2, [x2[0], c[0]])
@@ -434,7 +437,7 @@ def _balanced_overlap_rows(field, k, m, k1, k2, t):
     of c splits into two runs of half = k - m + k1 columns; with the last
     columns x1, x2 of c1 and c2 they form Y1, Y2, and each half takes one
     of a diagonal pair of Y1 (+) Y2 (the runs themselves when x1 is
-    empty)."""
+    empty).  At q = 2, r = |x1| + half >= 2 (see _bis_witness_rows)."""
     tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
     j, g, half = k2 - k1, t - 2 * k1, k - m + k1
     v1 = _units([*tt[:k1], *c2[:j], *c[:g]])
@@ -443,8 +446,6 @@ def _balanced_overlap_rows(field, k, m, k1, k2, t):
     if not x1:
         return v1 + _units(s1), v2 + _units(s2)
     r = len(x1) + half
-    if field.q == 2 and r == 1:  # forced: m = k, k1 = 0, k2 = k - 1 - t
-        return _small_case_rows(k, t)
     z1, z2 = _diagonal_rows(field, _units([*x1, *s1]), _units([*x2, *s2]), r)
     return v1 + z1, v2 + z2
 
@@ -498,19 +499,14 @@ def desarguesian_spread(k, field):
     q = field.q
     n = 2 * k
     modulus = least_irreducible(field, k)
+    units = _unit_rows(k)
     spread = [coordinate_subspace(field, n, range(k, n))]
     for code in range(q**k):
-        a, c = [], code
-        for _ in range(k):
-            a.append(c % q)
-            c //= q
-        rows = []
-        for i in range(k):  # row i: e_i beside x^i * a mod the modulus
-            row = [0] * n
-            row[i] = 1
-            row[k:] = poly_mulmod(field, a, [0] * i + [1], modulus)
-            rows.append(tuple(row))
-        spread.append(span_rows(field, n, rows))
+        a = _coefficients(code, q, k)
+        # row i: e_i beside x^i * a mod the modulus
+        spread.append(span_rows(field, n, [
+            units[i] + tuple(poly_mulmod(field, a, [0] * i + [1], modulus))
+            for i in range(k)]))
     return spread
 
 
@@ -564,19 +560,9 @@ def _fifth_disjoint_gf2(pis):
     n, k = pis[0].n, pis[0].dim
     pi1, pi2, pi3, pi4 = pis
     base_inv = mat_inverse(field, pi1.rows() + pi2.rows())
-    xs, ys = [], []
-    for c in pi3.rows():
-        coords = vec_mat(field, c, base_inv)
-        x = [0] * n
-        y = [0] * n
-        for i in range(k):
-            if coords[i]:
-                x = list(add_vecs(field, tuple(x), pi1.rows()[i]))
-            if coords[k + i]:
-                y = list(add_vecs(field, tuple(y), pi2.rows()[i]))
-        xs.append(tuple(x))
-        ys.append(tuple(y))
-    frame = xs + ys
+    coords = [vec_mat(field, c, base_inv) for c in pi3.rows()]
+    frame = ([vec_mat(field, c[:k], pi1.rows()) for c in coords]
+             + [vec_mat(field, c[k:], pi2.rows()) for c in coords])
     frame_inv = mat_inverse(field, frame)
     red, pivots = _rref_rows(
         field, [vec_mat(field, r, frame_inv) for r in pi4.rows()], n)
@@ -584,14 +570,9 @@ def _fifth_disjoint_gf2(pis):
         raise RuntimeError("normalisation failed: fourth space "
                            "not a graph over the first")
     a_inv = mat_inverse(field, [row[k:] for row in red])
-    new_rows = []
-    for i in range(k):
-        row = [0] * n
-        row[i] = 1
-        for j in range(k):
-            row[k + j] = a_inv[i][j]
-        new_rows.append(tuple(row))
-    return span_rows(field, n, [vec_mat(field, r, frame) for r in new_rows])
+    units = _unit_rows(k)
+    return span_rows(field, n, [vec_mat(field, units[i] + a_inv[i], frame)
+                                for i in range(k)])
 
 
 # ----------------------------------------------------------------------

@@ -21,12 +21,12 @@ incidence.  Nothing in the package calls this file.
 
 from glgeom.errors import ParamError
 from glgeom.gfq import mat_inverse, vec_mat
-from glgeom.subspace import (Bisection, Subspace, add_vecs, canonical_pair,
+from glgeom.subspace import (Bisection, Subspace, canonical_pair,
                              coordinate_bisection, coordinate_subspace,
                              intersection_dim, span_rows)
 from glgeom.witness import DiagonalPair, _NEAR_HALF_TABLE
-from lattice_reference import (apply_bisection, complement, full_space,
-                               transport_pair)
+from lattice_reference import (add_vecs, apply_bisection, complement,
+                               full_space, transport_pair)
 from proj_witness_reference import direct_sum, sum_subspace
 
 

@@ -7,9 +7,10 @@ from glgeom.witness, with the two enumerators it uses; nothing in the
 package calls it.
 """
 
-from glgeom.subspace import add_vecs, grassmannian, intersection_dim, span_rows
+from glgeom.subspace import grassmannian, intersection_dim, span_rows
 from field_reference import rank_of_rows
 import lattice_reference
+from lattice_reference import add_vecs
 
 
 def diagonal_pair_exists_bruteforce(y1, y2, r):

@@ -2,13 +2,14 @@
 longer run, kept for the tests and the reference constructions.
 
 `intersect` (the meet by one Zassenhaus elimination), `complement`,
-`adapted_pair_basis`, `transport_pair`, `apply_mat`, `mat_mul` and
-`full_space` moved here from glgeom.subspace and glgeom.gfq once no verb
-reached them; a matrix is a tuple of row tuples, as in the package.  The
-former methods `Subspace.contains`, `Subspace.contains_vector`,
-`Subspace.vectors` and `Bisection.apply` are the functions `contains`,
-`contains_vector`, `vectors` and `apply_bisection`; `random_gl` draws the
-group elements that the randomised tests move them by.
+`adapted_pair_basis`, `transport_pair`, `apply_mat`, `mat_mul`,
+`full_space` and `add_vecs` moved here from glgeom.subspace and
+glgeom.gfq once no verb reached them; a matrix is a tuple of row
+tuples, as in the package.  The former methods `Subspace.contains`,
+`Subspace.contains_vector`, `Subspace.vectors` and `Bisection.apply` are
+the functions `contains`, `contains_vector`, `vectors` and
+`apply_bisection`; `random_gl` draws the group elements that the
+randomised tests move them by.
 `sorted_grassmannian`, the list of Subspace objects that the package's
 coded index (grassmannian_index) replaced, is the reference that index
 is checked against.  `_span_masks` and its `_digit_tables` are the
@@ -41,6 +42,10 @@ def mat_mul(field, a, b):
     if any(len(r) != len(b) for r in a):
         raise ValueError("inner dimensions differ")
     return tuple(vec_mat(field, r, b) for r in a)
+
+
+def add_vecs(field, u, v):
+    return tuple(field.add(x, y) for x, y in zip(u, v))
 
 
 def contains_vector(u, v):

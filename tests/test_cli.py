@@ -165,9 +165,24 @@ def test_orbits_budget_exit_code(capsys):
 def test_counts_and_weyl(capsys):
     code, out, _ = run(capsys, "counts", "--q", "3", "--k", "2", "--m", "2")
     assert code == 0 and "24/65" in out
+    # at m = 1 (a = 2 <= k) the payload carries the lower bound on H
+    code, out, _ = run(capsys, "counts", "--q", "3", "--k", "2", "--m", "1",
+                       "--format", "json")
+    assert code == 0 and out == (
+        '{"F(a,k,q)": "8/9 ~ 0.888889", "H(a,k,q)": "4/5 ~ 0.800000", '
+        '"H_lower_bound": "53/84 ~ 0.630952", "a": 2, '
+        '"bisections(2k,k,q)": "5265", "gaussian(2k,m,q)": "40", '
+        '"more_than_half": true, "schema": "glgeom/1"}\n')
     code, out, _ = run(capsys, "weyl", "--n", "4", "--m", "2", "--k", "2",
                        "--j", "1")
     assert code == 0 and "complete" in out
+
+
+def test_golden_missing_exit_code(capsys):
+    """Exit 1 where no multiset is stored: nothing to compare against."""
+    code, out, _ = run(capsys, "orbits", "--q", "5", "--k", "1", "--golden")
+    assert code == 1
+    assert "golden: no stored values for these parameters" in out
 
 
 def test_golden_mismatch_exit_code(capsys, monkeypatch):
@@ -443,10 +458,14 @@ def exit_code_and_err(capsys, argv):
      1, "bad parameters: incidence would be equality"),
     ("proj-collinear --n 4 --m 2 --k 2 --j 2 --q 2 --mode witness",
      1, "bad parameters: incidence would be equality"),
+    # a size the engine will not enumerate is a budget refusal
+    ("weyl --n 15 --m 1 --k 1 --j 0", 3,
+     "budget exceeded: subset oracle limited to n <= 14"),
 ])
 def test_refusals_at_the_cli_edge(capsys, argv, code, prefix):
-    """Input the engine cannot honour is refused with exit 1 and a
-    one-line reason, never a traceback, numbers, or exit 4."""
+    """Input the engine cannot honour is refused with exit 1 (3 for a size
+    beyond a limit) and a one-line reason, never a traceback, numbers, or
+    exit 4."""
     got, err = exit_code_and_err(capsys, argv.split())
     assert got == code
     assert err.startswith(prefix)

@@ -30,6 +30,9 @@ def test_field_make_errors():
         field_make(2, 0)
     with pytest.raises(ParamError, match="extension fields above 2\\^16"):
         field_make(2, 17)
+    with pytest.raises(ParamError,
+                       match="field order above configured bound 2\\^61"):
+        field_make(2, 62)
     field_make(65537)  # a prime field needs no log tables
     for q in (0, 1, 6):
         with pytest.raises(ParamError, match="not a prime power"):

@@ -5,7 +5,9 @@ def or class is referenced outside its own body somewhere in src/ or
 tests/; and every top-level def, class or assignment, and every method of
 a top-level class, is reached by name from a verb of the CLI or from what
 the acceptance gate imports, so code that only tests run lives under
-tests/.  Importing the engine modules loads neither dataclasses nor
+tests/.  The functions that functools caches are exactly those of
+ALLOWED_CACHES: a module-level cache holds what it saw for the life of
+the process, so each new one is a decision, not a default.  Importing the engine modules loads neither dataclasses nor
 fractions, which would only add to the set-up time of every process; nor
 does importing the CLI."""
 
@@ -106,6 +108,53 @@ def test_the_check_sees_a_dead_definition(tmp_path):
     other.write_text("from m import Named\n")
     assert unreferenced_definitions([pkg], [other]) == [
         ("m.py", "recursive"), ("m.py", "Dead")]
+
+
+ALLOWED_CACHES = {"gfq.field_make", "subspace._unit_rows",
+                  "witness._proj_pair_dims", "witness._bis_pair_dims"}
+
+
+def _is_cache(node):
+    """Whether an expression is functools.lru_cache or functools.cache,
+    bare or called (lru_cache(maxsize=None)), by name or as an attribute."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("lru_cache", "cache")
+    return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+
+def cached_functions(paths):
+    """module.name for each function in the files that lru_cache or cache
+    wraps: as a decorator, or called on it (lru_cache()(f), cache(f))."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(map(_is_cache, node.decorator_list)):
+                    out.add(f"{path.stem}.{node.name}")
+            elif (isinstance(node, ast.Call) and _is_cache(node.func)
+                  and node.args
+                  and isinstance(node.args[0], (ast.Name, ast.Attribute))):
+                out.add(f"{path.stem}.{ast.unparse(node.args[0])}")
+    return out
+
+
+def test_only_the_allowed_functions_are_cached():
+    assert cached_functions(sorted(SRC.glob("*.py"))) == ALLOWED_CACHES
+
+
+def test_the_check_sees_a_new_cache(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("import functools\nfrom functools import cache, lru_cache\n\n"
+                 "@lru_cache(maxsize=None)\ndef a():\n    return 1\n\n"
+                 "@functools.cache\ndef b():\n    return 2\n\n"
+                 "def c():\n    @cache\n    def inner():\n        return 3\n"
+                 "    return inner()\n\n"
+                 "def d():\n    return 4\n\n"
+                 "e = functools.lru_cache(8)(d)\nf = cache(d)\n"
+                 "g = lru_cache(16)\n")
+    assert cached_functions([f]) == {"m.a", "m.b", "m.inner", "m.d"}
 
 
 def _outside_attributes(cls, package_names):

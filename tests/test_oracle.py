@@ -69,6 +69,11 @@ def test_bis_concurrent_predicate_examples():
     # duality reduction inside the predicate
     assert bis_concurrent_predicate(2, 3, 2, 1, 2) == \
         bis_concurrent_predicate(2, 1, 2, 0, 1)
+    with pytest.raises(ParamError, match="need k1 <= k2"):
+        bis_concurrent_predicate(2, 2, 2, 1, 0)
+    with pytest.raises(ParamError,
+                       match="invalid pattern for this point dimension"):
+        bis_concurrent_predicate(2, 3, 2, 0, 1)  # reduces to k1 = -1
 
 
 # ---------------------------------------------------------------------

@@ -8,14 +8,15 @@ import pytest
 from glgeom.counts import TooLargeError
 from glgeom.errors import ParamError
 from glgeom.gfq import field_make, vec_mat
-from glgeom.orbits import (GOLDEN_ORBITS, bisection_stabiliser_generators,
+from glgeom.orbits import (GOLDEN_ORBITS, _index_orbits,
+                           bisection_stabiliser_generators,
                            gl_generators, pm_orbits_on_k_spaces,
                            random_elements, schreier_sims,
                            stabiliser_orbits_on_bisections,
                            subspace_stabiliser_generators)
 from glgeom.subspace import (coordinate_bisection, coordinate_subspace,
-                             grassmannian, intersection_dim,
-                             point_permutation)
+                             gaussian, grassmannian, intersection_dim,
+                             meet_dims, point_masks, point_permutation)
 from concurrent_reference import bisections
 from lattice_reference import apply_bisection, apply_mat
 import orbit_reference
@@ -267,6 +268,39 @@ def test_index_bfs_matches_generic_partition(q, k):
     assert report.orbit_lengths == generic.orbit_lengths
     assert report.representatives == generic.representatives
     assert report.total == generic.total == len(others)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2),
+                                 (2, 3), (5, 2)])
+def test_subspace_orbits_are_the_goursat_classes(q, k):
+    """The H-orbits on the k-subspaces W of V(2k,q) are the unordered
+    classes {dim W meet V1, dim W meet V2}.  Each root is the least index
+    of its class, and each length is N(a,b) + N(b,a) (N(a,a) when a = b),
+    N(d1,d2) counting the W of pattern (d1,d2) by Goursat's lemma: the
+    images of W in V1 and V2 (dimensions d1 + r and d2 + r, r = k - d1 -
+    d2), the meets inside them, and an isomorphism of the quotients."""
+    field = field_make(2, 2) if q == 4 else field_make(q)
+    n = 2 * k
+    _, masks, _, _, _, _, root_of, sizes = _index_orbits(
+        n, k, field, bisection_stabiliser_generators(k, field))
+    halves = point_masks([coordinate_subspace(field, n, range(k)),
+                          coordinate_subspace(field, n, range(k, n))])
+    dim_of = meet_dims(q, n)
+    classes = [tuple(sorted(dim_of[(mask & h).bit_count()] for h in halves))
+               for mask in masks]
+    least = {}
+    for i, c in enumerate(classes):
+        least.setdefault(c, i)
+    assert root_of == [least[c] for c in classes]
+
+    def count(d1, d2):
+        r = k - d1 - d2
+        return (gaussian(k, d1 + r, q) * gaussian(d1 + r, d1, q)
+                * gaussian(k, d2 + r, q) * gaussian(d2 + r, d2, q)
+                * gl_order(r, q))
+    assert sizes == {least[(a, b)]: count(a, b) + (count(b, a) if a < b
+                                                   else 0)
+                     for a, b in least}
 
 
 @pytest.mark.parametrize("q,k", [(2, 1), (3, 1), (2, 2), (3, 2), (4, 2)])

@@ -3,7 +3,7 @@
 import pytest
 
 from glgeom.gfq import field_make
-from glgeom.errors import ParamError
+from glgeom.errors import ParamError, TooLargeError
 from glgeom.weyl import (SubsetGeom, YoungSubgroup, double_coset_count,
                          subset_geometry_closed_form, subset_geometry_oracle,
                          subset_pair_cover, young_orbit_count)
@@ -42,6 +42,8 @@ def test_double_coset_count_examples():
     assert double_coset_count(6, {1, 2, 3}, {4, 5, 6}) == 4
     # independent oracle: direct orbit enumeration of S3 x S3 on 3-subsets
     assert young_orbit_count(6, {1, 2, 3}, 3) == 4
+    with pytest.raises(TooLargeError, match="limited to n <= 10"):
+        young_orbit_count(11, {1}, 1)
 
 
 def test_double_coset_matches_orbit_count():

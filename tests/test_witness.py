@@ -508,6 +508,14 @@ def test_desarguesian_spread(q, k):
     assert (q**k + 1) * (q**k - 1) == q ** (2 * k) - 1
 
 
+def test_verify_partial_spread_edges():
+    """No subspaces form a partial spread; disjoint ones of unequal
+    dimensions do not."""
+    assert verify_partial_spread([])
+    assert not verify_partial_spread([coordinate_subspace(F2, 4, [0]),
+                                      coordinate_subspace(F2, 4, [1, 2])])
+
+
 def test_desarguesian_spread_rows_pinned():
     """sha256 of the repr of each spread's list of canonical rows, pinned
     from the release whose spread multiplied through its own product-mod
