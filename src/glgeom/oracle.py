@@ -6,8 +6,8 @@ scan the line set at one point pair per overlap t (pairs with equal
 overlap form one orbit), after one budget check over every overlap.  The
 collinear oracles are the witness at every overlap, or one search: the
 witness fails from the closed form, which does not depend on t.  So
-incompleteness is only reported after a full scan, and a witness bug
-cannot fake a positive.
+incompleteness is only reported after a full scan of the lines that can
+be incident, and a witness bug cannot fake a positive.
 
 The two collinear scans avoid a rank test per line:
 
@@ -16,10 +16,15 @@ The two collinear scans avoid a rank test per line:
   coordinate-reversal permutation (an element of GL(n,q)), hence with the
   same overlap t and in the same orbit.  By the pivot lemma of
   subspace.range_meet_dim, W in canonical rref meets the suffix U1 in
-  #{i : p_i >= n-m} dimensions, p_1 < ... < p_k its pivots.  Only the
-  Schubert cells with exactly j such pivots are scanned, with one
-  range_meet_dim(W, n-2m+t, n-m+t) per line for U2, which ranks only
-  the nonzero slices of W's rows past U2's columns.
+  #{i : p_i >= n-m} dimensions, p_1 < ... < p_k its pivots, and U2 in at
+  most #{i : n-2m+t <= p_i < n-m+t}.  Only the Schubert cells with
+  exactly j pivots of the first kind and at least j of the second are
+  listed (none at an overlap where no cell has both, which then fails at
+  once), with one range_meet_dim(W, n-2m+t, n-m+t) per line for U2,
+  which ranks only the nonzero slices of W's rows past U2's columns.
+  The budget counts those lines in closed form
+  (subspace.block_cell_count), per pivot count in the four column blocks
+  that U1 and U2 cut.
 - bis: the k-subspaces S_i are indexed once by projective points, straight
   from row codes (subspace.grassmannian_index), with the tables d1[i] =
   dim(S_i meet U1) and, per t, d2[i] = dim(S_i meet U2) read off
@@ -41,11 +46,11 @@ pivots from column k are masked.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
-from .subspace import (canonical_pair, containing_masks,
+from .subspace import (block_cell_count, canonical_pair, containing_masks,
                        coordinate_bisection, gaussian, grassmannian_index,
                        meet_dims, meeting_mask, point_masks, range_meet_dim,
                        schubert_cell)
@@ -70,31 +75,46 @@ class CompletenessVerdict:
 # collinear searches and oracles
 # ----------------------------------------------------------------------
 
+def _proj_blocks(n, m, k, j, t):
+    """The columns of the pruned scan at overlap t, cut into the blocks
+    [0, lo), [lo, n-m), [n-m, hi), [hi, n) by U2 = <e_lo..e_{hi-1}> and
+    U1 = <e_{n-m}..e_{n-1}>, and the pivot counts (a, b, c, d) in them of
+    the cells the scan lists: c + d = j (the lines of U1) and b + c >= j,
+    as dim(W meet U2) is at most W's pivot count in U2's columns."""
+    lo, hi = n - 2 * m + t, n - m + t
+    blocks = (range(lo), range(lo, n - m), range(n - m, hi), range(hi, n))
+    counts = [(k - j - b, b, c, j - c) for c in range(j + 1)
+              for b in range(max(0, j - c), k - j + 1)]
+    return blocks, [x for x in counts
+                    if all(c <= len(r) for c, r in zip(x, blocks))]
+
+
 def proj_collinear_search(params, budget=10**7):
     """Search-based collinear completeness of the m-vs-k geometry.
 
     One pair per overlap t, moved to suffix position (module docstring); a
-    t fails only after every line W with dim(W meet U1) = j, i.e. every
-    Schubert cell of Gr(n,k) with exactly j pivots >= n-m, has been
-    scanned without dim(W meet U2) = j.  The budget bounds the subspaces
-    the scans may list, those lines once per overlap, and is checked
-    before anything is listed.
+    t fails only after every line W the pivot lemma admits has been
+    scanned without dim(W meet U2) = j: the Schubert cells of Gr(n,k) with
+    exactly j pivots >= n-m (dim(W meet U1) = j) and at least j in U2's
+    columns (_proj_blocks), in lex order.  A t that admits no cell fails
+    at once.  The budget bounds the subspaces the scans may list, summed
+    over the overlaps by the block counts of subspace.block_cell_count,
+    and is checked before anything is listed.
     """
     n, m, k, j = params.n, params.m, params.k, params.j
     field = params.field
-    q = field.q
     overlaps = range(max(0, 2 * m - n), m)
-    # the k-subspaces W with dim(W meet U1) = j
-    lines = (q ** ((m - j) * (k - j)) * gaussian(m, j, q)
-             * gaussian(n - m, k - j, q))
-    if lines * len(overlaps) > budget:
-        raise TooLargeError(f"{len(overlaps)} Schubert-cell scans of {lines} "
-                            f"{k}-subspaces exceed the budget of {budget}")
-    # k-j pivots left of column n-m and j from it on, in lex order
-    cells = [lo + hi for lo in combinations(range(n - m), k - j)
-             for hi in combinations(range(n - m, n), j)]
-    for t in overlaps:
-        lo, hi = n - 2 * m + t, n - m + t  # U2's columns
+    scans = [_proj_blocks(n, m, k, j, t) for t in overlaps]
+    lines = sum(block_cell_count(list(map(len, blocks)), c, field.q)
+                for blocks, counts in scans for c in counts)
+    if lines > budget:
+        raise TooLargeError(f"{len(overlaps)} pruned Schubert-cell scans of "
+                            f"{lines} {k}-subspaces in all exceed the budget "
+                            f"of {budget}")
+    for t, (blocks, counts) in zip(overlaps, scans):
+        lo, hi = blocks[1].start, blocks[2].stop  # U2's columns
+        cells = sorted(sum(parts, ()) for c in counts
+                       for parts in product(*map(combinations, blocks, c)))
         if not any(range_meet_dim(w, lo, hi) == j
                    for p in cells for w in schubert_cell(n, field, p)):
             return CompletenessVerdict(False, "oracle", failing_t=t)

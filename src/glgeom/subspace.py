@@ -294,6 +294,19 @@ def gaussian(n, m, q):
     return num // den
 
 
+def block_cell_count(sizes, pivots, q):
+    """Number of subspaces whose canonical basis has pivots[i] pivots in
+    the i-th of consecutive column blocks of these sizes: the pivot sets
+    inside block i give gaussian(b_i, c_i, q), and each of its c_i rows has
+    a free entry in every non-pivot column of the later blocks, so the
+    count is prod_i gaussian(b_i, c_i, q) * q^(c_i * sum_{l>i} (b_l - c_l))."""
+    count, later = 1, 0
+    for b, c in zip(reversed(sizes), reversed(pivots)):
+        count *= gaussian(b, c, q) * q ** (c * later)
+        later += b - c
+    return count
+
+
 def bisection_count(k, q):
     """Number of bisections of V(2k,q): unordered pairs of disjoint
     k-subspaces, each k-subspace having q^(k^2) complements."""
@@ -312,8 +325,12 @@ def _cell_rows(n, q, pivots):
 
 
 def _code_row(code, q, n):
-    """The row of length n with this base-q code."""
-    return tuple(code // q ** (n - 1 - c) % q for c in range(n))
+    """The row of length n with this base-q code, the first entry most
+    significant."""
+    row = [0] * n
+    for c in range(n - 1, -1, -1):
+        code, row[c] = divmod(code, q)
+    return tuple(row)
 
 
 def schubert_cell(n, field, pivots):
@@ -483,12 +500,18 @@ def point_permutation(field, n, g):
 
 def containing_masks(masks):
     """Per projective point, the bitset of the indices i whose masks[i]
-    holds it."""
-    through = {}
+    holds it, in linear time: each point's bits are set in a bytearray,
+    read once by int.from_bytes, not ORed into a growing int (which copies
+    it at every index)."""
+    size, rows = (len(masks) + 7) // 8, {}
     for i, mask in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
         for p in mask_points(mask):
-            through[p] = through.get(p, 0) | 1 << i
-    return through
+            row = rows.get(p)
+            if row is None:
+                rows[p] = row = bytearray(size)
+            row[byte] |= bit
+    return {p: int.from_bytes(row, "little") for p, row in rows.items()}
 
 
 def meeting_mask(mask, through):

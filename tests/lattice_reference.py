@@ -15,15 +15,21 @@ coded index (grassmannian_index) replaced, is the reference that index
 is checked against.  `_span_masks` and its `_digit_tables` are the
 projective-point kernel as it was before the package's span loop added
 by XOR at p = 2, kept verbatim (add and scale tables on half codes at
-every q) as the reference the new kernel is checked against.  Nothing in
-the package calls this file.
+every q) as the reference the new kernel is checked against.
+`containing_masks`, which ORs each index into a growing int, and
+`code_row`, which reads each digit with its own power of q, are
+glgeom.subspace's `containing_masks` and `_code_row` as they were before
+the one went linear and the other read digits by divmod, kept verbatim
+(the second only renamed) as their references.  Nothing in the package
+calls this file.
 """
 
 from itertools import product
 
 from glgeom.gfq import echelon_insert, mat_inverse, vec_mat, _rref_rows
 from glgeom.subspace import (Bisection, Subspace, _check_ambient, _echelon,
-                             coordinate_subspace, grassmannian, span_rows)
+                             coordinate_subspace, grassmannian, mask_points,
+                             span_rows)
 
 
 def sorted_grassmannian(n, field, m):
@@ -215,3 +221,18 @@ def _span_masks(field, n, cells):
             codes.append(0)
             masks.append(0)
     return codes, masks
+
+
+def containing_masks(masks):
+    """Per projective point, the bitset of the indices i whose masks[i]
+    holds it."""
+    through = {}
+    for i, mask in enumerate(masks):
+        for p in mask_points(mask):
+            through[p] = through.get(p, 0) | 1 << i
+    return through
+
+
+def code_row(code, q, n):
+    """The row of length n with this base-q code."""
+    return tuple(code // q ** (n - 1 - c) % q for c in range(n))

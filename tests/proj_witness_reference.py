@@ -14,13 +14,20 @@ canonical pieces; it is kept verbatim as that function's reference.
 `direct_sum` and `sum_subspace`, which no route of the package uses any
 more, are kept here verbatim too, for the tests and
 tests/bis_witness_reference.py.
+`unpruned_proj_search` is glgeom.oracle.proj_collinear_search as it was
+before it skipped the cells with fewer than j pivots in U2's columns: at
+every overlap it scans every Schubert cell with j pivots in U1's, under a
+budget of those lines times the overlaps.  It is kept verbatim, only
+renamed, as the reference the pruned scan is checked against.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from glgeom.errors import ParamError
-from glgeom.subspace import (_check_ambient, coordinate_subspace, perp,
-                             span_rows)
+from glgeom.errors import ParamError, TooLargeError
+from glgeom.oracle import CompletenessVerdict
+from glgeom.subspace import (_check_ambient, coordinate_subspace, gaussian,
+                             perp, range_meet_dim, schubert_cell, span_rows)
 
 
 def _check(ok, what):
@@ -141,3 +148,34 @@ def proj_witness(n, m, k, j, t, field):
             v[i - 1] = 1
         rows.append(tuple(v))
     return direct_sum([s1, span_rows(field, n, rows)])
+
+
+def unpruned_proj_search(params, budget=10**7):
+    """Search-based collinear completeness of the m-vs-k geometry.
+
+    One pair per overlap t, moved to suffix position (module docstring); a
+    t fails only after every line W with dim(W meet U1) = j, i.e. every
+    Schubert cell of Gr(n,k) with exactly j pivots >= n-m, has been
+    scanned without dim(W meet U2) = j.  The budget bounds the subspaces
+    the scans may list, those lines once per overlap, and is checked
+    before anything is listed.
+    """
+    n, m, k, j = params.n, params.m, params.k, params.j
+    field = params.field
+    q = field.q
+    overlaps = range(max(0, 2 * m - n), m)
+    # the k-subspaces W with dim(W meet U1) = j
+    lines = (q ** ((m - j) * (k - j)) * gaussian(m, j, q)
+             * gaussian(n - m, k - j, q))
+    if lines * len(overlaps) > budget:
+        raise TooLargeError(f"{len(overlaps)} Schubert-cell scans of {lines} "
+                            f"{k}-subspaces exceed the budget of {budget}")
+    # k-j pivots left of column n-m and j from it on, in lex order
+    cells = [lo + hi for lo in combinations(range(n - m), k - j)
+             for hi in combinations(range(n - m, n), j)]
+    for t in overlaps:
+        lo, hi = n - 2 * m + t, n - m + t  # U2's columns
+        if not any(range_meet_dim(w, lo, hi) == j
+                   for p in cells for w in schubert_cell(n, field, p)):
+            return CompletenessVerdict(False, "oracle", failing_t=t)
+    return CompletenessVerdict(True, "oracle")

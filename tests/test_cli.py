@@ -253,6 +253,24 @@ def test_proj_scan_digest(capsys):
 
 
 @pytest.mark.parametrize("argv, digest", [
+    ("--max-n 9 --qs 3",
+     "48cf96e031f5aeba669b68715dcda513b3d10d3f2bc5723d51a8b92a61ef6cb3"),
+    ("--max-n 10 --qs 2",
+     "ae142e0458ff3b442cbb5f6843010a6337f98aeead65dcfd28d7c7fab0a14d66"),
+], ids=["n9-q3", "n10-q2"])
+def test_larger_proj_scan_digests(capsys, argv, digest):
+    """sha256 of the proj scan's --format json output at n <= 9 over GF(3)
+    and n <= 10 over GF(2), pinned while the search still listed every
+    cell with j pivots in U1's columns (5.6 s and 2.1 s then); skipping
+    the cells that cannot meet U2 in j dimensions made them cheap."""
+    import hashlib
+    code, out, _ = run(capsys, "scan", "--family", "proj", *argv.split(),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
     ("scan --family bis-col --max-k 3 --qs 2,3",
      "86b231367a1a66edd9c6661cb37b715011ea3b37f622e771f55c7e8a3cbe1ee5"),
     ("scan --family sn --max-n 12",

@@ -18,12 +18,13 @@ from glgeom.predicates import (bis_collinear_predicate,
 from glgeom.subspace import (Bisection, coded_subspace,
                              coordinate_bisection, coordinate_subspace,
                              grassmannian, grassmannian_index,
-                             intersection_dim, span_rows)
+                             intersection_dim, schubert_cell, span_rows)
 from glgeom.witness import canonical_pair, desarguesian_spread
 from bis_witness_reference import incident_bis
 from concurrent_reference import bisections, concurrent_all_pairs
 from lattice_reference import apply_bisection, random_gl, vectors
 from paper_checks import induction_step_check
+from proj_witness_reference import unpruned_proj_search
 
 F2 = field_make(2)
 F3 = field_make(3)
@@ -189,35 +190,49 @@ def test_bis_oracle_budget(monkeypatch):
     assert bis_collinear_oracle(BisParams(3, 3, 0, 0, F3), budget=10).complete
 
 
+def _pruned_lines(params):
+    """Per overlap t, the lines the pruned proj scan admits, counted by
+    listing: the subspaces of every Schubert cell with exactly j pivots
+    >= n-m and at least j in U2's columns [n-2m+t, n-m+t)."""
+    n, m, k, j, field = params.n, params.m, params.k, params.j, params.field
+    lines = []
+    for t in range(max(0, 2 * m - n), m):
+        lo, hi = n - 2 * m + t, n - m + t
+        lines.append(sum(len(list(schubert_cell(n, field, p)))
+                         for p in combinations(range(n), k)
+                         if sum(c >= n - m for c in p) == j
+                         and sum(lo <= c < hi for c in p) >= j))
+    return lines
+
+
 def test_collinear_budgets_count_what_the_scan_lists(monkeypatch):
-    """The budget counts what one scan lists times the overlaps from the
-    first that falls through to the scan (t = 0 at both points) to the
-    last: exactly that passes, one less is refused.  One proj scan lists
-    the subspaces of the cells (the point fails at t = 0, after one scan);
-    one bis scan codes the vectors of every k-subspace in its index, each
-    rebuilt here from its code."""
+    """The budget counts what the scans list from the first overlap that
+    falls through to the scan (t = 0 at both points) to the last: exactly
+    that passes, one less is refused.  The proj scans list the cells the
+    pivot lemma admits (_pruned_lines; at (6,3,3,2) over GF(3) none at
+    t = 0, where the point fails at once, and 507 lines at t = 1, 2); one
+    bis scan codes the vectors of every k-subspace in its index, each
+    rebuilt here from its code, once per overlap."""
     import glgeom.oracle as oc
     listed = []
-    real_cell, real_index = oc.schubert_cell, oc.grassmannian_index
-
-    def cell(*args):
-        for w in real_cell(*args):
-            listed.append(w)
-            yield w
+    real_index = oc.grassmannian_index
 
     def whole(n, field, m):
         codes, masks = real_index(n, field, m)
         listed.extend(coded_subspace(field, n, m, c) for c in codes)
         return codes, masks
-    monkeypatch.setattr(oc, "schubert_cell", cell)
     monkeypatch.setattr(oc, "grassmannian_index", whole)
-    cases = ((ProjParams(6, 3, 3, 2, F3), proj_collinear_oracle, 0, len),
+    cases = ((ProjParams(6, 3, 3, 2, F3), proj_collinear_oracle, 0,
+              lambda params: sum(_pruned_lines(params))),
              (BisParams(2, 2, 0, 2, F3), bis_collinear_oracle, 1,
-              lambda subs: sum(len(list(vectors(s))) for s in subs)))
-    for params, oracle, failing_t, per_scan in cases:
+              lambda params: params.m * sum(len(list(vectors(s)))
+                                            for s in listed)))
+    assert _pruned_lines(cases[0][0])[0] == 0
+    assert sum(_pruned_lines(cases[0][0])) == 507
+    for params, oracle, failing_t, lines in cases:
         listed.clear()
         assert oracle(params, budget=10**7).failing_t == failing_t
-        need = per_scan(listed) * params.m
+        need = lines(params)
         assert not oracle(params, budget=need).complete
         with pytest.raises(TooLargeError):
             oracle(params, budget=need - 1)
@@ -273,6 +288,87 @@ def test_oracle_is_the_witness_or_the_search():
         assert (oracle.complete, oracle.failing_t) == \
             (search.complete, search.failing_t), p
         assert (oracle.method == "witness") == holds, p
+
+
+def _proj_points(n_max, field):
+    for n in range(2, n_max + 1):
+        for m in range(1, n):
+            for k in range(1, n):
+                for j in range(max(0, m + k - n), min(m, k) + 1):
+                    if not m == k == j:
+                        yield ProjParams(n, m, k, j, field)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_proj_search_matches_the_unpruned_scan(q):
+    """The pruned cell scan against the one that listed every cell with j
+    pivots in U1's columns (proj_witness_reference.unpruned_proj_search),
+    on a seeded sample of the points with n <= 7, both under a budget of
+    5*10^4: equal (complete, failing_t) where both run, and where only the
+    pruned scan fits, its verdict is the closed form's.  The pruned budget
+    is never the larger, so it never refuses alone."""
+    import random
+    field = {4: field_make(2, 2), 8: field_make(2, 3),
+             9: field_make(3, 2)}.get(q) or field_make(q)
+    points = list(_proj_points(7, field))
+    for p in random.Random(q + 330).sample(points, 60):
+        try:
+            want = unpruned_proj_search(p, budget=5 * 10**4)
+        except TooLargeError:
+            want = None
+        try:
+            got = proj_collinear_search(p, budget=5 * 10**4)
+        except TooLargeError:
+            assert want is None, p
+            continue
+        if want is None:
+            assert got.complete == proj_collinear_predicate(
+                p.n, p.m, p.k, p.j), p
+        else:
+            assert (got.complete, got.failing_t) == \
+                (want.complete, want.failing_t), p
+
+
+@pytest.mark.parametrize("p,ex", [(2, 16), (2 ** 61 - 1, 1)])
+def test_proj_search_at_the_edge_fields(monkeypatch, p, ex):
+    """Over GF(2^16) and GF(2^61 - 1), at every point with n <= 3, the
+    search either runs and agrees with the closed form and the witness
+    (built at every overlap where the form holds, refused where it fails),
+    or is refused by the default budget before it lists a cell.  Both
+    fields admit (3,1,2,1), one line; GF(2^16) also admits (2,1,1,0) and
+    (3,2,1,1), q lines each."""
+    import glgeom.oracle as oc
+    from glgeom.witness import PredicateFailsError, proj_collinear_witness
+    field = field_make(p, ex)
+    cells = []
+    real_cell = oc.schubert_cell
+
+    def cell(n, field, pivots):
+        cells.append(pivots)
+        return real_cell(n, field, pivots)
+    monkeypatch.setattr(oc, "schubert_cell", cell)
+    admitted = []
+    for params in _proj_points(3, field):
+        n, m, k, j = params.n, params.m, params.k, params.j
+        cells.clear()
+        try:
+            got = proj_collinear_search(params)
+        except TooLargeError:
+            assert cells == [], params
+            continue
+        admitted.append((n, m, k, j))
+        holds = proj_collinear_predicate(n, m, k, j)
+        assert got.complete == holds, params
+        for t in range(max(0, 2 * m - n), m):
+            if holds:
+                w = proj_collinear_witness(n, m, k, j, t, field)
+                assert [intersection_dim(w, u)
+                        for u in canonical_pair(field, n, m, t)] == [j, j]
+            else:
+                with pytest.raises(PredicateFailsError):
+                    proj_collinear_witness(n, m, k, j, t, field)
+    assert admitted == ([(3, 1, 2, 1)] if ex == 1 else
+                        [(2, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 1)])
 
 
 # ---------------------------------------------------------------------

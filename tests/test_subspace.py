@@ -6,7 +6,7 @@ import pytest
 
 from glgeom.gfq import field_make, pack_rows
 from glgeom.counts import bisection_count, gaussian
-from glgeom.subspace import (Bisection, canonical_pair,
+from glgeom.subspace import (Bisection, block_cell_count, canonical_pair,
                              canonical_piece_columns, coded_subspace,
                              coordinate_subspace, grassmannian,
                              grassmannian_index, intersection_dim, meet_dims,
@@ -233,6 +233,107 @@ def test_range_meet_is_the_pivot_lemma(p, ex):
     for a, b in [(-1, 2), (3, 2), (0, 5), (-3, -1), (2, 1)]:
         with pytest.raises(ValueError, match="no column range"):
             range_meet_dim(w, a, b)
+
+
+@pytest.mark.parametrize("p,ex", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
+                                  (2, 16), (2 ** 61 - 1, 1)])
+def test_meet_is_at_most_the_pivots_in_range(p, ex):
+    """The bound the proj search prunes by: on seeded random subspaces W
+    of V(n,q), n <= 8, dim(W meet <e_a..e_{b-1}>) is at most W's pivot
+    count in [a, b), on every range, with equality on every suffix."""
+    import random
+    field = field_make(p, ex)
+    rng = random.Random(field.q + 33)
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        rows = [tuple(rng.randrange(field.q) if rng.random() < 0.6 else 0
+                      for _ in range(n)) for _ in range(rng.randint(0, n))]
+        w = span_rows(field, n, rows)
+        piv = _pivots(w)
+        for (a, b), c in _coordinate_ranges(field, n).items():
+            inside = sum(a <= x < b for x in piv)
+            assert intersection_dim(w, c) <= inside, (w.rows(), a, b)
+            if b == n:
+                assert intersection_dim(w, c) == inside, (w.rows(), a)
+
+
+def _compositions(n, parts):
+    """Every cut of n columns into `parts` consecutive blocks, empty ones
+    allowed, as a tuple of block sizes."""
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first, *rest)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_block_cell_count_is_the_listing(q):
+    """block_cell_count against the Grassmannian listed cell by cell: for
+    every cut of V(n,q), n <= 5, into one to four consecutive blocks, and
+    every k, the subspaces with given pivot counts per block number what
+    the closed form says (gaussian(n, k, q) for a single block)."""
+    field = {4: field_make(2, 2)}.get(q) or field_make(q)
+    for n in range(6):
+        for k in range(n + 1):
+            per_cell = {}
+            for w in grassmannian(n, field, k):
+                per_cell[_pivots(w)] = per_cell.get(_pivots(w), 0) + 1
+            for parts in range(1, 5):
+                for sizes in _compositions(n, parts):
+                    ends = [sum(sizes[:i + 1]) for i in range(parts)]
+                    listed = {}
+                    for piv, size in per_cell.items():
+                        key = tuple(sum(end - b <= x < end for x in piv)
+                                    for b, end in zip(sizes, ends))
+                        listed[key] = listed.get(key, 0) + size
+                    for counts in product(*(range(b + 1) for b in sizes)):
+                        if sum(counts) == k:
+                            assert block_cell_count(sizes, counts, q) == \
+                                listed[counts], (n, sizes, counts)
+            assert block_cell_count((n,), (k,), q) == gaussian(n, k, q)
+
+
+def test_code_row_reads_digits_by_divmod():
+    """_code_row against the power formula it replaced
+    (lattice_reference.code_row): on every code below q^n for small
+    (q, n), and on seeded codes up to q^(n+2), whose digits past the n-th
+    both drop, at large q too."""
+    import random
+    from glgeom.subspace import _code_row
+    from lattice_reference import code_row
+    for q, max_n in ((2, 10), (3, 7), (4, 5), (9, 4), (256, 2)):
+        for n in range(max_n + 1):
+            for code in range(q ** n):
+                assert _code_row(code, q, n) == code_row(code, q, n)
+    rng = random.Random(71)
+    for q in (2, 3, 9, 2 ** 16, 2 ** 61 - 1, (2 ** 61 - 1) ** 9):
+        for _ in range(200):
+            n = rng.randint(0, 12)
+            code = rng.randrange(q ** (n + 2))
+            assert _code_row(code, q, n) == code_row(code, q, n), (q, n)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 2),
+                                 (5, 2)])
+def test_containing_masks_match_the_reference(q, k):
+    """containing_masks gives the same dict, keys in the same order, as
+    the builder that ORed each index into a growing int
+    (lattice_reference.containing_masks): on the k-subspace index of
+    V(2k,q), on seeded subsets of it, and on no masks."""
+    import random
+    from glgeom.subspace import containing_masks
+    import lattice_reference
+    field = {4: field_make(2, 2)}.get(q) or field_make(q)
+    masks = grassmannian_index(2 * k, field, k)[1]
+    rng = random.Random(q * 10 + k)
+    for sample in (masks, rng.sample(masks, len(masks) // 3),
+                   [rng.choice(masks) for _ in range(9)], [0, *masks[:5]]):
+        got = containing_masks(sample)
+        want = lattice_reference.containing_masks(sample)
+        assert list(got.items()) == list(want.items())
+    assert containing_masks([]) == {}
 
 
 @pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])
