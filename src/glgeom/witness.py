@@ -4,7 +4,9 @@ incidences, so completeness claims come with checkable certificates.
 Every public operation verifies its own output once, with the independent
 subspace primitives; a construction that cannot be completed raises rather
 than guessing.  A collinear witness's certificate records the verification
-just made (a one-entry memo); one for any other W computes its own.
+just made (a one-entry memo of the meet dimensions); one for any other W
+computes its own.  Only a certificate builds the canonical pair; the
+verification reads the meets off column ranges.
 Pair-specific constructions work on the canonical pair U1 = <e_1..e_m>,
 U2 = <e_{m-t+1}..e_{2m-t}>.  The projective witness is written down with
 no elimination.  For m <= n/2 its disjoint column sets are slices of the
@@ -21,9 +23,13 @@ The bisection witness is index data.  Each regime names, for each half,
 its unit rows e_c and its rows e_c + lambda e_d (a few q = 2 rows have
 three terms), by set arithmetic on the column ranges of the pair's pieces
 (subspace.canonical_piece_columns); no complement, projection or sum is
-computed, and no change of basis.  Each half is then one span_rows.  The
-checks that remain are those of the result: Bisection (both halves of
-dimension k, disjoint) and _bis_pair_dims (both patterns (k1, k2)).
+computed, and no change of basis.  The rows are written down canonical,
+so no half is eliminated either: in each row a 1 sits at its least
+column, which is in no other row of its half, and each half's canonical
+rows are its rows sorted by that column (_canonical_rows, which raises on
+rows that are not).  The checks that remain are those of the result:
+Bisection (both halves of dimension k, disjoint) and _bis_pair_dims (both
+patterns (k1, k2)).
 """
 
 from __future__ import annotations
@@ -56,9 +62,9 @@ def _units(cols):
     return [((c, 1),) for c in cols]
 
 
-def _sums(cols, others):
-    """The rows e_c + e_d pairing cols with others, as far as both run."""
-    return [((c, 1), (d, 1)) for c, d in zip(cols, others)]
+def _sums(cols, others, x=1):
+    """The rows e_c + x e_d pairing cols with others, as far as both run."""
+    return [((c, 1), (d, x)) for c, d in zip(cols, others)]
 
 
 def _vectors(field, n, rows):
@@ -73,11 +79,51 @@ def _vectors(field, n, rows):
     return out
 
 
+def _canonical_rows(field, n, rows):
+    """The canonical rows of the span of index rows that are written down
+    canonical, with no elimination; anything else raises ValueError.
+
+    The guard: in each row, sorted by column, the columns strictly
+    increase inside [0, n), the least one (the row's pivot) has
+    coefficient 1 and every coefficient is in 1..q-1; the pivots are
+    distinct, and no other term sits on a pivot column.  Such rows are
+    independent, each is 0 at every other row's pivot, so sorted by pivot
+    they are the rref, which range_meet_dim trusts.  A unit row is the
+    shared one of _unit_rows(n).
+    """
+    q, units = field.q, _unit_rows(n)
+    keyed, others = [], []
+    for terms in rows:
+        terms = sorted(terms)
+        if not terms or terms[0][1] != 1:
+            raise ValueError(f"index row {terms} has no leading 1")
+        last = -1
+        for c, x in terms:
+            if not (last < c < n and 0 < x < q):
+                raise ValueError(f"index row {terms} is not canonical")
+            last = c
+        p = terms[0][0]
+        if len(terms) == 1:
+            keyed.append((p, units[p]))
+            continue
+        row = [0] * n
+        for c, x in terms:
+            row[c] = x
+        keyed.append((p, tuple(row)))
+        others += [c for c, _ in terms[1:]]
+    pivots = {p for p, _ in keyed}
+    if len(pivots) < len(keyed) or not pivots.isdisjoint(others):
+        raise ValueError("index rows share a pivot column")
+    keyed.sort()  # the pivots are distinct, so no row is compared
+    return tuple(r for _, r in keyed)
+
+
 def _bisection(field, n, rows1, rows2):
-    """The bisection whose halves the index rows span, by one span_rows
-    per half; Bisection checks their dimensions and disjointness."""
-    return Bisection(span_rows(field, n, _vectors(field, n, rows1)),
-                     span_rows(field, n, _vectors(field, n, rows2)))
+    """The bisection whose halves the index rows span, each written down
+    by _canonical_rows; Bisection checks their dimensions and
+    disjointness."""
+    return Bisection(Subspace(field, n, _canonical_rows(field, n, rows1)),
+                     Subspace(field, n, _canonical_rows(field, n, rows2)))
 
 
 def _diagonal_rows(field, es, fs, r):
@@ -159,7 +205,7 @@ def proj_collinear_witness(n, m, k, j, t, field):
         raise PredicateFailsError("no such subspace exists at these parameters")
     try:
         w = _proj_witness(n, m, k, j, t, field)
-        _, dims = _proj_pair_dims(field, n, m, t, w)
+        dims = _proj_pair_dims(m, t, w)
     except ValueError as exc:
         raise RuntimeError(f"witness construction failed: {exc}") from exc
     if not (w.dim == k and dims == (j, j)):
@@ -258,14 +304,12 @@ def _pair_ranges(m, t):
 
 
 @lru_cache(maxsize=1)
-def _proj_pair_dims(field, n, m, t, w):
-    """The canonical pair at overlap t and (dim W meet U1, dim W meet U2):
+def _proj_pair_dims(m, t, w):
+    """(dim W meet U1, dim W meet U2) for the canonical pair at overlap t:
     a witness's verification, which its certificate reads again.  Each
-    meet is a range_meet_dim over Ui's column range; the pair itself is
-    built only for the certificate."""
-    return (canonical_pair(field, n, m, t),
-            tuple(range_meet_dim(w, lo, hi)
-                  for lo, hi in _pair_ranges(m, t)))
+    meet is a range_meet_dim over Ui's column range, so no pair is built;
+    the certificate builds its own."""
+    return tuple(range_meet_dim(w, lo, hi) for lo, hi in _pair_ranges(m, t))
 
 
 # ----------------------------------------------------------------------
@@ -276,9 +320,10 @@ def bis_collinear_witness(params, t):
     """A bisection incident with both canonical m-subspaces at overlap t.
 
     Requires m <= k (dualize first otherwise).  The regime of (t, k1, k2, q)
-    writes both halves down as index rows (_bis_witness_rows); each half is
-    one span_rows, and the bisection is verified once: Bisection checks
-    dimensions and disjointness, _bis_pair_dims the two patterns.
+    writes both halves down as canonical index rows (_bis_witness_rows),
+    which _canonical_rows turns into each half's rref with no elimination,
+    and the bisection is verified once: Bisection checks dimensions and
+    disjointness, _bis_pair_dims the two patterns.
     """
     field = params.field
     q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
@@ -291,7 +336,7 @@ def bis_collinear_witness(params, t):
     try:
         b = _bisection(field, 2 * k,
                        *_bis_witness_rows(field, k, m, k1, k2, t))
-        _, patterns = _bis_pair_dims(field, k, m, t, b)
+        patterns = _bis_pair_dims(m, t, b)
     except ValueError as exc:
         raise RuntimeError(f"witness construction failed: {exc}") from exc
     if patterns != ((k1, k2), (k1, k2)):
@@ -300,13 +345,12 @@ def bis_collinear_witness(params, t):
 
 
 @lru_cache(maxsize=1)
-def _bis_pair_dims(field, k, m, t, b):
-    """The canonical pair in V(2k,q) at overlap t and each Ui's sorted
-    pattern (dim Ui meet V1, dim Ui meet V2), as for _proj_pair_dims."""
-    return (canonical_pair(field, 2 * k, m, t),
-            tuple(tuple(sorted((range_meet_dim(b.half1, lo, hi),
-                                range_meet_dim(b.half2, lo, hi))))
-                  for lo, hi in _pair_ranges(m, t)))
+def _bis_pair_dims(m, t, b):
+    """Each Ui's sorted pattern (dim Ui meet V1, dim Ui meet V2) for the
+    canonical pair in V(2k,q) at overlap t, as for _proj_pair_dims."""
+    return tuple(tuple(sorted((range_meet_dim(b.half1, lo, hi),
+                               range_meet_dim(b.half2, lo, hi))))
+                 for lo, hi in _pair_ranges(m, t))
 
 
 def _bis_witness_rows(field, k, m, k1, k2, t):
@@ -327,7 +371,7 @@ def _bis_witness_rows(field, k, m, k1, k2, t):
         return _balanced_overlap_rows(field, k, m, k1, k2, t)
     if t <= k2:
         return _graph_overlap_rows(k, m, k1, k2, t)
-    return _deep_overlap_rows(k, m, k1, k2, t)
+    return _deep_overlap_rows(field, k, m, k1, k2, t)
 
 
 # -- pattern (0,0): both halves disjoint from both subspaces -------------
@@ -407,11 +451,13 @@ def _shallow_overlap_rows(field, k, m, k1, k2, t):
     (s = k1 + k2 - t) meets them the other way round.  Each half is
     completed from c and the last mbar = m - k1 - k2 columns x1, x2 of c1
     and c2, avoiding both: a diagonal pair of <x1>, <x2> and columns of
-    c; at q = 2 with mbar = 1, x1 + x2 and x1 + c[0] always go to B2, or
-    (c empty: t = 0, m = k, and k1 >= 1, see _bis_witness_rows) x1 + x2
-    and x1 + B1's first columns of c1 and c2.  B2 has room for both: it
-    lacks d2 = k - m + 1 + x rows, and d2 < 2 would need m = k and x = 0,
-    so t = 0 (t <= 2 k1) and c empty."""
+    c; at q = 2 with mbar = 1, x1 + c[0] and x2 + c[0] (the span of x1 +
+    x2 and x1 + c[0], written canonical) always go to B2, or (c empty: t =
+    0, m = k, and k1 >= 1, see _bis_witness_rows) x1 + x2 and x1 + B1's
+    first columns of c1 and c2.  B2 has room for both: it lacks d2 = k - m
+    + 1 + x rows, and d2 < 2 would need m = k and x = 0, so t = 0 (t <= 2
+    k1) and c empty.  c[0] is one of B1's columns, not B2's: B1 lacks d1 =
+    k - m + 1 + t - x >= 1 rows (m <= k, x <= t)."""
     tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
     x, s = min(t, k1), k1 + k2 - t
     b1 = _units([*tt[x:], *c1[k1 - x:s], *c2[k2 - x:s]])
@@ -422,7 +468,7 @@ def _shallow_overlap_rows(field, k, m, k1, k2, t):
         if not c:
             return (b1 + _sums(x1, x2),
                     b2 + [((x1[0], 1), (c1[k1], 1), (c2[k2], 1))])
-        mixed = _sums([x1[0]] * 2, [x2[0], c[0]])
+        mixed = _sums([x1[0], x2[0]], [c[0]] * 2)
         return b1 + _units(c[:d1]), b2 + mixed + _units(c[d1:])
     z1, z2 = _diagonal_rows(field, _units(x1), _units(x2), len(x1))
     d = d1 - len(x1)
@@ -468,19 +514,20 @@ def _graph_overlap_rows(k, m, k1, k2, t):
 
 # -- overlap t > k2 -------------------------------------------------------
 
-def _deep_overlap_rows(k, m, k1, k2, t):
+def _deep_overlap_rows(field, k, m, k1, k2, t):
     """V2 = <c[:k-k2], tt[t-k2:]>.  V1 holds the first x = max(0, k1 + k2 -
     t) columns of c1 and c2 and tt[:k1-x].  It pairs each other column of
     c1 with c from its start, and each other column of c2 with the same
-    column of c if x = 0, else with the matching column of c1 (over odd q
-    these two spans differ); then the rest of tt[:t-k2] with the columns
-    of c after those, and c[k-k2:] with tt[t-k2:], keeping the columns of
-    it past k2 whole."""
+    column of c: e_c2 + e_c if x = 0, else e_c2 - e_c, which is e_c2 plus
+    the matching column of c1 written canonical, since e_c1 + e_c is the
+    row before (over odd q these two spans differ); then the rest of
+    tt[:t-k2] with the columns of c after those, and c[k-k2:] with
+    tt[t-k2:], keeping the columns of it past k2 whole."""
     tt, c1, c2, c = canonical_piece_columns(2 * k, m, t)
     x = max(0, k1 + k2 - t)
     c3, t2 = c[k - k2:], tt[t - k2:]
     v1 = (_units([*c1[:x], *c2[:x], *tt[:k1 - x]])
-          + _sums(c1[x:], c) + _sums(c2[x:], c1[x:] if x else c)
+          + _sums(c1[x:], c) + _sums(c2[x:], c, field.neg(1) if x else 1)
           + _sums(tt[k1 - x:t - k2], c[m - t - x:])
           + _sums(c3, t2) + _units(c3[k2:]))
     return v1, _units([*c[:k - k2], *t2])
@@ -581,7 +628,8 @@ def _fifth_disjoint_gf2(pis):
 
 def bis_witness_certificate(params, t, b):
     """Machine-checkable record of a collinear bisection witness."""
-    (u1, u2), (p1, p2) = _bis_pair_dims(params.field, params.k, params.m, t, b)
+    p1, p2 = _bis_pair_dims(params.m, t, b)
+    u1, u2 = canonical_pair(params.field, 2 * params.k, params.m, t)
     return {
         "params": params.to_json_dict(),
         "t": t,
@@ -593,7 +641,8 @@ def bis_witness_certificate(params, t, b):
 
 
 def proj_witness_certificate(n, m, k, j, t, field, w):
-    (u1, u2), dims = _proj_pair_dims(field, n, m, t, w)
+    dims = _proj_pair_dims(m, t, w)
+    u1, u2 = canonical_pair(field, n, m, t)
     return {
         "params": {"family": "proj", "q": field.q, "n": n, "m": m, "k": k, "j": j},
         "t": t,

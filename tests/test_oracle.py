@@ -371,6 +371,42 @@ def test_proj_search_at_the_edge_fields(monkeypatch, p, ex):
                         [(2, 1, 1, 0), (3, 1, 2, 1), (3, 2, 1, 1)])
 
 
+@pytest.mark.parametrize("p,ex", [(2, 16), (3, 10), (2 ** 61 - 1, 1)])
+def test_bis_oracle_at_the_edge_fields(monkeypatch, p, ex):
+    """Over GF(2^16), GF(3^10) and GF(2^61 - 1), at every point with k <= 2
+    (m > k through the perp reduction), the oracle is complete through the
+    witness exactly where the closed form holds; where it fails, at
+    (2,2,0,2), the search is refused by the default budget before the
+    index is built or anything is masked."""
+    import glgeom.oracle as oc
+
+    def forbidden(*args):
+        raise AssertionError("listed despite the budget")
+    for name in ("grassmannian_index", "point_masks"):
+        monkeypatch.setattr(oc, name, forbidden)
+    field = field_make(p, ex)
+    holds = []
+    for k in (1, 2):
+        for m in range(1, 2 * k):
+            for k1 in range(k + 1):
+                for k2 in range(k1, k + 1):
+                    try:
+                        params = BisParams(k, m, k1, k2, field)
+                    except ParamError:
+                        continue
+                    if not bis_collinear_predicate(field.q, m, k, k1, k2):
+                        assert (k, m, k1, k2) == (2, 2, 0, 2)
+                        with pytest.raises(TooLargeError):
+                            bis_collinear_oracle(params)
+                        continue
+                    got = bis_collinear_oracle(params)
+                    assert (got.complete, got.method) == (True, "witness")
+                    holds.append((k, m, k1, k2))
+    assert holds == [(1, 1, 0, 0), (1, 1, 0, 1), (2, 1, 0, 0), (2, 1, 0, 1),
+                     (2, 2, 0, 0), (2, 2, 0, 1), (2, 2, 1, 1), (2, 3, 1, 1),
+                     (2, 3, 1, 2)]
+
+
 # ---------------------------------------------------------------------
 # concurrent oracle
 # ---------------------------------------------------------------------

@@ -28,10 +28,13 @@ F5 = field_make(5)
 F7 = field_make(7)
 F8 = field_make(2, 3)
 F9 = field_make(3, 2)
+F16 = field_make(2, 4)
+F27 = field_make(3, 3)
 
 
 def field_of(q):
-    return {2: F2, 3: F3, 4: F4, 5: F5, 7: F7, 8: F8, 9: F9}[q]
+    return {2: F2, 3: F3, 4: F4, 5: F5, 7: F7, 8: F8, 9: F9, 16: F16,
+            27: F27}[q]
 
 
 # ---------------------------------------------------------------------
@@ -650,6 +653,28 @@ def test_bis_witness_is_the_reference_construction(q):
             assert span_rows(field, half.n, half.rows()) == half
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 9, 16, 27])
+def test_bis_witness_is_the_reference_construction_at_k7_to_9(q):
+    """As above at k = 7..9: a seeded sample of 250 of the 1,559 witnesses
+    (params, t) where the predicate holds, and every t of the deep-overlap
+    points of BIS_DEEP_POINTS, whose c2 rows are written e_c2 - e_c."""
+    import random
+    from bis_witness_reference import bis_witness
+    field = field_of(q)
+    points = [(p, t) for p in _valid_bis_params(q, 9) if p.k >= 7
+              and bis_collinear_predicate(q, p.m, p.k, p.k1, p.k2)
+              for t in range(p.m)]
+    assert len(points) == 1559
+    points = random.Random(q).sample(points, 250) + [
+        (BisParams(*point, field), t) for point in BIS_DEEP_POINTS
+        for t in range(point[1])]
+    for params, t in points:
+        b = bis_collinear_witness(params, t)
+        want = bis_witness(params, t)
+        assert (b.half1.rows(), b.half2.rows()) == \
+            (want.half1.rows(), want.half2.rows()), (params, t)
+
+
 # ---------------------------------------------------------------------
 # each witness verified once; its certificate reads that verification
 # ---------------------------------------------------------------------
@@ -721,10 +746,11 @@ def test_bis_witness_meets_are_invariant_under_gl(q, k, m, k1, k2):
 
 def test_shallow_overlap_mixed_rows_build_up_to_k10():
     """q = 2, the shallow regime (t <= 2 k1) with one column x1 of c1 past
-    the halves' shares (m = k1 + k2 + 1) and c nonempty: x1 + x2 and x1 +
-    c[0] go to B2, which lacks d2 = k - m + 1 + min(t, k1) >= 2 rows.
-    Every such point with k <= 10 where the predicate holds builds a
-    witness with the stated meets."""
+    the halves' shares (m = k1 + k2 + 1) and c nonempty: x1 + c[0] and x2
+    + c[0], the plane of x1 + x2 and x1 + c[0] written canonical, go to
+    B2, which lacks d2 = k - m + 1 + min(t, k1) >= 2 rows.  Every such
+    point with k <= 10 where the predicate holds builds a witness with the
+    stated meets."""
     built = 0
     for k in range(2, 11):
         for k1 in range(k):
@@ -754,12 +780,13 @@ def test_proj_certificate_reads_the_witness_verification(monkeypatch,
     pairs = _counting(monkeypatch, "canonical_pair")
     for t in range(max(0, 2 * m - n), m):
         meets.clear()
+        pairs.clear()
         w = proj_collinear_witness(n, m, k, j, t, field)
         assert len(meets) == 2  # the returned W only, also for m > n/2
+        assert pairs == []  # the verification builds no pair
         meets.clear()
-        pairs.clear()
         cert = proj_witness_certificate(n, m, k, j, t, field, w)
-        assert meets == [] and pairs == []
+        assert meets == [] and pairs == [(field, n, m, t)]
         assert cert["intersection_dims"] == [j, j]
 
 
@@ -795,9 +822,11 @@ def test_proj_witness_makes_no_elimination(monkeypatch, n, m, k, j, q):
 @pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS + BIS_REGIME_POINTS)
 def test_bis_witness_makes_one_elimination_per_half(monkeypatch,
                                                     q, k, m, k1, k2):
-    """The bisection witness is written down as index rows: each witness
-    makes at most one rref per half and no inverse or kernel (every binding
-    of the three gfq kernels in the package is counted)."""
+    """The bisection witness is written down as canonical index rows: each
+    witness makes no rref, inverse or kernel at all, as the projective one
+    (every binding of the three gfq kernels in the package is counted).
+    Its name states a looser bound, one rref per half, kept so that its
+    test ids stay."""
     import sys
     from glgeom import gfq
     modules = [mod for mod_name, mod in sys.modules.items()
@@ -819,11 +848,75 @@ def test_bis_witness_makes_one_elimination_per_half(monkeypatch,
         for name in calls:
             calls[name] = 0
         assert bis_collinear_witness(work, t).k == work.k
-        assert calls["_rref_rows"] <= 2 and \
-            calls["mat_inverse"] == calls["kernel"] == 0, (t, calls)
+        assert calls == {"_rref_rows": 0, "mat_inverse": 0, "kernel": 0}, t
     perp(coordinate_subspace(field_of(q), 2, [0]))
     fifth_disjoint(desarguesian_spread(2, F2)[:4])  # inverts on rows
     assert calls["kernel"] == 1 and calls["mat_inverse"] >= 1  # they count
+    assert calls["_rref_rows"] >= 1
+
+
+@pytest.mark.parametrize("rows", [
+    [((0, 1), (2, 1)), ((0, 1), (3, 1))],   # a repeated pivot
+    [((0, 2), (2, 1))],                     # leading coefficient 2
+    [((0, 1), (2, 1)), ((2, 1), (3, 1))],   # a term on another row's pivot
+    [((3, 1),), ((1, 1), (3, 2))],          # the same, the pivot row first
+    [((0, 1), (2, 1), (2, 1))],             # a repeated column in one row
+    [((0, 1), (2, 0))],                     # a zero coefficient
+    [((0, 1), (2, 3))],                     # a coefficient outside GF(3)
+    [((0, 1), (4, 1))],                     # a column outside V(4,3)
+    [((-1, 1),)],                           # a negative column
+    [()],                                   # an empty row
+])
+def test_canonical_rows_guard_refuses(rows):
+    """Index rows that are not written down canonical raise ValueError;
+    none is reduced."""
+    from glgeom.witness import _canonical_rows
+    with pytest.raises(ValueError):
+        _canonical_rows(F3, 4, rows)
+
+
+def test_canonical_rows_are_the_rref():
+    """Rows the guard admits, in any order of rows and of terms, are the
+    canonical rows of their span, and a unit row is the shared one."""
+    from glgeom.subspace import _unit_rows
+    from glgeom.witness import _canonical_rows, _vectors
+    rows = [((3, 2), (1, 1)), ((2, 1),), ((5, 1), (0, 1), (4, 2))]
+    got = _canonical_rows(F3, 6, rows)
+    assert got == span_rows(F3, 6, _vectors(F3, 6, rows)).rows() == (
+        (1, 0, 0, 0, 2, 1), (0, 1, 0, 2, 0, 0), (0, 0, 1, 0, 0, 0))
+    assert got[2] is _unit_rows(6)[2]
+
+
+def test_non_canonical_rows_exit_4_without_reduction(monkeypatch, capsys):
+    """No fallback elimination: the shallow regime's q = 2 mixed rows
+    written as x1 + x2 and x1 + c[0] span the same plane as its canonical
+    x1 + c[0] and x2 + c[0], but share the pivot x1, so the guard refuses
+    them and the witness command exits 4 as an internal error."""
+    import glgeom.witness as wt
+    from glgeom.cli import main
+    from glgeom.subspace import canonical_piece_columns
+    real, patched = wt._shallow_overlap_rows, []
+
+    def mixed(field, k, m, k1, k2, t):
+        b1, b2 = real(field, k, m, k1, k2, t)
+        _, c1, c2, c = canonical_piece_columns(2 * k, m, t)
+        if c:
+            x1, x2, c0 = c1[-1], c2[-1], c[0]
+            i = b2.index(((x1, 1), (c0, 1)))
+            assert b2[i + 1] == ((x2, 1), (c0, 1))
+            old = [((x1, 1), (x2, 1)), ((x1, 1), (c0, 1))]
+            assert span_rows(field, 2 * k, wt._vectors(field, 2 * k, old)) \
+                .rows() == wt._canonical_rows(field, 2 * k, b2[i:i + 2])
+            b2[i:i + 2] = old
+            patched.append(t)
+        return b1, b2
+    monkeypatch.setattr(wt, "_shallow_overlap_rows", mixed)
+    assert main(["bis-collinear", "--k", "3", "--m", "3", "--k1", "1",
+                 "--k2", "1", "--q", "2", "--mode", "witness"]) == 4
+    assert patched == [1]
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:")
+    assert "witness construction failed" in err
 
 
 @pytest.mark.parametrize("q,k,m,k1,k2", BIS_POINTS)
@@ -837,12 +930,13 @@ def test_bis_certificate_reads_the_witness_verification(monkeypatch,
     want = [work.k1, work.k2]
     for t in range(work.m):
         meets.clear()
+        pairs.clear()
         b = bis_collinear_witness(work, t)
         assert len(meets) == 4  # each half against each of U1, U2
+        assert pairs == []  # the verification builds no pair
         meets.clear()
-        pairs.clear()
         cert = bis_witness_certificate(work, t, b)
-        assert meets == [] and pairs == []
+        assert meets == [] and pairs == [(work.field, 2 * k, work.m, t)]
         assert cert["intersection_dims"] == {"U1": want, "U2": want}
 
 
@@ -906,7 +1000,7 @@ def test_failed_bis_verification_names_the_parameters(monkeypatch):
     an object address."""
     import glgeom.witness as wt
     monkeypatch.setattr(wt, "_bis_pair_dims",
-                        lambda field, k, m, t, b: (None, ((0, 0), (0, 0))))
+                        lambda m, t, b: ((0, 0), (0, 0)))
     with pytest.raises(RuntimeError, match="failed verification") as info:
         bis_collinear_witness(BisParams(2, 2, 0, 1, F3), 1)
     message = str(info.value)
@@ -923,14 +1017,14 @@ def test_failed_bis_verification_names_the_parameters(monkeypatch):
 def test_lattice_error_inside_a_witness_exits_4(monkeypatch, capsys, argv):
     """A ValueError from a lattice helper after the parameter and predicate
     checks is a construction failure (exit 4), not bad parameters (exit 1):
-    span_rows on the bisection route, the indicator rows on the projective
-    one."""
+    the canonical index rows on the bisection route, the indicator rows on
+    the projective one."""
     import glgeom.witness as wt
     from glgeom.cli import main
 
     def not_independent(*args):
         raise ValueError("summands are not independent")
-    monkeypatch.setattr(wt, "span_rows", not_independent)
+    monkeypatch.setattr(wt, "_canonical_rows", not_independent)
     monkeypatch.setattr(wt, "_indicator_rows", not_independent)
     assert main(argv + ["--mode", "witness"]) == 4
     err = capsys.readouterr().err
