@@ -194,6 +194,7 @@ def _scan_rows(args, q, field):
 def cmd_scan(args):
     rows = []
     if args.family == "sn":
+        wy.check_subset_oracle(args.max_n)  # every n from 2 up has a row
         for n in range(2, args.max_n + 1):
             for m in range(1, n // 2 + 1):
                 for k in range(1, n):
@@ -242,7 +243,10 @@ def cmd_orbits(args):
 def cmd_counts(args):
     from . import counts as ct  # loads fractions, which no other verb needs
     q, k, m = _field(args.q).q, args.k, args.m
-    # first, so that a bad m is refused as m, not as a = k - m + 1
+    # first, so that a bad m is refused as m, not as a = k - m + 1 or as k
+    if not 1 <= m <= k:
+        raise ParamError("need 1 <= m <= k")
+    ct.check_printable(k, q)
     more_than_half = ct.restricted_movement_sufficient(m, k, q)
     a = k - m + 1
     h = ct.h_value(a, k, q)

@@ -12,6 +12,7 @@ glgeom.counts.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .errors import ParamError, TooLargeError
@@ -63,6 +64,19 @@ def h_lower_bound(a, k, q):
     term1 = 2 * qa / (1 - Fraction(1, q))
     term2 = 2 * qa * qa / ((1 - 2 * qa) * (1 - Fraction(1, q**2)))
     return 1 - term1 - term2
+
+
+def check_printable(k, q):
+    """TooLargeError where bisection_count(k, q) < 2 q^(2k^2), the widest
+    integer the counts verb prints, may pass Python's limit on printed
+    digits (none before 3.10.7, nor at 0).  That is certain once 2k^2
+    (bits of q - 1) >= 4 limit; below it the bound is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    e = 2 * k * k
+    if limit and (e * (q.bit_length() - 1) >= 4 * limit
+                  or 2 * q**e >= 10**limit):
+        raise TooLargeError(f"the counts at k = {k}, q = {q} may pass "
+                            f"Python's limit of {limit} printed digits")
 
 
 def count_disjoint_from_halves(m, k, field):

@@ -23,10 +23,9 @@ element, a chart, a change of basis or its inverse acts on row vectors by
 v -> v.g (vec_mat).  The row kernels take such rows directly: _rref_rows,
 the one elimination (subspace.span_rows, kernel, mat_inverse); and
 echelon_insert, which reduces one row against canonical rows as they
-stand (meets at q > 2, and range meets at every q).
-GF(2) additionally gets a packed representation (one int bitmask per row,
-bit j = column j), used only by subspace.intersection_dim; the two
-representations agree bit for bit.
+stand (meets at q > 2, and range meets at every q).  pk_rank ranks
+0/1 rows over GF(2) (meets at q = 2): it packs each row into one int
+itself, and the packed form lives nowhere else.
 """
 
 from __future__ import annotations
@@ -423,40 +422,25 @@ def mat_inverse(field, m):
 
 
 # ----------------------------------------------------------------------
-# packed GF(2) representation: a row is an int, bit j = column j
+# GF(2) rank on packed rows
 # ----------------------------------------------------------------------
 
-def pack_rows(entries):
-    out = []
-    for row in entries:
-        x = 0
-        for j, v in enumerate(row):
-            if v:
-                x |= 1 << j
-        out.append(x)
-    return tuple(out)
-
-
-def pk_rank(rows, ncols):
-    rows = list(rows)
-    r = 0
-    for c in range(ncols):
-        bit = 1 << c
-        pr = None
-        for i in range(r, len(rows)):
-            if rows[i] & bit:
-                pr = i
+def pk_rank(rows):
+    """The rank over GF(2) of 0/1 rows.  Each row is packed into one int,
+    a byte per entry (int.from_bytes), and reduced by XOR with the kept
+    row of its leading bit until it is zero or its leading bit is new,
+    when it is kept: kept rows have distinct leading bits, so they are
+    independent.  The packed form never leaves this function."""
+    kept = {}  # leading bit -> the kept row with it
+    for r in rows:
+        x = int.from_bytes(bytes(r), "big")
+        while x:
+            top = x.bit_length()
+            if top not in kept:
+                kept[top] = x
                 break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i] & bit:
-                rows[i] ^= rows[r]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+            x ^= kept[top]
+    return len(kept)
 
 
 def _integer_root(q, e):

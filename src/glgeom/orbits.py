@@ -31,9 +31,9 @@ from operator import or_, xor
 from random import Random
 
 from .gfq import primitive_element
-from .subspace import (Bisection, _code_row, _digit_tables, bisection_count,
-                       coded_subspace, gaussian, grassmannian_index,
-                       mask_points, point_permutation)
+from .subspace import (Bisection, _code_row, _digit_tables, _unit_rows,
+                       bisection_count, coded_subspace, gaussian,
+                       grassmannian_index, mask_points, point_permutation)
 from .errors import ParamError, TooLargeError
 
 
@@ -58,54 +58,34 @@ class OrbitReport:
         return len(self.orbit_lengths)
 
 
-def _identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def _rows(m):
-    return tuple(map(tuple, m))
+def _embed_block(g, n, offset):
+    """The unit rows of V(n,q) with the square block g on the diagonal
+    from row and column offset on: the rows of g, padded with zeros, in
+    place of the unit rows they cover."""
+    units, pad = _unit_rows(n), (0,) * offset
+    rows = tuple(pad + r + (0,) * (n - offset - len(r)) for r in g)
+    return units[:offset] + rows + units[offset + len(g):]
 
 
 def _transvection(n, i, j):
-    m = _identity(n)
-    m[i][j] = 1
-    return _rows(m)
-
-
-def _cycle(n):
-    m = [[0] * n for _ in range(n)]
-    for i in range(n):
-        m[i][(i + 1) % n] = 1
-    return _rows(m)
+    """The unit rows of V(n,q) with e_j added into row i (i != j)."""
+    units = _unit_rows(n)
+    row = units[i][:j] + (1,) + units[i][j + 1:]
+    return units[:i] + (row,) + units[i + 1:]
 
 
 def gl_generators(n, field):
     """A standard generating set of GL(n,q), as a list of matrices (tuples
-    of rows)."""
+    of rows): a transvection, the cycle e_i -> e_(i+1) and, for q > 2, a
+    primitive element in the corner."""
     q = field.q
     if n == 1:
         return [((primitive_element(q, field.mul),),)]
-    gens = [_transvection(n, 0, 1), _cycle(n)]
+    units = _unit_rows(n)
+    gens = [_transvection(n, 0, 1), units[1:] + units[:1]]
     if q > 2:
-        d = _identity(n)
-        d[0][0] = primitive_element(q, field.mul)
-        gens.append(_rows(d))
+        gens.append(_embed_block(((primitive_element(q, field.mul),),), n, 0))
     return gens
-
-
-def _embed_block(g, n, offset):
-    m = _identity(n)
-    for i, row in enumerate(g):
-        m[offset + i][offset:offset + len(row)] = row
-    return _rows(m)
-
-
-def _block_swap(k):
-    m = [[0] * (2 * k) for _ in range(2 * k)]
-    for i in range(k):
-        m[i][k + i] = 1
-        m[k + i][i] = 1
-    return _rows(m)
 
 
 def bisection_stabiliser_generators(k, field):
@@ -115,7 +95,8 @@ def bisection_stabiliser_generators(k, field):
     second-block copy, so they generate GL(k) wr C2 (order 2 |GL(k,q)|^2).
     """
     gens = [_embed_block(g, 2 * k, 0) for g in gl_generators(k, field)]
-    gens.append(_block_swap(k))
+    units = _unit_rows(2 * k)
+    gens.append(units[k:] + units[:k])
     return gens
 
 

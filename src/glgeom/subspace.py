@@ -8,8 +8,8 @@ canonical basis is one); span_rows is the one constructor for arbitrary
 rows.  Canonical rows are an echelon as they stand, each row's pivot at
 its first 1, so a meet reduces the rows of one side against the other's
 basis (gfq.echelon_insert) with no elimination of their stack; only at
-q = 2 is it a packed rank.  A meet with a coordinate range
-<e_a..e_{b-1}> (range_meet_dim) is read off the pivots, since the rows
+q = 2 is it a rank of the stack (gfq.pk_rank).  A meet with a coordinate
+range <e_a..e_{b-1}> (range_meet_dim) is read off the pivots, since the rows
 are fully reduced: a rank runs only on the slices past b of the rows
 with pivots in the range, and only when one is nonzero.  The Grassmannian
 is listed in a fixed order (pivot-column sets, then free entries, each in
@@ -33,40 +33,30 @@ from itertools import combinations, product
 from operator import mul
 
 from .errors import ParamError
-from .gfq import (echelon_insert, pack_rows, pk_rank, kernel, vec_mat,
-                  _rref_rows)
+from .gfq import echelon_insert, pk_rank, kernel, vec_mat, _rref_rows
 
 
 class Subspace:
     """A subspace of V(n, q), stored as its canonical rref rows (a tuple of
     row tuples, no zero rows), which the constructor trusts: span_rows
     builds one from any other rows.  The constructor computes nothing
-    from the rows: the hash, at q = 2 the packed rows, and the point mask
-    (point_masks) are computed when first read and kept in their slots,
-    None until then (an unset slot would make each first read raise and
-    catch an AttributeError, which costs more than the hash itself).
-    Each is a function of the rows that dies with the object; equality
-    and the hash read none of them."""
+    from the rows: the hash and the point mask (point_masks) are computed
+    when first read and kept in their slots, None until then (an unset
+    slot would make each first read raise and catch an AttributeError,
+    which costs more than the hash itself).  Each is a function of the
+    rows that dies with the object; equality and the hash read neither."""
 
-    __slots__ = ("field", "n", "basis", "_packed", "_hash", "_mask")
+    __slots__ = ("field", "n", "basis", "_hash", "_mask")
 
     def __init__(self, field, n, rows):
         self.field = field
         self.n = n
         self.basis = rows
-        self._packed = self._hash = self._mask = None
+        self._hash = self._mask = None
 
     @property
     def dim(self):
         return len(self.basis)
-
-    @property
-    def packed(self):
-        """The rows as gfq.pack_rows ints at q = 2, else None."""
-        packed = self._packed
-        if packed is None and self.field.q == 2:
-            self._packed = packed = pack_rows(self.basis)
-        return packed
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -154,14 +144,14 @@ def canonical_piece_columns(n, m, t):
 
 
 def intersection_dim(u, w):
-    """dim(U meet W).  At q = 2 it is dim U + dim W minus the packed rank
-    of the stacked bases.  Otherwise the rows of the smaller side W are
-    reduced against the canonical rows of the larger, an echelon as they
-    stand: each row that does not reduce to zero adds one to dim(U + W),
-    so the meet is dim W minus the rows kept."""
+    """dim(U meet W).  At q = 2 it is dim U + dim W minus the rank of the
+    stacked bases (gfq.pk_rank).  Otherwise the rows of the smaller side W
+    are reduced against the canonical rows of the larger, an echelon as
+    they stand: each row that does not reduce to zero adds one to
+    dim(U + W), so the meet is dim W minus the rows kept."""
     _check_ambient(u, w)
     if u.field.q == 2:
-        return u.dim + w.dim - pk_rank(u.packed + w.packed, u.n)
+        return u.dim + w.dim - pk_rank(u.basis + w.basis)
     if u.dim < w.dim:
         u, w = w, u
     echelon, field = _echelon(u), u.field

@@ -113,9 +113,14 @@ def subset_geometry_oracle(n, m, k, j):
     equals the closed form 0 <= k - 2j <= n - 2m (verified in tests).
     """
     SubsetGeom(n, m, k, j)
+    check_subset_oracle(n)
+    return all(subset_pair_cover(n, m, k, j, t) for t in range(m))
+
+
+def check_subset_oracle(n):
+    """The subset oracle's bound on n, which a scan checks up front."""
     if n > 14:
         raise TooLargeError("subset oracle limited to n <= 14")
-    return all(subset_pair_cover(n, m, k, j, t) for t in range(m))
 
 
 def subset_geometry_closed_form(n, m, k, j):

@@ -178,6 +178,81 @@ def test_counts_and_weyl(capsys):
     assert code == 0 and "complete" in out
 
 
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit of 4300 digits for printing an integer, set
+    for the test and restored after it; skipped before Python 3.10.7."""
+    import sys
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no limit on printing an integer")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_counts_refused_before_a_count_python_cannot_print(
+        capsys, monkeypatch, int_str_limit):
+    """bisections(2k,k,2) has 4,249 digits at k = 84 and 4,351 at k = 85:
+    k = 84 prints the same bytes as before the check, and k = 85 (or
+    q = 65536 at k = 40) exits 3 with empty stdout before any count or
+    Fraction is built; a bad m is still refused first, as m."""
+    import hashlib
+    import time
+
+    import glgeom.counts as ct
+    code, out, _ = run(capsys, "counts", "--q", "2", "--k", "84", "--m", "1")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == (
+        "b6d984db81b6c51c23aeb844473128ad8f003e58bf1cfda46d263a812837a5f0")
+
+    def built(*args):
+        raise AssertionError("a count was built before the refusal")
+    for name in ("gaussian", "bisection_count", "f_value", "h_value",
+                 "restricted_movement_sufficient"):
+        monkeypatch.setattr(ct, name, built)
+    for q, k in (("2", "85"), ("65536", "40"), ("2", "5000")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "counts", "--q", q, "--k", k,
+                             "--m", "1")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "") and err.startswith(
+            "budget exceeded: the counts at k = "), err
+    code, out, err = run(capsys, "counts", "--q", "2", "--k", "5000",
+                         "--m", "0")
+    assert (code, out) == (1, "")
+    assert err == "bad parameters: need 1 <= m <= k\n"
+
+
+def test_counts_refuse_nothing_without_a_digit_limit(monkeypatch,
+                                                       int_str_limit):
+    """The refusal follows Python's limit: none where it is 0 or where
+    sys has no get_int_max_str_digits (before Python 3.10.7)."""
+    import sys
+
+    import glgeom.counts as ct
+    with pytest.raises(ct.TooLargeError):
+        ct.check_printable(85, 2)
+    ct.check_printable(84, 2)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    ct.check_printable(5000, 65536)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    ct.check_printable(5000, 65536)
+
+
+def test_sn_scan_refused_before_its_first_row(capsys, monkeypatch):
+    """scan --family sn checks --max-n against the subset oracle's bound
+    before it computes a row, so --max-n 15 exits 3 with empty stdout and
+    no pair cover run."""
+    import glgeom.weyl as wy
+
+    def covered(*args):
+        raise AssertionError("a row was computed before the refusal")
+    monkeypatch.setattr(wy, "subset_pair_cover", covered)
+    code, out, err = run(capsys, "scan", "--family", "sn", "--max-n", "15")
+    assert (code, out) == (3, "")
+    assert err == "budget exceeded: subset oracle limited to n <= 14\n"
+
+
 def test_golden_missing_exit_code(capsys):
     """Exit 1 where no multiset is stored: nothing to compare against."""
     code, out, _ = run(capsys, "orbits", "--q", "5", "--k", "1", "--golden")

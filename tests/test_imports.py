@@ -9,7 +9,9 @@ tests/.  The functions that functools caches are exactly those of
 ALLOWED_CACHES: a module-level cache holds what it saw for the life of
 the process, so each new one is a decision, not a default.  Importing the engine modules loads neither dataclasses nor
 fractions, which would only add to the set-up time of every process; nor
-does importing the CLI."""
+does importing the CLI.  Every backticked identifier in README.md names
+a file of src/ or tests/ or words of their text, so a rename cannot
+leave a stale name there."""
 
 import ast
 import builtins
@@ -318,3 +320,39 @@ def test_the_cli_imports_no_fractions():
     added = modules_added(["cli"])
     assert "glgeom.cli" in added
     assert added & {"fractions", "glgeom.counts"} == set()
+
+
+def stale_readme_names(readme, paths):
+    """The backticked names of a README (outside fenced blocks) that are
+    neither the name of one of the files nor, dot-separated part by part,
+    whole words in their text: what a rename leaves behind."""
+    import re
+    text = re.sub(r"```.*?```", "", readme, flags=re.S)
+    names = [s for s in re.findall(r"`([^`]+)`", text)
+             if re.fullmatch(r"[A-Za-z_]\w*(\.\w+)*", s)]
+    files = {p.name for p in paths}
+    words = set()
+    for p in paths:
+        words.update(re.findall(r"\w+", p.read_text()))
+    return [s for s in names
+            if s not in files and not set(s.split(".")) <= words]
+
+
+def test_readme_names_are_in_the_code():
+    """Every backticked identifier in README.md names a file of src/ or
+    tests/, or each of its dotted parts is a whole word there (this file
+    excepted, so that it cannot vouch for a name itself)."""
+    paths = [p for p in [*SRC.rglob("*.py"), *TESTS.rglob("*.py")]
+             if p.resolve() != pathlib.Path(__file__).resolve()]
+    readme = (TESTS.parent / "README.md").read_text()
+    assert stale_readme_names(readme, paths) == []
+
+
+def test_the_check_sees_a_stale_readme_name(tmp_path):
+    f = tmp_path / "m.py"
+    f.write_text("def pk_rank(rows):\n    return Fraction(rows)\n")
+    readme = ("Call `pk_rank` on `m.py`, not `pack_rows` or `a.pk_rank`;\n"
+              "`fractions.Fraction` and `Fraction` are words, and\n"
+              "```\n`unseen`\n```\n`pk_rank(x)` is no name.\n")
+    assert stale_readme_names(readme, [f]) == [
+        "pack_rows", "a.pk_rank", "fractions.Fraction"]

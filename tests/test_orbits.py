@@ -1,5 +1,6 @@
 """Generator sets, orbit partitions, and the two reference computations."""
 
+import hashlib
 from itertools import islice
 from random import Random
 
@@ -7,7 +8,7 @@ import pytest
 
 from glgeom.counts import TooLargeError
 from glgeom.errors import ParamError
-from glgeom.gfq import field_make, vec_mat
+from glgeom.gfq import factor_prime_power, field_make, vec_mat
 from glgeom.orbits import (GOLDEN_ORBITS, _index_orbits,
                            bisection_stabiliser_generators,
                            gl_generators, pm_orbits_on_k_spaces,
@@ -157,6 +158,25 @@ def test_every_builder_generator_is_a_point_permutation(q):
         for g in gens:
             perm = point_permutation(field, n, g)
             assert sorted(perm) == list(range((q ** n - 1) // (q - 1)))
+
+
+def test_generator_matrices_are_pinned():
+    """The three builders return the same matrices, entry for entry and
+    in the same order: one sha256 over the reprs of gl_generators(n),
+    bisection_stabiliser_generators(n) and subspace_stabiliser_generators
+    (m, n) for m = 1..n, n = 1..6, per q in (2, 3, 4, 5, 7, 8, 9, 16)."""
+    digest = hashlib.sha256()
+    for q in (2, 3, 4, 5, 7, 8, 9, 16):
+        field = field_make(*factor_prime_power(q))
+        for n in range(1, 7):
+            digest.update(repr(gl_generators(n, field)).encode())
+            digest.update(
+                repr(bisection_stabiliser_generators(n, field)).encode())
+            for m in range(1, n + 1):
+                digest.update(repr(
+                    subspace_stabiliser_generators(m, n, field)).encode())
+    assert digest.hexdigest() == ("8ebdf17b4a83019eadaa0deba34a9cb9"
+                                  "7a9560c8cf0190772a3458cecd6813b7")
 
 
 # ---------------------------------------------------------------------

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from glgeom.gfq import field_make, pack_rows
+from glgeom.gfq import field_make
 from glgeom.counts import bisection_count, gaussian
 from glgeom.subspace import (Bisection, block_cell_count, canonical_pair,
                              canonical_piece_columns, coded_subspace,
@@ -752,25 +752,13 @@ def test_span_rows_checks_its_rows():
         coordinate_subspace(F3, 2, ())
 
 
-def test_hash_and_packed_rows_on_first_read(monkeypatch):
-    """A Subspace packs its rows only when they are first read, once, and
-    hashes as (q, n, rows) however it was built."""
-    import glgeom.subspace as sub
-    calls = []
-
-    def counting_pack(rows):
-        calls.append(rows)
-        return pack_rows(rows)
-    monkeypatch.setattr(sub, "pack_rows", counting_pack)
+def test_hash_and_packed_rows_on_first_read():
+    """A Subspace hashes its rows only when first hashed, as (q, n, rows)
+    however it was built; it keeps no packed rows (gfq.pk_rank packs
+    them itself)."""
     subs = list(grassmannian(4, F2, 2))
-    assert len(subs) == 35 and calls == []
-    u, w = subs[0], subs[-1]
-    assert intersection_dim(u, w) == 0
-    assert sorted(calls) == sorted([u.basis, w.basis])
-    assert intersection_dim(u, w) == 0 and len(calls) == 2
-    for s in subs:
-        assert s.packed == pack_rows(s.basis)
-    assert coordinate_subspace(F3, 2, ()).packed is None
+    assert all(s._hash is None for s in subs)
+    assert hash(subs[0]) == subs[0]._hash and subs[1]._hash is None
     for field in (F2, F3):
         built = [coordinate_subspace(field, 4, [1, 3]),
                  span_rows(field, 4, [e(field, 4, 2, 4), e(field, 4, 4)]),
@@ -807,7 +795,8 @@ def test_canonical_row_slices_span_themselves(q):
 def _meet_pairs(rng, field):
     """Seeded pairs in V(n,q), n <= 12: the zero space and V against a
     random subspace, equal subspaces, coordinate pairs, nested pairs and
-    random pairs of random dimensions."""
+    random pairs of random dimensions; at q = 2 also random, nested and
+    overlapping pairs of dimension <= 8 at n = 64, 65 and 128."""
     for n in range(1, 13):
         u = _random_subspace(rng, field, n, rng.randint(0, n))
         yield coordinate_subspace(field, n, ()), u
@@ -820,6 +809,15 @@ def _meet_pairs(rng, field):
             yield u, _random_subspace(rng, field, n, rng.randint(0, u.dim), u)
             yield (_random_subspace(rng, field, n, rng.randint(0, n)),
                    _random_subspace(rng, field, n, rng.randint(0, n)))
+    if field.q == 2:  # rows wider than a machine word for gfq.pk_rank
+        for n in (64, 65, 128):
+            for _ in range(3):
+                u = _random_subspace(rng, field, n, rng.randint(0, 8))
+                w = _random_subspace(rng, field, n, rng.randint(0, 8))
+                yield u, w
+                yield u, _random_subspace(rng, field, n,
+                                          rng.randint(0, u.dim), u)
+                yield u, span_rows(field, n, u.rows()[:4] + w.rows()[:4])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
