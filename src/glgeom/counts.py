@@ -69,14 +69,14 @@ def h_lower_bound(a, k, q):
 def check_printable(k, q):
     """TooLargeError where bisection_count(k, q) < 2 q^(2k^2), the widest
     integer the counts verb prints, may pass Python's limit on printed
-    digits (none before 3.10.7, nor at 0).  That is certain once 2k^2
-    (bits of q - 1) >= 4 limit; below it the bound is built."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits, or its default of 4300 where there is none (at 0, or before
+    3.10.7).  That is certain once 2k^2 (bits of q - 1) >= 4 limit; below
+    it the bound is built."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     e = 2 * k * k
-    if limit and (e * (q.bit_length() - 1) >= 4 * limit
-                  or 2 * q**e >= 10**limit):
+    if e * (q.bit_length() - 1) >= 4 * limit or 2 * q**e >= 10**limit:
         raise TooLargeError(f"the counts at k = {k}, q = {q} may pass "
-                            f"Python's limit of {limit} printed digits")
+                            f"the limit of {limit} printed digits")
 
 
 def count_disjoint_from_halves(m, k, field):

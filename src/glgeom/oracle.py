@@ -2,12 +2,12 @@
 forms of glgeom.predicates.
 
 The collinear searches (proj_collinear_search, bis_collinear_search)
-scan the line set at one point pair per overlap t (pairs with equal
-overlap form one orbit), after one budget check over every overlap.  The
-collinear oracles are the witness at every overlap, or one search: the
-witness fails from the closed form, which does not depend on t.  So
-incompleteness is only reported after a full scan of the lines that can
-be incident, and a witness bug cannot fake a positive.
+decide each overlap t (pairs with equal overlap form one orbit), after
+one budget check over every overlap.  The collinear oracles are the
+witness at every overlap, or one search: the witness fails from the
+closed form, which does not depend on t.  So incompleteness is only
+reported after a full scan of what can be incident, and a witness bug
+cannot fake a positive.
 
 The two collinear scans avoid a rank test per line:
 
@@ -25,12 +25,9 @@ The two collinear scans avoid a rank test per line:
   The budget counts those lines in closed form
   (subspace.block_cell_count), per pivot count in the four column blocks
   that U1 and U2 cut.
-- bis: the k-subspaces S_i are indexed once by projective points, straight
-  from row codes (subspace.grassmannian_index), with the tables d1[i] =
-  dim(S_i meet U1) and, per t, d2[i] = dim(S_i meet U2) read off
-  popcounts; a bisection {S_i, S_j} is incident with both points iff
-  {d1[i], d1[j]} = {d2[i], d2[j]} = {k1, k2} as multisets, and the
-  subspaces meeting S_i are a bitset OR over its points.
+- bis: no line is scanned.  By flag transitivity one scan of the points
+  on the coordinate bisection decides every t, each point's overlap with
+  the first read off a popcount of their point masks.
 
 The concurrent oracle reads incidence off the same point masks: the
 m-subspaces are masked once per call, straight from row codes
@@ -38,10 +35,7 @@ m-subspaces are masked once per call, straight from row codes
 mask meets the four halves in the pattern.  It has one route: by flag
 transitivity it checks the coordinate bisection against one representative
 of each orbit of its stabiliser (orbits.stabiliser_orbits_on_bisections),
-so every pair holds the coordinate bisection, one half of which is the
-suffix <e_k..e_{2k-1}>; by the pivot lemma, W meets it in dimension
-#{i : p_i >= k}, so only the Schubert cells of Gr(2k,m) with k1 or k2
-pivots from column k are masked.
+so only the Schubert cells that _suffix_cells selects are masked.
 """
 
 from __future__ import annotations
@@ -50,10 +44,9 @@ from itertools import combinations, product
 
 # unused here; the benchmark's self-test checks that tracing rebinds it
 from .gfq import pk_rank  # noqa: F401
-from .subspace import (block_cell_count, canonical_pair, containing_masks,
-                       coordinate_bisection, gaussian, grassmannian_index,
-                       meet_dims, meeting_mask, point_masks, range_meet_dim,
-                       schubert_cell)
+from .subspace import (block_cell_count, coordinate_bisection, gaussian,
+                       grassmannian_index, meet_dims, point_masks,
+                       range_meet_dim, schubert_cell)
 from .errors import TooLargeError
 from .geometry import mask_incident_bis
 from .orbits import stabiliser_orbits_on_bisections
@@ -133,56 +126,57 @@ def proj_collinear_oracle(params, budget=10**7):
     return CompletenessVerdict(True, "witness")
 
 
-def _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
-    """Is some bisection {S_i, S_j} (k1,k2)-incident with both points,
-    given the point masks of the S_i, containing_masks of them and the
-    tables d1, d2 of intersection dimensions with the points?
-
-    S_i must have (d1[i], d2[i]) in {k1,k2}^2 and a partner j > i in the
-    complementary class (k1+k2-d1[i], k1+k2-d2[i]), a bitset over indices;
-    only then are the subspaces meeting S_i ORed from the point index.
-    """
-    classes = {}
-    for i, key in enumerate(zip(d1, d2)):
-        classes[key] = classes.get(key, 0) | 1 << i
-    want = (k1, k2)
-    for i, (a, b) in enumerate(zip(d1, d2)):
-        if a in want and b in want:
-            above = classes.get((k1 + k2 - a, k1 + k2 - b), 0) >> (i + 1)
-            if above and above & ~(meeting_mask(masks[i], through) >> (i + 1)):
-                return True
-    return False
+def _suffix_cells(k, m, counts):
+    """The pivot sets of the Schubert cells of Gr(2k, m) that hold every
+    m-subspace W meeting <e_k..e_{2k-1}> in a dimension in counts: that is
+    #{i : p_i >= k} (the pivot lemma of subspace.range_meet_dim)."""
+    return [p for p in combinations(range(2 * k), m)
+            if sum(c >= k for c in p) in counts]
 
 
 def bis_collinear_search(params, budget=10**7):
     """Search-based collinear completeness of the subspace/bisection geometry.
 
-    Scans the stated parameters, m > k included: the canonical pairs, U1
-    once and U2 per overlap t, masked in one point_masks call, and all
-    bisections through the dimension tables of the module docstring.  The
-    budget bounds q^k vectors for each of the gaussian(2k,k,q) k-subspaces
-    (more than the points the index codes) once per overlap, and is
-    checked before anything is listed.
+    One scan of the points on the coordinate bisection B0 = {V1, V2}, m > k
+    included.  The geometry is flag-transitive, so G = PQP iff the points
+    on one line meet every orbit of one point's stabiliser (Alavi &
+    Praeger, J. Group Theory 14, 2011):
+    - Q = Stab(B0) is transitive on the points of B0: by Goursat,
+      (dim U meet V1, dim U meet V2) is the only invariant, and the half
+      swap joins the two orders;
+    - P = Stab(alpha) has one orbit per overlap t = dim(U meet alpha).
+    So failing_t is the least t that no point on B0 has with alpha, the
+    first of them: the points of the cells of _suffix_cells that
+    mask_incident_bis keeps.  The budget, checked before anything is
+    listed, bounds what grassmannian_index builds: the cells' subspaces
+    times the (q^m - 1)/(q - 1) bits of each, and the span loop's digit
+    tables (q^(k+1) entries, plus q^(2k) at odd p).  A listing that
+    misses that cell count raises RuntimeError.
     """
     field = params.field
-    q, m, k, k1, k2 = field.q, params.m, params.k, params.k1, params.k2
-    overlaps = range(max(0, 2 * m - 2 * k), m)
-    nsub = gaussian(2 * k, k, q)
-    if nsub * q ** k * len(overlaps) > budget:
-        raise TooLargeError(f"{len(overlaps)} table scans of the {q ** k} "
-                            f"vectors of {nsub} {k}-subspaces exceed "
-                            f"the budget of {budget}")
-    masks = grassmannian_index(2 * k, field, k)[1]
-    through = containing_masks(masks)
+    q, m, k = field.q, params.m, params.k
+    counts = {params.k1, params.k2}
+    cells = sum(block_cell_count((k, k), (m - c, c), q) for c in counts)
+    work = (cells * gaussian(m, 1, q) + q ** (k + 1)
+            + (q ** (2 * k) if field.p != 2 else 0))
+    if work > budget:
+        raise TooLargeError(f"{work} point bits and table entries for {cells} "
+                            f"{m}-subspaces exceed the budget of {budget}")
+    masks = grassmannian_index(2 * k, field, m, _suffix_cells(k, m, counts))[1]
+    if len(masks) != cells:
+        raise RuntimeError(f"listed {len(masks)} {m}-subspaces of "
+                           f"V({2 * k},{q}), not the {cells} of their cells")
+    incident = mask_incident_bis(params)
+    h1, h2 = point_masks(coordinate_bisection(field, k).halves())
     dims = meet_dims(q, 2 * k)
-    pairs = [canonical_pair(field, 2 * k, m, t) for t in overlaps]
-    u1, *u2s = point_masks([pairs[0][0], *(u2 for _, u2 in pairs)])
-    d1 = [dims[(x & u1).bit_count()] for x in masks]
-    for t, u2 in zip(overlaps, u2s):
-        d2 = [dims[(x & u2).bit_count()] for x in masks]
-        if not _incident_disjoint_pair(masks, through, d1, d2, k1, k2):
-            return CompletenessVerdict(False, "oracle", failing_t=t)
-    return CompletenessVerdict(True, "oracle")
+    on = (u for u in masks if incident(u, h1, h2))
+    alpha = next(on)
+    missing = set(range(max(0, 2 * m - 2 * k), m))
+    for u in on:
+        missing.discard(dims[(u & alpha).bit_count()])
+        if not missing:
+            return CompletenessVerdict(True, "oracle")
+    return CompletenessVerdict(False, "oracle", failing_t=min(missing))
 
 
 def bis_collinear_oracle(params, budget=10**7):
@@ -248,11 +242,8 @@ def concurrent_oracle(params, orbit_reps=None, budget=10**7):
     if len(orbit_reps) * gaussian(2 * k, m, q) > budget:
         raise TooLargeError("point scan over line pairs exceeds budget")
     lines = [coordinate_bisection(field, k), *orbit_reps]
-    # dim(W meet <e_k..e_{2k-1}>) is W's pivot count from column k
-    # (the pivot lemma of subspace.range_meet_dim)
-    cells = [p for p in combinations(range(2 * k), m)
-             if sum(c >= k for c in p) in (params.k1, params.k2)]
-    pair = _uncovered_pair(params, lines, cells)
+    pair = _uncovered_pair(params, lines,
+                           _suffix_cells(k, m, (params.k1, params.k2)))
     return CompletenessVerdict(pair is None, "oracle", failing_pair=pair)
 
 

@@ -487,28 +487,3 @@ def point_permutation(field, n, g):
         perm.append(number[tuple(field.mul(c, x) for x in w)])
     return perm
 
-
-def containing_masks(masks):
-    """Per projective point, the bitset of the indices i whose masks[i]
-    holds it, in linear time: each point's bits are set in a bytearray,
-    read once by int.from_bytes, not ORed into a growing int (which copies
-    it at every index)."""
-    size, rows = (len(masks) + 7) // 8, {}
-    for i, mask in enumerate(masks):
-        byte, bit = i >> 3, 1 << (i & 7)
-        for p in mask_points(mask):
-            row = rows.get(p)
-            if row is None:
-                rows[p] = row = bytearray(size)
-            row[byte] |= bit
-    return {p: int.from_bytes(row, "little") for p, row in rows.items()}
-
-
-def meeting_mask(mask, through):
-    """The bitset of the indices whose subspaces share a projective point
-    with the mask, from containing_masks."""
-    meets = 0
-    for p in mask_points(mask):
-        meets |= through[p]
-    return meets
-

@@ -10,8 +10,9 @@ first line against the rest only.  `bisections` lists every bisection of
 V(2k,q) as the disjoint index pairs (`disjoint_pairs`) of the k-subspace
 index, each built by `_disjoint_sorted` with no rank test (a classmethod
 of glgeom.subspace.Bisection there).  They moved here verbatim from
-glgeom.oracle and glgeom.subspace, with their imports made absolute, and
-are kept as the reference the orbit route is checked against; nothing in
+glgeom.oracle and glgeom.subspace, with their imports made absolute
+(`containing_masks` and `meeting_mask` now from tests/lattice_reference.py),
+and are kept as the reference the orbit route is checked against; nothing in
 the package calls them.
 """
 
@@ -21,8 +22,9 @@ from glgeom.errors import TooLargeError
 from glgeom.geometry import mask_incident_bis
 from glgeom.oracle import CompletenessVerdict
 from glgeom.subspace import (Bisection, bisection_count, coded_subspace,
-                             containing_masks, gaussian, grassmannian_index,
-                             mask_points, meeting_mask, point_masks)
+                             gaussian, grassmannian_index, mask_points,
+                             point_masks)
+from lattice_reference import containing_masks, meeting_mask
 
 
 def _disjoint_sorted(a, b):

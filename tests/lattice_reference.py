@@ -20,8 +20,12 @@ every q) as the reference the new kernel is checked against.
 `code_row`, which reads each digit with its own power of q, are
 glgeom.subspace's `containing_masks` and `_code_row` as they were before
 the one went linear and the other read digits by divmod, kept verbatim
-(the second only renamed) as their references.  Nothing in the package
-calls this file.
+(the second only renamed) as their references; the linear
+`containing_masks` left the package with its last caller.
+`meeting_mask`, the bitset of the indices whose subspaces share a point
+with a mask, moved here verbatim from glgeom.subspace for the pair scans
+of tests/bis_search_reference.py and tests/concurrent_reference.py.
+Nothing in the package calls this file.
 """
 
 from itertools import product
@@ -231,6 +235,15 @@ def containing_masks(masks):
         for p in mask_points(mask):
             through[p] = through.get(p, 0) | 1 << i
     return through
+
+
+def meeting_mask(mask, through):
+    """The bitset of the indices whose subspaces share a projective point
+    with the mask, from containing_masks."""
+    meets = 0
+    for p in mask_points(mask):
+        meets |= through[p]
+    return meets
 
 
 def code_row(code, q, n):

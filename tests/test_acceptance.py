@@ -35,7 +35,7 @@ from fractions import Fraction
 F2 = field_make(2)
 F3 = field_make(3)
 F4 = field_make(2, 2)
-FIELDS = {2: F2, 3: F3, 4: F4}
+FIELDS = {2: F2, 3: F3, 4: F4, 5: field_make(5)}
 
 
 @pytest.fixture(scope="module")
@@ -78,10 +78,12 @@ def test_criterion_1_parabolic_equivalence_suite():
 
 
 def test_criterion_2_bisection_collinear_equivalence_suite():
-    """Oracle = predicate for the six enumerable (q,k), all m < 2k, all
-    patterns, including the single exception and the near-half boundary."""
+    """Oracle = predicate for the six enumerable (q,k) and the five that
+    the scan of the points on one line admits, all m < 2k, all patterns,
+    including the single exception and the near-half boundary."""
     checked = 0
-    for (q, k) in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1)]:
+    for (q, k) in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 1),
+                   (2, 4), (3, 3), (4, 2), (5, 2), (4, 3)]:
         field = FIELDS[q]
         for m in range(1, 2 * k):
             for k1 in range(0, k + 1):

@@ -54,7 +54,7 @@ def test_budget_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "bis-collinear", "--k", "3", "--m", "3",
                          "--k1", "0", "--k2", "3", "--q", "3",
                          "--mode", "oracle", "--budget", "10")
-    assert code == 3 and out == "" and "33880" in err
+    assert code == 3 and out == "" and "19684 3-subspaces" in err
     code, out, err = run(capsys, "proj-collinear", "--n", "6", "--m", "3",
                          "--k", "3", "--j", "2", "--q", "2",
                          "--mode", "oracle", "--budget", "10")
@@ -225,18 +225,26 @@ def test_counts_refused_before_a_count_python_cannot_print(
 
 def test_counts_refuse_nothing_without_a_digit_limit(monkeypatch,
                                                        int_str_limit):
-    """The refusal follows Python's limit: none where it is 0 or where
-    sys has no get_int_max_str_digits (before Python 3.10.7)."""
+    """Where Python has no limit, at 0 or where sys has no
+    get_int_max_str_digits (before Python 3.10.7), the refusal follows
+    its default of 4300 digits, so k = 85 is refused as at that default;
+    a limit raised above it admits more."""
     import sys
 
     import glgeom.counts as ct
-    with pytest.raises(ct.TooLargeError):
-        ct.check_printable(85, 2)
-    ct.check_printable(84, 2)
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-    ct.check_printable(5000, 65536)
-    monkeypatch.delattr(sys, "get_int_max_str_digits")
-    ct.check_printable(5000, 65536)
+    sys.set_int_max_str_digits(4400)
+    ct.check_printable(85, 2)
+    for limit in (4300, 0, None):
+        if limit is None:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+        else:
+            monkeypatch.setattr(sys, "get_int_max_str_digits",
+                                lambda: limit)
+        with pytest.raises(ct.TooLargeError):
+            ct.check_printable(85, 2)
+        with pytest.raises(ct.TooLargeError):
+            ct.check_printable(5000, 65536)
+        ct.check_printable(84, 2)
 
 
 def test_sn_scan_refused_before_its_first_row(capsys, monkeypatch):
@@ -359,6 +367,37 @@ def test_scan_digest(capsys, argv, digest):
     code, out, _ = run(capsys, *argv.split(), "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bis_col_scan_to_k4_digest(capsys):
+    """sha256 of the bis-col scan's --format json output at k <= 4 over
+    GF(2): 61 points, 33 of them at k = 4, none refused.  The pair scan
+    that the scan of the points on one line replaced refused (4,4,0,4)."""
+    import hashlib
+    code, out, _ = run(capsys, "scan", "--family", "bis-col", "--max-k", "4",
+                       "--qs", "2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1420db196f1411dc0a04f02c077129870d933da0ccf410cf0de144a127af7a7c")
+    data = json.loads(out)
+    assert (data["points"], data["mismatches"]) == (61, 0)
+
+
+def test_bis_search_short_listing_exits_4(capsys, monkeypatch):
+    """A listing one point short of the cell total is an internal error
+    (exit 4, empty stdout), not an incomplete verdict."""
+    import glgeom.oracle as oc
+    real = oc.grassmannian_index
+
+    def short(*args):
+        codes, masks = real(*args)
+        return codes[:-1], masks[:-1]
+    monkeypatch.setattr(oc, "grassmannian_index", short)
+    code, out, err = run(capsys, "bis-collinear", "--k", "2", "--m", "2",
+                         "--k1", "0", "--k2", "2", "--q", "3",
+                         "--mode", "oracle")
+    assert (code, out) == (4, "")
+    assert "internal error: listed 81 2-subspaces" in err
 
 
 VERDICT_DIGESTS = {

